@@ -189,9 +189,7 @@ def b_hash_code(interp, m, recv, args, shape):
 
 
 def b_prototype(interp, m, recv, args, shape):
-    entry = interp.table.get(interp.runtime_type(recv))
-    interp.init_prototype(entry)
-    return entry.proto_object
+    return interp.prototype_object(interp.table.get(interp.runtime_type(recv)))
 
 
 def b_prototype_name(interp, m, recv, args, shape):
@@ -202,9 +200,7 @@ def b_parent(interp, m, recv, args, shape):
     entry = interp.table.get(interp.runtime_type(recv))
     if entry is None or not entry.supertype:
         return NIL
-    parent = interp.table.get(entry.supertype)
-    interp.init_prototype(parent)
-    return parent.proto_object
+    return interp.prototype_object(interp.table.get(entry.supertype))
 
 
 def b_is_interface(interp, m, recv, args, shape):

@@ -218,7 +218,7 @@ class Checker:
                         self.error(decl, f"'{entry.name}' should implement method"
                                          f" '{req.name}' of interface '{iname}'")
         # mixin host compatibility
-        host_base = getattr(entry, "mixin_host_base", None)
+        host_base = entry.mixin_host_base
         if host_base and entry.supertype:
             if not table.is_subtype(entry.supertype, host_base) and \
                     not table.is_subtype(entry.name, host_base):
@@ -943,7 +943,7 @@ class Checker:
         name = "".join(sel for sel, _ in shape) if not is_operator else shape[0][0]
         plain_shape = [(sel, [t for t, _x in args]) for sel, args in shape]
         rule_f = None
-        for anc in self._resolution_chain(recv_type):
+        for anc in table.dispatch_chain(recv_type):
             g = anc.groups.get(name)
             if g is not None:
                 candidates = [m for m in g.entries if m.arity_matches(plain_shape)]
@@ -983,31 +983,6 @@ class Checker:
                                   for sel, args in shape)
                 self.error(node, f"'{recv_type}' has no method matching '{pretty.strip()}'")
         return "Any", None
-
-    def _resolution_chain(self, recv_type):
-        entry = self.table.get(recv_type)
-        out = []
-        seen = set()
-        work = [recv_type]
-        while work:
-            cur = work.pop(0)
-            if cur in seen:
-                continue
-            seen.add(cur)
-            e = self.table.get(cur)
-            if e is None:
-                continue
-            out.append(e)
-            if e.supertype:
-                work.append(e.supertype)
-            if e.is_interface or e.kind == "blockInterface":
-                work.extend(e.interfaces)
-        if entry is not None and (entry.is_interface or entry.supertype is None) \
-                and "Any" not in seen:
-            any_e = self.table.get("Any")
-            if any_e is not None:
-                out.append(any_e)
-        return out
 
     def _private_ok(self, m, owner_entry):
         if m.qualifier == "private":

@@ -8,10 +8,15 @@ Each corpus file embeds directives in line comments:
     //! exit: N                 (expected exit status; defaults follow the mode)
 
 Stdout comparison is byte-exact against the joined expect lines.
+
+    python -m cyanine.corpus [DIR] [--time]     (default DIR: corpus/)
+
+prints the per-file report and, with --time, the total wall time.
 """
 
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 from .diagnostics import Reporter
@@ -116,9 +121,15 @@ def corpus_runner(directory):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    directory = argv[0] if argv else "corpus"
+    sys.setrecursionlimit(30000)
+    args = [a for a in argv if not a.startswith("--")]
+    directory = args[0] if args else "corpus"
+    t0 = time.perf_counter()
     report = corpus_runner(directory)
+    elapsed = time.perf_counter() - t0
     print(report.summary())
+    if "--time" in argv:
+        print(f"total: {elapsed:.2f}s")
     return 0 if report.ok else 1
 
 

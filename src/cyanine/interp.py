@@ -99,6 +99,8 @@ _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
 
 class Interp:
     def __init__(self, program, stdin_text="", argv=(), check_liveness=True):
+        if not program.ok():
+            raise ValueError(program.reporter.format_all())
         self.program = program
         self.table = program.table
         self.out = []
@@ -110,7 +112,6 @@ class Interp:
         self.max_steps = 10_000_000
         self.steps = 0
         self._init_done = set()
-        self._chain_cache = {}
 
     # -- top level ---------------------------------------------------------------
 
@@ -183,12 +184,20 @@ class Interp:
     def setup(self):
         table = self.table
         for entry in table.entries.values():
-            if entry.proto_object is None:
-                entry.proto_object = ObjectV(entry.name, is_prototype=True)
-                entry.shared_store = {}
-                entry.const_store = {}
+            self._make_proto_object(entry)
         for entry in list(table.entries.values()):
             self.init_prototype(entry)
+
+    def prototype_object(self, entry):
+        """The object a prototype name evaluates to, initialized on first use."""
+        self._make_proto_object(entry)
+        self.init_prototype(entry)
+        return entry.proto_object
+
+    @staticmethod
+    def _make_proto_object(entry):
+        if entry.proto_object is None:
+            entry.proto_object = ObjectV(entry.name, is_prototype=True)
 
     def init_prototype(self, entry):
         if entry.name in self._init_done or entry.builtin:
@@ -266,56 +275,10 @@ class Interp:
             return v.type_name
         raise TypeError(v)
 
-    def dispatch_chain(self, type_name):
-        """Like table.chain, but interface-rooted types also reach their
-        super-interfaces and Any (method objects are typed by interfaces)."""
-        cached = self._chain_cache.get(type_name)
-        if cached is not None:
-            return cached
-        out = []
-        seen = set()
-        work = [type_name]
-        while work:
-            cur = work.pop(0)
-            if cur in seen:
-                continue
-            seen.add(cur)
-            e = self.table.get(cur)
-            if e is None:
-                continue
-            out.append(e)
-            if e.supertype:
-                work.append(e.supertype)
-            if e.is_interface:
-                work.extend(e.interfaces)
-        if out and out[-1].name != "Any":
-            any_e = self.table.get("Any")
-            if any_e is not None and any_e not in out:
-                out.append(any_e)
-        self._chain_cache[type_name] = out
-        return out
-
     def reaches(self, s, t):
-        """Runtime subtype walk: pure reachability (the restricted gate is a
-        compile-time rule)."""
-        if s == t or t == "Any" or s == "Nil":
-            return True
-        seen = set()
-        work = [s]
-        while work:
-            cur = work.pop()
-            if cur == t:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            e = self.table.get(cur)
-            if e is None:
-                continue
-            if e.supertype:
-                work.append(e.supertype)
-            work.extend(e.interfaces)
-        return False
+        """Runtime subtype test: the table's walk without the restricted gate.
+        Dispatch calls it through this method so that its calls are counted."""
+        return self.table.reaches(s, t)
 
     # -- exceptions -------------------------------------------------------------------
 
@@ -380,9 +343,9 @@ class Interp:
             start = owner.proto
         for root in (start, frame.entry_name):
             for anc in self.table.chain(root):
-                if name in getattr(anc, "shared_store", {}):
+                if name in anc.shared_store:
                     return anc.shared_store, name
-                if name in getattr(anc, "const_store", {}):
+                if name in anc.const_store:
                     return anc.const_store, name
         return None, None
 
@@ -429,31 +392,26 @@ class Interp:
 
     def lookup(self, recv, shape, super_frame=None):
         name = "".join(sel for sel, _ in shape)
+        chain = self.table.dispatch_chain(self.runtime_type(recv))
+        mixins, first = (), 0
         if super_frame is None:
             if isinstance(recv, ObjectV):
                 own = recv.own_methods.get(name)
                 if own is not None:
                     return ("own", own)
-                for idx, mobj in enumerate(recv.mixins):
-                    hit = self._search_chain(self._mixin_chain(mobj.proto), shape, name)
-                    if hit is not None:
-                        m, owner, plan = hit
-                        return ("static", (m, owner, (mobj, idx), plan))
-            chain = self.dispatch_chain(self.runtime_type(recv))
+                mixins = recv.mixins
         elif super_frame.mixin_index is not None:
             # super inside a dynamically attached mixin: remaining mixins first
-            for idx in range(super_frame.mixin_index + 1, len(recv.mixins)):
-                mobj = recv.mixins[idx]
-                hit = self._search_chain(self._mixin_chain(mobj.proto), shape, name)
-                if hit is not None:
-                    m, owner, plan = hit
-                    return ("static", (m, owner, (mobj, idx), plan))
-            chain = self.dispatch_chain(self.runtime_type(recv))
+            mixins, first = recv.mixins, super_frame.mixin_index + 1
         else:
-            full = self.dispatch_chain(self.runtime_type(recv))
-            names = [e.name for e in full]
-            onm = super_frame.found_owner.name if super_frame.found_owner else None
-            chain = full[names.index(onm) + 1:] if onm in names else full[1:]
+            found = super_frame.found_owner
+            chain = chain[chain.index(found) + 1:] if found in chain else chain[1:]
+        for idx in range(first, len(mixins)):
+            mobj = mixins[idx]
+            hit = self._search_chain(self._mixin_chain(mobj.proto), shape, name)
+            if hit is not None:
+                m, owner, plan = hit
+                return ("static", (m, owner, (mobj, idx), plan))
         hit = self._search_chain(chain, shape, name)
         if hit is None:
             return None
@@ -767,7 +725,7 @@ class Interp:
 
     def resolve_sig(self, recv, sig):
         rty = self.runtime_type(recv)
-        for anc in self.dispatch_chain(rty):
+        for anc in self.table.dispatch_chain(rty):
             g = anc.groups.get(sig.name)
             if g is None:
                 continue
@@ -811,13 +769,7 @@ class Interp:
                 return self.resolve_name(name, e, scope, frame)
             case GenericRef():
                 tname = self.table.resolve_type(e.type_expr())
-                entry = self.table.get(tname)
-                if entry.proto_object is None:
-                    entry.proto_object = ObjectV(entry.name, is_prototype=True)
-                    entry.shared_store = {}
-                    entry.const_store = {}
-                self.init_prototype(entry)
-                return entry.proto_object
+                return self.prototype_object(self.table.get(tname))
             case SelfRef(field_name=f):
                 if f is None:
                     return frame.receiver
@@ -900,12 +852,7 @@ class Interp:
             return store[key]
         entry = self.table.get(name)
         if entry is not None:
-            if entry.proto_object is None:
-                entry.proto_object = ObjectV(entry.name, is_prototype=True)
-                entry.shared_store = {}
-                entry.const_store = {}
-            self.init_prototype(entry)
-            return entry.proto_object
+            return self.prototype_object(entry)
         # unary self-send
         return self.send(frame.receiver, [(name, [])])
 

@@ -105,8 +105,12 @@ class ProtoEntry:
         self.init_once = None
         self.package = ""
         self.filename = "<builtin>"
+        self.mixin_host_base = None
+        self.linked = False
         # runtime state
         self.proto_object = None
+        self.shared_store = {}
+        self.const_store = {}
         self.dyn_methods = {}
 
     def add_method(self, m):
@@ -165,7 +169,8 @@ class PrototypeTable:
         self.entries = {}
         self.templates = {}     # (base, arity-tuple) -> list of template records
         self.generated_blocks = {}
-        self._subtype_memo = {}
+        self._reach_memo = {}
+        self._chain_memo = {}
         self.check_queue = []   # entries whose bodies still need checking
         self.register_prelude_builtins()
 
@@ -176,8 +181,13 @@ class PrototypeTable:
 
     def add_entry(self, entry):
         self.entries[entry.name] = entry
-        self._subtype_memo.clear()
+        self._edges_changed()
         return entry
+
+    def _edges_changed(self):
+        """Forget the memoised walks: an entry or one of its edges changed."""
+        self._reach_memo.clear()
+        self._chain_memo.clear()
 
     def chain(self, name):
         """The prototype plus its supertypes, most-derived first."""
@@ -204,20 +214,22 @@ class PrototypeTable:
     def is_subtype(self, s, t):
         """Reflexive-transitive closure of extends+implements; nil is a subtype
         of everything; restricted types are not subtypes of unrestricted ones."""
-        if s == t:
+        if s == t or s == "Nil":
             return True
-        if s == "Nil":
+        if self.is_restricted(s) and not self.is_restricted(t):
+            return False
+        return self.reaches(s, t)
+
+    def reaches(self, s, t):
+        """Pure reachability over extends+implements edges, where every type
+        reaches Any and nil reaches everything.  The restricted gate of
+        `is_subtype` is a compile-time rule; dispatch uses this walk."""
+        if s == t or t == "Any" or s == "Nil":
             return True
         key = (s, t)
-        memo = self._subtype_memo
+        memo = self._reach_memo
         if key in memo:
             return memo[key]
-        if self.is_restricted(s) and not self.is_restricted(t):
-            memo[key] = False
-            return False
-        if t == "Any":
-            memo[key] = True
-            return True
         seen = set()
         work = [s]
         result = False
@@ -237,6 +249,35 @@ class PrototypeTable:
             work.extend(e.interfaces)
         memo[key] = result
         return result
+
+    def dispatch_chain(self, name):
+        """The entries a send to `name` searches, in order: breadth-first over
+        the supertype chain and, from interface entries, their
+        super-interfaces (method objects are typed by interfaces), then Any
+        if the walk did not reach it."""
+        memo = self._chain_memo
+        if name in memo:
+            return memo[name]
+        out = []
+        seen = set()
+        work = [name]
+        while work:
+            cur = work.pop(0)
+            if cur in seen:
+                continue
+            seen.add(cur)
+            e = self.entries.get(cur)
+            if e is None:
+                continue
+            out.append(e)
+            if e.supertype:
+                work.append(e.supertype)
+            if e.is_interface:
+                work.extend(e.interfaces)
+        if out and "Any" not in seen:
+            out.append(self.entries["Any"])
+        memo[name] = out
+        return out
 
     def assignable(self, source, target):
         return self.is_subtype(source, target)
@@ -667,14 +708,13 @@ class PrototypeTable:
         e.package = package
         e.filename = filename
         e.builtin = False
-        e.linked = False
         self.add_entry(e)
         self.check_queue.append(e)
         return e
 
     def link_unit(self, entry, visible_vars=None):
         """Resolve supertypes, interfaces, and build method entries."""
-        if getattr(entry, "linked", False):
+        if entry.linked:
             return
         entry.linked = True
         decl = entry.decl
@@ -693,6 +733,7 @@ class PrototypeTable:
                                 if self.entries.get(s) and self.entries[s].is_interface]
             if not entry.interfaces:
                 entry.interfaces = ["AnyInterface"]
+            self._edges_changed()
             for sig in decl.sigs:
                 m = self.build_method_entry(entry, sig)
                 if m is not None:
@@ -713,6 +754,7 @@ class PrototypeTable:
         elif not entry.is_mixin:
             entry.supertype = "Any"
         entry.interfaces = [self.resolve_type(t, pos) for t in decl.implements]
+        self._edges_changed()
         if entry.ctx_params:
             entry.restricted = any(cp.mode == "&" for cp in entry.ctx_params)
         for slot in decl.slots:
@@ -757,6 +799,7 @@ class PrototypeTable:
         co_groups = [[t]] + [list(g) for g in groups] + [[ev.return_type]]
         co = self._context_object_family(co_groups)
         entry.interfaces = [ub, co, "ContextObject"]
+        self._edges_changed()
         # newObject: returns the matching UBlock
         g = entry.groups.get("newObject:")
         if g is not None:

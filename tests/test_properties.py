@@ -7,9 +7,12 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from conftest import compile_src
+from cyanine.checker import Checker
 from cyanine.cyast import GAlt, GOpt, GPlus, GSel, GSeq, GStar, TypeExpr
+from cyanine.diagnostics import Reporter
 from cyanine.grammar_methods import derive_parameter_type
 from cyanine.interp import Interp
+from test_runtime import flattened_slot_scan
 
 
 # --- random hierarchies: is_subtype == brute-force reachability ---------------
@@ -64,6 +67,64 @@ def test_random_hierarchy_subtype_equals_reachability(data):
     table = program.table
     for s, t in itertools.product(names, names):
         assert table.is_subtype(s, t) == reach(edges, s, t), (s, t, src)
+        assert table.reaches(s, t) == (reach(edges, s, t) or t == "Any"), (s, t, src)
+    for s in names:
+        chain = [e.name for e in table.dispatch_chain(s)]
+        assert chain[0] == s and chain[-1] == "Any", (s, chain, src)
+        # a prototype's chain is its supertypes; an interface's is every
+        # interface it reaches, and the root interfaces extend AnyInterface
+        is_iface = table.get(s).is_interface
+        searched = {n for n in names if reach(edges, s, n)
+                    and (is_iface or not table.get(n).is_interface)}
+        roots = {"AnyInterface", "Any"} if is_iface else {"Any"}
+        assert len(chain) == len(set(chain)) and set(chain) == searched | roots, \
+            (s, chain, src)
+
+
+# --- random eat: overloads: static resolution == dynamic lookup ----------------
+
+@st.composite
+def eat_hierarchies(draw):
+    """Random Food and Animal trees; each animal declares `eat:` overloads
+    for a random set of foods in a random textual order."""
+    def tree(root, size):
+        names = [root] + [f"{root}{i}" for i in range(1, size)]
+        return names, {n: draw(st.sampled_from(names[:i])) for i, n in enumerate(names) if i}
+    foods, food_sup = tree("Food", draw(st.integers(min_value=1, max_value=4)))
+    animals, animal_sup = tree("Animal", draw(st.integers(min_value=1, max_value=3)))
+    lines = [f"private object {f}" + (f" extends {food_sup[f]}" if f in food_sup else "")
+             + " end" for f in foods]
+    for i, a in enumerate(animals):
+        params = draw(st.lists(st.sampled_from(foods), unique=True))
+        if not i:       # the root answers every food, so every send resolves
+            params = draw(st.permutations(sorted(set(params) | {"Food"})))
+        ext = f" extends {animal_sup[a]}" if i else ""
+        over = "override " if i else ""
+        lines.append(f"private object {a}{ext}")
+        lines += [f"    public {over}fun eat: (:food {p}) -> Int [ return {k} ]"
+                  for k, p in enumerate(params)]
+        lines.append("end")
+    src = "package main\n" + "\n".join(lines) + \
+        "\npublic object Program\n    public fun run [ ]\nend\n"
+    return src, animals, foods
+
+
+@given(eat_hierarchies())
+@settings(max_examples=40, deadline=None)
+def test_static_and_dynamic_dispatch_agree(data):
+    src, animals, foods = data
+    program = compile_src(src)
+    assert not program.reporter.has_errors(), program.reporter.format_all() + src
+    table = program.table
+    checker = Checker(table, Reporter())
+    interp = Interp(program)
+    interp.setup()
+    for r, a in itertools.product(animals, foods):
+        static = checker.resolve_send(r, [("eat:", [(a, None)])], None)[1]
+        hit = interp.lookup(table.get(r).proto_object, [("eat:", [table.get(a).proto_object])])
+        assert hit is not None, (r, a, src)
+        expected = flattened_slot_scan(interp, r, a)
+        assert static is hit[1][0] is expected, (r, a, static, hit, expected, src)
 
 
 # --- random regexes: the derivation is compositional ---------------------------

@@ -29,6 +29,17 @@ end
 '''
 
 
+def flattened_slot_scan(interp, recv, arg):
+    """Brute-force `eat:` dispatch: the first method of the flattened slot
+    list (sub-prototype first, textual order) whose parameter `arg` reaches."""
+    for entry in interp.table.chain(recv):
+        for m in entry.methods:
+            if m.name == "eat:" and len(m.param_types) == 1 \
+                    and interp.reaches(arg, m.param_types[0]):
+                return m
+    return None
+
+
 def test_dispatch_equals_flattened_slot_scan():
     """Dispatch determinism: resolution equals a brute-force scan of the
     flattened (sub-prototype first, textual order) slot list."""
@@ -39,22 +50,13 @@ def test_dispatch_equals_flattened_slot_scan():
     table = program.table
     receivers = ["Animal", "Cow", "Fish"]
     args = ["Food", "Grass", "FishMeat", "Plant"]
-
-    def brute_force(recv, arg):
-        for entry in table.chain(recv):
-            for m in entry.methods:
-                if m.name == "eat:" and len(m.param_types) == 1 \
-                        and interp.reaches(arg, m.param_types[0]):
-                    return m
-        return None
-
     for recv, arg in itertools.product(receivers, args):
         robj = table.get(recv).proto_object
         aobj = table.get(arg).proto_object
         hit = interp.lookup(robj, [("eat:", [aobj])])
         assert hit is not None, (recv, arg)
         _kind, (m, owner, _mx, _plan) = hit
-        expected = brute_force(recv, arg)
+        expected = flattened_slot_scan(interp, recv, arg)
         assert m is expected, (recv, arg, m, expected)
         # determinism: ten repeats resolve identically
         for _ in range(10):
@@ -386,6 +388,18 @@ public object Program
 end
 ''')
     assert out == "0\n65\nB\nQ\ncast failed\n"
+
+
+@pytest.mark.parametrize("src", [
+    "package main\npublic object Foo\nend\n",
+    "package main\npublic object Program\n    public fun run [ :x Int = \"s\"; ]\nend\n",
+], ids=["no_main", "body_error"])
+def test_interp_rejects_a_program_that_failed_to_compile(src):
+    program = compile_src(src)
+    assert not program.ok()
+    with pytest.raises(ValueError) as info:
+        Interp(program)
+    assert str(info.value) == program.reporter.format_all()
 
 
 def test_determinism_two_runs_byte_identical():
