@@ -708,9 +708,7 @@ def b_while_false(interp, m, recv, args, shape):
 
 def b_loop(interp, m, recv, args, shape):
     while True:
-        interp.steps += 1
-        if interp.steps > interp.max_steps:
-            interp.str_exception("step budget exhausted in 'loop'")
+        interp.steps += 1       # `loop` counts its iterations as steps, too
         send_eval(interp, recv, [])
 
 
@@ -853,8 +851,7 @@ def b_add_method(interp, m, recv, args, shape):
     if body is None:
         interp.str_exception("addMethod: needs a 'body:' argument")
     if isinstance(recv, ObjectV) and recv.is_prototype:
-        entry = interp.table.get(recv.proto)
-        entry.dyn_methods[name] = body
+        interp.dyn_methods[(recv.proto, name)] = body
     elif isinstance(recv, ObjectV):
         recv.own_methods[name] = body
     else:

@@ -37,6 +37,9 @@ def build_arg_parser():
 
 
 def main(argv=None):
+    # every stage recurses over the syntax tree, which the parser lets nest
+    # up to MAX_NESTING levels
+    sys.setrecursionlimit(30000)
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "run":
         argv = argv[1:]
@@ -121,7 +124,7 @@ def main(argv=None):
     if ns.check or dumping:
         return 0
 
-    stdin_text = ""
+    stdin_text, stdin = "", None
     if ns.stdin_file:
         try:
             with open(ns.stdin_file, encoding="utf-8") as fh:
@@ -130,9 +133,8 @@ def main(argv=None):
             sys.stderr.write(f"cyanine: cannot read {ns.stdin_file}: {exc}\n")
             return 64
     elif not sys.stdin.isatty():
-        stdin_text = sys.stdin.read()
-    sys.setrecursionlimit(30000)
-    interp = Interp(program, stdin_text=stdin_text)
+        stdin = sys.stdin
+    interp = Interp(program, stdin_text=stdin_text, stdin=stdin)
     status = interp.run()
     sys.stdout.write(interp.stdout())
     return status

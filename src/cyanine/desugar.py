@@ -36,6 +36,18 @@ class Desugarer:
         self.visible_vars = {}
         self.parents = {}
 
+    def fork(self, reporter):
+        """A desugarer for further units that sees what this one has
+        desugared (prototypes, accessor registries, parents) and continues
+        its temporary numbering, without writing to this one's state."""
+        d = Desugarer([], reporter)
+        d.proto_info = dict(self.proto_info)
+        d.visible_vars = dict(self.visible_vars)
+        d.parents = dict(self.parents)
+        d.tmp_counter = self.tmp_counter
+        d.ctx_counter = self.ctx_counter
+        return d
+
     def fresh(self, base="t"):
         self.tmp_counter += 1
         return f"{base}${self.tmp_counter}"
@@ -204,7 +216,10 @@ class Desugarer:
     # -- mixin flattening -------------------------------------------------------------
 
     def flatten_mixins(self, units):
-        decls = {u.name: u for u in units if isinstance(u, PrototypeDecl)}
+        # mixins desugared before a fork stay usable after it
+        decls = {name: d for name, d in self.proto_info.items()
+                 if d.modifier == "mixin" and not d.template_params}
+        decls.update((u.name, u) for u in units if isinstance(u, PrototypeDecl))
         out = []
         for unit in units:
             if not isinstance(unit, PrototypeDecl) or not unit.mixin_list:

@@ -1,11 +1,17 @@
 """Pipeline orchestration: sources -> tokens -> AST -> desugared units ->
-prototype table -> checks -> a runnable Program."""
+prototype table -> checks -> a runnable Program.
 
-import copy
+The builtin table plus the prelude, compiled through the same pipeline, form
+the world.  It is built once per process and prelude text, on the first
+compile, and every compile then works on an overlay of it: a table whose entry
+map starts as a copy of the world's, and a desugarer that starts from the
+state the prelude left.  No compile or run writes to the world.
+"""
 
-from .block_analysis import analyze_method
+import dataclasses
+
 from .checker import Checker
-from .cyast import InterfaceDecl, MethodDecl, PrototypeDecl
+from .cyast import PrototypeDecl
 from .desugar import Desugarer
 from .diagnostics import Reporter
 from .lexer import tokenize
@@ -13,19 +19,40 @@ from .parser import Parser
 from .prelude import PRELUDE_SOURCE
 from .prototypes import PrototypeTable
 
-_prelude_cache = {}
+_worlds = {}    # prelude text -> World
 
 
 class Program:
-    def __init__(self, table, reporter, units, main_name):
+    def __init__(self, table, reporter, units, main_name, block_infos=None):
         self.table = table
         self.reporter = reporter
         self.units = units
         self.main_name = main_name
-        self.block_infos = {}
+        self.block_infos = block_infos if block_infos is not None else {}
 
     def ok(self):
         return not self.reporter.has_errors()
+
+
+class World:
+    """The builtin entries and the prelude: parsed, desugared, registered,
+    linked, checked and block-analysed.  Shared read-only by every compile."""
+
+    def __init__(self, prelude_text):
+        rep = Reporter("<prelude>")
+        cu = parse_file(prelude_text, "<prelude>", rep)
+        # the prelude intentionally has many public units in one source
+        rep.items = [d for d in rep.items
+                     if "exactly one public" not in d.message]
+        if rep.has_errors():
+            raise RuntimeError("prelude does not parse:\n" + rep.format_all())
+        # diagnostics of the later stages; each compile reports them as its own
+        self.reporter = Reporter()
+        self.table = PrototypeTable(self.reporter)
+        self.desugarer = Desugarer([], self.reporter)
+        checker = Checker(self.table, self.reporter)
+        self.units = _elaborate([cu], self.table, self.desugarer, checker)
+        self.block_infos = checker.block_infos
 
 
 def parse_file(text, filename, reporter):
@@ -35,61 +62,38 @@ def parse_file(text, filename, reporter):
 
 
 def _parsed_prelude(prelude_text):
-    key = prelude_text
-    if key not in _prelude_cache:
-        rep = Reporter("<prelude>")
-        tokens, _ = tokenize(prelude_text, rep)
-        parser = Parser(tokens, rep, "<prelude>")
-        cu = parser.parse_unit("<prelude>")
-        # the prelude intentionally has many public units in one source
-        rep.items = [d for d in rep.items
-                     if "exactly one public" not in d.message]
-        if rep.has_errors():
-            raise RuntimeError("prelude does not parse:\n" + rep.format_all())
-        _prelude_cache[key] = cu
-    return copy.deepcopy(_prelude_cache[key])
+    """The world for `prelude_text`, built on first use."""
+    world = _worlds.get(prelude_text)
+    if world is None:
+        world = _worlds[prelude_text] = World(prelude_text)
+    return world
 
 
-def compile_program(sources, main_name="Program", reporter=None, prelude_text=None):
-    """sources: list of (filename, text).  Returns a Program."""
-    reporter = reporter if reporter is not None else Reporter()
-    prelude_cu = _parsed_prelude(prelude_text or PRELUDE_SOURCE)
-    file_units = [(prelude_cu, True)]
-    for filename, text in sources:
-        sub = Reporter(filename)
-        cu = parse_file(text, filename, sub)
-        reporter.extend(sub)
-        file_units.append((cu, False))
-    if reporter.has_errors():
-        return Program(PrototypeTable(reporter), reporter, [], main_name)
-
+def _elaborate(cus, table, desugarer, checker):
+    """Desugar the units of the compilation units `cus`, then register, link
+    and check them in `table`.  Returns the desugared units."""
     all_units = []
     meta = {}
-    for cu, is_prelude in file_units:
+    for cu in cus:
         for u in cu.units:
             all_units.append(u)
             meta[id(u)] = (cu.package, cu.filename)
-
-    desugarer = Desugarer([u for u in all_units], reporter)
     templates = [u for u in all_units
                  if isinstance(u, PrototypeDecl) and u.template_params]
-    plain = [u for u in all_units
-             if not (isinstance(u, PrototypeDecl) and u.template_params)]
-    desugarer.units = plain
+    desugarer.units = [u for u in all_units
+                       if not (isinstance(u, PrototypeDecl) and u.template_params)]
     for u in all_units:
         if isinstance(u, PrototypeDecl):
             desugarer.proto_info.setdefault(u.name, u)
     units = desugarer.run()
 
-    table = PrototypeTable(reporter)
     for t in templates:
         pkg, fn = meta.get(id(t), ("main", "<source>"))
         table.add_template(t, pkg, fn)
     for u in units:
         pkg, fn = meta.get(id(u), ("main", "<generated>"))
-        entry = table.register_unit(u, pkg, fn)
+        table.register_unit(u, pkg, fn)
     # link and check until the queue drains (instantiation adds entries)
-    checker = Checker(table, reporter)
     while table.check_queue:
         batch = table.check_queue
         table.check_queue = []
@@ -97,9 +101,28 @@ def compile_program(sources, main_name="Program", reporter=None, prelude_text=No
             table.link_unit(entry, desugarer.visible_vars)
         for entry in batch:
             checker.check_entry(entry)
+    return units
 
-    program = Program(table, reporter, units, main_name)
-    program.block_infos = checker.block_infos
+
+def compile_program(sources, main_name="Program", reporter=None, prelude_text=None):
+    """sources: list of (filename, text).  Returns a Program."""
+    reporter = reporter if reporter is not None else Reporter()
+    world = _parsed_prelude(prelude_text or PRELUDE_SOURCE)
+    cus = []
+    for filename, text in sources:
+        sub = Reporter(filename)
+        cus.append(parse_file(text, filename, sub))
+        reporter.extend(sub)
+    table = PrototypeTable(reporter, shared=world.table)
+    if reporter.has_errors():
+        return Program(table, reporter, [], main_name)
+    reporter.items.extend(dataclasses.replace(d, filename=reporter.filename)
+                          for d in world.reporter.items)
+
+    checker = Checker(table, reporter)
+    units = _elaborate(cus, table, world.desugarer.fork(reporter), checker)
+    program = Program(table, reporter, world.units + units, main_name,
+                      {**world.block_infos, **checker.block_infos})
     main = table.get(main_name)
     if main is None or main.is_interface:
         reporter.error(0, 0, f"the program needs a prototype named '{main_name}'"

@@ -19,6 +19,13 @@ class CyThrow(Exception):
         self.stack = stack
 
 
+class OutOfSteps(Exception):
+    """The run spent its step budget.  Cyan code cannot catch it."""
+
+    def __init__(self, stack):
+        self.stack = stack
+
+
 class ReturnSignal(Exception):
     def __init__(self, ctx, value):
         self.ctx = ctx
@@ -98,20 +105,33 @@ _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
 
 
 class Interp:
-    def __init__(self, program, stdin_text="", argv=(), check_liveness=True):
+    def __init__(self, program, stdin_text="", argv=(), check_liveness=True, stdin=None):
+        """`In` reads `stdin_text`, or else the file `stdin`, which is read to
+        its end on the first use of `In`."""
         if not program.ok():
             raise ValueError(program.reporter.format_all())
         self.program = program
         self.table = program.table
         self.out = []
         self.stdin_text = stdin_text
+        self.stdin = stdin
         self.stdin_pos = 0
         self.argv = list(argv)
         self.frames = []
         self.check_liveness = check_liveness
+        # the step budget bounds sends plus evaluations; only sends (and
+        # `loop` iterations) count as steps
         self.max_steps = 10_000_000
         self.steps = 0
+        self.evals = 0              # block evaluations and `while` iterations
         self._init_done = set()
+        # run-time state of the program's prototypes; the table is compile-time
+        # state and, through the world it overlays, shared by other programs
+        self.proto_objects = {}     # entry name -> the prototype's object
+        self.statics = {}           # entry name -> {const or shared var: value}
+        self.bound_values = {}      # MethodEntry -> object bound by `fun sig = e`
+                                    # or by assigning a method
+        self.dyn_methods = {}       # (entry name, selector) -> body from addMethod:
 
     # -- top level ---------------------------------------------------------------
 
@@ -122,7 +142,7 @@ class Interp:
         try:
             self.setup()
             main = self.table.get(self.program.main_name)
-            recv = main.proto_object
+            recv = self.proto_objects[main.name]
             if "run:" in main.groups:
                 args = ArrayV("Array<String>", "String",
                               [PrimV("String", a) for a in self.argv])
@@ -131,20 +151,35 @@ class Interp:
                 self.send(recv, [("run", [])])
             return 0
         except CyThrow as t:
-            name = self.runtime_type(t.value)
-            self.write(f"uncaught exception: {name}\n")
-            for proto, meth in t.stack:
-                self.write(f"  at {proto}::{meth}\n")
+            self.write(f"uncaught exception: {self.runtime_type(t.value)}\n")
+            self.write_stack(t.stack)
+            return 2
+        except OutOfSteps as t:
+            self.write(f"step budget of {self.max_steps} exhausted\n")
+            self.write_stack(t.stack)
             return 2
         except ExitSignal as ex:
             return ex.code
+
+    def write_stack(self, stack):
+        for proto, meth in stack:
+            self.write(f"  at {proto}::{meth}\n")
+
+    def out_of_steps(self):
+        raise OutOfSteps(self.stack_snapshot())
 
     def write(self, text):
         self.out.append(text)
 
     # single cursor over standard input shared by every In method
+    def input_text(self):
+        if self.stdin is not None:
+            self.stdin_text, self.stdin = self.stdin.read(), None
+        return self.stdin_text
+
     def read_token(self):
-        text, n = self.stdin_text, len(self.stdin_text)
+        text = self.input_text()
+        n = len(text)
         i = self.stdin_pos
         while i < n and text[i].isspace():
             i += 1
@@ -157,7 +192,8 @@ class Interp:
         return text[i:j]
 
     def read_line(self):
-        text, n = self.stdin_text, len(self.stdin_text)
+        text = self.input_text()
+        n = len(text)
         if self.stdin_pos >= n:
             return None
         j = text.find("\n", self.stdin_pos)
@@ -170,7 +206,8 @@ class Interp:
         return out
 
     def read_char(self):
-        text, n = self.stdin_text, len(self.stdin_text)
+        text = self.input_text()
+        n = len(text)
         i = self.stdin_pos
         while i < n and text[i].isspace():
             i += 1
@@ -184,20 +221,21 @@ class Interp:
     def setup(self):
         table = self.table
         for entry in table.entries.values():
-            self._make_proto_object(entry)
+            self._proto_object(entry)
         for entry in list(table.entries.values()):
             self.init_prototype(entry)
 
     def prototype_object(self, entry):
         """The object a prototype name evaluates to, initialized on first use."""
-        self._make_proto_object(entry)
+        obj = self._proto_object(entry)
         self.init_prototype(entry)
-        return entry.proto_object
+        return obj
 
-    @staticmethod
-    def _make_proto_object(entry):
-        if entry.proto_object is None:
-            entry.proto_object = ObjectV(entry.name, is_prototype=True)
+    def _proto_object(self, entry):
+        obj = self.proto_objects.get(entry.name)
+        if obj is None:
+            obj = self.proto_objects[entry.name] = ObjectV(entry.name, is_prototype=True)
+        return obj
 
     def init_prototype(self, entry):
         if entry.name in self._init_done or entry.builtin:
@@ -208,21 +246,21 @@ class Interp:
             sup = self.table.get(entry.supertype)
             if sup is not None:
                 self.init_prototype(sup)
-        obj = entry.proto_object
+        obj = self.proto_objects[entry.name]
         frame = Frame(entry.name, "<init>", obj, obj)
         self.frames.append(frame)
         try:
             scope = Scope()
-            for c in entry.consts:
-                entry.const_store[c.name] = self.eval_expr(c.init, scope, frame) \
-                    if c.init is not None else self.default_value(c.resolved_type)
-            for s in entry.shared_vars:
-                entry.shared_store[s.name] = self.eval_expr(s.init, scope, frame) \
-                    if s.init is not None else self.default_value(s.resolved_type)
+            if entry.consts or entry.shared_vars:
+                # shared variables after constants: a shared one wins a name clash
+                statics = self.statics[entry.name] = {}
+                for v in entry.consts + entry.shared_vars:
+                    statics[v.name] = self.eval_expr(v.init, scope, frame) \
+                        if v.init is not None else self.default_value(v.resolved_type)
             self.init_fields(obj, frame_scope=scope)
             for m in entry.methods:
                 if m.decl is not None and m.decl.body_expr is not None:
-                    m.bound_value = self.eval_expr(m.decl.body_expr, scope, frame)
+                    self.bound_values[m] = self.eval_expr(m.decl.body_expr, scope, frame)
             if entry.init_once is not None:
                 self.invoke_body(entry.init_once.body or [], entry, "initOnce", obj, obj)
         finally:
@@ -341,18 +379,20 @@ class Interp:
         owner = frame.fields_owner
         if isinstance(owner, ObjectV):
             start = owner.proto
+        statics = self.statics
         for root in (start, frame.entry_name):
             for anc in self.table.chain(root):
-                if name in anc.shared_store:
-                    return anc.shared_store, name
-                if name in anc.const_store:
-                    return anc.const_store, name
+                store = statics.get(anc.name)
+                if store is not None and name in store:
+                    return store, name
         return None, None
 
     # -- dispatch ---------------------------------------------------------------------------
 
     def send(self, recv, shape, arg_nodes=None, scope=None, super_frame=None):
         self.steps += 1
+        if self.steps + self.evals > self.max_steps:
+            self.out_of_steps()
         name = "".join(sel for sel, _ in shape)
         if recv is NIL:
             # nil redefines isNil/notNil and still answers the final identity
@@ -419,12 +459,13 @@ class Interp:
         return ("static", (m, owner, None, plan))
 
     def _search_chain(self, chain, shape, name):
-        flat = [a for _s, args in shape for a in args]
         plain = [(sel, [self.runtime_type(a) for a in args]) for sel, args in shape]
+        dyn_methods = self.dyn_methods
         for entry in chain:
-            dyn = entry.dyn_methods.get(name)
-            if dyn is not None:
-                return (None, entry, ("dyn", dyn))
+            if dyn_methods:
+                dyn = dyn_methods.get((entry.name, name))
+                if dyn is not None:
+                    return (None, entry, ("dyn", dyn))
             g = entry.groups.get(name)
             if g is not None:
                 for m in g.entries:
@@ -454,12 +495,13 @@ class Interp:
         args = [a for _s, aa in shape for a in aa]
         if m is None:
             return NOOBJECT
-        if m.builtin is not None and m.bound_value is None:
+        bound = self.bound_values.get(m) if self.bound_values else None
+        if m.builtin is not None and bound is None:
             return bi.call(self, m, recv, args, shape)
         if m.ctx_marker is not None:
             return self.call_ctx_native(m, recv, shape, arg_nodes, scope, owner_entry)
-        if m.bound_value is not None:
-            return self.call_block_like(m.bound_value, shape)
+        if bound is not None:
+            return self.call_block_like(bound, shape)
         decl = m.decl
         if m.is_abstract or decl is None or (decl.body is None and decl.body_expr is None):
             exc = "ExceptionCannotCallInterfaceMethod" if owner_entry.is_interface \
@@ -616,7 +658,7 @@ class Interp:
             names = [n for n, _t in entry.union_fields]
             return UnionV(plan.type_name, names, None, None)
         if op == "default":
-            owner = owner_entry.proto_object or recv
+            owner = self.proto_objects.get(owner_entry.name) or recv
             frame = Frame(owner_entry.name, "<default>", owner, owner)
             self.frames.append(frame)
             try:
@@ -669,6 +711,9 @@ class Interp:
                         inner.kill()
             case WhileStat(cond=cond, body=body):
                 while self.truthy(self.eval_expr(cond, scope, frame)):
+                    self.evals += 1
+                    if self.steps + self.evals > self.max_steps:
+                        self.out_of_steps()
                     inner = Scope(scope)
                     try:
                         self.eval_stats(body, inner, frame)
@@ -718,7 +763,7 @@ class Interp:
         if isinstance(recv, ObjectV) and not recv.is_prototype:
             recv.own_methods[m.name] = _BoundOverride(value)
         else:
-            m.bound_value = value
+            self.bound_values[m] = value
 
     def _mixin_chain(self, proto_name):
         return [e for e in self.table.chain(proto_name) if e.is_mixin]
@@ -879,6 +924,9 @@ class Interp:
     # -- block evaluation (the block_eval builtin lands here) --------------------------------------
 
     def eval_block_value(self, blk, args):
+        self.evals += 1
+        if self.steps + self.evals > self.max_steps:
+            self.out_of_steps()
         if isinstance(blk, NativeBlockV):
             return blk.fn(args)
         if isinstance(blk, MethodV):

@@ -31,15 +31,24 @@ PREFIX_OPS = {"+", "-", "++", "--", "!", "~"}
 
 _FIXED_BINOPS = set().union(*BINARY_LEVELS)
 
+# Expressions and statement lists nest at most this deep; a nested block or
+# parenthesis takes one or two levels.  Deeper input gets one diagnostic.
+MAX_NESTING = 256
+
 
 class ParseError(Exception):
     pass
+
+
+class NestingTooDeep(Exception):
+    """Past MAX_NESTING levels: the parse of the file ends, without recovery."""
 
 
 class Parser:
     def __init__(self, tokens, reporter=None, filename="<source>"):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
         self.reporter = reporter if reporter is not None else Reporter(filename)
 
     # -- primitives ---------------------------------------------------------
@@ -80,6 +89,19 @@ class Parser:
             self.error(f"expected {what}, found '{t.lexeme or 'end of file'}'")
         return self.advance()
 
+    def nested(self, parse, *args):
+        """`parse(*args)` one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            t = self.tok()
+            self.reporter.error(t.line, t.col,
+                                f"expressions and blocks nest deeper than {MAX_NESTING} levels")
+            raise NestingTooDeep
+        self.depth += 1
+        try:
+            return parse(*args)
+        finally:
+            self.depth -= 1
+
     def mark(self):
         return self.pos, len(self.reporter.items)
 
@@ -94,6 +116,18 @@ class Parser:
 
     def parse_unit(self, filename="<source>"):
         cu = CompilationUnit(filename=filename)
+        try:
+            self._parse_unit_into(cu)
+        except NestingTooDeep:
+            pass
+        public_like = [u for u in cu.units if u.qualifier in ("public", "protected")]
+        if len(public_like) > 1:
+            u = public_like[1]
+            self.reporter.error(u.line, u.col,
+                                "a file must declare exactly one public or protected program unit")
+        return cu
+
+    def _parse_unit_into(self, cu):
         try:
             self.expect_kw("package")
             cu.package = self.parse_dotted_name()
@@ -111,12 +145,6 @@ class Parser:
                 cu.units.append(self.parse_program_unit(metas))
             except ParseError:
                 self.recover_to_unit()
-        public_like = [u for u in cu.units if u.qualifier in ("public", "protected")]
-        if len(public_like) > 1:
-            u = public_like[1]
-            self.reporter.error(u.line, u.col,
-                                "a file must declare exactly one public or protected program unit")
-        return cu
 
     def parse_dotted_name(self):
         parts = [self.expect_ident("package name").lexeme]
@@ -654,6 +682,9 @@ class Parser:
         return stats
 
     def parse_statements_until(self, closer):
+        return self.nested(self._statements_until, closer)
+
+    def _statements_until(self, closer):
         stats = []
         while not self.tok().is_punct(closer) and not self.tok().is_kw("end") and not self.at_eof():
             try:
@@ -814,9 +845,14 @@ class Parser:
         return None
 
     def parse_binary_expr(self, level):
+        if level == 0:
+            return self.nested(self._binary_expr, 0)
+        return self._binary_expr(level)
+
+    def _binary_expr(self, level):
         if level >= len(BINARY_LEVELS):
             return self.parse_unary_expr()
-        left = self.parse_binary_expr(level + 1)
+        left = self._binary_expr(level + 1)
         first = True
         while True:
             t = self.tok()
@@ -832,18 +868,18 @@ class Parser:
                 return left
             first = False
             op = self.advance()
-            right = self.parse_binary_expr(level + 1)
+            right = self._binary_expr(level + 1)
             left = BinarySend(left, op.lexeme, right, line=op.line, col=op.col)
 
     def parse_unary_expr(self):
         t = self.tok()
         if t.kind is K.OPERATOR and t.lexeme in PREFIX_OPS:
             self.advance()
-            operand = self.parse_unary_expr()
+            operand = self.nested(self.parse_unary_expr)
             return PrefixOp(t.lexeme, operand, line=t.line, col=t.col)
         if t.kind is K.USER_OPERATOR and t.lexeme.startswith("!"):
             self.advance()
-            operand = self.parse_unary_expr()
+            operand = self.nested(self.parse_unary_expr)
             return PrefixOp(t.lexeme, operand, line=t.line, col=t.col)
         prim = self.parse_primary_indexed()
         return self.parse_unary_chain_on(prim)
@@ -1115,6 +1151,6 @@ def parse_expression(source, reporter=None):
     parser = Parser(tokens, rep)
     try:
         expr = parser.parse_expr()
-    except ParseError:
+    except (ParseError, NestingTooDeep):
         expr = Lit("Nil", None)
     return expr, rep

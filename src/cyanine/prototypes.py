@@ -52,7 +52,6 @@ class MethodEntry:
         self.ctx_marker = None                # $ctx_new / $ctx_bind / $ctx_newobject
         self.ctx_self_field = None            # context-block eval methods
         self.is_stub = False
-        self.bound_value = None               # runtime: `fun sig = expr` bound object
 
     def arity_matches(self, shape):
         if self.kind == "grammar":
@@ -107,11 +106,6 @@ class ProtoEntry:
         self.filename = "<builtin>"
         self.mixin_host_base = None
         self.linked = False
-        # runtime state
-        self.proto_object = None
-        self.shared_store = {}
-        self.const_store = {}
-        self.dyn_methods = {}
 
     def add_method(self, m):
         self.methods.append(m)
@@ -164,14 +158,20 @@ def split_generic(canonical):
 
 
 class PrototypeTable:
-    def __init__(self, reporter=None):
+    def __init__(self, reporter=None, shared=None):
+        """A table of the builtin entries; or, given a finished `shared` table,
+        an overlay that starts with its entries and templates and adds to its
+        own maps only, so that `shared` and its entries are never written."""
         self.reporter = reporter if reporter is not None else Reporter()
-        self.entries = {}
-        self.templates = {}     # (base, arity-tuple) -> list of template records
-        self.generated_blocks = {}
         self._reach_memo = {}
         self._chain_memo = {}
         self.check_queue = []   # entries whose bodies still need checking
+        if shared is not None:
+            self.entries = dict(shared.entries)
+            self.templates = {key: list(recs) for key, recs in shared.templates.items()}
+            return
+        self.entries = {}
+        self.templates = {}     # (base, arity-tuple) -> list of template records
         self.register_prelude_builtins()
 
     # -- entry helpers -----------------------------------------------------------

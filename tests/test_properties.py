@@ -121,7 +121,7 @@ def test_static_and_dynamic_dispatch_agree(data):
     interp.setup()
     for r, a in itertools.product(animals, foods):
         static = checker.resolve_send(r, [("eat:", [(a, None)])], None)[1]
-        hit = interp.lookup(table.get(r).proto_object, [("eat:", [table.get(a).proto_object])])
+        hit = interp.lookup(interp.proto_objects[r], [("eat:", [interp.proto_objects[a]])])
         assert hit is not None, (r, a, src)
         expected = flattened_slot_scan(interp, r, a)
         assert static is hit[1][0] is expected, (r, a, static, hit, expected, src)
@@ -245,8 +245,8 @@ end
     receivers = ["Animal", "Cow", "Fish"]          # runtime subtypes of Animal
     args = ["Food", "Grass", "FishMeat"]           # runtime subtypes of Food
     for recv, arg in itertools.product(receivers, args):
-        robj = table.get(recv).proto_object
-        aobj = table.get(arg).proto_object
+        robj = interp.proto_objects[recv]
+        aobj = interp.proto_objects[arg]
         hit = interp.lookup(robj, [("eat:", [aobj])])
         assert hit is not None, (recv, arg)
 

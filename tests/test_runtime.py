@@ -51,8 +51,8 @@ def test_dispatch_equals_flattened_slot_scan():
     receivers = ["Animal", "Cow", "Fish"]
     args = ["Food", "Grass", "FishMeat", "Plant"]
     for recv, arg in itertools.product(receivers, args):
-        robj = table.get(recv).proto_object
-        aobj = table.get(arg).proto_object
+        robj = interp.proto_objects[recv]
+        aobj = interp.proto_objects[arg]
         hit = interp.lookup(robj, [("eat:", [aobj])])
         assert hit is not None, (recv, arg)
         _kind, (m, owner, _mx, _plan) = hit
