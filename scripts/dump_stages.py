@@ -7,8 +7,6 @@ core, block classification, and grammar automata.
 
 import sys
 
-sys.setrecursionlimit(30000)
-
 from cyanine.cli import main as cli_main
 
 

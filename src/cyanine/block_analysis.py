@@ -14,8 +14,9 @@ blocks; instance variables and parameters never matter.
 
 from dataclasses import dataclass, field
 
-from .cyast import (AssignExpr, AssignStat, BlockLit, ExprStat, IfExpr, IfStat, LetExpr,
-                    NameRef, PercentRef, ReturnStat, VarDeclStat, WhileStat, walk)
+from .cyast import (AssignExpr, AssignStat, BlockLit, ExprStat, GrammarSig, IfExpr, IfStat,
+                    KeywordSig, LetExpr, NameRef, Node, OperatorSig, PercentRef, ReturnStat,
+                    TypeExpr, VarDeclStat, WhileStat, children)
 
 
 @dataclass
@@ -69,7 +70,6 @@ def analyze_method(decl, reporter):
     top = _Scope(None, 1)
     params = _Scope(None, -1)
     sig = decl.sig
-    from .cyast import GrammarSig, KeywordSig, OperatorSig
     if isinstance(sig, KeywordSig):
         for part in sig.parts:
             for p in part.params:
@@ -143,19 +143,14 @@ def _direct_percent_names(stats):
     names = []
 
     def visit(node):
-        if isinstance(node, BlockLit):
-            return
-        if isinstance(node, PercentRef):
-            names.append(node)
-        from dataclasses import fields, is_dataclass
         if isinstance(node, (list, tuple)):
             for x in node:
                 visit(x)
-        elif is_dataclass(node) and not isinstance(node, type):
-            for f in fields(node):
-                if f.name in ("line", "col", "info"):
-                    continue
-                visit(getattr(node, f.name))
+        elif isinstance(node, PercentRef):
+            names.append(node)
+        elif isinstance(node, Node) and not isinstance(node, BlockLit):
+            for _name, value in children(node):
+                visit(value)
 
     visit(stats)
     return names
@@ -214,24 +209,15 @@ def _walk_expr(e, scope, enclosing, infos, reporter):
         _walk_expr(e.value, scope, enclosing, infos, reporter)
         return
     # generic traversal for sends, literals, etc.
-    from dataclasses import fields, is_dataclass
-    if is_dataclass(e):
-        for f in fields(e):
-            if f.name in ("line", "col", "info"):
-                continue
-            v = getattr(e, f.name)
-            _walk_any(v, scope, enclosing, infos, reporter)
+    for _name, value in children(e):
+        _walk_any(value, scope, enclosing, infos, reporter)
 
 
 def _walk_any(v, scope, enclosing, infos, reporter):
-    from dataclasses import is_dataclass
     if isinstance(v, (list, tuple)):
         for x in v:
             _walk_any(x, scope, enclosing, infos, reporter)
-    elif is_dataclass(v) and not isinstance(v, type):
-        from .cyast import TypeExpr
-        if isinstance(v, TypeExpr):
-            return
+    elif isinstance(v, Node) and not isinstance(v, TypeExpr):
         _walk_expr(v, scope, enclosing, infos, reporter)
 
 

@@ -139,7 +139,7 @@ class Checker:
                               f" '{m.return_type}' [rule c]")
             if m.return_type != "Void":
                 self.check_block_shaped_type(m.return_type, d)
-            if getattr(m, "indexing", False):
+            if m.indexing:
                 np = len(m.param_types)
                 if not ((m.name == "at:" and np == 1) or (m.name == "at:put:" and np == 2)):
                     self.error(d, "only three signatures are allowed after '[]':"
@@ -218,7 +218,7 @@ class Checker:
                         self.error(decl, f"'{entry.name}' should implement method"
                                          f" '{req.name}' of interface '{iname}'")
         # mixin host compatibility
-        host_base = entry.mixin_host_base
+        host_base = decl.mixin_host_base
         if host_base and entry.supertype:
             if not table.is_subtype(entry.supertype, host_base) and \
                     not table.is_subtype(entry.name, host_base):
@@ -292,7 +292,6 @@ class Checker:
         decl = m.decl
         self.current_entry = entry
         self.current_method = m
-        self.method_returns = []
         infos = analyze_method(decl, self.reporter)
         self._body_counter += 1
         self.block_infos[(entry.name, self._body_counter)] = infos
@@ -702,7 +701,7 @@ class Checker:
         return ret
 
     def check_keyword_send(self, e, env):
-        modes = getattr(e, "part_modes", None) or [e.mode] * len(e.parts)
+        modes = e.part_modes or [e.mode] * len(e.parts)
         if len(set(modes)) > 1:
             self.error(e, "selectors of one message send must be all checked or all"
                           " '?'-prefixed")
@@ -738,7 +737,7 @@ class Checker:
                 self.current_method is not None and self.current_method.synthetic):
             if not (isinstance(recv_expr, (NameRef, GenericRef))
                     and self.table.get(self._entry_name_for(recv_expr)) is not None
-                    and self.env_hint.lookup(getattr(recv_expr, "name", "")) is None):
+                    and self.env_hint.lookup(recv_expr.name) is None):
                 self.error(e, "'new' methods are only accessible through prototypes")
         if rty == "Any":
             return "Any"
@@ -754,7 +753,7 @@ class Checker:
             return rty
         if m.builtin == "cast":
             if not isinstance(recv_expr, (NameRef, GenericRef)) or \
-                    self.env_hint.lookup(getattr(recv_expr, "name", "")) is not None:
+                    self.env_hint.lookup(recv_expr.name) is not None:
                 self.error(e, "'cast:' can only be sent to a prototype")
                 return "Any"
             return rty
@@ -762,7 +761,7 @@ class Checker:
             arg = e.parts[0][1][0]
             if not (isinstance(arg, (NameRef, GenericRef))
                     and self.table.get(self._entry_name_for(arg)) is not None
-                    and self.env_hint.lookup(getattr(arg, "name", "")) is None):
+                    and self.env_hint.lookup(arg.name) is None):
                 self.error(e, "the argument of 'isA:' must be a prototype or interface")
             return "Boolean"
         if m.builtin == "throw":
@@ -848,13 +847,8 @@ class Checker:
             pscope.declare(name, hit[0] if hit else "Any", is_param=False,
                            level=inner.level)
         inner.parent = pscope
-        saved_returns = self.method_returns
-        self.block_rets = rets = []
-        prev_rets = getattr(self, "_block_ret_stack", [])
-        self._block_ret_stack = prev_rets + [rets]
+        rets = []
         self._check_block_stats(e.body, inner, rets)
-        self._block_ret_stack = prev_rets
-        self.method_returns = saved_returns
         declared = self.table.resolve_type(e.return_type) if e.return_type is not None else None
         if declared is not None:
             for ty, node in rets:

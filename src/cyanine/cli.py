@@ -37,9 +37,6 @@ def build_arg_parser():
 
 
 def main(argv=None):
-    # every stage recurses over the syntax tree, which the parser lets nest
-    # up to MAX_NESTING levels
-    sys.setrecursionlimit(30000)
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "run":
         argv = argv[1:]

@@ -121,7 +121,6 @@ def corpus_runner(directory):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    sys.setrecursionlimit(30000)
     args = [a for a in argv if not a.startswith("--")]
     directory = args[0] if args else "corpus"
     t0 = time.perf_counter()

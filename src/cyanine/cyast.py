@@ -4,12 +4,34 @@ Surface nodes come out of the parser; the desugar pass rewrites them into the
 core subset (no ++/--, no nil-safe sends, no interpolation segments, no short
 creation, no multiple assignment, no public variable declarations, no mixin
 clauses, no context parameters).  Core-only nodes: AssignExpr, IfExpr, LetExpr.
+
+Node classes are slotted: a pass can write only the fields declared here.
+Notes (`note()` fields) are what one pass leaves on a node for a later one;
+they stay out of equality, `repr`, `match` positions, `children` and the dumps.
+The notes, by the pass that writes them:
+
+    parser, desugar  KeywordSend.part_modes
+    desugar          PrototypeDecl.is_ctx_block, .ctx_self_type, .mixin_host_base;
+                     MethodDecl.synthetic, .is_stub, .ctx_self_field
+    prototype table  TypeExpr.resolved (grammar-method signatures; `canonical()`
+                     returns it); VarDecl.resolved_type (declared types)
+    block analysis   BlockLit.info (level bl(B), r/u class)
+    checker          VarDecl.resolved_type (inferred types); ArrayLit.resolved_type,
+                     TupleLit.resolved_type, VarDeclStat.resolved_types (one per
+                     name), BlockLit.runtime_type
 """
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 
-@dataclass
+def note(default=None):
+    """A field one pass writes for a later pass to read (see the module doc)."""
+    return field(default=default, kw_only=True, compare=False, repr=False,
+                 metadata={"note": True})
+
+
+@dataclass(slots=True)
 class Node:
     line: int = field(default=0, kw_only=True)
     col: int = field(default=0, kw_only=True)
@@ -18,15 +40,30 @@ class Node:
         return self.line, self.col
 
 
+@cache
+def _syntax_fields(cls):
+    return tuple(f.name for f in fields(cls)
+                 if f.name not in ("line", "col") and not f.metadata.get("note"))
+
+
+def children(node):
+    """(name, value) of each syntax field of `node`: every field but `line`,
+    `col` and the notes.  A value is a node, a list or tuple, or a leaf."""
+    return [(name, getattr(node, name)) for name in _syntax_fields(type(node))]
+
+
 # ---------------------------------------------------------------------------
 # types
 
-@dataclass
+@dataclass(slots=True)
 class TypeExpr(Node):
     name: str = ""
     groups: list = field(default_factory=list)   # list of list[TypeExpr]
+    resolved: str = note()
 
     def canonical(self):
+        if self.resolved is not None:
+            return self.resolved
         out = self.name
         for g in self.groups:
             out += "<" + ", ".join(a.canonical() for a in g) + ">"
@@ -43,13 +80,13 @@ def tname(name, *groups, line=0, col=0):
 # ---------------------------------------------------------------------------
 # compilation units and program units
 
-@dataclass
+@dataclass(slots=True)
 class MetaCall(Node):
     name: str = ""
     text: str = None          # raw delimited argument text, or None
 
 
-@dataclass
+@dataclass(slots=True)
 class CompilationUnit(Node):
     package: str = ""
     imports: list = field(default_factory=list)
@@ -57,7 +94,7 @@ class CompilationUnit(Node):
     filename: str = "<source>"
 
 
-@dataclass
+@dataclass(slots=True)
 class TemplateParam(Node):
     name: str = ""            # formal name, or "" when the slot is a concrete type
     bound: TypeExpr = None
@@ -68,7 +105,7 @@ class TemplateParam(Node):
         return self.concrete is None
 
 
-@dataclass
+@dataclass(slots=True)
 class CtxParam(Node):
     name: str = ""
     mode: str = "%"           # '%' copy, '&' reference, '*' instance variable
@@ -76,7 +113,7 @@ class CtxParam(Node):
     qualifier: str = "private"
 
 
-@dataclass
+@dataclass(slots=True)
 class PrototypeDecl(Node):
     qualifier: str = "public"
     modifier: str = None      # None | 'abstract' | 'final' | 'mixin'
@@ -90,13 +127,12 @@ class PrototypeDecl(Node):
     slots: list = field(default_factory=list)
     meta_calls: list = field(default_factory=list)
     hidden: bool = False      # compiler-generated (mixin flattening, context blocks)
+    is_ctx_block: bool = note(False)
+    ctx_self_type: TypeExpr = note()
+    mixin_host_base: str = note()
 
-    @property
-    def is_generic(self):
-        return bool(self.template_params)
 
-
-@dataclass
+@dataclass(slots=True)
 class InterfaceDecl(Node):
     qualifier: str = "public"
     name: str = ""
@@ -109,7 +145,7 @@ class InterfaceDecl(Node):
 # ---------------------------------------------------------------------------
 # slots
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Node):
     qualifier: str = "private"
     is_shared: bool = False
@@ -119,26 +155,27 @@ class VarDecl(Node):
     type: TypeExpr = None
     init: object = None
     meta_calls: list = field(default_factory=list)
+    resolved_type: str = note()
 
 
-@dataclass
+@dataclass(slots=True)
 class Param(Node):
     name: str = ""
     type: TypeExpr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectorPart(Node):
     selector: str = ""        # including the ':'
     params: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class UnarySig(Node):
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class KeywordSig(Node):
     parts: list = field(default_factory=list)      # SelectorPart
     indexing: bool = False    # declared as `[] at: ...`
@@ -148,7 +185,7 @@ class KeywordSig(Node):
         return "".join(p.selector for p in self.parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class OperatorSig(Node):
     name: str = ""
     param: Param = None       # None for prefix(!-started or bare) operators
@@ -156,7 +193,7 @@ class OperatorSig(Node):
 
 # grammar-method signature regex -------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class GSel(Node):
     selector: str = ""
     argspec: tuple = ("none",)
@@ -164,39 +201,39 @@ class GSel(Node):
     # | ('default', TypeExpr, Expr); alts = list[TypeExpr]
 
 
-@dataclass
+@dataclass(slots=True)
 class GSeq(Node):
     items: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class GAlt(Node):
     items: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class GStar(Node):
     item: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GPlus(Node):
     item: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GOpt(Node):
     item: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GrammarSig(Node):
     regex: object = None
     param_name: str = ""
     param_type: TypeExpr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl(Node):
     qualifier: str = "public"
     is_override: bool = False
@@ -207,7 +244,9 @@ class MethodDecl(Node):
     body: list = None         # list of statements, or None
     body_expr: object = None  # `fun sig = expr` form
     meta_calls: list = field(default_factory=list)
-    synthetic: bool = False
+    synthetic: bool = note(False)
+    is_stub: bool = note(False)
+    ctx_self_field: str = note()
 
     @property
     def name(self):
@@ -225,46 +264,47 @@ class MethodDecl(Node):
 # ---------------------------------------------------------------------------
 # statements
 
-@dataclass
+@dataclass(slots=True)
 class ExprStat(Node):
     expr: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignStat(Node):
     targets: list = field(default_factory=list)
     value: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDeclStat(Node):
     decls: list = field(default_factory=list)      # (name, TypeExpr|None, init|None)
+    resolved_types: list = note()
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStat(Node):
     value: object = None
     is_caret: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStat(Node):
     arms: list = field(default_factory=list)       # (cond, body)
     else_body: list = None
 
 
-@dataclass
+@dataclass(slots=True)
 class WhileStat(Node):
     cond: object = None
     body: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class EmptyStat(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class MetaStat(Node):
     call: MetaCall = None
 
@@ -272,29 +312,31 @@ class MetaStat(Node):
 # ---------------------------------------------------------------------------
 # expressions
 
-@dataclass
+@dataclass(slots=True)
 class Lit(Node):
     kind: str = "Int"   # Int Byte Short Long Float Double Char Boolean String RawString Symbol Nil NoObject
     value: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayLit(Node):
     elems: list = field(default_factory=list)
+    resolved_type: str = note()
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleLit(Node):
     items: list = field(default_factory=list)      # (field name | None, expr)
+    resolved_type: str = note()
 
 
-@dataclass
+@dataclass(slots=True)
 class NameRef(Node):
     name: str = ""
     package: str = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GenericRef(Node):
     name: str = ""
     groups: list = field(default_factory=list)
@@ -303,75 +345,76 @@ class GenericRef(Node):
         return TypeExpr(self.name, self.groups, line=self.line, col=self.col)
 
 
-@dataclass
+@dataclass(slots=True)
 class SelfRef(Node):
     field_name: str = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SuperRef(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class UnarySend(Node):
     receiver: object = None
     selector: str = ""
     mode: str = ""            # '' checked | '?' dynamic | '?.' nil-safe
 
 
-@dataclass
+@dataclass(slots=True)
 class KeywordSend(Node):
     receiver: object = None   # None means implicit self
     parts: list = field(default_factory=list)      # (selector, [args])
     mode: str = ""
+    part_modes: list = note()
 
     @property
     def message_name(self):
         return "".join(sel for sel, _ in self.parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class BinarySend(Node):
     left: object = None
     op: str = ""
     right: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefixOp(Node):
     op: str = ""
     operand: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexGet(Node):
     receiver: object = None
     index: object = None
     nil_safe: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Creation(Node):
     callee: object = None     # NameRef | GenericRef
     args: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockLit(Node):
     sections: list = None     # list of list[Param]; None = no parameter bar
     return_type: TypeExpr = None
     body: list = field(default_factory=list)
     self_type: TypeExpr = None      # context block `(:self T)[...]`
-    info: object = None             # BlockInfo, attached by block analysis
-    ctx_proto: str = None           # generated prototype name for context blocks
+    info: object = note()           # BlockInfo
+    runtime_type: str = note()
 
     @property
     def param_sections(self):
         return self.sections or []
 
 
-@dataclass
+@dataclass(slots=True)
 class SigRef(Node):
     kind: str = "unary"       # 'unary' | 'keyword' | 'operator'
     name: str = ""
@@ -379,33 +422,33 @@ class SigRef(Node):
     return_type: TypeExpr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodAccess(Node):
     receiver: object = None
     sig: SigRef = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PercentRef(Node):
     name: str = ""
 
 
 # core-only nodes ------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class AssignExpr(Node):
     target: object = None
     value: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class IfExpr(Node):
     cond: object = None
     then: object = None
     otherwise: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LetExpr(Node):
     name: str = ""
     init: object = None
@@ -427,10 +470,6 @@ def send1(recv, sel, arg, line=0, col=0):
     return kwsend(recv, [(sel, [arg])], line=line, col=col)
 
 
-def name_ref(name, line=0, col=0):
-    return NameRef(name, None, line=line, col=col)
-
-
 # ---------------------------------------------------------------------------
 # s-expression dump (--dump-ast)
 
@@ -450,15 +489,12 @@ def to_sexpr(node, indent=0):
         return pad + "(list\n" + "\n".join(inner) + ")"
     if isinstance(node, TypeExpr):
         return pad + f"(type {node.canonical()})"
-    if is_dataclass(node):
+    if isinstance(node, Node):
         parts = [pad + "(" + type(node).__name__]
-        for f in fields(node):
-            if f.name in ("line", "col", "info", "ctx_proto", "synthetic"):
+        for name, val in children(node):
+            if val in (None, [], False, "") and name != "kind":
                 continue
-            val = getattr(node, f.name)
-            if val in (None, [], False, "") and f.name != "kind":
-                continue
-            parts.append(pad + "  :" + f.name)
+            parts.append(pad + "  :" + name)
             parts.append(to_sexpr(val, indent + 2))
         return "\n".join(parts) + ")"
     return pad + repr(node)
@@ -705,15 +741,8 @@ def walk(node):
     stack = [node]
     while stack:
         cur = stack.pop()
-        if cur is None:
-            continue
         if isinstance(cur, (list, tuple)):
             stack.extend(cur)
-            continue
-        if not is_dataclass(cur) or isinstance(cur, type):
-            continue
-        yield cur
-        for f in fields(cur):
-            if f.name in ("line", "col"):
-                continue
-            stack.append(getattr(cur, f.name))
+        elif isinstance(cur, Node):
+            yield cur
+            stack.extend(value for _name, value in children(cur))

@@ -149,7 +149,7 @@ class Desugarer:
     def expand_init_metaobject(self, proto):
         calls = list(proto.meta_calls)
         for slot in proto.slots:
-            calls.extend(getattr(slot, "meta_calls", []) or [])
+            calls.extend(slot.meta_calls)
         init_calls = [c for c in calls if c.name == "init"]
         if not init_calls:
             return
@@ -282,8 +282,8 @@ class Desugarer:
                         and not s.name.startswith(("init", "new")):
                     stub = MethodDecl(s.qualifier, sig=copy.deepcopy(s.sig),
                                       return_type=copy.deepcopy(s.return_type),
-                                      body=[], synthetic=True, line=s.line, col=s.col)
-                    stub.is_stub = True
+                                      body=[], synthetic=True, is_stub=True,
+                                      line=s.line, col=s.col)
                     base.slots.append(stub)
                     own_names.add(s.name)
 
@@ -292,12 +292,10 @@ class Desugarer:
         for i, m in enumerate(chain):
             last = i == len(chain) - 1
             name = proto.name if last else f"{proto.name}'{i + 2}"
-            clone = PrototypeDecl(proto.qualifier, None, None, name,
+            clone = PrototypeDecl(proto.qualifier, None, None, name, extends=TypeExpr(prev.name),
+                                  slots=copy.deepcopy(m.slots), hidden=not last,
+                                  mixin_host_base=m.mixin_base.name if m.mixin_base else None,
                                   line=m.line, col=m.col)
-            clone.extends = TypeExpr(prev.name)
-            clone.slots = copy.deepcopy(m.slots)
-            clone.hidden = not last
-            clone.mixin_host_base = m.mixin_base.name if m.mixin_base is not None else None
             result.append(clone)
             prev = clone
             # the mixin body was already accessor-expanded; share its registry
@@ -624,8 +622,8 @@ class Desugarer:
         self.ctx_counter += 1
         name = f"ContextObject${self.ctx_counter}"
         t = block.self_type
-        proto = PrototypeDecl("private", None, None, name, hidden=True,
-                              line=block.line, col=block.col)
+        proto = PrototypeDecl("private", None, None, name, hidden=True, is_ctx_block=True,
+                              ctx_self_type=t, line=block.line, col=block.col)
         proto.slots.append(VarDecl("private", False, False, False, "newSelf$", t, None,
                                    line=block.line, col=block.col))
         new_params = [Param("newSelf$", t)]
@@ -649,12 +647,9 @@ class Desugarer:
         for st in block.body:
             if isinstance(st, ReturnStat):
                 st.is_caret = False       # the block body becomes a method body
-        eval_m = MethodDecl("public", sig=sig, return_type=block.return_type,
-                            body=block.body, line=block.line, col=block.col)
-        eval_m.ctx_self_field = "newSelf$"
-        proto.slots.append(eval_m)
-        proto.is_ctx_block = True
-        proto.ctx_self_type = t
+        proto.slots.append(MethodDecl("public", sig=sig, return_type=block.return_type,
+                                      body=block.body, ctx_self_field="newSelf$",
+                                      line=block.line, col=block.col))
         self.generated.append(proto)
         return NameRef(name, line=block.line, col=block.col)
 
@@ -688,14 +683,14 @@ class Desugarer:
 
     def drop_unknown_metas(self):
         for unit in self.units + self.generated:
-            for mc in getattr(unit, "meta_calls", []) or []:
+            for mc in unit.meta_calls:
                 if mc.name != "init":
                     self.reporter.warning(mc.line, mc.col,
                                           f"unknown metaobject '@{mc.name}' ignored")
             unit.meta_calls = []
             slots = unit.slots if isinstance(unit, PrototypeDecl) else unit.sigs
             for s in slots:
-                for mc in getattr(s, "meta_calls", []) or []:
+                for mc in s.meta_calls:
                     if mc.name != "init":
                         self.reporter.warning(mc.line, mc.col,
                                               f"unknown metaobject '@{mc.name}' ignored")

@@ -9,6 +9,7 @@ state the prelude left.  No compile or run writes to the world.
 """
 
 import dataclasses
+import sys
 
 from .checker import Checker
 from .cyast import PrototypeDecl
@@ -20,6 +21,15 @@ from .prelude import PRELUDE_SOURCE
 from .prototypes import PrototypeTable
 
 _worlds = {}    # prelude text -> World
+
+# the stages recurse over the syntax tree, which may nest MAX_NESTING levels
+# deep, and the interpreter with the Cyan call depth, which it bounds itself
+RECURSION_LIMIT = 30000
+
+
+def raise_recursion_limit():
+    """Let Python recurse as deep as the stages need; never lowers the limit."""
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
 
 
 class Program:
@@ -56,6 +66,7 @@ class World:
 
 
 def parse_file(text, filename, reporter):
+    raise_recursion_limit()
     tokens, _ = tokenize(text, reporter)
     parser = Parser(tokens, reporter, filename)
     return parser.parse_unit(filename)

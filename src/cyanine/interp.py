@@ -7,6 +7,7 @@ import time
 from . import builtins as bi
 from .cyast import *
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
+from .driver import raise_recursion_limit
 from .grammar_methods import NoMatch, first_selectors, match_message, plan_packing
 from .prototypes import BASIC_TYPES, split_generic
 from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV, MethodV,
@@ -139,6 +140,7 @@ class Interp:
         return "".join(self.out)
 
     def run(self):
+        raise_recursion_limit()
         try:
             self.setup()
             main = self.table.get(self.program.main_name)
@@ -677,14 +679,13 @@ class Interp:
         match st:
             case ExprStat(expr=e):
                 self.eval_expr(e, scope, frame)
-            case VarDeclStat(decls=ds):
-                types = getattr(st, "resolved_types", None)
+            case VarDeclStat(decls=ds, resolved_types=types):
+                # unset in a mixin's own body, which the checker skips
                 for i, (name, _t, init) in enumerate(ds):
                     if init is not None:
                         v = self.eval_expr(init, scope, frame)
                     else:
-                        tname = types[i] if types else None
-                        v = self.default_value(tname)
+                        v = self.default_value(types[i] if types else None)
                     scope.declare(name, v)
             case AssignStat(targets=ts, value=ve):
                 v = self.eval_expr(ve, scope, frame)
@@ -798,12 +799,13 @@ class Interp:
                 return PrimV(k, v)
             case ArrayLit(elems=xs):
                 vals = [self.eval_expr(x, scope, frame) for x in xs]
-                tname = getattr(e, "resolved_type", None) or "Array<Any>"
+                # unset there too, and in the initial value of a typed slot
+                tname = e.resolved_type or "Array<Any>"
                 _b, groups = split_generic(tname)
                 return ArrayV(tname, groups[0][0], vals)
             case TupleLit(items=items):
                 vals = [self.eval_expr(x, scope, frame) for _n, x in items]
-                tname = getattr(e, "resolved_type", None)
+                tname = e.resolved_type
                 if tname is None:
                     tname = "UTuple<" + ", ".join(self.runtime_type(v) for v in vals) + ">"
                 entry = self.table.get(tname)
@@ -916,10 +918,9 @@ class Interp:
             for name in e.info.percent_vars:
                 cell = scope.find(name)
                 snapshot[name] = self.cell_read(cell) if cell is not None else NIL
-        tname = getattr(e, "runtime_type", None) or "UBlockProto|UBlock"
         entry = self.table.get(frame.entry_name)
         return BlockV(e, scope, frame.receiver, frame.fields_owner, frame.ctx,
-                      tname, snapshot, entry)
+                      e.runtime_type or "UBlockProto|UBlock", snapshot, entry)
 
     # -- block evaluation (the block_eval builtin lands here) --------------------------------------
 

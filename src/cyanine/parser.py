@@ -814,9 +814,8 @@ class Parser:
                     args.append(self.parse_binary_expr(0))
             parts.append((text, args))
             modes.append(mode)
-        send = KeywordSend(receiver, parts, modes[0], line=first.line, col=first.col)
-        send.part_modes = modes
-        return send
+        return KeywordSend(receiver, parts, modes[0], part_modes=modes,
+                           line=first.line, col=first.col)
 
     def starts_expression(self):
         t = self.tok()

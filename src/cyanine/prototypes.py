@@ -27,6 +27,11 @@ BUILTIN_FAMILIES = ("Array", "Tuple", "UTuple", "Union", "UUnion", "Interval",
 
 
 class MethodEntry:
+    __slots__ = ("name", "kind", "param_types", "param_names", "return_type", "owner", "decl",
+                 "sel_arity", "qualifier", "is_final", "is_abstract", "is_override",
+                 "synthetic", "builtin", "regex", "automaton", "derived",
+                 "lenient_restricted", "ctx_marker", "ctx_self_field", "is_stub", "indexing")
+
     def __init__(self, name, kind, param_types, return_type, owner="", decl=None,
                  sel_arity=None, param_names=None, qualifier="public",
                  is_final=False, is_abstract=False, is_override=False,
@@ -52,6 +57,7 @@ class MethodEntry:
         self.ctx_marker = None                # $ctx_new / $ctx_bind / $ctx_newobject
         self.ctx_self_field = None            # context-block eval methods
         self.is_stub = False
+        self.indexing = False                 # declared as `[] at: ...`
 
     def arity_matches(self, shape):
         if self.kind == "grammar":
@@ -77,6 +83,12 @@ class MethodGroup:
 
 
 class ProtoEntry:
+    __slots__ = ("name", "kind", "supertype", "interfaces", "decl", "is_abstract", "is_final",
+                 "is_mixin", "mixin_base", "hidden", "builtin", "restricted",
+                 "contains_restricted", "methods", "groups", "ivars", "shared_vars", "consts",
+                 "ctx_params", "visible_vars", "ctx_self_type_name", "init_once", "package",
+                 "filename", "tuple_fields", "union_fields", "linked")
+
     def __init__(self, name, kind, supertype=None, interfaces=(), decl=None):
         self.name = name
         self.kind = kind            # prototype | interface | basic | blockInterface | generated
@@ -89,7 +101,6 @@ class ProtoEntry:
         self.mixin_base = None
         self.hidden = False
         self.builtin = decl is None
-        self.template_origin = None
         self.restricted = False
         self.contains_restricted = False
         self.methods = []           # MethodEntry, textual order
@@ -99,12 +110,12 @@ class ProtoEntry:
         self.consts = []
         self.ctx_params = []        # CtxParam list (context objects)
         self.visible_vars = {}
-        self.is_ctx_block = False
-        self.ctx_self_type = None
+        self.ctx_self_type_name = None  # context blocks: the type `self` has
         self.init_once = None
         self.package = ""
         self.filename = "<builtin>"
-        self.mixin_host_base = None
+        self.tuple_fields = None        # Tuple/UTuple: [(field name, type)]
+        self.union_fields = None        # Union/UUnion: [(field name, type)]
         self.linked = False
 
     def add_method(self, m):
@@ -656,9 +667,7 @@ class PrototypeTable:
         decl.name = canonical
         decl.template_params = []
         # pre-register so recursive references resolve
-        placeholder = ProtoEntry(canonical, "generated", supertype="Any", decl=decl)
-        placeholder.template_origin = base
-        self.add_entry(placeholder)
+        self.add_entry(ProtoEntry(canonical, "generated", supertype="Any", decl=decl))
         desugarer = Desugarer([decl], self.reporter)
         for info_name, entry in self.entries.items():
             if entry.decl is not None and entry.ctx_params:
@@ -676,7 +685,6 @@ class PrototypeTable:
         for unit in units:
             e = self.register_unit(unit, chosen["package"], chosen["filename"])
             if e is not None:
-                e.template_origin = base
                 fresh.append(e)
         # link immediately: the caller is mid-check and needs the methods
         for e in fresh:
@@ -703,8 +711,6 @@ class PrototypeTable:
             e.mixin_base = decl.mixin_base
             e.hidden = decl.hidden
             e.ctx_params = decl.context_params
-            e.is_ctx_block = getattr(decl, "is_ctx_block", False)
-            e.mixin_host_base = getattr(decl, "mixin_host_base", None)
         e.package = package
         e.filename = filename
         e.builtin = False
@@ -775,7 +781,7 @@ class PrototypeTable:
                 m = self.build_method_entry(entry, slot)
                 if m is not None:
                     entry.add_method(m)
-        if entry.is_ctx_block:
+        if decl.is_ctx_block:
             self._link_ctx_block(entry, decl)
 
     def _link_ctx_block(self, entry, decl):
@@ -850,8 +856,8 @@ class PrototypeTable:
         m.is_abstract = decl.is_abstract
         m.is_override = decl.is_override
         m.synthetic = decl.synthetic
-        m.is_stub = getattr(decl, "is_stub", False)
-        m.ctx_self_field = getattr(decl, "ctx_self_field", None)
+        m.is_stub = decl.is_stub
+        m.ctx_self_field = decl.ctx_self_field
         if decl.body and isinstance(decl.body[0], A.ExprStat) \
                 and isinstance(decl.body[0].expr, A.NameRef) \
                 and decl.body[0].expr.name in (CTX_NEW, CTX_BIND, CTX_NEWOBJECT):
@@ -866,14 +872,11 @@ class PrototypeTable:
                 for alts in spec[1]:
                     for t in alts:
                         t.resolved = self.resolve_type(t, pos)
-                        _set_canonical(t)
             elif spec[0] in ("star", "plus"):
                 for t in spec[1]:
                     t.resolved = self.resolve_type(t, pos)
-                    _set_canonical(t)
             elif spec[0] == "default":
                 spec[1].resolved = self.resolve_type(spec[1], pos)
-                _set_canonical(spec[1])
             return node
         if isinstance(node, (GSeq, GAlt)):
             for item in node.items:
@@ -1127,15 +1130,6 @@ class PrototypeTable:
             m.owner = "System"
             sys_e.add_method(m)
         self.add_entry(sys_e)
-
-
-def _set_canonical(texpr):
-    """Freeze the resolved canonical name onto the TypeExpr for matching."""
-    resolved = texpr.resolved
-
-    def canonical(self=texpr):
-        return resolved
-    texpr.canonical = canonical
 
 
 def _substitute_types(node, mapping):

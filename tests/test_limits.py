@@ -1,6 +1,7 @@
 """Every input ends within bounded steps and nesting, and the CLI never
 waits on input a program does not read."""
 
+import json
 import subprocess
 import sys
 
@@ -70,6 +71,40 @@ def test_nesting_limit_through_compile_program(kind):
     assert len(errors) == 1
     assert errors[0].line == 4 and errors[0].col > 1
     assert f"nest deeper than {MAX_NESTING} levels" in errors[0].message
+
+
+# compiles and runs the sources it reads, in a fresh interpreter: at Python's
+# default recursion limit, which conftest raises for the tests in this process
+LIBRARY_CALLER = """
+import json, sys
+assert sys.getrecursionlimit() == 1000
+from cyanine.driver import compile_program
+from cyanine.interp import Interp
+*deep, recursive = json.load(sys.stdin)
+for source in deep:
+    print([d.message for d in compile_program([("<test>", source)]).reporter.errors])
+interp = Interp(compile_program([("<test>", recursive)]))
+print(interp.run(), interp.stdout().splitlines()[0])
+"""
+
+RECURSIVE = """package main
+public object Program
+    public fun f: (:n Int) -> Int [ return self f: n + 1; ]
+    public fun run [ Out println: (self f: 1); ]
+end
+"""
+
+
+def test_library_callers_need_not_raise_the_recursion_limit():
+    sources = [nested("parens", 200), nested("parens", 300), RECURSIVE]
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_CALLER], input=json.dumps(sources),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "[]",
+        f"['expressions and blocks nest deeper than {MAX_NESTING} levels']",
+        "2 uncaught exception: StrException",
+    ]
 
 
 def run_cli(args, stdin=subprocess.DEVNULL):
