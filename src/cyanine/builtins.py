@@ -269,12 +269,14 @@ def b_attach_mixin(interp, m, recv, args, shape):
     if not isinstance(recv, ObjectV):
         interp.str_exception("a mixin can only be attached to an object")
     recv.mixins.insert(0, interp.instantiate(entry))
+    interp.invalidate_caches()
     return NOOBJECT
 
 
 def b_pop_mixin(interp, m, recv, args, shape):
     if isinstance(recv, ObjectV) and recv.mixins:
         recv.mixins.pop(0)
+        interp.invalidate_caches()
         return _bool(True)
     return _bool(False)
 
@@ -708,7 +710,8 @@ def b_while_false(interp, m, recv, args, shape):
 
 def b_loop(interp, m, recv, args, shape):
     while True:
-        interp.steps += 1       # `loop` counts its iterations as steps, too
+        interp.steps += 1       # `loop` counts its iterations as steps, too,
+        interp.skips += 1       # which the inline caches do not serve
         send_eval(interp, recv, [])
 
 
@@ -856,6 +859,7 @@ def b_add_method(interp, m, recv, args, shape):
         recv.own_methods[name] = body
     else:
         interp.str_exception("addMethod: needs an object receiver")
+    interp.invalidate_caches()
     return NOOBJECT
 
 

@@ -73,14 +73,17 @@ class Checker:
                 self.check_body(entry, m)
 
     def infer_constant_types(self, entry):
-        env = _Env()
         for group in (entry.consts, entry.shared_vars, entry.ivars):
             for slot in group:
                 if slot.resolved_type is None and slot.init is not None:
-                    self.current_entry = entry
-                    self.current_method = None
-                    ty = self.type_of(slot.init, env)
+                    ty = self.type_of_slot_init(entry, slot)
                     slot.resolved_type = "Any" if ty == "Nil" else ty
+
+    def type_of_slot_init(self, entry, slot):
+        self.current_entry = entry
+        self.current_method = None
+        self.current_self_type = entry.name
+        return self.type_of(slot.init, _Env())
 
     def check_var_slot(self, entry, slot):
         ty = slot.resolved_type
@@ -95,6 +98,9 @@ class Checker:
             self.error(slot, f"instance variables cannot have the restricted type"
                              f" '{ty}' [rule b]")
         self.check_block_shaped_type(ty, slot)
+        if slot.init is not None and ty != "Void":
+            ity = self.type_of_slot_init(entry, slot)
+            self.check_assign_types(slot, slot.init, ity, ty, 10 ** 6)
 
     def check_block_shaped_type(self, ty, node):
         """Rule (c) on the spelled-out type: a block type whose return part is

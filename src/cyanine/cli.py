@@ -86,9 +86,8 @@ def main(argv=None):
                 status = 1
         return status
 
-    reporter = Reporter()
-    program = compile_program(texts, main_name=ns.main, reporter=reporter,
-                              prelude_text=prelude_text)
+    program = compile_program(texts, main_name=ns.main, prelude_text=prelude_text)
+    reporter = program.reporter
     dumping = ns.dump_desugar or ns.dump_blocks or ns.dump_grammar
     if ns.dump_desugar:
         for unit in program.units:

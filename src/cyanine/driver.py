@@ -116,8 +116,11 @@ def _elaborate(cus, table, desugarer, checker):
 
 
 def compile_program(sources, main_name="Program", reporter=None, prelude_text=None):
-    """sources: list of (filename, text).  Returns a Program."""
-    reporter = reporter if reporter is not None else Reporter()
+    """sources: list of (filename, text).  Returns a Program.  Diagnostics go
+    to `reporter`, by default one named after the file when there is one."""
+    if reporter is None:
+        # with several files, diagnostics after parsing cannot yet name theirs
+        reporter = Reporter(sources[0][0]) if len(sources) == 1 else Reporter()
     world = _parsed_prelude(prelude_text or PRELUDE_SOURCE)
     cus = []
     for filename, text in sources:

@@ -104,6 +104,11 @@ _INT_RANGE = {"Byte": (-2 ** 7, 2 ** 7 - 1), "Short": (-2 ** 15, 2 ** 15 - 1),
 _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
              "Double": 0.0, "Char": "\0", "Boolean": False, "String": ""}
 
+# nil redefines isNil/notNil and still answers these final identity tests of
+# Any, each a builtin; everything else is DoesNotUnderstandException
+_NIL_SELECTORS = frozenset(("eq:", "neq:", "==", "!=", "ifNil:", "isA:", "prototype",
+                            "prototypeName", "hashCode"))
+
 
 class Interp:
     def __init__(self, program, stdin_text="", argv=(), check_liveness=True, stdin=None):
@@ -133,6 +138,15 @@ class Interp:
         self.bound_values = {}      # MethodEntry -> object bound by `fun sig = e`
                                     # or by assigning a method
         self.dyn_methods = {}       # (entry name, selector) -> body from addMethod:
+        # per-call-site inline caches: id(send node) -> {(receiver type,
+        # argument types...): (method, owner entry)}; the nodes belong to the
+        # program or the world, which outlive the Interp.  A send counts as a
+        # hit, a miss (looked up, then cached) or a skip (looked up but not
+        # cacheable, or not looked up), so hits = steps - misses - skips.
+        self.inline_caches = {}
+        self.cache_generation = self.table.generation
+        self.misses = 0
+        self.skips = 0
 
     # -- top level ---------------------------------------------------------------
 
@@ -391,30 +405,46 @@ class Interp:
 
     # -- dispatch ---------------------------------------------------------------------------
 
-    def send(self, recv, shape, arg_nodes=None, scope=None, super_frame=None):
+    def send(self, recv, shape, arg_nodes=None, scope=None, super_frame=None, site=None):
+        """Send `shape`, [(selector, [argument values])], to `recv`.  `site`
+        is the send node when the send has one, except for super sends: its
+        inline cache serves a receiver and argument types it has seen, and
+        `lookup` is the miss path."""
         self.steps += 1
         if self.steps + self.evals > self.max_steps:
             self.out_of_steps()
+        cache = None
+        # objects with own methods or mixins dispatch per object, not per type
+        if site is not None and recv is not NIL and recv is not NOOBJECT and not (
+                type(recv) is ObjectV and (recv.own_methods or recv.mixins)):
+            rt = self.runtime_type
+            if len(shape) == 1:
+                key = (rt(recv), *map(rt, shape[0][1]))
+            else:
+                key = (rt(recv), *[rt(a) for _s, args in shape for a in args])
+            if self.cache_generation != self.table.generation:
+                self.invalidate_caches()
+            cache = self.inline_caches.get(id(site))
+            if cache is None:
+                cache = self.inline_caches[id(site)] = {}
+            found = cache.get(key)
+            if found is not None:
+                return self.invoke(found[0], recv, shape, found[1], None, None,
+                                   arg_nodes=arg_nodes, scope=scope)
         name = "".join(sel for sel, _ in shape)
-        if recv is NIL:
-            # nil redefines isNil/notNil and still answers the final identity
-            # tests of Any; everything else is DoesNotUnderstandException
-            if len(shape) == 1 and shape[0][0] in ("isNil", "notNil") and not shape[0][1]:
-                return PrimV("Boolean", shape[0][0] == "isNil")
-            allowed = {"eq:": "eq", "neq:": "neq", "==": "eq_op", "!=": "neq_op",
-                       "ifNil:": "if_nil", "isA:": "is_a", "prototype": "prototype",
-                       "prototypeName": "prototype_name", "hashCode": "hash_code"}
-            if name in allowed:
-                any_e = self.table.get("Any")
-                for m in any_e.groups.get(name, MethodGroupStub()).entries:
-                    if m.builtin == allowed[name]:
-                        return bi.call(self, m, recv, [a for _s, aa in shape for a in aa],
-                                       shape)
-            self.throw_name("DoesNotUnderstandException",
-                            f"message '{name}' sent to nil")
-        if recv is NOOBJECT:
-            self.str_exception(f"message '{name}' sent to noObject")
-        hit = self.lookup(recv, shape, super_frame=super_frame)
+        if recv is NIL or recv is NOOBJECT:
+            self.skips += 1
+            if recv is NOOBJECT:
+                self.str_exception(f"message '{name}' sent to noObject")
+            return self.send_to_nil(shape, name)
+        hit = self.lookup(recv, shape, super_frame=super_frame, name=name)
+        # grammar hits carry a match tree of argument values, and methods
+        # added by addMethod: are found per prototype, not per type
+        if cache is not None and hit is not None and hit[1][3] is None:
+            cache[key] = hit[1][:2]
+            self.misses += 1
+        else:
+            self.skips += 1
         if hit is None:
             if name == "doesNotUnderstand:":
                 self.throw_name("DoesNotUnderstandException", "doesNotUnderstand: loop")
@@ -425,15 +455,29 @@ class Interp:
         kind, payload = hit
         if kind == "own":
             return self.call_added_method(payload, recv, shape)
-        if kind == "dyn":
-            body, owner_entry = payload
-            return self.call_added_method(body, recv, shape)
         m, owner_entry, mixin_obj, plan = payload
         return self.invoke(m, recv, shape, owner_entry, mixin_obj, plan,
                            arg_nodes=arg_nodes, scope=scope)
 
-    def lookup(self, recv, shape, super_frame=None):
-        name = "".join(sel for sel, _ in shape)
+    def send_to_nil(self, shape, name):
+        if len(shape) == 1 and shape[0][0] in ("isNil", "notNil") and not shape[0][1]:
+            return PrimV("Boolean", shape[0][0] == "isNil")
+        if name in _NIL_SELECTORS:
+            m = self.table.get("Any").groups[name].entries[0]
+            return bi.call(self, m, NIL, [a for _s, aa in shape for a in aa], shape)
+        self.throw_name("DoesNotUnderstandException", f"message '{name}' sent to nil")
+
+    def invalidate_caches(self):
+        """Start a new cache epoch: a method was added or replaced, a mixin
+        attached or popped, or the table's edges changed."""
+        self.inline_caches.clear()
+        self.cache_generation = self.table.generation
+
+    def lookup(self, recv, shape, super_frame=None, name=None):
+        """The first method in textual order that takes the message; the one
+        place that orders candidates.  `name` is the joined selector."""
+        if name is None:
+            name = "".join(sel for sel, _ in shape)
         chain = self.table.dispatch_chain(self.runtime_type(recv))
         mixins, first = (), 0
         if super_frame is None:
@@ -765,6 +809,7 @@ class Interp:
             recv.own_methods[m.name] = _BoundOverride(value)
         else:
             self.bound_values[m] = value
+        self.invalidate_caches()
 
     def _mixin_chain(self, proto_name):
         return [e for e in self.table.chain(proto_name) if e.is_mixin]
@@ -799,7 +844,7 @@ class Interp:
                 return PrimV(k, v)
             case ArrayLit(elems=xs):
                 vals = [self.eval_expr(x, scope, frame) for x in xs]
-                # unset there too, and in the initial value of a typed slot
+                # unset there too
                 tname = e.resolved_type or "Array<Any>"
                 _b, groups = split_generic(tname)
                 return ArrayV(tname, groups[0][0], vals)
@@ -830,7 +875,7 @@ class Interp:
                 if isinstance(r, SuperRef):
                     return self.send(frame.receiver, [(sel, [])], super_frame=frame)
                 recv = self.eval_expr(r, scope, frame)
-                return self.send(recv, [(sel, [])])
+                return self.send(recv, [(sel, [])], site=e)
             case KeywordSend(receiver=r, parts=parts):
                 shape = []
                 nodes = []
@@ -838,22 +883,20 @@ class Interp:
                     vals = [self.eval_expr(a, scope, frame) for a in argexprs]
                     shape.append((sel, vals))
                     nodes.extend(argexprs)
-                if r is None:
-                    return self.send(frame.receiver, shape, arg_nodes=nodes, scope=scope)
                 if isinstance(r, SuperRef):
                     return self.send(frame.receiver, shape, arg_nodes=nodes, scope=scope,
                                      super_frame=frame)
-                recv = self.eval_expr(r, scope, frame)
-                return self.send(recv, shape, arg_nodes=nodes, scope=scope)
+                recv = frame.receiver if r is None else self.eval_expr(r, scope, frame)
+                return self.send(recv, shape, arg_nodes=nodes, scope=scope, site=e)
             case BinarySend(left=l, op=op, right=r):
                 lv = self.eval_expr(l, scope, frame)
                 rv = self.eval_expr(r, scope, frame)
                 if op == "..":
                     return self.make_interval(lv, rv)
-                return self.send(lv, [(op, [rv])])
+                return self.send(lv, [(op, [rv])], site=e)
             case PrefixOp(op=op, operand=x):
                 v = self.eval_expr(x, scope, frame)
-                return self.send(v, [(op, [])])
+                return self.send(v, [(op, [])], site=e)
             case BlockLit():
                 return self.make_block(e, scope, frame)
             case MethodAccess(receiver=r, sig=sig):
@@ -901,7 +944,7 @@ class Interp:
         if entry is not None:
             return self.prototype_object(entry)
         # unary self-send
-        return self.send(frame.receiver, [(name, [])])
+        return self.send(frame.receiver, [(name, [])], site=node)
 
     def make_interval(self, lv, rv):
         kind = lv.kind if isinstance(lv, PrimV) else "Int"
@@ -974,7 +1017,3 @@ class _BoundOverride:
 
     def __init__(self, value):
         self.value = value
-
-
-class MethodGroupStub:
-    entries = ()

@@ -176,6 +176,7 @@ class PrototypeTable:
         self.reporter = reporter if reporter is not None else Reporter()
         self._reach_memo = {}
         self._chain_memo = {}
+        self.generation = 0     # bumped by every edge change; inline caches follow it
         self.check_queue = []   # entries whose bodies still need checking
         if shared is not None:
             self.entries = dict(shared.entries)
@@ -199,6 +200,7 @@ class PrototypeTable:
         """Forget the memoised walks: an entry or one of its edges changed."""
         self._reach_memo.clear()
         self._chain_memo.clear()
+        self.generation += 1
 
     def chain(self, name):
         """The prototype plus its supertypes, most-derived first."""

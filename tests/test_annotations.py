@@ -104,11 +104,11 @@ def test_every_checked_method_body_is_annotated():
 
 # The checker leaves notes unset where it does not check: in a mixin's own
 # bodies (it checks their flattened copies), which run when the mixin is
-# attached at run time, and in the initial value of a slot with a declared
-# type.  The interpreter then falls back to types of its own, each seen in
-# this output.  Only the tuple's fallback is right: an `Array<Any>` or a
-# `UBlockProto|UBlock` has no table entry, so every send to one fails, and
-# `:n Int` starts as nil, not 0.
+# attached at run time.  The interpreter then falls back to types of its own,
+# each seen in this output.  Only the tuple's fallback is right: an
+# `Array<Any>` or a `UBlockProto|UBlock` has no table entry, so every send to
+# one fails, and `:n Int` starts as nil, not 0.  The initial values of slots
+# with a declared type are checked, so their literals have their types.
 UNCHECKED = """package main
 private object Window
 end
@@ -132,9 +132,9 @@ public object Program
         [ w ?array ] catch: PrintDnu;
         w ?tuple;
         [ w ?block ] catch: PrintDnu;
-        [ xs size ] catch: PrintDnu;
+        [ Out println: xs size ] catch: PrintDnu;
         Out println: t f2, " ", t prototypeName;
-        [ b eval: 1 ] catch: PrintDnu;
+        [ Out println: (b eval: 1) ] catch: PrintDnu;
     ]
 end
 """
@@ -150,7 +150,7 @@ def test_unchecked_code_runs_on_the_interpreters_fallbacks():
         "doesNotUnderstand: loop",
         "x",
         "'UBlockProto|UBlock' does not understand 'eval:'",
-        "doesNotUnderstand: loop",
+        "2",
         "a UTuple<Int, String>",
-        "'UBlockProto|UBlock' does not understand 'eval:'",
+        "1",
     ]

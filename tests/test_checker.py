@@ -419,3 +419,15 @@ public object Program
 end
 ''')
     assert "at Program::inner" in out and "at Program::run" in out
+
+
+def test_typed_slot_initial_values_are_checked():
+    msgs = errors_of(wrap("", extra='''private object Holder
+    private :x Int = "abc"
+    private shared :ys Array<Int> = {# "a" #}
+    private const :k Int = 1
+end'''))
+    assert msgs.splitlines() == [
+        "<test>:3:13: error: 'String' is not a subtype of 'Int'",
+        "<test>:4:13: error: 'Array<String>' is not a subtype of 'Array<Int>'",
+    ]

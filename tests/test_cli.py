@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -63,6 +64,14 @@ def test_check_mode_reports_rule_b(tmp_path):
     code, out, err = run_cli(["--check", src])
     assert code == 1
     assert "[rule b]" in err
+
+
+def test_check_mode_names_the_file_after_parsing():
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", "09_err_rblock_ivar.cyan")
+    code, _out, err = run_cli(["--check", path])
+    assert code == 1
+    assert err.startswith(f"{path}:12:13: error: instance variables cannot have the"
+                          f" restricted type 'Block' [rule b]")
 
 
 def test_uncaught_exception_is_exit_2(tmp_path):

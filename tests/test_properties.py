@@ -11,7 +11,7 @@ from cyanine.checker import Checker
 from cyanine.cyast import GAlt, GOpt, GPlus, GSel, GSeq, GStar, TypeExpr
 from cyanine.diagnostics import Reporter
 from cyanine.grammar_methods import derive_parameter_type
-from cyanine.interp import Interp
+from cyanine.interp import Interp, _BoundOverride
 from test_runtime import flattened_slot_scan
 
 
@@ -83,10 +83,17 @@ def test_random_hierarchy_subtype_equals_reachability(data):
 
 # --- random eat: overloads: static resolution == dynamic lookup ----------------
 
+EMPTY_PROGRAM = """public object Program
+    public fun run [ ]
+end
+"""
+
+
 @st.composite
-def eat_hierarchies(draw):
+def eat_hierarchies(draw, program=EMPTY_PROGRAM):
     """Random Food and Animal trees; each animal declares `eat:` overloads
-    for a random set of foods in a random textual order."""
+    for a random set of foods in a random textual order, each returning its
+    own number."""
     def tree(root, size):
         names = [root] + [f"{root}{i}" for i in range(1, size)]
         return names, {n: draw(st.sampled_from(names[:i])) for i, n in enumerate(names) if i}
@@ -101,11 +108,10 @@ def eat_hierarchies(draw):
         ext = f" extends {animal_sup[a]}" if i else ""
         over = "override " if i else ""
         lines.append(f"private object {a}{ext}")
-        lines += [f"    public {over}fun eat: (:food {p}) -> Int [ return {k} ]"
+        lines += [f"    public {over}fun eat: (:food {p}) -> Int [ return {10 * i + k} ]"
                   for k, p in enumerate(params)]
         lines.append("end")
-    src = "package main\n" + "\n".join(lines) + \
-        "\npublic object Program\n    public fun run [ ]\nend\n"
+    src = "package main\n" + "\n".join(lines) + "\n" + program
     return src, animals, foods
 
 
@@ -125,6 +131,75 @@ def test_static_and_dynamic_dispatch_agree(data):
         assert hit is not None, (r, a, src)
         expected = flattened_slot_scan(interp, r, a)
         assert static is hit[1][0] is expected, (r, a, static, hit, expected, src)
+
+
+# --- inline caches: every cached method is what a fresh lookup finds ----------
+
+FEEDER = """private mixin(Animal) object Picky
+    public override fun eat: (:food Food) -> Int [ return 100 ]
+end
+public object Program
+    public fun feed: (:a Animal, :f Food) -> Int [ return a eat: f ]
+    public fun add: (:a Animal) [
+        a addMethod: selector: #eat param: Food returnType: Int
+            body: (:self Animal)[ |:p Food -> Int| ^200 ];
+    ]
+    public fun replace: (:a Animal) [ a.{eat: Food}. = [ |:p Food -> Int| ^300 ]; ]
+    public fun attach: (:a Animal) [ a attachMixin: Picky; ]
+    public fun pop: (:a Animal) [ a popMixin; ]
+    public fun run [ ]
+end
+"""
+
+
+def eat_value(interp, recv, food):
+    """What `recv eat: food` answers, by a fresh lookup."""
+    kind, payload = interp.lookup(recv, [("eat:", [food])])
+    if kind == "own":       # addMethod: or a replacement on this object
+        return 300 if isinstance(payload, _BoundOverride) else 200
+    m, _owner, _mixin, plan = payload
+    if plan is not None:    # addMethod: on a prototype of its chain
+        return 200
+    if m in interp.bound_values:
+        return 300
+    return m.decl.body[0].value.value
+
+
+@given(eat_hierarchies(program=FEEDER), st.data())
+@settings(max_examples=40, deadline=None)
+def test_inline_cache_agrees_with_fresh_lookup(data, steps):
+    """Every receiver and food sent through one site, before and after each
+    of a sequence of addMethod:, method replacements, attachMixin: and
+    popMixin: each send answers what a fresh lookup finds, and each cache
+    entry is the method a fresh lookup and the flattened textual-order scan
+    find for its receiver and argument types."""
+    src, animals, foods = data
+    program = compile_src(src)
+    assert program.ok(), program.reporter.format_all() + src
+    interp = Interp(program)
+    interp.setup()
+    objects = interp.proto_objects
+    main = objects["Program"]
+    site = program.table.get("Program").groups["feed:"].entries[0].decl.body[0].value
+    receivers = [objects[a] for a in animals] + \
+        [interp.instantiate(program.table.get(a)) for a in animals]
+    # one object per type with no mixins and no methods of its own
+    plain = {t: interp.instantiate(program.table.get(t)) for t in animals + foods}
+    mutations = steps.draw(st.lists(st.tuples(
+        st.sampled_from(["add", "replace", "attach", "pop"]), st.sampled_from(receivers)),
+        min_size=1, max_size=8))
+    for mutation in [None] + mutations:
+        if mutation is not None:
+            op, recv = mutation
+            interp.send(main, [(op + ":", [recv])])
+        for recv, food in itertools.product(receivers, foods):
+            expected = eat_value(interp, recv, objects[food])
+            assert interp.send(main, [("feed:", [recv, objects[food]])]).v == expected, \
+                (mutations, src)
+        for (rtype, ftype), (m, owner) in interp.inline_caches.get(id(site), {}).items():
+            again = interp.lookup(plain[rtype], [("eat:", [plain[ftype]])])
+            assert again == ("static", (m, owner, None, None)), (rtype, ftype, mutations, src)
+            assert m is flattened_slot_scan(interp, rtype, ftype), (rtype, ftype, mutations, src)
 
 
 # --- random regexes: the derivation is compositional ---------------------------

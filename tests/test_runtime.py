@@ -1,11 +1,14 @@
 """Interpreter semantics: dispatch, exceptions, clone, builtins."""
 
 import itertools
+import os
 
 import pytest
 
 from conftest import compile_src, errors_of, run_src
+from cyanine.driver import compile_program
 from cyanine.interp import Interp
+from cyanine.prelude import PRELUDE_SOURCE
 
 
 HIER = '''package main
@@ -411,3 +414,77 @@ def test_determinism_two_runs_byte_identical():
         interp.run()
         outs.append(interp.stdout())
     assert outs[0] == outs[1]
+
+
+# --- per-call-site inline caches ------------------------------------------------
+
+GREETER_PRELUDE = PRELUDE_SOURCE + '''
+public object Greeter
+    public fun greet: (:p Any) [ Out println: p ?name ]
+end
+'''
+
+
+def test_programs_with_the_same_type_names_keep_their_own_answers():
+    """A prelude site is shared by every program in the process; each Interp
+    caches what its own `Person` answers there."""
+    def person_program(decls):
+        src = f"package main\n{decls}\npublic object Program\n" \
+              "    public fun run [ Greeter greet: Person new ]\nend\n"
+        program = compile_program([("person.cyan", src)], prelude_text=GREETER_PRELUDE)
+        assert program.ok(), program.reporter.format_all()
+        return program
+    ana = person_program('private object Person\n'
+                         '    public fun name -> String [ return "Ana" ]\nend')
+    bo = person_program('private object Named\n'
+                        '    public fun name -> String [ return "Bo" ]\nend\n'
+                        'private object Person extends Named end')
+    outputs = []
+    for program in (ana, bo, ana, bo):
+        interp = Interp(program)
+        assert interp.run() == 0
+        outputs.append(interp.stdout())
+    assert outputs == ["Ana\n", "Bo\n", "Ana\n", "Bo\n"]
+
+
+def test_one_program_on_two_interps_with_cache_writes():
+    """Sends cached before addMethod: and a method replacement answer anew
+    after them, on every Interp that runs the Program."""
+    program = compile_src('''package main
+private object Food end
+private object Animal
+    public fun eat: (:food Food) -> Int [ return 1 ]
+end
+private object Cow extends Animal end
+public object Program
+    public fun feed: (:a Animal) -> Int [ return a eat: Food ]
+    public fun run [
+        Out println: (feed: Cow), " ", (feed: Animal);
+        Cow addMethod: selector: #eat param: Food returnType: Int
+            body: (:self Animal)[ |:p Food -> Int| ^2 ];
+        Out println: (feed: Cow), " ", (feed: Animal), " ", (feed: Cow new);
+        Animal.{eat: Food}. = [ |:p Food -> Int| ^3 ];
+        Out println: (feed: Cow), " ", (feed: Animal), " ", (feed: Animal new);
+    ]
+end
+''')
+    assert program.ok(), program.reporter.format_all()
+    runs = []
+    for _ in range(2):
+        interp = Interp(program)
+        runs.append((interp.run(), interp.stdout()))
+    assert runs == [(0, "1 1\n2 1 2\n2 3 3\n")] * 2
+
+
+def test_sends_workload_misses_are_few():
+    """The benchmark's `sends` program: 89,271 sends from a handful of
+    monomorphic sites, so all but a few are cache hits."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "programs",
+                        "sends.cyan")
+    with open(path, encoding="utf-8") as fh:
+        program = compile_program([(path, fh.read())])
+    interp = Interp(program, stdin_text="4 9")
+    assert interp.run() == 0
+    assert interp.steps == 89271
+    assert interp.misses < 50
+    assert interp.misses + interp.skips < 50
