@@ -9,8 +9,8 @@ import math
 import time
 
 from .prototypes import BASIC_TYPES, split_generic
-from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV, MethodV,
-                     NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
+from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, IntervalV, MethodV, NativeBlockV,
+                     ObjectV, PrimV, TupleV, UnionV)
 
 _INT_RANGE = {"Byte": (-2 ** 7, 2 ** 7 - 1), "Short": (-2 ** 15, 2 ** 15 - 1),
               "Int": (-2 ** 31, 2 ** 31 - 1), "Long": (-2 ** 63, 2 ** 63 - 1)}
@@ -26,14 +26,6 @@ def _int(interp, kind, v):
     if not lo <= v <= hi:
         interp.str_exception(f"{kind} overflow")
     return PrimV(kind, v)
-
-
-def is_truthy(interp, v):
-    return interp.truthy(v)
-
-
-def eval_block(interp, blk, args):
-    return interp.eval_block_value(blk, args)
 
 
 def send_eval(interp, blk, args):
@@ -269,24 +261,18 @@ def b_attach_mixin(interp, m, recv, args, shape):
     if not isinstance(recv, ObjectV):
         interp.str_exception("a mixin can only be attached to an object")
     recv.mixins.insert(0, interp.instantiate(entry))
-    interp.invalidate_caches()
     return NOOBJECT
 
 
 def b_pop_mixin(interp, m, recv, args, shape):
     if isinstance(recv, ObjectV) and recv.mixins:
         recv.mixins.pop(0)
-        interp.invalidate_caches()
         return _bool(True)
     return _bool(False)
 
 
 # ---------------------------------------------------------------------------
 # numbers
-
-def _num(v):
-    return v.v
-
 
 def b_arith(interp, m, recv, args, shape, op):
     kind = recv.kind
@@ -354,8 +340,6 @@ def b_cmp(interp, m, recv, args, shape, op):
     a, b = recv.v, args[0].v
     if recv.kind == "Char":
         a, b = ord(a), ord(b)
-        other = args[0]
-        b = ord(other.v)
     r = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
          "==": a == b, "!=": a != b}[op]
     return _bool(r)
@@ -371,7 +355,6 @@ def _convert(interp, v, target):
     if kind == "Boolean":
         raw = 1 if raw else 0
     if target in ("Byte", "Short", "Int", "Long"):
-        lo, hi = _INT_RANGE[target]
         n = int(raw)
         width = _WIDTH[target]
         n &= (1 << width) - 1
@@ -449,15 +432,16 @@ def b_in_iterable(interp, m, recv, args, shape):
             found[0] = True
         return NOOBJECT
 
-    blk = NativeBlockV(probe, interp.table.block_type([interp.runtime_type(recv)], "Void"))
+    # typed as the block that foreach: of the `in:` parameter, Iterable<T>, takes
+    foreach = interp.table.get(m.param_types[0]).groups["foreach:"].entries[0]
+    blk = NativeBlockV(probe, foreach.param_types[0])
     interp.send(args[0], [("foreach:", [blk])])
     return _bool(found[0])
 
 
 def b_in_interval(interp, m, recv, args, shape):
     iv = args[0]
-    raw = ord(recv.v) if recv.kind == "Char" else (
-        int(recv.v) if recv.kind != "Boolean" else int(recv.v))
+    raw = ord(recv.v) if recv.kind == "Char" else int(recv.v)
     return _bool(iv.first <= raw <= iv.last)
 
 

@@ -12,12 +12,8 @@ restricted-block rules (letters refer to the r-block rule list):
 
 from .cyast import *
 from .block_analysis import analyze_method, block_interface_type
-from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
-from .grammar_methods import NoMatch, first_selectors, match_message
+from .grammar_methods import NoMatch, all_nodes, first_selectors, match_message
 from .prototypes import split_generic
-
-INIT_FAMILY = ("init", "new", "clone", "initOnce", "primitiveNew")
-
 
 class _Env:
     def __init__(self, parent=None, level=1):
@@ -46,6 +42,7 @@ class Checker:
         self.reporter = reporter
         self.block_infos = {}    # (proto, sequence) -> [BlockInfo]
         self._body_counter = 0
+        self.host = self.self_chain = None     # set by `enter` for a mixin
 
     def error(self, node, msg):
         self.reporter.error(node.line, node.col, msg)
@@ -54,23 +51,34 @@ class Checker:
     # prototype-level checks
 
     def check_entry(self, entry):
-        if entry.builtin:
+        if entry.builtin or isinstance(entry.decl, InterfaceDecl):
             return
-        decl = entry.decl
-        if entry.is_mixin:
-            # mixin templates are checked through their flattened copies,
+        self.enter(entry)
+        if not entry.is_mixin:
+            # a mixin's prototype-level rules hold for its flattened copies,
             # which sit in a real inheritance chain
-            return
-        self.check_prototype(entry)
-        if isinstance(decl, InterfaceDecl):
-            return
+            self.check_prototype(entry)
         self.infer_constant_types(entry)
-        for slot in decl.slots:
+        for slot in entry.decl.slots:
             if isinstance(slot, VarDecl):
                 self.check_var_slot(entry, slot)
         for m in entry.methods:
             if m.decl is not None:
                 self.check_body(entry, m)
+
+    def enter(self, entry):
+        """Check the slots and bodies of `entry` next.  A mixin's own bodies
+        run once it is attached, with `self` its host: the type named in
+        `mixin(T)`, or Any.  There a self-send finds the mixin's methods
+        first, then the host's, and `super` starts at the host."""
+        self.current_entry = entry
+        self.host = self.self_chain = None
+        if entry.is_mixin:
+            table = self.table
+            self.host = table.resolve_type(entry.mixin_base) if entry.mixin_base else "Any"
+            self.self_chain = [e for e in table.chain(entry.name) if e.is_mixin] \
+                + table.dispatch_chain(self.host)
+        self.super_type = self.host or entry.supertype or "Any"
 
     def infer_constant_types(self, entry):
         for group in (entry.consts, entry.shared_vars, entry.ivars):
@@ -80,9 +88,8 @@ class Checker:
                     slot.resolved_type = "Any" if ty == "Nil" else ty
 
     def type_of_slot_init(self, entry, slot):
-        self.current_entry = entry
         self.current_method = None
-        self.current_self_type = entry.name
+        self.current_self_type = self.host or entry.name
         return self.type_of(slot.init, _Env())
 
     def check_var_slot(self, entry, slot):
@@ -265,12 +272,9 @@ class Checker:
         return False
 
     def _shape_in_grammar(self, m, g):
-        if m.kind == "keyword":
-            shape = m.sel_arity
-        elif m.kind == "unary":
+        if m.kind != "keyword":
             return False
-        else:
-            return False
+        shape = m.sel_arity
 
         def match(label, sym):
             sel, count = sym
@@ -296,7 +300,6 @@ class Checker:
 
     def check_body(self, entry, m):
         decl = m.decl
-        self.current_entry = entry
         self.current_method = m
         infos = analyze_method(decl, self.reporter)
         self._body_counter += 1
@@ -318,7 +321,9 @@ class Checker:
             # context-block body: self is the bound object
             self.current_self_type = entry.ctx_self_type_name
         else:
-            self.current_self_type = entry.name
+            self.current_self_type = self.host or entry.name
+        if m.kind == "grammar":
+            self.check_defaults(m)
         if decl.body is not None:
             self.check_stats(decl.body, env)
             if m.return_type != "Void" and not m.is_abstract and not m.synthetic \
@@ -333,6 +338,15 @@ class Checker:
             if not self.table.assignable(ty, want):
                 self.error(decl, f"the expression assigned to '{m.name}' has type"
                                  f" '{ty}' which does not implement '{want}'")
+
+    def check_defaults(self, m):
+        """Type the default values in a grammar method's signature: the
+        interpreter evaluates one when a send leaves its part out."""
+        for node in all_nodes(m.regex):
+            if isinstance(node, GSel) and node.argspec[0] == "default":
+                _kind, texpr, expr = node.argspec
+                self.check_assign_types(node, expr, self.type_of(expr, _Env()),
+                                        texpr.canonical(), 10 ** 6)
 
     def _always_returns(self, stats):
         for st in stats:
@@ -560,7 +574,8 @@ class Checker:
             case NameRef():
                 return self.type_of_name(e, env)
             case GenericRef():
-                return self.table.resolve_type(e.type_expr())
+                e.resolved = self.table.resolve_type(e.type_expr())
+                return e.resolved
             case SelfRef(field_name=f):
                 if f is None:
                     return self.current_self_type
@@ -624,7 +639,6 @@ class Checker:
             return name          # package-qualified prototype reference
         hit = env.lookup(name)
         if hit is not None:
-            self.check_grammar_param_use(e)
             return hit[0]
         var = self._find_field(name)
         if var is not None:
@@ -639,9 +653,6 @@ class Checker:
             return ret
         self.error(e, f"unknown identifier '{name}'")
         return "Any"
-
-    def check_grammar_param_use(self, e):
-        pass   # reads are fine; stores are caught by the assignment root check
 
     def guard_grammar_param(self, expr, node):
         """A grammar parameter with a Block anywhere in its derived type is
@@ -666,9 +677,7 @@ class Checker:
 
     def check_unary_send(self, e, env):
         if isinstance(e.receiver, SuperRef):
-            start = self.current_entry.supertype or "Any"
-            ret, m = self.resolve_send(start, [(e.selector, [])], e, is_operator=False)
-            return ret
+            return self.resolve_send(self.super_type, [(e.selector, [])], e)[0]
         rty = self.type_of(e.receiver, env)
         if e.mode == "?":
             return "Any"
@@ -719,7 +728,7 @@ class Checker:
             rty = self.current_self_type
             recv_expr = SelfRef(line=e.line, col=e.col)
         elif isinstance(e.receiver, SuperRef):
-            rty = self.current_entry.supertype or "Any"
+            rty = self.super_type
             recv_expr = e.receiver
         else:
             rty = self.type_of(e.receiver, env)
@@ -802,8 +811,6 @@ class Checker:
                                   f" '{base}' objects")
         if m.builtin in ("clone", "prototype") and m.owner == "Any":
             return rty
-        if m.kind == "grammar" and self.grammar_param is None:
-            pass
         return ret
 
     def _check_catch_args(self, e, arg_types):
@@ -931,8 +938,9 @@ class Checker:
                 i += n
         elif found.param_types:
             groups = [list(found.param_types)]
-        return self.table.block_type(None, found.return_type, restricted=False,
-                                     groups=groups)
+        e.resolved_type = self.table.block_type(None, found.return_type, restricted=False,
+                                                groups=groups)
+        return e.resolved_type
 
     # -- resolution ------------------------------------------------------------------
 
@@ -943,7 +951,9 @@ class Checker:
         name = "".join(sel for sel, _ in shape) if not is_operator else shape[0][0]
         plain_shape = [(sel, [t for t, _x in args]) for sel, args in shape]
         rule_f = None
-        for anc in table.dispatch_chain(recv_type):
+        chain = self.self_chain if self.self_chain is not None and _sent_to_self(node) \
+            else table.dispatch_chain(recv_type)
+        for anc in chain:
             g = anc.groups.get(name)
             if g is not None:
                 candidates = [m for m in g.entries if m.arity_matches(plain_shape)]
@@ -988,6 +998,19 @@ class Checker:
         if m.qualifier == "private":
             return owner_entry.name == self.current_entry.name or m.builtin is not None
         if m.qualifier == "protected":
-            return self.table.is_subtype(self.current_entry.name, owner_entry.name)
+            return self.table.is_subtype(self.current_entry.name, owner_entry.name) \
+                or owner_entry in (self.self_chain or ())
         return True
+
+
+def _sent_to_self(node):
+    """Whether the send `node` goes to self: an implicit unary self-send, a
+    keyword send without a receiver, or a send to `self`."""
+    match node:
+        case NameRef() | KeywordSend(receiver=None):
+            return True
+        case UnarySend(receiver=r) | KeywordSend(receiver=r) | BinarySend(left=r) \
+                | PrefixOp(operand=r):
+            return isinstance(r, SelfRef) and r.field_name is None
+    return False
 

@@ -12,13 +12,11 @@ import argparse
 import sys
 
 from .block_analysis import dump_blocks
-from .cyast import MethodDecl, pp_compilation_unit, to_sexpr
+from .cyast import to_sexpr
 from .diagnostics import Reporter
 from .driver import compile_program, parse_file
-from .grammar_methods import render_regex
 from .interp import Interp
 from .lexer import dump_tokens, tokenize
-from .prelude import PRELUDE_SOURCE
 
 
 def build_arg_parser():

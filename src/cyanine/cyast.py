@@ -10,7 +10,9 @@ Notes (`note()` fields) are what one pass leaves on a node for a later one;
 they stay out of equality, `repr`, `match` positions, `children` and the dumps.
 The notes, by the pass that writes them:
 
-    parser, desugar  KeywordSend.part_modes
+    parser, desugar  KeywordSend.part_modes; PrototypeDecl.filename and
+                     InterfaceDecl.filename (a generated unit has the file of
+                     the unit it comes from)
     desugar          PrototypeDecl.is_ctx_block, .ctx_self_type, .mixin_host_base;
                      MethodDecl.synthetic, .is_stub, .ctx_self_field
     prototype table  TypeExpr.resolved (grammar-method signatures; `canonical()`
@@ -18,7 +20,8 @@ The notes, by the pass that writes them:
     block analysis   BlockLit.info (level bl(B), r/u class)
     checker          VarDecl.resolved_type (inferred types); ArrayLit.resolved_type,
                      TupleLit.resolved_type, VarDeclStat.resolved_types (one per
-                     name), BlockLit.runtime_type
+                     name), BlockLit.runtime_type, GenericRef.resolved,
+                     MethodAccess.resolved_type (the method object's block type)
 """
 
 from dataclasses import dataclass, field, fields
@@ -130,6 +133,7 @@ class PrototypeDecl(Node):
     is_ctx_block: bool = note(False)
     ctx_self_type: TypeExpr = note()
     mixin_host_base: str = note()
+    filename: str = note("<source>")
 
 
 @dataclass(slots=True)
@@ -140,6 +144,7 @@ class InterfaceDecl(Node):
     extends: list = field(default_factory=list)
     sigs: list = field(default_factory=list)       # MethodDecl with body None
     meta_calls: list = field(default_factory=list)
+    filename: str = note("<source>")
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +345,7 @@ class NameRef(Node):
 class GenericRef(Node):
     name: str = ""
     groups: list = field(default_factory=list)
+    resolved: str = note()
 
     def type_expr(self):
         return TypeExpr(self.name, self.groups, line=self.line, col=self.col)
@@ -426,6 +432,7 @@ class SigRef(Node):
 class MethodAccess(Node):
     receiver: object = None
     sig: SigRef = None
+    resolved_type: str = note()
 
 
 @dataclass(slots=True)

@@ -60,20 +60,26 @@ class Desugarer:
             self.proto_info[p.name] = p
             if p.extends is not None:
                 self.parents[p.name] = p.extends.name
-        for p in protos:
+        for p in self.each(protos):
             self.lower_context_declarations(p)
-        for p in protos:
+        for p in self.each(protos):
             self.expand_visible_variables(p)
-        for p in protos:
+        for p in self.each(protos):
             self.expand_init_metaobject(p)
         self.units = self.flatten_mixins(self.units)
         protos = [u for u in self.units if isinstance(u, PrototypeDecl)]
-        for p in protos:
+        for p in self.each(protos):
             self.synthesize_core_methods(p)
-        for p in protos:
+        for p in self.each(protos):
             self.rewrite_prototype(p)
         self.drop_unknown_metas()
         return self.units + self.generated
+
+    def each(self, units):
+        """Each of `units`, with the diagnostics of its pass named after its file."""
+        for u in units:
+            with self.reporter.file(u.filename):
+                yield u
 
     # -- context objects --------------------------------------------------------
 
@@ -221,7 +227,7 @@ class Desugarer:
                  if d.modifier == "mixin" and not d.template_params}
         decls.update((u.name, u) for u in units if isinstance(u, PrototypeDecl))
         out = []
-        for unit in units:
+        for unit in self.each(units):
             if not isinstance(unit, PrototypeDecl) or not unit.mixin_list:
                 out.append(unit)
                 continue
@@ -268,7 +274,7 @@ class Desugarer:
             seen[m.name] = True
 
         base = PrototypeDecl(proto.qualifier, None, None, f"{proto.name}'1",
-                             line=proto.line, col=proto.col)
+                             filename=proto.filename, line=proto.line, col=proto.col)
         base.extends = proto.extends
         base.implements = proto.implements
         base.slots = proto.slots
@@ -295,7 +301,7 @@ class Desugarer:
             clone = PrototypeDecl(proto.qualifier, None, None, name, extends=TypeExpr(prev.name),
                                   slots=copy.deepcopy(m.slots), hidden=not last,
                                   mixin_host_base=m.mixin_base.name if m.mixin_base else None,
-                                  line=m.line, col=m.col)
+                                  filename=proto.filename, line=m.line, col=m.col)
             result.append(clone)
             prev = clone
             # the mixin body was already accessor-expanded; share its registry
@@ -605,7 +611,8 @@ class Desugarer:
         if block.self_type is not None:
             # the body sees only the context self type, not enclosing locals
             saved = self.current_proto
-            self.current_proto = PrototypeDecl(name=block.self_type.name)
+            self.current_proto = PrototypeDecl(name=block.self_type.name,
+                                               filename=saved.filename)
             inner = _Scope(None, {p.name for sec in block.param_sections for p in sec})
             block.body = self.rx_stats(block.body, inner)
             self.current_proto = saved
@@ -623,7 +630,8 @@ class Desugarer:
         name = f"ContextObject${self.ctx_counter}"
         t = block.self_type
         proto = PrototypeDecl("private", None, None, name, hidden=True, is_ctx_block=True,
-                              ctx_self_type=t, line=block.line, col=block.col)
+                              ctx_self_type=t, filename=self.current_proto.filename,
+                              line=block.line, col=block.col)
         proto.slots.append(VarDecl("private", False, False, False, "newSelf$", t, None,
                                    line=block.line, col=block.col))
         new_params = [Param("newSelf$", t)]
@@ -682,7 +690,7 @@ class Desugarer:
     # -- unknown metaobject calls -----------------------------------------------------
 
     def drop_unknown_metas(self):
-        for unit in self.units + self.generated:
+        for unit in self.each(self.units + self.generated):
             for mc in unit.meta_calls:
                 if mc.name != "init":
                     self.reporter.warning(mc.line, mc.col,

@@ -84,11 +84,11 @@ def _elaborate(cus, table, desugarer, checker):
     """Desugar the units of the compilation units `cus`, then register, link
     and check them in `table`.  Returns the desugared units."""
     all_units = []
-    meta = {}
+    packages = {}
     for cu in cus:
         for u in cu.units:
             all_units.append(u)
-            meta[id(u)] = (cu.package, cu.filename)
+            packages[id(u)] = cu.package
     templates = [u for u in all_units
                  if isinstance(u, PrototypeDecl) and u.template_params]
     desugarer.units = [u for u in all_units
@@ -99,19 +99,22 @@ def _elaborate(cus, table, desugarer, checker):
     units = desugarer.run()
 
     for t in templates:
-        pkg, fn = meta.get(id(t), ("main", "<source>"))
-        table.add_template(t, pkg, fn)
+        table.add_template(t, packages.get(id(t), "main"))
+    # each unit's diagnostics name its file
+    reporter = table.reporter
     for u in units:
-        pkg, fn = meta.get(id(u), ("main", "<generated>"))
-        table.register_unit(u, pkg, fn)
+        with reporter.file(u.filename):
+            table.register_unit(u, packages.get(id(u), "main"))
     # link and check until the queue drains (instantiation adds entries)
     while table.check_queue:
         batch = table.check_queue
         table.check_queue = []
         for entry in batch:
-            table.link_unit(entry, desugarer.visible_vars)
+            with reporter.file(entry.filename):
+                table.link_unit(entry, desugarer.visible_vars)
         for entry in batch:
-            checker.check_entry(entry)
+            with reporter.file(entry.filename):
+                checker.check_entry(entry)
     return units
 
 
@@ -119,7 +122,7 @@ def compile_program(sources, main_name="Program", reporter=None, prelude_text=No
     """sources: list of (filename, text).  Returns a Program.  Diagnostics go
     to `reporter`, by default one named after the file when there is one."""
     if reporter is None:
-        # with several files, diagnostics after parsing cannot yet name theirs
+        # a unit's diagnostics name its file; the others, the file if only one
         reporter = Reporter(sources[0][0]) if len(sources) == 1 else Reporter()
     world = _parsed_prelude(prelude_text or PRELUDE_SOURCE)
     cus = []
@@ -141,16 +144,10 @@ def compile_program(sources, main_name="Program", reporter=None, prelude_text=No
     if main is None or main.is_interface:
         reporter.error(0, 0, f"the program needs a prototype named '{main_name}'"
                              f" with a 'run' method")
-    else:
-        has_run = "run" in main.groups or "run:" in main.groups
-        if not has_run:
-            reporter.error(main.decl.line if main.decl else 0,
-                           main.decl.col if main.decl else 0,
+    elif "run" not in main.groups and "run:" not in main.groups:
+        decl = main.decl
+        with reporter.file(main.filename if decl else reporter.filename):
+            reporter.error(decl.line if decl else 0, decl.col if decl else 0,
                            f"'{main_name}' does not define 'run' or"
                            f" 'run: Array<String>'")
     return program
-
-
-def check_source(text, filename="<source>", main_name="Program"):
-    """Convenience: compile one source string."""
-    return compile_program([(filename, text)], main_name)

@@ -496,14 +496,14 @@ def validate_signature(sig, reporter):
 
     scan(regex, False)
     if defaults:
-        if any(isinstance(n, (GStar, GPlus)) for n in _all_nodes(regex)):
+        if any(isinstance(n, (GStar, GPlus)) for n in all_nodes(regex)):
             reporter.error(sig.line, sig.col,
                            "a grammar method with default values cannot use '+' or '*'")
         for node, under_opt in defaults:
             if not under_opt:
                 reporter.error(node.line, node.col,
                                "a default value is only allowed inside an optional '(...)?' part")
-    for node in _all_nodes(regex):
+    for node in all_nodes(regex):
         if isinstance(node, GOpt):
             inner = node.item
             bad = False
@@ -519,13 +519,13 @@ def validate_signature(sig, reporter):
                                " selector and one parameter")
 
 
-def _all_nodes(node):
+def all_nodes(node):
     yield node
     if isinstance(node, (GSeq, GAlt)):
         for item in node.items:
-            yield from _all_nodes(item)
+            yield from all_nodes(item)
     elif isinstance(node, (GStar, GPlus, GOpt)):
-        yield from _all_nodes(node.item)
+        yield from all_nodes(node.item)
 
 
 def enumerate_shapes(regex, max_len, arg_choices):

@@ -9,7 +9,7 @@ from .cyast import *
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
 from .driver import raise_recursion_limit
 from .grammar_methods import NoMatch, first_selectors, match_message, plan_packing
-from .prototypes import BASIC_TYPES, split_generic
+from .prototypes import split_generic
 from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV, MethodV,
                      NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
 
@@ -85,7 +85,7 @@ class Scope:
 
 class Frame:
     __slots__ = ("entry_name", "method_name", "receiver", "fields_owner", "ctx",
-                 "found_owner", "mixin_index", "method_entry")
+                 "found_owner", "mixin_index")
 
     def __init__(self, entry_name, method_name, receiver, fields_owner,
                  found_owner=None, mixin_index=None):
@@ -97,9 +97,6 @@ class Frame:
         self.found_owner = found_owner
         self.mixin_index = mixin_index
 
-
-_INT_RANGE = {"Byte": (-2 ** 7, 2 ** 7 - 1), "Short": (-2 ** 15, 2 ** 15 - 1),
-              "Int": (-2 ** 31, 2 ** 31 - 1), "Long": (-2 ** 63, 2 ** 63 - 1)}
 
 _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
              "Double": 0.0, "Char": "\0", "Boolean": False, "String": ""}
@@ -144,7 +141,6 @@ class Interp:
         # hit, a miss (looked up, then cached) or a skip (looked up but not
         # cacheable, or not looked up), so hits = steps - misses - skips.
         self.inline_caches = {}
-        self.cache_generation = self.table.generation
         self.misses = 0
         self.skips = 0
 
@@ -422,8 +418,6 @@ class Interp:
                 key = (rt(recv), *map(rt, shape[0][1]))
             else:
                 key = (rt(recv), *[rt(a) for _s, args in shape for a in args])
-            if self.cache_generation != self.table.generation:
-                self.invalidate_caches()
             cache = self.inline_caches.get(id(site))
             if cache is None:
                 cache = self.inline_caches[id(site)] = {}
@@ -468,10 +462,13 @@ class Interp:
         self.throw_name("DoesNotUnderstandException", f"message '{name}' sent to nil")
 
     def invalidate_caches(self):
-        """Start a new cache epoch: a method was added or replaced, a mixin
-        attached or popped, or the table's edges changed."""
+        """Start a new cache epoch: `addMethod:` added a method to a
+        prototype, which a cached send to it or to a sub-prototype must
+        find.  Nothing else can make an entry stale: objects with mixins or
+        own methods are never cached, a replaced method is found as the same
+        entry (`invoke` reads its new value), and the run never writes the
+        table."""
         self.inline_caches.clear()
-        self.cache_generation = self.table.generation
 
     def lookup(self, recv, shape, super_frame=None, name=None):
         """The first method in textual order that takes the message; the one
@@ -564,7 +561,6 @@ class Interp:
         frame = Frame(owner_entry.name, m.name, self_obj, fields_owner,
                       found_owner=owner_entry,
                       mixin_index=mixin_obj[1] if mixin_obj else None)
-        frame.method_entry = m
         if len(self.frames) > 2000:
             self.str_exception("method call stack overflow")
         self.frames.append(frame)
@@ -607,17 +603,13 @@ class Interp:
     def call_ctx_native(self, m, recv, shape, arg_nodes, scope, owner_entry):
         args = [a for _s, aa in shape for a in aa]
         nodes = arg_nodes or [None] * len(args)
-        if m.ctx_marker == CTX_NEW:
+        if m.ctx_marker in (CTX_NEW, CTX_NEWOBJECT):
             inst = self.instantiate(owner_entry)
             self.ctx_bind(owner_entry, inst, args, nodes, scope)
             return inst
         if m.ctx_marker == CTX_BIND:
             self.ctx_bind(owner_entry, recv, args, nodes, scope)
             return NOOBJECT
-        if m.ctx_marker == CTX_NEWOBJECT:
-            inst = self.instantiate(owner_entry)
-            self.ctx_bind(owner_entry, inst, args, nodes, scope)
-            return inst
         raise RuntimeError(m.ctx_marker)
 
     def ctx_bind(self, entry, inst, args, nodes, scope):
@@ -724,12 +716,11 @@ class Interp:
             case ExprStat(expr=e):
                 self.eval_expr(e, scope, frame)
             case VarDeclStat(decls=ds, resolved_types=types):
-                # unset in a mixin's own body, which the checker skips
-                for i, (name, _t, init) in enumerate(ds):
+                for (name, _t, init), ty in zip(ds, types):
                     if init is not None:
                         v = self.eval_expr(init, scope, frame)
                     else:
-                        v = self.default_value(types[i] if types else None)
+                        v = self.default_value(ty)
                     scope.declare(name, v)
             case AssignStat(targets=ts, value=ve):
                 v = self.eval_expr(ve, scope, frame)
@@ -809,7 +800,6 @@ class Interp:
             recv.own_methods[m.name] = _BoundOverride(value)
         else:
             self.bound_values[m] = value
-        self.invalidate_caches()
 
     def _mixin_chain(self, proto_name):
         return [e for e in self.table.chain(proto_name) if e.is_mixin]
@@ -844,23 +834,17 @@ class Interp:
                 return PrimV(k, v)
             case ArrayLit(elems=xs):
                 vals = [self.eval_expr(x, scope, frame) for x in xs]
-                # unset there too
-                tname = e.resolved_type or "Array<Any>"
+                tname = e.resolved_type
                 _b, groups = split_generic(tname)
                 return ArrayV(tname, groups[0][0], vals)
             case TupleLit(items=items):
                 vals = [self.eval_expr(x, scope, frame) for _n, x in items]
                 tname = e.resolved_type
-                if tname is None:
-                    tname = "UTuple<" + ", ".join(self.runtime_type(v) for v in vals) + ">"
-                entry = self.table.get(tname)
-                names = [n for n, _t in entry.tuple_fields] if entry is not None \
-                    else [n or f"f{i + 1}" for i, (n, _x) in enumerate(items)]
+                names = [n for n, _t in self.table.get(tname).tuple_fields]
                 return TupleV(tname, names, vals)
             case NameRef(name=name):
                 return self.resolve_name(name, e, scope, frame)
-            case GenericRef():
-                tname = self.table.resolve_type(e.type_expr())
+            case GenericRef(resolved=tname):
                 return self.prototype_object(self.table.get(tname))
             case SelfRef(field_name=f):
                 if f is None:
@@ -899,20 +883,9 @@ class Interp:
                 return self.send(v, [(op, [])], site=e)
             case BlockLit():
                 return self.make_block(e, scope, frame)
-            case MethodAccess(receiver=r, sig=sig):
+            case MethodAccess(receiver=r, sig=sig, resolved_type=tname):
                 recv = self.eval_expr(r, scope, frame)
-                m = self.resolve_sig(recv, sig)
-                groups = []
-                if m.kind == "keyword":
-                    i = 0
-                    for _s, n in m.sel_arity:
-                        groups.append(m.param_types[i:i + n])
-                        i += n
-                elif m.param_types:
-                    groups = [list(m.param_types)]
-                tname = self.table.block_type(None, m.return_type, restricted=False,
-                                              groups=groups)
-                return MethodV(recv, m, tname, recv)
+                return MethodV(recv, self.resolve_sig(recv, sig), tname, recv)
             case AssignExpr(target=t, value=ve):
                 v = self.eval_expr(ve, scope, frame)
                 self.assign(t, v, scope, frame)
@@ -948,12 +921,12 @@ class Interp:
 
     def make_interval(self, lv, rv):
         kind = lv.kind if isinstance(lv, PrimV) else "Int"
-        a = ord(lv.v) if kind == "Char" else (int(lv.v) if kind != "Boolean" else int(lv.v))
-        b = ord(rv.v) if kind == "Char" else (int(rv.v) if kind != "Boolean" else int(rv.v))
+        a = ord(lv.v) if kind == "Char" else int(lv.v)
+        b = ord(rv.v) if kind == "Char" else int(rv.v)
         if a > b:
             self.str_exception("end < start in interval")
-        tname = self.table.instantiate_generic("Interval", [[kind]], (0, 0))
-        return IntervalV(tname, kind, a, b)
+        # the checker made the entry: both ends have the one discrete basic type
+        return IntervalV(f"Interval<{kind}>", kind, a, b)
 
     def make_block(self, e, scope, frame):
         snapshot = {}
@@ -963,7 +936,7 @@ class Interp:
                 snapshot[name] = self.cell_read(cell) if cell is not None else NIL
         entry = self.table.get(frame.entry_name)
         return BlockV(e, scope, frame.receiver, frame.fields_owner, frame.ctx,
-                      e.runtime_type or "UBlockProto|UBlock", snapshot, entry)
+                      e.runtime_type, snapshot, entry)
 
     # -- block evaluation (the block_eval builtin lands here) --------------------------------------
 

@@ -5,7 +5,7 @@ single space.  String tokens carry their decoded value; every other lexeme is
 a verbatim slice of the source.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .diagnostics import Reporter

@@ -29,7 +29,6 @@ NONASSOC_LEVELS = {3, 4, 8}
 USERDEF_LEVEL = -1   # user-defined binary operators bind loosest
 PREFIX_OPS = {"+", "-", "++", "--", "!", "~"}
 
-_FIXED_BINOPS = set().union(*BINARY_LEVELS)
 
 # Expressions and statement lists nest at most this deep; a nested block or
 # parenthesis takes one or two levels.  Deeper input gets one diagnostic.
@@ -120,6 +119,8 @@ class Parser:
             self._parse_unit_into(cu)
         except NestingTooDeep:
             pass
+        for u in cu.units:
+            u.filename = filename
         public_like = [u for u in cu.units if u.qualifier in ("public", "protected")]
         if len(public_like) > 1:
             u = public_like[1]

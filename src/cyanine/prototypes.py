@@ -15,15 +15,12 @@ from .cyast import (GAlt, GOpt, GPlus, GSel, GSeq, GStar, GrammarSig, InterfaceD
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT, Desugarer
 from .diagnostics import Reporter
 from .grammar_methods import (ArrayOf, Scalar, UTupleOf, UUnionOf, AnyMarker,
-                              build_automaton, derive_parameter_type, first_selectors,
-                              method_name_of, validate_signature)
+                              build_automaton, derive_parameter_type, method_name_of,
+                              validate_signature)
 
 BASIC_TYPES = ("Byte", "Short", "Int", "Long", "Float", "Double", "Char", "Boolean")
 INTEGRAL_TYPES = ("Byte", "Short", "Int", "Long")
 INTERVAL_TYPES = ("Byte", "Short", "Int", "Long", "Char", "Boolean")
-BUILTIN_FAMILIES = ("Array", "Tuple", "UTuple", "Union", "UUnion", "Interval",
-                    "Block", "UBlock", "AnyBlock", "AnyUBlock", "ContextObject",
-                    "Iterable", "IHas", "InjectObject")
 
 
 class MethodEntry:
@@ -176,7 +173,6 @@ class PrototypeTable:
         self.reporter = reporter if reporter is not None else Reporter()
         self._reach_memo = {}
         self._chain_memo = {}
-        self.generation = 0     # bumped by every edge change; inline caches follow it
         self.check_queue = []   # entries whose bodies still need checking
         if shared is not None:
             self.entries = dict(shared.entries)
@@ -200,7 +196,6 @@ class PrototypeTable:
         """Forget the memoised walks: an entry or one of its edges changed."""
         self._reach_memo.clear()
         self._chain_memo.clear()
-        self.generation += 1
 
     def chain(self, name):
         """The prototype plus its supertypes, most-derived first."""
@@ -214,9 +209,6 @@ class PrototypeTable:
             out.append(e)
             name = e.supertype
         return out
-
-    def exists(self, name):
-        return name in self.entries
 
     # -- subtyping ------------------------------------------------------------------
 
@@ -623,11 +615,9 @@ class PrototypeTable:
 
     # -- user templates --------------------------------------------------------------------
 
-    def add_template(self, decl, package, filename):
-        arity = tuple(1 for _ in decl.template_params)  # single group templates
+    def add_template(self, decl, package):
         key = (decl.name, len(decl.template_params))
-        self.templates.setdefault(key, []).append(
-            {"decl": decl, "package": package, "filename": filename})
+        self.templates.setdefault(key, []).append({"decl": decl, "package": package})
 
     def _instantiate_template(self, base, groups, pos):
         flat = [a for g in groups for a in g]
@@ -683,19 +673,20 @@ class PrototypeTable:
                 desugarer.proto_info.setdefault(tbase, recs[0]["decl"])
         units = desugarer.run()
         del self.entries[canonical]
-        fresh = []
-        for unit in units:
-            e = self.register_unit(unit, chosen["package"], chosen["filename"])
-            if e is not None:
-                fresh.append(e)
-        # link immediately: the caller is mid-check and needs the methods
-        for e in fresh:
-            self.link_unit(e, desugarer.visible_vars)
+        with self.reporter.file(decl.filename):
+            fresh = []
+            for unit in units:
+                e = self.register_unit(unit, chosen["package"])
+                if e is not None:
+                    fresh.append(e)
+            # link immediately: the caller is mid-check and needs the methods
+            for e in fresh:
+                self.link_unit(e, desugarer.visible_vars)
         return canonical
 
     # -- registering desugared units ----------------------------------------------------------
 
-    def register_unit(self, decl, package="main", filename="<source>"):
+    def register_unit(self, decl, package="main"):
         if decl.name in self.entries:
             old = self.entries[decl.name]
             self.reporter.error(decl.line, decl.col,
@@ -714,7 +705,7 @@ class PrototypeTable:
             e.hidden = decl.hidden
             e.ctx_params = decl.context_params
         e.package = package
-        e.filename = filename
+        e.filename = decl.filename
         e.builtin = False
         self.add_entry(e)
         self.check_queue.append(e)

@@ -9,10 +9,11 @@ import os
 import pytest
 
 from cyanine import cyast as A
+from cyanine.corpus import parse_directives
 from cyanine.desugar import Desugarer
 from cyanine.driver import compile_program
 from cyanine.interp import Interp
-from cyanine.prototypes import MethodEntry, ProtoEntry
+from cyanine.prototypes import MethodEntry, PrototypeTable, ProtoEntry
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CORPUS = sorted(glob.glob(os.path.join(ROOT, "corpus", "*.cyan")))
@@ -78,6 +79,8 @@ def unset_notes(body):
     for node in A.walk(body):
         if isinstance(node, (A.ArrayLit, A.TupleLit)) and node.resolved_type is None:
             yield node
+        elif isinstance(node, A.GenericRef) and node.resolved is None:
+            yield node
         elif isinstance(node, A.BlockLit) and (node.runtime_type is None or node.info is None):
             yield node
         elif isinstance(node, A.VarDeclStat) and (
@@ -93,7 +96,7 @@ def test_every_checked_method_body_is_annotated():
             continue
         compiled += 1
         for entry in program.table.entries.values():
-            if not isinstance(entry.decl, A.PrototypeDecl) or entry.is_mixin:
+            if not isinstance(entry.decl, A.PrototypeDecl):
                 continue
             for m in entry.methods:
                 if m.decl is not None:
@@ -102,14 +105,12 @@ def test_every_checked_method_body_is_annotated():
     assert compiled >= 60
 
 
-# The checker leaves notes unset where it does not check: in a mixin's own
-# bodies (it checks their flattened copies), which run when the mixin is
-# attached at run time.  The interpreter then falls back to types of its own,
-# each seen in this output.  Only the tuple's fallback is right: an
-# `Array<Any>` or a `UBlockProto|UBlock` has no table entry, so every send to
-# one fails, and `:n Int` starts as nil, not 0.  The initial values of slots
-# with a declared type are checked, so their literals have their types.
-UNCHECKED = """package main
+# A mixin's own bodies run when it is attached at run time.  The checker
+# checks them, with `self` the host named in `mixin(T)`, so the interpreter
+# finds the notes it reads set there too: `:n Int` starts as 0, and the
+# array and the block have types with table entries, so no send to them
+# fails.
+MIXIN_BODIES = """package main
 private object Window
 end
 private object PrintDnu
@@ -139,18 +140,83 @@ public object Program
 end
 """
 
+# A generic instance named only in a mixin's body is made, and so checked,
+# at compile time; the run finds it in the table.
+BOX_FROM_A_MIXIN = """package main
+private object Box<:T>
+    public fun show [
+        :n Int;
+        Out println: n;
+        Out println: {# 1, 2 #} size;
+    ]
+end
+private object Window
+end
+private mixin(Window) object Boxer
+    public fun boxes [ Box<String> new show; ]
+end
+public object Program
+    public fun run [
+        :w = Window new;
+        w attachMixin: Boxer;
+        w ?boxes;
+        w ?boxes;
+    ]
+end
+"""
 
-def test_unchecked_code_runs_on_the_interpreters_fallbacks():
-    program = compile_program([("<test>", UNCHECKED)])
+
+# The default values of a grammar method's signature run too, when a send
+# leaves their part out.
+GRAMMAR_DEFAULTS = """package main
+private object Window
+    public fun (create: x1: Int (size: Int = {# 1, 2 #} size)? (b: Int = [ ^3 ] eval)?) :t [
+        Out println: (t f2), " ", (t f3), " ", (t f4);
+    ]
+end
+public object Program
+    public fun run [
+        Window create: x1: 0;
+        Window create: x1: 1 size: 5;
+    ]
+end
+"""
+
+
+def run_program(source):
+    program = compile_program([("<test>", source)])
     assert program.ok(), program.reporter.format_all()
     interp = Interp(program)
-    assert interp.run() == 0
-    assert interp.stdout().splitlines() == [
-        "nil",
-        "doesNotUnderstand: loop",
-        "x",
-        "'UBlockProto|UBlock' does not understand 'eval:'",
-        "2",
-        "a UTuple<Int, String>",
-        "1",
-    ]
+    assert interp.run() == 0, interp.stdout()
+    return interp.stdout().splitlines()
+
+
+def test_mixin_bodies_are_checked():
+    assert run_program(MIXIN_BODIES) == ["0", "x", "2", "a UTuple<Int, String>", "1"]
+
+
+def test_a_generic_named_in_a_mixin_body_is_checked():
+    assert run_program(BOX_FROM_A_MIXIN) == ["0", "2", "0", "2"]
+
+
+def test_grammar_default_values_are_checked():
+    assert run_program(GRAMMAR_DEFAULTS) == ["0 2 3", "1 5 3"]
+
+
+def test_run_never_writes_the_table(monkeypatch):
+    """Compile time ends before run time: no run adds an entry to the
+    prototype table or changes an edge of it."""
+    runs = []
+    extra = [MIXIN_BODIES, BOX_FROM_A_MIXIN, GRAMMAR_DEFAULTS]
+    for source in [read(path) for path in CORPUS] + extra:
+        program = compile_program([("<test>", source)])
+        if program.ok():
+            runs.append((program, parse_directives(source)[0]))
+    assert len(runs) >= 63
+
+    def written(self):
+        raise AssertionError("the run wrote the prototype table")
+
+    monkeypatch.setattr(PrototypeTable, "_edges_changed", written)
+    for program, stdin_text in runs:
+        Interp(program, stdin_text=stdin_text).run()

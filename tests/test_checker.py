@@ -431,3 +431,50 @@ end'''))
         "<test>:3:13: error: 'String' is not a subtype of 'Int'",
         "<test>:4:13: error: 'Array<String>' is not a subtype of 'Array<Int>'",
     ]
+
+
+def test_a_mixin_body_is_checked_once_with_its_flattened_copy():
+    """The checker checks a mixin's own bodies and the copies flattened into
+    its users; an error in one body is reported once."""
+    msgs = errors_of(wrap("", extra='''private object Window
+    public fun draw [ ]
+end
+private mixin(Window) object Border
+    public fun width -> Int [ return "wide" ]
+end
+private object Framed extends Window mixin Border
+end'''))
+    assert msgs.splitlines() == [
+        "<test>:6:31: error: cannot return 'String' from a method declared to return 'Int'",
+    ]
+
+
+def test_a_mixin_body_sees_its_host():
+    """In a mixin's own body `self` is the host named in `mixin(T)`: a
+    self-send finds the mixin's methods, then the host's, protected ones
+    too; `super` starts at the host; and `self` passes as a host."""
+    assert errors_of(wrap("", extra='''private object Window
+    public fun draw -> Int [ return 1 ]
+    protected fun size -> Int [ return 2 ]
+    public fun same: (:w Window) -> Boolean [ return w == self ]
+end
+private mixin(Window) object Border
+    public override fun draw -> Int [ return (super draw) + size + width ]
+    public fun width -> Int [ return 3 ]
+    public fun check -> Boolean [ return same: self ]
+end''')) == ""
+    msgs = errors_of(wrap("", extra='''private object Window end
+private object Door
+    public fun height -> Int [ return 1 ]
+end
+private mixin(Window) object Border
+    public fun width [ height; ]
+end'''))
+    assert msgs.splitlines() == ["<test>:7:24: error: unknown identifier 'height'"]
+
+
+def test_grammar_default_values_are_typed():
+    msgs = errors_of(wrap("", extra='''private object Window
+    public fun (create: x1: Int (b: Int = "x")?) :t [ ]
+end'''))
+    assert msgs.splitlines() == ["<test>:3:34: error: 'String' is not a subtype of 'Int'"]

@@ -74,6 +74,30 @@ def test_check_mode_names_the_file_after_parsing():
                           f" restricted type 'Block' [rule b]")
 
 
+def test_diagnostics_name_their_file_among_several(tmp_path):
+    """Desugar, link and checker diagnostics name the file of their unit,
+    here the second of two."""
+    main = write(tmp_path, "main.cyan", HELLO)
+    lib = write(tmp_path, "lib.cyan", '''package main
+private object T
+    private :block Block
+end
+private object U extends Int
+end
+@foo
+private object V
+end
+''')
+    code, _out, err = run_cli(["--check", main, lib])
+    assert code == 1
+    assert err.splitlines() == [
+        f"{lib}:3:13: error: instance variables cannot have the restricted type 'Block'"
+        f" [rule b]",
+        f"{lib}:5:9: error: error in the inheritance of the final prototype 'Int' by 'U'",
+        f"{lib}:7:1: warning: unknown metaobject '@foo' ignored",
+    ]
+
+
 def test_uncaught_exception_is_exit_2(tmp_path):
     src = write(tmp_path, "boom.cyan", '''package main
 private object Boom extends CyException end

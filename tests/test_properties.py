@@ -202,6 +202,50 @@ def test_inline_cache_agrees_with_fresh_lookup(data, steps):
             assert m is flattened_slot_scan(interp, rtype, ftype), (rtype, ftype, mutations, src)
 
 
+# --- checked sends never fail: attached mixins included ------------------------
+
+# statements of a mixin body; `{i}` keeps the locals of each apart
+MIXIN_STATEMENTS = (
+    ":n{i} Int; Out println: n{i} + 1;",
+    ":s{i} String; :ok{i} Boolean; Out println: s{i} size, ok{i};",
+    ":xs{i} = {{# 1, 2, 3 #}}; Out println: xs{i} size + (xs{i} at: 0);",
+    ":fs{i} = {{# Food new, Food new #}}; Out println: (self eat: (fs{i} at: 1));",
+    ":b{i} = [ |:k Int -> Int| ^k * 2 ]; Out println: (b{i} eval: 21);",
+    ":t{i} = [. {i}, \"x\" .]; Out println: t{i} f2 size + t{i} f1;",
+    ":r{i} Int = super eat: Food new; Out println: r{i} + (self eat: Food new);",
+    "Out println: (twice: {i}) + (self twice: {i});",
+)
+
+
+@given(eat_hierarchies(program=""),
+       st.lists(st.lists(st.sampled_from(MIXIN_STATEMENTS), min_size=1, max_size=4),
+                min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_checked_sends_are_understood(data, bodies):
+    """In a program the checker accepts, no send it resolved raises
+    DoesNotUnderstandException: here every animal, with a mixin attached
+    whose bodies declare typed locals, array and tuple literals and blocks,
+    and send to self (the mixin's methods and the host's) and to super.
+    Nothing catches, so any such exception would end the run with status 2."""
+    src, animals, _foods = data
+    methods = ["    public fun twice: (:k Int) -> Int [ return 2 * k ]"]
+    methods += [f"    public fun m{k} [ "
+                + " ".join(stat.format(i=i) for i, stat in enumerate(body)) + " ]"
+                for k, body in enumerate(bodies)]
+    run = []
+    for j, animal in enumerate(animals):
+        run += [f":a{j} = {animal} new;", f"a{j} attachMixin: Diet;"]
+        run += [f"a{j} ?m{k};" for k in range(len(bodies))]
+        run += [f"a{j} popMixin;", f"Out println: (a{j} eat: Food new);"]
+    src += ("\nprivate mixin(Animal) object Diet\n" + "\n".join(methods) + "\nend\n"
+            + "public object Program\n    public fun run [\n        "
+            + "\n        ".join(run) + "\n    ]\nend\n")
+    program = compile_src(src)
+    assert program.ok(), program.reporter.format_all() + src
+    interp = Interp(program)
+    assert interp.run() == 0, interp.stdout() + src
+
+
 # --- random regexes: the derivation is compositional ---------------------------
 
 def T(n):
