@@ -14,6 +14,7 @@ from .cyast import *
 from .block_analysis import analyze_method, block_interface_type
 from .grammar_methods import NoMatch, all_nodes, first_selectors, match_message
 from .prototypes import split_generic
+from .values import literal_value
 
 class _Env:
     def __init__(self, parent=None, level=1):
@@ -396,7 +397,11 @@ class Checker:
             case ReturnStat(value=v, is_caret=c):
                 ret = self.current_method.return_type if self.current_method else "Void"
                 if c:
-                    return      # block-level returns checked inside block literals
+                    # a block's own are checked with the block; this one, in
+                    # a method's `if` or `while`, leaves whatever block is
+                    # being evaluated, so only its value is typed
+                    self.type_of(v, env)
+                    return
                 self.guard_grammar_param(v, st)
                 vty = self.type_of(v, env) if v is not None else "Void"
                 if ret == "Void":
@@ -409,6 +414,7 @@ class Checker:
                     self.error(st, f"cannot return '{vty}' from a method declared"
                                    f" to return '{ret}'")
             case IfStat(arms=arms, else_body=eb):
+                _note_scopes(st)
                 for cond, body in arms:
                     cty = self.type_of(cond, env)
                     if cty not in ("Boolean", "Any", "Nil"):
@@ -417,6 +423,7 @@ class Checker:
                 if eb is not None:
                     self.check_stats(eb, env.child())
             case WhileStat(cond=c, body=b):
+                _note_scopes(st)
                 cty = self.type_of(c, env)
                 if cty not in ("Boolean", "Any", "Nil"):
                     self.error(st, f"the 'while' condition must be a Boolean, not '{cty}'")
@@ -459,7 +466,11 @@ class Checker:
                                     source_expr=st.value)
             return
         if isinstance(target, MethodAccess):
-            self.type_of(target.receiver, env)
+            # the value runs as the method: it takes the method's arguments
+            # and answers its return type ("Any": no such method, reported)
+            mty = self.check_method_access(target, env)
+            if mty != "Any":
+                self.check_assign_types(st, None, vty, mty, 10 ** 6, source_expr=st.value)
             return
         self.error(st, "illegal assignment target")
 
@@ -547,6 +558,7 @@ class Checker:
             case None:
                 return "Void"
             case Lit(kind=k):
+                e.runtime_value = literal_value(k, e.value)
                 return self.LIT_TYPES[k]
             case ArrayLit(elems=xs):
                 if not xs:
@@ -895,6 +907,7 @@ class Checker:
                 ty = self.type_of(st.value, env) if st.value is not None else "Void"
                 rets.append((ty, st))
             elif isinstance(st, IfStat):
+                _note_scopes(st)
                 for cond, body in st.arms:
                     cty = self.type_of(cond, env)
                     if cty not in ("Boolean", "Any", "Nil"):
@@ -904,6 +917,7 @@ class Checker:
                 if st.else_body is not None:
                     self._check_block_stats(st.else_body, env.child(), rets)
             elif isinstance(st, WhileStat):
+                _note_scopes(st)
                 self.type_of(st.cond, env)
                 self._check_block_stats(st.body, env.child(), rets)
             else:
@@ -1001,6 +1015,17 @@ class Checker:
             return self.table.is_subtype(self.current_entry.name, owner_entry.name) \
                 or owner_entry in (self.self_chain or ())
         return True
+
+
+def _note_scopes(st):
+    """Which bodies of an `if` or `while` need a scope of their own: only a
+    variable declaration adds to a scope."""
+    def declares(body):
+        return body is not None and any(isinstance(s, VarDeclStat) for s in body)
+    if isinstance(st, IfStat):
+        st.scoped = [declares(body) for _c, body in st.arms] + [declares(st.else_body)]
+    else:
+        st.scoped = declares(st.body)
 
 
 def _sent_to_self(node):

@@ -21,7 +21,10 @@ The notes, by the pass that writes them:
     checker          VarDecl.resolved_type (inferred types); ArrayLit.resolved_type,
                      TupleLit.resolved_type, VarDeclStat.resolved_types (one per
                      name), BlockLit.runtime_type, GenericRef.resolved,
-                     MethodAccess.resolved_type (the method object's block type)
+                     MethodAccess.resolved_type (the method object's block type);
+                     Lit.runtime_value (immutable kinds), IfStat.scoped and
+                     WhileStat.scoped (a body that declares no variable runs in
+                     the enclosing scope)
 """
 
 from dataclasses import dataclass, field, fields
@@ -296,12 +299,14 @@ class ReturnStat(Node):
 class IfStat(Node):
     arms: list = field(default_factory=list)       # (cond, body)
     else_body: list = None
+    scoped: list = note()     # per arm, then else: the body declares a variable
 
 
 @dataclass(slots=True)
 class WhileStat(Node):
     cond: object = None
     body: list = field(default_factory=list)
+    scoped: bool = note()     # the body declares a variable
 
 
 @dataclass(slots=True)
@@ -321,6 +326,7 @@ class MetaStat(Node):
 class Lit(Node):
     kind: str = "Int"   # Int Byte Short Long Float Double Char Boolean String RawString Symbol Nil NoObject
     value: object = None
+    runtime_value: object = note()   # the one shared value, unless a String or Symbol
 
 
 @dataclass(slots=True)

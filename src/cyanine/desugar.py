@@ -17,6 +17,7 @@ import copy
 
 from .cyast import *
 from .diagnostics import Reporter
+from .grammar_methods import all_nodes
 
 CTX_NEW = "$ctx_new"
 CTX_BIND = "$ctx_bind"
@@ -396,6 +397,7 @@ class Desugarer:
                 scope = _Scope(None, {p.name for p in self._flat_params(slot)})
                 if isinstance(slot.sig, GrammarSig):
                     scope.names.add(slot.sig.param_name)
+                    self.rewrite_defaults(slot.sig)
                 if isinstance(slot.sig, (UnarySig, OperatorSig)) and \
                         isinstance(slot.sig, OperatorSig) and slot.sig.param:
                     scope.names.add(slot.sig.param.name)
@@ -407,6 +409,14 @@ class Desugarer:
                     slot.body = self.rx_stats(slot.body, scope)
                 if slot.body_expr is not None:
                     slot.body_expr = self.rx(slot.body_expr, scope)
+
+    def rewrite_defaults(self, sig):
+        """The default values of a grammar signature, which run in the
+        prototype, where the method's parameter is not visible."""
+        for node in all_nodes(sig.regex):
+            if isinstance(node, GSel) and node.argspec[0] == "default":
+                kind, texpr, expr = node.argspec
+                node.argspec = (kind, texpr, self.rx(expr, _Scope(None, set())))
 
     def rx_stats(self, stats, scope):
         out = []

@@ -10,8 +10,8 @@ from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
 from .driver import raise_recursion_limit
 from .grammar_methods import NoMatch, first_selectors, match_message, plan_packing
 from .prototypes import split_generic
-from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV, MethodV,
-                     NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
+from .values import (FRESH_LITERALS, NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV,
+                     MethodV, NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
 
 
 class CyThrow(Exception):
@@ -84,18 +84,24 @@ class Scope:
 
 
 class Frame:
+    """One activation.  A `return` leaves the method frame whose `ctx` it
+    names: its own, or in a block frame (`block`) that of the method that
+    made the block.  A return that ends the frame's statements leaves its
+    value in `result`."""
     __slots__ = ("entry_name", "method_name", "receiver", "fields_owner", "ctx",
-                 "found_owner", "mixin_index")
+                 "found_owner", "mixin_index", "block", "result")
 
     def __init__(self, entry_name, method_name, receiver, fields_owner,
-                 found_owner=None, mixin_index=None):
+                 found_owner=None, mixin_index=None, block_ctx=None):
         self.entry_name = entry_name
         self.method_name = method_name
         self.receiver = receiver
         self.fields_owner = fields_owner
-        self.ctx = object()
         self.found_owner = found_owner
         self.mixin_index = mixin_index
+        self.block = block_ctx is not None
+        self.ctx = object() if block_ctx is None else block_ctx
+        self.result = NOOBJECT
 
 
 _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
@@ -569,7 +575,7 @@ class Interp:
             mscope.declare(pname, pval, eternal=True)
         try:
             self.eval_stats(decl.body, mscope, frame)
-            return NOOBJECT
+            return frame.result
         except ReturnSignal as r:
             if r.ctx is frame.ctx:
                 return r.value
@@ -584,7 +590,7 @@ class Interp:
         scope = Scope()
         try:
             self.eval_stats(body, scope, frame)
-            return NOOBJECT
+            return frame.result
         except ReturnSignal as r:
             if r.ctx is frame.ctx:
                 return r.value
@@ -708,57 +714,68 @@ class Interp:
     # -- statements ------------------------------------------------------------------------------
 
     def eval_stats(self, stats, scope, frame):
+        """Run `stats`.  True when a return of `frame` ended them; the
+        value is in `frame.result`."""
         for st in stats:
-            self.eval_stat(st, scope, frame)
+            if _EXEC[type(st)](self, st, scope, frame):
+                return True
+        return False
 
-    def eval_stat(self, st, scope, frame):
-        match st:
-            case ExprStat(expr=e):
-                self.eval_expr(e, scope, frame)
-            case VarDeclStat(decls=ds, resolved_types=types):
-                for (name, _t, init), ty in zip(ds, types):
-                    if init is not None:
-                        v = self.eval_expr(init, scope, frame)
-                    else:
-                        v = self.default_value(ty)
-                    scope.declare(name, v)
-            case AssignStat(targets=ts, value=ve):
-                v = self.eval_expr(ve, scope, frame)
-                self.assign(ts[0], v, scope, frame)
-            case ReturnStat(value=ve, is_caret=c):
-                v = self.eval_expr(ve, scope, frame) if ve is not None else NOOBJECT
-                if c:
-                    raise BlockReturn(v)
-                raise ReturnSignal(frame.ctx, v)
-            case IfStat(arms=arms, else_body=eb):
-                for cond, body in arms:
-                    if self.truthy(self.eval_expr(cond, scope, frame)):
-                        inner = Scope(scope)
-                        try:
-                            self.eval_stats(body, inner, frame)
-                        finally:
-                            inner.kill()
-                        return
-                if eb is not None:
-                    inner = Scope(scope)
-                    try:
-                        self.eval_stats(eb, inner, frame)
-                    finally:
-                        inner.kill()
-            case WhileStat(cond=cond, body=body):
-                while self.truthy(self.eval_expr(cond, scope, frame)):
-                    self.evals += 1
-                    if self.steps + self.evals > self.max_steps:
-                        self.out_of_steps()
-                    inner = Scope(scope)
-                    try:
-                        self.eval_stats(body, inner, frame)
-                    finally:
-                        inner.kill()
-            case EmptyStat():
-                pass
-            case _:
-                raise RuntimeError(f"cannot execute {st!r}")
+    def exec_expr(self, st, scope, frame):
+        self.eval_expr(st.expr, scope, frame)
+
+    def exec_var_decl(self, st, scope, frame):
+        for (name, _t, init), ty in zip(st.decls, st.resolved_types):
+            if init is not None:
+                v = self.eval_expr(init, scope, frame)
+            else:
+                v = self.default_value(ty)
+            scope.declare(name, v)
+
+    def exec_assign(self, st, scope, frame):
+        v = self.eval_expr(st.value, scope, frame)
+        self.assign(st.targets[0], v, scope, frame)
+
+    def exec_return(self, st, scope, frame):
+        """`return` ends a method frame, `^` a block frame, by value; each
+        unwinds by exception from the other kind of frame."""
+        v = self.eval_expr(st.value, scope, frame) if st.value is not None else NOOBJECT
+        if st.is_caret == frame.block:
+            frame.result = v
+            return True
+        if st.is_caret:
+            raise BlockReturn(v)
+        raise ReturnSignal(frame.ctx, v)
+
+    def exec_if(self, st, scope, frame):
+        for i, (cond, body) in enumerate(st.arms):
+            if self.truthy(self.eval_expr(cond, scope, frame)):
+                return self.exec_body(body, st.scoped[i], scope, frame)
+        if st.else_body is not None:
+            return self.exec_body(st.else_body, st.scoped[-1], scope, frame)
+
+    def exec_while(self, st, scope, frame):
+        cond, body, scoped = st.cond, st.body, st.scoped
+        while self.truthy(self.eval_expr(cond, scope, frame)):
+            self.evals += 1
+            if self.steps + self.evals > self.max_steps:
+                self.out_of_steps()
+            if self.exec_body(body, scoped, scope, frame):
+                return True
+
+    def exec_body(self, body, scoped, scope, frame):
+        # only a declaration adds to a scope, and `kill` ends only the cells
+        # declared in it, so a body that declares nothing needs no scope
+        if not scoped:
+            return self.eval_stats(body, scope, frame)
+        inner = Scope(scope)
+        try:
+            return self.eval_stats(body, inner, frame)
+        finally:
+            inner.kill()
+
+    def exec_empty(self, st, scope, frame):
+        pass
 
     def truthy(self, v):
         if isinstance(v, PrimV) and v.kind == "Boolean":
@@ -821,89 +838,94 @@ class Interp:
     # -- expressions --------------------------------------------------------------------------------
 
     def eval_expr(self, e, scope, frame):
-        match e:
-            case Lit(kind=k, value=v):
-                if k == "Nil":
-                    return NIL
-                if k == "NoObject":
-                    return NOOBJECT
-                if k == "Symbol":
-                    return PrimV("CySymbol", v)
-                if k == "RawString":
-                    return PrimV("String", v)
-                return PrimV(k, v)
-            case ArrayLit(elems=xs):
-                vals = [self.eval_expr(x, scope, frame) for x in xs]
-                tname = e.resolved_type
-                _b, groups = split_generic(tname)
-                return ArrayV(tname, groups[0][0], vals)
-            case TupleLit(items=items):
-                vals = [self.eval_expr(x, scope, frame) for _n, x in items]
-                tname = e.resolved_type
-                names = [n for n, _t in self.table.get(tname).tuple_fields]
-                return TupleV(tname, names, vals)
-            case NameRef(name=name):
-                return self.resolve_name(name, e, scope, frame)
-            case GenericRef(resolved=tname):
-                return self.prototype_object(self.table.get(tname))
-            case SelfRef(field_name=f):
-                if f is None:
-                    return frame.receiver
-                return self.field_read(frame.fields_owner, f)
-            case PercentRef(name=name):
-                cell = scope.find(name)
-                if cell is None:
-                    self.str_exception(f"unknown variable '%{name}'")
-                return self.cell_read(cell)
-            case UnarySend(receiver=r, selector=sel):
-                if isinstance(r, SuperRef):
-                    return self.send(frame.receiver, [(sel, [])], super_frame=frame)
-                recv = self.eval_expr(r, scope, frame)
-                return self.send(recv, [(sel, [])], site=e)
-            case KeywordSend(receiver=r, parts=parts):
-                shape = []
-                nodes = []
-                for sel, argexprs in parts:
-                    vals = [self.eval_expr(a, scope, frame) for a in argexprs]
-                    shape.append((sel, vals))
-                    nodes.extend(argexprs)
-                if isinstance(r, SuperRef):
-                    return self.send(frame.receiver, shape, arg_nodes=nodes, scope=scope,
-                                     super_frame=frame)
-                recv = frame.receiver if r is None else self.eval_expr(r, scope, frame)
-                return self.send(recv, shape, arg_nodes=nodes, scope=scope, site=e)
-            case BinarySend(left=l, op=op, right=r):
-                lv = self.eval_expr(l, scope, frame)
-                rv = self.eval_expr(r, scope, frame)
-                if op == "..":
-                    return self.make_interval(lv, rv)
-                return self.send(lv, [(op, [rv])], site=e)
-            case PrefixOp(op=op, operand=x):
-                v = self.eval_expr(x, scope, frame)
-                return self.send(v, [(op, [])], site=e)
-            case BlockLit():
-                return self.make_block(e, scope, frame)
-            case MethodAccess(receiver=r, sig=sig, resolved_type=tname):
-                recv = self.eval_expr(r, scope, frame)
-                return MethodV(recv, self.resolve_sig(recv, sig), tname, recv)
-            case AssignExpr(target=t, value=ve):
-                v = self.eval_expr(ve, scope, frame)
-                self.assign(t, v, scope, frame)
-                return v
-            case IfExpr(cond=c, then=t, otherwise=o):
-                if self.truthy(self.eval_expr(c, scope, frame)):
-                    return self.eval_expr(t, scope, frame)
-                return self.eval_expr(o, scope, frame)
-            case LetExpr(name=n, init=i, body=b):
-                inner = Scope(scope)
-                inner.declare(n, self.eval_expr(i, scope, frame))
-                try:
-                    return self.eval_expr(b, inner, frame)
-                finally:
-                    inner.kill()
-        raise RuntimeError(f"cannot evaluate {e!r}")
+        return _EVAL[type(e)](self, e, scope, frame)
 
-    def resolve_name(self, name, node, scope, frame):
+    def eval_lit(self, e, scope, frame):
+        v = e.runtime_value
+        if v is None:
+            return PrimV(FRESH_LITERALS[e.kind], e.value)
+        return v
+
+    def eval_array(self, e, scope, frame):
+        vals = [self.eval_expr(x, scope, frame) for x in e.elems]
+        tname = e.resolved_type
+        _b, groups = split_generic(tname)
+        return ArrayV(tname, groups[0][0], vals)
+
+    def eval_tuple(self, e, scope, frame):
+        vals = [self.eval_expr(x, scope, frame) for _n, x in e.items]
+        tname = e.resolved_type
+        names = [n for n, _t in self.table.get(tname).tuple_fields]
+        return TupleV(tname, names, vals)
+
+    def eval_generic(self, e, scope, frame):
+        return self.prototype_object(self.table.get(e.resolved))
+
+    def eval_self(self, e, scope, frame):
+        if e.field_name is None:
+            return frame.receiver
+        return self.field_read(frame.fields_owner, e.field_name)
+
+    def eval_percent(self, e, scope, frame):
+        cell = scope.find(e.name)
+        if cell is None:
+            self.str_exception(f"unknown variable '%{e.name}'")
+        return self.cell_read(cell)
+
+    def eval_unary_send(self, e, scope, frame):
+        r = e.receiver
+        if type(r) is SuperRef:
+            return self.send(frame.receiver, [(e.selector, [])], super_frame=frame)
+        return self.send(self.eval_expr(r, scope, frame), [(e.selector, [])], site=e)
+
+    def eval_keyword_send(self, e, scope, frame):
+        shape = []
+        nodes = []
+        for sel, argexprs in e.parts:
+            shape.append((sel, [self.eval_expr(a, scope, frame) for a in argexprs]))
+            nodes.extend(argexprs)
+        r = e.receiver
+        if type(r) is SuperRef:
+            return self.send(frame.receiver, shape, arg_nodes=nodes, scope=scope,
+                             super_frame=frame)
+        recv = frame.receiver if r is None else self.eval_expr(r, scope, frame)
+        return self.send(recv, shape, arg_nodes=nodes, scope=scope, site=e)
+
+    def eval_binary_send(self, e, scope, frame):
+        lv = self.eval_expr(e.left, scope, frame)
+        rv = self.eval_expr(e.right, scope, frame)
+        if e.op == "..":
+            return self.make_interval(lv, rv)
+        return self.send(lv, [(e.op, [rv])], site=e)
+
+    def eval_prefix(self, e, scope, frame):
+        v = self.eval_expr(e.operand, scope, frame)
+        return self.send(v, [(e.op, [])], site=e)
+
+    def eval_method_access(self, e, scope, frame):
+        recv = self.eval_expr(e.receiver, scope, frame)
+        return MethodV(recv, self.resolve_sig(recv, e.sig), e.resolved_type, recv)
+
+    def eval_assign(self, e, scope, frame):
+        v = self.eval_expr(e.value, scope, frame)
+        self.assign(e.target, v, scope, frame)
+        return v
+
+    def eval_if(self, e, scope, frame):
+        if self.truthy(self.eval_expr(e.cond, scope, frame)):
+            return self.eval_expr(e.then, scope, frame)
+        return self.eval_expr(e.otherwise, scope, frame)
+
+    def eval_let(self, e, scope, frame):
+        inner = Scope(scope)
+        inner.declare(e.name, self.eval_expr(e.init, scope, frame))
+        try:
+            return self.eval_expr(e.body, inner, frame)
+        finally:
+            inner.kill()
+
+    def eval_name(self, e, scope, frame):
+        name = e.name
         cell = scope.find(name)
         if cell is not None:
             return self.cell_read(cell)
@@ -917,15 +939,18 @@ class Interp:
         if entry is not None:
             return self.prototype_object(entry)
         # unary self-send
-        return self.send(frame.receiver, [(name, [])], site=node)
+        return self.send(frame.receiver, [(name, [])], site=e)
 
     def make_interval(self, lv, rv):
-        kind = lv.kind if isinstance(lv, PrimV) else "Int"
+        # the checker gave both ends one discrete basic type and made the
+        # entry, but a variable of that type may hold nil
+        if not (isinstance(lv, PrimV) and isinstance(rv, PrimV)):
+            self.str_exception("an end of an interval is nil")
+        kind = lv.kind
         a = ord(lv.v) if kind == "Char" else int(lv.v)
         b = ord(rv.v) if kind == "Char" else int(rv.v)
         if a > b:
             self.str_exception("end < start in interval")
-        # the checker made the entry: both ends have the one discrete basic type
         return IntervalV(f"Interval<{kind}>", kind, a, b)
 
     def make_block(self, e, scope, frame):
@@ -965,8 +990,7 @@ class Interp:
             return self.send(blk, self._eval_shape_for(args, None))
         decl = blk.decl
         home = blk.home_entry.name if blk.home_entry is not None else self.runtime_type(blk)
-        frame = Frame(home, "eval", blk.self_obj, blk.fields_owner)
-        frame.ctx = blk.method_ctx     # `return` unwinds the enclosing method
+        frame = Frame(home, "eval", blk.self_obj, blk.fields_owner, block_ctx=blk.method_ctx)
         self.frames.append(frame)
         bscope = Scope(blk.scope)
         params = [p for sec in decl.param_sections for p in sec]
@@ -976,12 +1000,40 @@ class Interp:
             bscope.declare(name, v)
         try:
             self.eval_stats(decl.body, bscope, frame)
-            return NOOBJECT
+            return frame.result
         except BlockReturn as r:
             return r.value
         finally:
             bscope.kill()
             self.frames.pop()
+
+
+class _Handlers(dict):
+    """Node class -> the Interp method that runs such a node."""
+
+    def __init__(self, verb, handlers):
+        super().__init__(handlers)
+        self.verb = verb
+
+    def __missing__(self, cls):
+        raise RuntimeError(f"cannot {self.verb} a {cls.__name__} node")
+
+
+_EXEC = _Handlers("execute", {
+    ExprStat: Interp.exec_expr, VarDeclStat: Interp.exec_var_decl,
+    AssignStat: Interp.exec_assign, ReturnStat: Interp.exec_return,
+    IfStat: Interp.exec_if, WhileStat: Interp.exec_while, EmptyStat: Interp.exec_empty,
+})
+
+_EVAL = _Handlers("evaluate", {
+    Lit: Interp.eval_lit, ArrayLit: Interp.eval_array, TupleLit: Interp.eval_tuple,
+    NameRef: Interp.eval_name, GenericRef: Interp.eval_generic, SelfRef: Interp.eval_self,
+    PercentRef: Interp.eval_percent, UnarySend: Interp.eval_unary_send,
+    KeywordSend: Interp.eval_keyword_send, BinarySend: Interp.eval_binary_send,
+    PrefixOp: Interp.eval_prefix, BlockLit: Interp.make_block,
+    MethodAccess: Interp.eval_method_access, AssignExpr: Interp.eval_assign,
+    IfExpr: Interp.eval_if, LetExpr: Interp.eval_let,
+})
 
 
 class _BoundOverride:

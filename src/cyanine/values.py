@@ -40,6 +40,22 @@ NIL = _Singleton("nil")
 NOOBJECT = _Singleton("noObject")
 UNIT = _Singleton("unit")      # value of argument-less grammar selectors (type Any)
 
+# literal kinds that make a new value at each evaluation: Strings compare by
+# identity, so two evaluations of "a" are not eq:
+FRESH_LITERALS = {"String": "String", "RawString": "String", "Symbol": "CySymbol"}
+
+
+def literal_value(kind, v):
+    """The value every evaluation of a literal shares; None for the kinds of
+    FRESH_LITERALS."""
+    if kind == "Nil":
+        return NIL
+    if kind == "NoObject":
+        return NOOBJECT
+    if kind in FRESH_LITERALS:
+        return None
+    return PrimV(kind, v)
+
 
 class ArrayV:
     __slots__ = ("type_name", "elem_type", "elems")

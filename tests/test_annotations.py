@@ -2,6 +2,7 @@
 slotted, a pass can write only declared fields, the notes later passes read
 are set, and they never show in the stage dumps."""
 
+import dataclasses
 import glob
 import inspect
 import os
@@ -183,6 +184,60 @@ end
 """
 
 
+def program_nodes(program):
+    """Every node of every prototype of a program: its own, the prelude's
+    and the generic instances' (each table entry's declaration)."""
+    for entry in program.table.entries.values():
+        if entry.decl is not None:
+            yield from A.walk(entry.decl)
+
+
+def compiled_corpus():
+    programs = [compile_program([(path, read(path))]) for path in CORPUS]
+    return [p for p in programs if p.ok()]
+
+
+def test_literals_and_statement_scopes_are_noted_at_compile_time():
+    """The interpreter reads the value of an immutable literal and whether
+    an `if` or `while` body needs a scope from notes the checker sets.  A
+    String or Symbol literal is a new object at each evaluation."""
+    programs = compiled_corpus()
+    assert len(programs) >= 60
+    kinds = set()
+    instances = 0
+    for program in programs:
+        instances += sum(entry.kind == "generated" and "<" in entry.name
+                         for entry in program.table.entries.values())
+        for node in program_nodes(program):
+            if isinstance(node, A.Lit):
+                kinds.add(node.kind)
+                if node.kind in ("String", "RawString", "Symbol"):
+                    assert node.runtime_value is None, node
+                else:
+                    assert node.runtime_value is not None, node
+            elif isinstance(node, A.IfStat):
+                assert node.scoped is not None and \
+                    len(node.scoped) == len(node.arms) + 1, node
+            elif isinstance(node, A.WhileStat):
+                assert node.scoped is not None, node
+    assert {"Int", "Char", "Boolean", "Float", "String", "Symbol", "Nil"} <= kinds
+    assert instances > 0
+
+
+def test_a_literal_of_an_immutable_kind_is_one_shared_value():
+    program = compile_program([("<test>", """package main
+public object Program
+    public fun run [ Out println: 1 + 2; Out println: "a" ]
+end
+""")])
+    run = program.table.get("Program").decl
+    lits = {(node.kind, node.value): node for node in A.walk(run) if isinstance(node, A.Lit)}
+    one, text = lits["Int", 1], lits["String", "a"]
+    interp = Interp(program)
+    assert interp.eval_expr(one, None, None) is one.runtime_value
+    assert interp.eval_expr(text, None, None) is not interp.eval_expr(text, None, None)
+
+
 def run_program(source):
     program = compile_program([("<test>", source)])
     assert program.ok(), program.reporter.format_all()
@@ -203,9 +258,19 @@ def test_grammar_default_values_are_checked():
     assert run_program(GRAMMAR_DEFAULTS) == ["0 2 3", "1 5 3"]
 
 
+def notes_of(program):
+    """(node, note name, value, its repr) of each note of the program."""
+    for node in program_nodes(program):
+        for f in dataclasses.fields(node):
+            if f.metadata.get("note"):
+                value = getattr(node, f.name)
+                yield node, f.name, value, repr(value)
+
+
 def test_run_never_writes_the_table(monkeypatch):
     """Compile time ends before run time: no run adds an entry to the
-    prototype table or changes an edge of it."""
+    prototype table or changes an edge of it, and no run writes a note of
+    a node."""
     runs = []
     extra = [MIXIN_BODIES, BOX_FROM_A_MIXIN, GRAMMAR_DEFAULTS]
     for source in [read(path) for path in CORPUS] + extra:
@@ -219,4 +284,8 @@ def test_run_never_writes_the_table(monkeypatch):
 
     monkeypatch.setattr(PrototypeTable, "_edges_changed", written)
     for program, stdin_text in runs:
+        before = list(notes_of(program))
         Interp(program, stdin_text=stdin_text).run()
+        for node, name, value, text in before:
+            now = getattr(node, name)
+            assert now is value and repr(now) == text, (node, name)

@@ -478,3 +478,34 @@ def test_grammar_default_values_are_typed():
     public fun (create: x1: Int (b: Int = "x")?) :t [ ]
 end'''))
     assert msgs.splitlines() == ["<test>:3:34: error: 'String' is not a subtype of 'Int'"]
+
+
+def test_a_value_assigned_to_a_method_is_typed_as_the_method(run):
+    """`obj.{sig}. = value` makes `value` the method: it must be an
+    unrestricted block that takes the method's arguments and answers its
+    return type."""
+    extra = '''private object A
+    public fun get -> Int [ return 1 ]
+    public fun put: (:x Int) [ ]
+end'''
+    msgs = errors_of(wrap('''        :a = A new;
+        a.{get}. = "x";
+        a.{put: Int}. = [ |:x String| Out println: x ];
+        a.{get}. = [ ^ "y" ];
+        a.{nothing}. = [ ^ 2 ];
+        :n = 3;
+        a.{get}. = [ ^ n ];''', extra=extra))
+    assert msgs.splitlines() == [
+        "<test>:9:9: error: 'String' is not a subtype of 'UBlock<Int>'",
+        "<test>:10:9: error: 'UBlockProto|UBlock<String><Void>' is not a subtype of"
+        " 'UBlock<Int><Void>'",
+        "<test>:11:9: error: 'UBlockProto|UBlock<String>' is not a subtype of 'UBlock<Int>'",
+        "<test>:12:10: error: 'A' has no method with signature 'nothing'",
+        "<test>:14:9: error: an r-block of type 'RBlockProto|Block<Int>' cannot flow into"
+        " the unrestricted type 'UBlock<Int>' [rule f]",
+    ]
+    code, out, _ = run(wrap('''        :a = A new;
+        a.{get -> Int}. = [ ^ 2 ];
+        a.{put: Int}. = [ |:x Int| Out println: x ];
+        a put: a get;''', extra=extra))
+    assert (code, out) == (0, "2\n")

@@ -110,6 +110,21 @@ end
     assert out.startswith("uncaught exception: Boom")
 
 
+def test_a_nil_end_of_an_interval_is_exit_2(tmp_path):
+    src = write(tmp_path, "interval.cyan", '''package main
+public object Program
+    public fun run [
+        :n Int;
+        n = nil;
+        Out println: (n .. 3) first;
+    ]
+end
+''')
+    code, out, err = run_cli(["run", src])
+    assert (code, err) == (2, "")
+    assert out == "uncaught exception: StrException\n  at Program::run\n"
+
+
 def test_bad_usage_is_64():
     code, _out, _err = run_cli([])
     assert code == 64

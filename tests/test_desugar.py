@@ -297,3 +297,42 @@ end
                         and not node.is_shared and not node.is_const), node
         if isinstance(node, A.PrototypeDecl):
             assert not node.mixin_list and not node.context_params
+
+
+GRAMMAR_DEFAULTS = '''package main
+private object P
+    public :n Int
+    public fun init: (:k Int) [ n = k ]
+end
+private object Window
+    private const :side = 4
+    public fun (create: x1: Int (label: String = "w#{side * 2}")? (p: P = P(1))?) :t [
+        Out println: (t f3), " ", (t f4) n;
+    ]
+end
+public object Program
+    public fun run [
+        Window create: x1: 0;
+        Window create: x1: 2 label: "given";
+        Window create: x1: 3 p: P(7);
+    ]
+end
+'''
+
+
+def test_grammar_signature_defaults_are_desugared():
+    cu, rep = parse_source(GRAMMAR_DEFAULTS)
+    units = Desugarer(cu.units, rep).run()
+    defaults = [node.argspec[2] for node in A.walk(units)
+                if isinstance(node, A.GSel) and node.argspec[0] == "default"]
+    assert len(defaults) == 2
+    for node in A.walk(defaults):
+        assert not isinstance(node, (A.Creation, A.IndexGet)), node
+        assert not (isinstance(node, A.Lit) and "#" in str(node.value)), node
+
+
+def test_grammar_signature_defaults_run_desugared(run):
+    """An interpolated String default is expanded, and a creation
+    expression default makes an object."""
+    code, out, _ = run(GRAMMAR_DEFAULTS)
+    assert (code, out) == (0, "w8 1\ngiven 1\nw8 7\n")

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from conftest import compile_src, errors_of, run_src
+from cyanine import cyast as A
 from cyanine.driver import compile_program
 from cyanine.interp import Interp
 from cyanine.prelude import PRELUDE_SOURCE
@@ -488,3 +489,13 @@ def test_sends_workload_misses_are_few():
     assert interp.steps == 89271
     assert interp.misses < 50
     assert interp.misses + interp.skips < 50
+
+
+def test_a_node_without_a_handler_cannot_run():
+    """Desugaring leaves no Creation and no MetaStat behind; the interpreter
+    has no handler for them and says so."""
+    interp = Interp(compile_src(HIER))
+    with pytest.raises(RuntimeError, match="cannot evaluate a Creation node"):
+        interp.eval_expr(A.Creation(), None, None)
+    with pytest.raises(RuntimeError, match="cannot execute a MetaStat node"):
+        interp.eval_stats([A.MetaStat()], None, None)
