@@ -44,6 +44,7 @@ class Checker:
         self.block_infos = {}    # (proto, sequence) -> [BlockInfo]
         self._body_counter = 0
         self.host = self.self_chain = None     # set by `enter` for a mixin
+        self.grammar_param = None     # a read-only grammar parameter in scope
 
     def error(self, node, msg):
         self.reporter.error(node.line, node.col, msg)
@@ -89,7 +90,7 @@ class Checker:
                     slot.resolved_type = "Any" if ty == "Nil" else ty
 
     def type_of_slot_init(self, entry, slot):
-        self.current_method = None
+        self.current_method = self.grammar_param = None
         self.current_self_type = self.host or entry.name
         return self.type_of(slot.init, _Env())
 
@@ -351,7 +352,7 @@ class Checker:
 
     def _always_returns(self, stats):
         for st in stats:
-            if isinstance(st, ReturnStat) and not st.is_caret:
+            if isinstance(st, ReturnStat):
                 return True
             if isinstance(st, IfStat) and st.else_body is not None:
                 if all(self._always_returns(b) for _c, b in st.arms) and \
@@ -361,11 +362,13 @@ class Checker:
 
     # -- statements -------------------------------------------------------------
 
-    def check_stats(self, stats, env):
+    def check_stats(self, stats, env, rets=None):
+        """Check `stats`; in a block, `rets` collects (type, node) of each
+        value the block returns with `^`, and is None in a method."""
         for st in stats:
-            self.check_stat(st, env)
+            self.check_stat(st, env, rets)
 
-    def check_stat(self, st, env):
+    def check_stat(self, st, env, rets):
         match st:
             case ExprStat(expr=e):
                 self.type_of(e, env)
@@ -394,14 +397,10 @@ class Checker:
                 vty = self.type_of(v, env)
                 target = ts[0]
                 self.check_assign_target(st, target, vty, env)
-            case ReturnStat(value=v, is_caret=c):
+            case ReturnStat(value=v, is_caret=True):
+                rets.append((self.type_of(v, env) if v is not None else "Void", st))
+            case ReturnStat(value=v):
                 ret = self.current_method.return_type if self.current_method else "Void"
-                if c:
-                    # a block's own are checked with the block; this one, in
-                    # a method's `if` or `while`, leaves whatever block is
-                    # being evaluated, so only its value is typed
-                    self.type_of(v, env)
-                    return
                 self.guard_grammar_param(v, st)
                 vty = self.type_of(v, env) if v is not None else "Void"
                 if ret == "Void":
@@ -419,15 +418,15 @@ class Checker:
                     cty = self.type_of(cond, env)
                     if cty not in ("Boolean", "Any", "Nil"):
                         self.error(st, f"the 'if' condition must be a Boolean, not '{cty}'")
-                    self.check_stats(body, env.child())
+                    self.check_stats(body, env.child(), rets)
                 if eb is not None:
-                    self.check_stats(eb, env.child())
+                    self.check_stats(eb, env.child(), rets)
             case WhileStat(cond=c, body=b):
                 _note_scopes(st)
                 cty = self.type_of(c, env)
                 if cty not in ("Boolean", "Any", "Nil"):
                     self.error(st, f"the 'while' condition must be a Boolean, not '{cty}'")
-                self.check_stats(b, env.child())
+                self.check_stats(b, env.child(), rets)
             case EmptyStat():
                 pass
 
@@ -444,20 +443,22 @@ class Checker:
                     self.error(st, f"parameters are read-only: cannot assign"
                                    f" to '{target.name}'")
                     return
+                target.binding = LOCAL
                 self.check_assign_types(st, None, vty, ty, level, source_expr=st.value)
                 return
-            var = self._find_field(target.name)
+            owner, var = self._find_field(target.name)
             if var is not None:
                 if var.is_const:
                     self.error(st, f"cannot assign to the constant '{target.name}'")
                     return
+                target.binding = _var_binding(owner, var)
                 self.check_assign_types(st, None, vty, var.resolved_type or "Any", 10 ** 6,
                                         source_expr=st.value)
                 return
             self.error(st, f"unknown variable '{target.name}' in assignment")
             return
         if isinstance(target, SelfRef) and target.field_name is not None:
-            var = self._find_field(target.field_name)
+            _owner, var = self._find_field(target.field_name)
             if var is None:
                 self.error(st, f"'{self.current_entry.name}' has no instance variable"
                                f" '{target.field_name}'")
@@ -523,15 +524,18 @@ class Checker:
         return None
 
     def _find_field(self, name):
+        """(declaring entry, variable) of the instance, shared or constant
+        variable `name` visible here, or (None, None): an ancestor's private
+        instance variable is hidden."""
         entry = self.current_entry
         for anc in self.table.chain(entry.name):
             for var in anc.ivars + anc.shared_vars + anc.consts:
                 if var.name == name:
                     if anc is not entry and var.qualifier == "private" and not var.is_shared \
                             and not var.is_const:
-                        return None
-                    return var
-        return None
+                        return None, None
+                    return anc, var
+        return None, None
 
     def resolve_var_type(self, texpr, env):
         if texpr is None:
@@ -591,7 +595,7 @@ class Checker:
             case SelfRef(field_name=f):
                 if f is None:
                     return self.current_self_type
-                var = self._find_field(f)
+                _owner, var = self._find_field(f)
                 if var is None:
                     self.error(e, f"'{self.current_entry.name}' has no instance"
                                   f" variable '{f}'")
@@ -646,22 +650,28 @@ class Checker:
         return "Any"
 
     def type_of_name(self, e, env):
+        """The type of a bare name, which the checker alone resolves: the
+        interpreter reads what it denotes from `e.binding`."""
         name = e.name
         if e.package is not None and self.table.get(name) is not None:
-            return name          # package-qualified prototype reference
+            e.binding = PROTO    # package-qualified prototype reference
+            return name
         hit = env.lookup(name)
         if hit is not None:
+            e.binding = LOCAL
             return hit[0]
-        var = self._find_field(name)
+        owner, var = self._find_field(name)
         if var is not None:
+            e.binding = _var_binding(owner, var)
             return var.resolved_type or "Any"
-        entry = self.table.get(name)
-        if entry is not None:
+        if self.table.get(name) is not None:
+            e.binding = PROTO
             return name
         # implicit unary self-send
         ret, m = self.resolve_send(self.current_self_type, [(name, [])], e,
                                    is_operator=False, quiet=True)
         if m is not None:
+            e.binding = SEND
             return ret
         self.error(e, f"unknown identifier '{name}'")
         return "Any"
@@ -873,7 +883,7 @@ class Checker:
                            level=inner.level)
         inner.parent = pscope
         rets = []
-        self._check_block_stats(e.body, inner, rets)
+        self.check_stats(e.body, inner, rets)
         declared = self.table.resolve_type(e.return_type) if e.return_type is not None else None
         if declared is not None:
             for ty, node in rets:
@@ -900,28 +910,6 @@ class Checker:
             info.interface_type = iface
         e.runtime_type = self.table.literal_block_proto(param_groups, ret, restricted)
         return e.runtime_type
-
-    def _check_block_stats(self, stats, env, rets):
-        for st in stats:
-            if isinstance(st, ReturnStat) and st.is_caret:
-                ty = self.type_of(st.value, env) if st.value is not None else "Void"
-                rets.append((ty, st))
-            elif isinstance(st, IfStat):
-                _note_scopes(st)
-                for cond, body in st.arms:
-                    cty = self.type_of(cond, env)
-                    if cty not in ("Boolean", "Any", "Nil"):
-                        self.error(st, f"the 'if' condition must be a Boolean,"
-                                       f" not '{cty}'")
-                    self._check_block_stats(body, env.child(), rets)
-                if st.else_body is not None:
-                    self._check_block_stats(st.else_body, env.child(), rets)
-            elif isinstance(st, WhileStat):
-                _note_scopes(st)
-                self.type_of(st.cond, env)
-                self._check_block_stats(st.body, env.child(), rets)
-            else:
-                self.check_stat(st, env)
 
     def check_method_access(self, e, env):
         sig = e.sig
@@ -1026,6 +1014,10 @@ def _note_scopes(st):
         st.scoped = [declares(body) for _c, body in st.arms] + [declares(st.else_body)]
     else:
         st.scoped = declares(st.body)
+
+
+def _var_binding(owner, var):
+    return ("static", owner.name) if var.is_shared or var.is_const else FIELD
 
 
 def _sent_to_self(node):

@@ -24,7 +24,8 @@ The notes, by the pass that writes them:
                      MethodAccess.resolved_type (the method object's block type);
                      Lit.runtime_value (immutable kinds), IfStat.scoped and
                      WhileStat.scoped (a body that declares no variable runs in
-                     the enclosing scope)
+                     the enclosing scope); NameRef.binding (what a bare name
+                     denotes, one of the bindings below)
 """
 
 from dataclasses import dataclass, field, fields
@@ -341,10 +342,20 @@ class TupleLit(Node):
     resolved_type: str = note()
 
 
+# NameRef.binding is one of these four (the interpreter tests them by
+# identity), or ("static", owner) for a shared variable or constant, with
+# owner the name of the entry that declares it
+LOCAL = ("local", None)
+FIELD = ("field", None)     # an instance variable of the frame's fields owner
+PROTO = ("proto", None)     # a prototype
+SEND = ("send", None)       # an implicit unary self-send
+
+
 @dataclass(slots=True)
 class NameRef(Node):
     name: str = ""
     package: str = None
+    binding: tuple = note()
 
 
 @dataclass(slots=True)

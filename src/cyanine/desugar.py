@@ -402,10 +402,7 @@ class Desugarer:
                         isinstance(slot.sig, OperatorSig) and slot.sig.param:
                     scope.names.add(slot.sig.param.name)
                 if slot.body is not None:
-                    for st in slot.body:
-                        # '^ e' at the method's top level acts as return
-                        if isinstance(st, ReturnStat):
-                            st.is_caret = False
+                    carets_return(slot.body)
                     slot.body = self.rx_stats(slot.body, scope)
                 if slot.body_expr is not None:
                     slot.body_expr = self.rx(slot.body_expr, scope)
@@ -662,9 +659,7 @@ class Desugarer:
             sig = UnarySig("eval")
         else:
             sig = KeywordSig([SelectorPart("eval:", list(sec)) for sec in sections if sec])
-        for st in block.body:
-            if isinstance(st, ReturnStat):
-                st.is_caret = False       # the block body becomes a method body
+        carets_return(block.body)       # the block body becomes a method body
         proto.slots.append(MethodDecl("public", sig=sig, return_type=block.return_type,
                                       body=block.body, ctx_self_field="newSelf$",
                                       line=block.line, col=block.col))
@@ -692,6 +687,8 @@ class Desugarer:
                         self.reporter.error(lit.line, lit.col,
                                             f"in string interpolation: {d.message}")
                     return lit
+                for node in walk(sub):      # its diagnostics point at the literal
+                    node.line, node.col = lit.line, lit.col
                 piece = unary(self.rx(sub, scope), "asString", line=lit.line, col=lit.col)
             expr = piece if expr is None else BinarySend(expr, "+", piece,
                                                          line=lit.line, col=lit.col)
@@ -713,6 +710,21 @@ class Desugarer:
                         self.reporter.warning(mc.line, mc.col,
                                               f"unknown metaobject '@{mc.name}' ignored")
                 s.meta_calls = []
+
+
+def carets_return(stats):
+    """'^ e' in the statements of a method body, also in their `if` and
+    `while` bodies, acts as `return e`; a block literal's stay its own."""
+    for st in stats:
+        if isinstance(st, ReturnStat):
+            st.is_caret = False
+        elif isinstance(st, IfStat):
+            for _cond, body in st.arms:
+                carets_return(body)
+            if st.else_body is not None:
+                carets_return(st.else_body)
+        elif isinstance(st, WhileStat):
+            carets_return(st.body)
 
 
 class _Scope:

@@ -33,11 +33,6 @@ class ReturnSignal(Exception):
         self.value = value
 
 
-class BlockReturn(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 class ExitSignal(Exception):
     def __init__(self, code):
         self.code = code
@@ -375,7 +370,10 @@ class Interp:
         return cell.value
 
     def field_read(self, obj, name):
-        v = obj.fields[name]
+        try:
+            v = obj.fields[name]
+        except KeyError:
+            self.uninitialized(name)
         if isinstance(v, Cell):
             return self.cell_read(v)
         if isinstance(v, FieldProxy):
@@ -392,18 +390,9 @@ class Interp:
             return
         obj.fields[name] = value
 
-    def find_shared(self, frame, name):
-        start = frame.entry_name
-        owner = frame.fields_owner
-        if isinstance(owner, ObjectV):
-            start = owner.proto
-        statics = self.statics
-        for root in (start, frame.entry_name):
-            for anc in self.table.chain(root):
-                store = statics.get(anc.name)
-                if store is not None and name in store:
-                    return store, name
-        return None, None
+    def uninitialized(self, name):
+        """An initial value read a field or shared variable not yet set."""
+        self.str_exception(f"variable '{name}' is read before it is initialized")
 
     # -- dispatch ---------------------------------------------------------------------------
 
@@ -737,15 +726,13 @@ class Interp:
         self.assign(st.targets[0], v, scope, frame)
 
     def exec_return(self, st, scope, frame):
-        """`return` ends a method frame, `^` a block frame, by value; each
-        unwinds by exception from the other kind of frame."""
+        """`return` ends a method frame and `^` a block frame, by value; a
+        `return` in a block frame unwinds by exception to the block's method."""
         v = self.eval_expr(st.value, scope, frame) if st.value is not None else NOOBJECT
-        if st.is_caret == frame.block:
-            frame.result = v
-            return True
-        if st.is_caret:
-            raise BlockReturn(v)
-        raise ReturnSignal(frame.ctx, v)
+        if frame.block and not st.is_caret:
+            raise ReturnSignal(frame.ctx, v)
+        frame.result = v
+        return True
 
     def exec_if(self, st, scope, frame):
         for i, (cond, body) in enumerate(st.arms):
@@ -790,19 +777,13 @@ class Interp:
             cell.value = value
             return
         if isinstance(target, NameRef):
-            cell = scope.find(target.name)
-            if cell is not None:
-                cell.value = value
-                return
-            owner = frame.fields_owner
-            if isinstance(owner, ObjectV) and target.name in owner.fields:
-                self.field_write(owner, target.name, value)
-                return
-            store, key = self.find_shared(frame, target.name)
-            if store is not None:
-                store[key] = value
-                return
-            self.str_exception(f"unknown variable '{target.name}' in assignment")
+            binding = target.binding
+            if binding is LOCAL:
+                scope.find(target.name).value = value
+            elif binding is FIELD:
+                self.field_write(frame.fields_owner, target.name, value)
+            else:
+                self.statics[binding[1]][target.name] = value
         elif isinstance(target, SelfRef) and target.field_name is not None:
             self.field_write(frame.fields_owner, target.field_name, value)
         elif isinstance(target, MethodAccess):
@@ -925,21 +906,19 @@ class Interp:
             inner.kill()
 
     def eval_name(self, e, scope, frame):
-        name = e.name
-        cell = scope.find(name)
-        if cell is not None:
-            return self.cell_read(cell)
-        owner = frame.fields_owner
-        if isinstance(owner, ObjectV) and name in owner.fields:
-            return self.field_read(owner, name)
-        store, key = self.find_shared(frame, name)
-        if store is not None:
-            return store[key]
-        entry = self.table.get(name)
-        if entry is not None:
-            return self.prototype_object(entry)
-        # unary self-send
-        return self.send(frame.receiver, [(name, [])], site=e)
+        binding = e.binding
+        if binding is LOCAL:
+            return self.cell_read(scope.find(e.name))
+        if binding is FIELD:
+            return self.field_read(frame.fields_owner, e.name)
+        if binding is SEND:
+            return self.send(frame.receiver, [(e.name, [])], site=e)
+        if binding is PROTO:
+            return self.prototype_object(self.table.get(e.name))
+        try:
+            return self.statics[binding[1]][e.name]
+        except KeyError:
+            self.uninitialized(e.name)
 
     def make_interval(self, lv, rv):
         # the checker gave both ends one discrete basic type and made the
@@ -1001,8 +980,6 @@ class Interp:
         try:
             self.eval_stats(decl.body, bscope, frame)
             return frame.result
-        except BlockReturn as r:
-            return r.value
         finally:
             bscope.kill()
             self.frames.pop()

@@ -11,7 +11,7 @@ import pytest
 
 from cyanine import cyast as A
 from cyanine.corpus import parse_directives
-from cyanine.desugar import Desugarer
+from cyanine.desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT, Desugarer
 from cyanine.driver import compile_program
 from cyanine.interp import Interp
 from cyanine.prototypes import MethodEntry, PrototypeTable, ProtoEntry
@@ -198,12 +198,15 @@ def compiled_corpus():
 
 
 def test_literals_and_statement_scopes_are_noted_at_compile_time():
-    """The interpreter reads the value of an immutable literal and whether
-    an `if` or `while` body needs a scope from notes the checker sets.  A
-    String or Symbol literal is a new object at each evaluation."""
+    """The interpreter reads the value of an immutable literal, whether an
+    `if` or `while` body needs a scope, and what a bare name denotes from
+    notes the checker sets.  A String or Symbol literal is a new object at
+    each evaluation.  Only the markers of a context object's native methods
+    are names no run evaluates."""
     programs = compiled_corpus()
     assert len(programs) >= 60
     kinds = set()
+    bindings = set()
     instances = 0
     for program in programs:
         instances += sum(entry.kind == "generated" and "<" in entry.name
@@ -220,7 +223,13 @@ def test_literals_and_statement_scopes_are_noted_at_compile_time():
                     len(node.scoped) == len(node.arms) + 1, node
             elif isinstance(node, A.WhileStat):
                 assert node.scoped is not None, node
+            elif isinstance(node, A.NameRef):
+                if node.binding is None:
+                    assert node.name in (CTX_NEW, CTX_BIND, CTX_NEWOBJECT), node
+                else:
+                    bindings.add(node.binding[0])
     assert {"Int", "Char", "Boolean", "Float", "String", "Symbol", "Nil"} <= kinds
+    assert bindings == {"local", "field", "static", "proto", "send"}
     assert instances > 0
 
 

@@ -304,6 +304,30 @@ end
     assert "read-only" in msgs
 
 
+def test_a_while_condition_in_a_block_must_be_a_boolean():
+    msgs = errors_of('''package main
+public object Program
+    public fun run [
+        :n Int = 3;
+        [ while ( n ) [ n = n - 1; ]; ] eval;
+    ]
+end
+''')
+    assert "<test>:5:11: error: the 'while' condition must be a Boolean, not 'Int'" in msgs
+
+
+def test_an_interpolated_expression_is_reported_at_its_literal():
+    msgs = errors_of('''package main
+public object Program
+    public fun run [
+        Out println: "a#{zz}", "b#yy";
+    ]
+end
+''')
+    assert "<test>:4:22: error: unknown identifier 'zz'" in msgs
+    assert "<test>:4:32: error: unknown identifier 'yy'" in msgs
+
+
 def test_grammar_methods_walk_supertype_chain(run):
     code, out, _ = run('''package main
 private object Base2

@@ -125,6 +125,20 @@ end
     assert out == "uncaught exception: StrException\n  at Program::run\n"
 
 
+def test_a_return_in_a_block_of_a_slot_initial_value_is_exit_1(tmp_path):
+    # the slot is checked before any method body, outside a grammar method
+    src = write(tmp_path, "slot.cyan", '''package main
+public object Program
+    private var :b UBlock<Int> = [ return 1 ]
+    public fun run [ ]
+end
+''')
+    code, out, err = run_cli(["run", src])
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert f"{src}:3:36: error: a 'return' with a value is not allowed" in err
+
+
 def test_bad_usage_is_64():
     code, _out, _err = run_cli([])
     assert code == 64

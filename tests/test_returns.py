@@ -91,9 +91,8 @@ end
 ''') == "3\nfinally ran\nfrom the block\n"
 
 
-def test_caret_inside_a_method_level_if_leaves_the_nearest_block(run):
-    # the `^` is not rewritten into `return` there: it ends the block being
-    # evaluated nearest on the call stack, here the one that called `pick:`
+def test_caret_inside_a_method_level_if_or_while_returns_from_the_method(run):
+    # a method body's `^`, also inside its `if` and `while` bodies, is `return`
     assert run_ok(run, '''package main
 public object Program
     public fun pick: (:x Int) -> Int [
@@ -101,15 +100,39 @@ public object Program
         Out println: "after the if";
         return 2;
     ]
+    public fun loop -> Int [
+        :i = 0;
+        while ( true ) [ ++i; if ( i == 3 ) [ ^ i ]; ];
+        ^ 0
+    ]
     public fun run [
         Out println: (pick: 0);
-        :b = [ Out println: (pick: 5); Out println: "never" ];
+        :b = [ Out println: (pick: 5); Out println: "the block goes on" ];
         b eval;
         Out println: "after b";
         Out println: ([ ^ pick: 5 ] eval);
+        Out println: loop;
     ]
 end
-''') == "after the if\n2\nafter b\n1\n"
+''') == "after the if\n2\n1\nthe block goes on\nafter b\n1\n3\n"
+
+
+def test_caret_inside_an_if_of_a_context_block_returns_from_it(run):
+    # a context block's body becomes the body of its `eval:` method
+    assert run_ok(run, '''package main
+private object Box
+    public fun get -> Int [ return value ]
+    private :value Int = 7
+end
+public object Program
+    public fun run [
+        :box = Box new;
+        box addMethod: selector: #pick:
+            body: (:self Box)[ |:p Int -> Int| if ( p > 0 ) [ ^ get; ]; ^ 0 ];
+        Out println: (box ?pick: 5), " ", (box ?pick: -5);
+    ]
+end
+''') == "7 0\n"
 
 
 def test_return_in_init_once(run):
