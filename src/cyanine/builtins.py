@@ -1,31 +1,36 @@
 """Implementations of the builtin prelude methods.
 
 Every handler receives (interp, entry_method, receiver, flat_args, shape) and
-returns a runtime value.  Integer arithmetic is width-checked: a result out of
-range throws StrException.
+returns a runtime value; `handler` finds the one of a method, and a send site
+whose inline cache holds it calls it directly.  Integer arithmetic is
+width-checked: a result out of range throws StrException.
 """
 
 import math
+import operator
 import time
 
 from .prototypes import BASIC_TYPES, split_generic
-from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, IntervalV, MethodV, NativeBlockV,
-                     ObjectV, PrimV, TupleV, UnionV)
+from .values import (FALSE, NIL, NOOBJECT, TRUE, UNIT, ArrayV, BlockV, IntervalV, MethodV,
+                     NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
 
 _INT_RANGE = {"Byte": (-2 ** 7, 2 ** 7 - 1), "Short": (-2 ** 15, 2 ** 15 - 1),
               "Int": (-2 ** 31, 2 ** 31 - 1), "Long": (-2 ** 63, 2 ** 63 - 1)}
 _WIDTH = {"Byte": 8, "Short": 16, "Int": 32, "Long": 64}
 
 
+_FLOATS = ("Float", "Double")
+
+
 def _bool(v):
-    return PrimV("Boolean", v)
+    return TRUE if v else FALSE
 
 
 def _int(interp, kind, v):
     lo, hi = _INT_RANGE[kind]
-    if not lo <= v <= hi:
-        interp.str_exception(f"{kind} overflow")
-    return PrimV(kind, v)
+    if lo <= v <= hi:
+        return PrimV(kind, v)
+    interp.str_exception(f"{kind} overflow")
 
 
 def send_eval(interp, blk, args):
@@ -274,30 +279,35 @@ def b_pop_mixin(interp, m, recv, args, shape):
 # ---------------------------------------------------------------------------
 # numbers
 
-def b_arith(interp, m, recv, args, shape, op):
-    kind = recv.kind
-    a, b = recv.v, args[0].v
-    if kind in ("Float", "Double"):
-        if op == "/" and b == 0.0:
+def _arith(op):
+    if op in ("/", "%"):
+        return b_div if op == "/" else b_mod
+    op = _OPERATORS[op]
+
+    def arith(interp, m, recv, args, shape):
+        kind, r = recv.kind, op(recv.v, args[0].v)
+        return PrimV(kind, r) if kind in _FLOATS else _int(interp, kind, r)
+    return arith
+
+
+def b_div(interp, m, recv, args, shape):
+    kind, a, b = recv.kind, recv.v, args[0].v
+    if kind in _FLOATS:
+        if b == 0.0:
             return PrimV(kind, math.inf if a > 0 else (-math.inf if a < 0 else math.nan))
-        if op == "%" and b == 0.0:
-            return PrimV(kind, math.nan)
-        r = {"+": a + b, "-": a - b, "*": a * b,
-             "/": (a / b) if b else 0.0, "%": math.fmod(a, b) if b else 0.0}[op]
-        return PrimV(kind, r)
-    if op in ("/", "%") and b == 0:
+        return PrimV(kind, a / b)
+    if b == 0:
         interp.str_exception("division by zero")
-    if op == "+":
-        r = a + b
-    elif op == "-":
-        r = a - b
-    elif op == "*":
-        r = a * b
-    elif op == "/":
-        r = math.trunc(a / b)
-    else:
-        r = a - math.trunc(a / b) * b
-    return _int(interp, kind, r)
+    return _int(interp, kind, math.trunc(a / b))
+
+
+def b_mod(interp, m, recv, args, shape):
+    kind, a, b = recv.kind, recv.v, args[0].v
+    if kind in _FLOATS:
+        return PrimV(kind, math.fmod(a, b) if b != 0.0 else math.nan)
+    if b == 0:
+        interp.str_exception("division by zero")
+    return _int(interp, kind, a - math.trunc(a / b) * b)
 
 
 def b_negate(interp, m, recv, args, shape):
@@ -310,39 +320,40 @@ def b_unary_plus(interp, m, recv, args, shape):
     return recv
 
 
-def b_bitop(interp, m, recv, args, shape, op):
-    a, b = recv.v, args[0].v
-    r = {"&": a & b, "|": a | b, "~|": a ^ b}[op]
-    return _int(interp, recv.kind, r)
+def _bitop(op):
+    op = _OPERATORS[op]
+    return lambda interp, m, recv, args, shape: _int(interp, recv.kind, op(recv.v, args[0].v))
 
 
 def b_bitnot(interp, m, recv, args, shape):
     return _int(interp, recv.kind, ~recv.v)
 
 
-def b_shift(interp, m, recv, args, shape, op):
-    kind = recv.kind
-    width = _WIDTH[kind]
-    mask = (1 << width) - 1
-    a, b = recv.v, args[0].v % width
-    if op == "<.<":
-        r = (a << b) & mask
-    elif op == ">.>":
-        r = a >> b
-    else:  # >.>> logical
-        r = (a & mask) >> b
-    if r >= (1 << (width - 1)):
-        r -= 1 << width
-    return PrimV(kind, r)
+def _shift(op):
+    def shift(interp, m, recv, args, shape):
+        kind = recv.kind
+        width = _WIDTH[kind]
+        mask = (1 << width) - 1
+        a, b = recv.v, args[0].v % width
+        if op == "<.<":
+            r = (a << b) & mask
+        elif op == ">.>":
+            r = a >> b
+        else:  # >.>> logical
+            r = (a & mask) >> b
+        if r >= (1 << (width - 1)):
+            r -= 1 << width
+        return PrimV(kind, r)
+    return shift
 
 
-def b_cmp(interp, m, recv, args, shape, op):
-    a, b = recv.v, args[0].v
-    if recv.kind == "Char":
-        a, b = ord(a), ord(b)
-    r = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-         "==": a == b, "!=": a != b}[op]
-    return _bool(r)
+def _compare(op):
+    # a Char is a one-character str, which compares by code point
+    op = _OPERATORS[op]
+
+    def compare(interp, m, recv, args, shape):
+        return TRUE if op(recv.v, args[0].v) else FALSE
+    return compare
 
 
 def _convert(interp, v, target):
@@ -372,8 +383,8 @@ def _convert(interp, v, target):
     interp.str_exception(f"unsupported conversion to {target}")
 
 
-def b_convert(interp, m, recv, args, shape, target):
-    return _convert(interp, recv, target)
+def _converter(target):
+    return lambda interp, m, recv, args, shape: _convert(interp, recv, target)
 
 
 def b_to_do(interp, m, recv, args, shape):
@@ -592,13 +603,15 @@ def b_array_foreach(interp, m, recv, args, shape):
     return NOOBJECT
 
 
-def b_tuple_get(interp, m, recv, args, shape, index):
-    return recv.values[index]
+def _tuple_get(index):
+    return lambda interp, m, recv, args, shape: recv.values[index]
 
 
-def b_tuple_set(interp, m, recv, args, shape, index):
-    recv.values[index] = args[0]
-    return NOOBJECT
+def _tuple_set(index):
+    def tuple_set(interp, m, recv, args, shape):
+        recv.values[index] = args[0]
+        return NOOBJECT
+    return tuple_set
 
 
 def b_tuple_foreach(interp, m, recv, args, shape):
@@ -607,16 +620,20 @@ def b_tuple_foreach(interp, m, recv, args, shape):
     return NOOBJECT
 
 
-def b_union_get(interp, m, recv, args, shape, index):
-    if recv.tag != index:
-        interp.str_exception("Illegal use of Union")
-    return recv.payload
+def _union_get(index):
+    def union_get(interp, m, recv, args, shape):
+        if recv.tag != index:
+            interp.str_exception("Illegal use of Union")
+        return recv.payload
+    return union_get
 
 
-def b_union_set(interp, m, recv, args, shape, index):
-    recv.tag = index
-    recv.payload = args[0]
-    return NOOBJECT
+def _union_set(index):
+    def union_set(interp, m, recv, args, shape):
+        recv.tag = index
+        recv.payload = args[0]
+        return NOOBJECT
+    return union_set
 
 
 def b_tuple_new(interp, m, recv, args, shape):
@@ -850,30 +867,32 @@ def b_add_method(interp, m, recv, args, shape):
 # ---------------------------------------------------------------------------
 # In / Out / System
 
-def b_read(interp, m, recv, args, shape, ret, name):
-    if name == "readLine":
-        line = interp.read_line()
-        if line is None:
+def _reader(_ret, name):
+    def read(interp, m, recv, args, shape):
+        if name == "readLine":
+            line = interp.read_line()
+            if line is None:
+                interp.str_exception("end of input")
+            return PrimV("String", line)
+        if name == "readChar":
+            ch = interp.read_char()
+            if ch is None:
+                interp.str_exception("end of input")
+            return PrimV("Char", ch)
+        tok = interp.read_token()
+        if tok is None:
             interp.str_exception("end of input")
-        return PrimV("String", line)
-    if name == "readChar":
-        ch = interp.read_char()
-        if ch is None:
-            interp.str_exception("end of input")
-        return PrimV("Char", ch)
-    tok = interp.read_token()
-    if tok is None:
-        interp.str_exception("end of input")
-    try:
-        if name == "readInt":
-            return _int(interp, "Int", int(tok))
-        if name == "readFloat":
-            return PrimV("Float", float(tok))
-        if name == "readDouble":
-            return PrimV("Double", float(tok))
-    except ValueError:
-        interp.str_exception(f"'{tok}' is not a number")
-    return PrimV("String", tok)
+        try:
+            if name == "readInt":
+                return _int(interp, "Int", int(tok))
+            if name == "readFloat":
+                return PrimV("Float", float(tok))
+            if name == "readDouble":
+                return PrimV("Double", float(tok))
+        except ValueError:
+            interp.str_exception(f"'{tok}' is not a number")
+        return PrimV("String", tok)
+    return read
 
 
 def _print_args(interp, shape):
@@ -967,23 +986,35 @@ _TABLE = {
     "ctx_newobject": b_ctx_newobject,
 }
 
-_PARAM_TABLE = {
-    "arith": b_arith, "bitop": b_bitop, "shift": b_shift, "cmp": b_cmp,
-    "convert": b_convert, "tuple_get": b_tuple_get, "tuple_set": b_tuple_set,
-    "union_get": b_union_get, "union_set": b_union_set,
+# a builtin with parameters, (name, *parameters), has the handler that the
+# factory `name` makes of its parameters
+_FACTORIES = {
+    "arith": _arith, "cmp": _compare, "bitop": _bitop, "shift": _shift,
+    "convert": _converter, "tuple_get": _tuple_get, "tuple_set": _tuple_set,
+    "union_get": _union_get, "union_set": _union_set,
+    "read": _reader,        # In methods: ("read", return type, name)
 }
 
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+              "==": operator.eq, "!=": operator.ne,
+              "&": operator.and_, "|": operator.or_, "~|": operator.xor}
 
-# In methods arrive with builtin=("read", ret, name)
-_PARAM_TABLE["read"] = b_read
+# builtin id -> handler; one with parameters is made on its first use, and
+# no handler holds state, so every program and interpreter can share them
+_HANDLERS = dict(_TABLE)
+
+
+def handler(m):
+    """The handler of the builtin method `m`."""
+    fn = _HANDLERS.get(m.builtin)
+    if fn is None:
+        b = m.builtin
+        if not isinstance(b, tuple):
+            raise RuntimeError(f"missing builtin '{b}'")
+        fn = _HANDLERS[b] = _FACTORIES[b[0]](*b[1:])
+    return fn
 
 
 def call(interp, m, recv, args, shape):
-    b = m.builtin
-    if isinstance(b, tuple):
-        fn = _PARAM_TABLE[b[0]]
-        return fn(interp, m, recv, args, shape, *b[1:])
-    fn = _TABLE.get(b)
-    if fn is None:
-        raise RuntimeError(f"missing builtin '{b}'")
-    return fn(interp, m, recv, args, shape)
+    return handler(m)(interp, m, recv, args, shape)

@@ -26,6 +26,10 @@ The notes, by the pass that writes them:
                      WhileStat.scoped (a body that declares no variable runs in
                      the enclosing scope); NameRef.binding (what a bare name
                      denotes, one of the bindings below)
+    compiler         MethodDecl.code, VarDecl.code, GSel.code, BlockLit.code (the
+                     closures of the bodies, see `compiler`); .site of a send
+                     node (UnarySend, KeywordSend, BinarySend, PrefixOp, and a
+                     NameRef that is a self-send): the number of its inline cache
 """
 
 from dataclasses import dataclass, field, fields
@@ -165,6 +169,7 @@ class VarDecl(Node):
     init: object = None
     meta_calls: list = field(default_factory=list)
     resolved_type: str = note()
+    code: object = note()
 
 
 @dataclass(slots=True)
@@ -208,6 +213,7 @@ class GSel(Node):
     argspec: tuple = ("none",)
     # ('none',) | ('types', [alts...]) | ('star', alts) | ('plus', alts)
     # | ('default', TypeExpr, Expr); alts = list[TypeExpr]
+    code: object = note()
 
 
 @dataclass(slots=True)
@@ -256,6 +262,7 @@ class MethodDecl(Node):
     synthetic: bool = note(False)
     is_stub: bool = note(False)
     ctx_self_field: str = note()
+    code: object = note()
 
     @property
     def name(self):
@@ -356,6 +363,7 @@ class NameRef(Node):
     name: str = ""
     package: str = None
     binding: tuple = note()
+    site: int = note()
 
 
 @dataclass(slots=True)
@@ -383,6 +391,7 @@ class UnarySend(Node):
     receiver: object = None
     selector: str = ""
     mode: str = ""            # '' checked | '?' dynamic | '?.' nil-safe
+    site: int = note()
 
 
 @dataclass(slots=True)
@@ -391,6 +400,7 @@ class KeywordSend(Node):
     parts: list = field(default_factory=list)      # (selector, [args])
     mode: str = ""
     part_modes: list = note()
+    site: int = note()
 
     @property
     def message_name(self):
@@ -402,12 +412,14 @@ class BinarySend(Node):
     left: object = None
     op: str = ""
     right: object = None
+    site: int = note()
 
 
 @dataclass(slots=True)
 class PrefixOp(Node):
     op: str = ""
     operand: object = None
+    site: int = note()
 
 
 @dataclass(slots=True)
@@ -431,6 +443,7 @@ class BlockLit(Node):
     self_type: TypeExpr = None      # context block `(:self T)[...]`
     info: object = note()           # BlockInfo
     runtime_type: str = note()
+    code: object = note()
 
     @property
     def param_sections(self):

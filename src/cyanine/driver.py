@@ -1,5 +1,5 @@
 """Pipeline orchestration: sources -> tokens -> AST -> desugared units ->
-prototype table -> checks -> a runnable Program.
+prototype table -> checks -> compiled bodies -> a runnable Program.
 
 The builtin table plus the prelude, compiled through the same pipeline, form
 the world.  It is built once per process and prelude text, on the first
@@ -12,6 +12,7 @@ import dataclasses
 import sys
 
 from .checker import Checker
+from .compiler import compile_entries
 from .cyast import PrototypeDecl
 from .desugar import Desugarer
 from .diagnostics import Reporter
@@ -33,12 +34,13 @@ def raise_recursion_limit():
 
 
 class Program:
-    def __init__(self, table, reporter, units, main_name, block_infos=None):
+    def __init__(self, table, reporter, units, main_name, block_infos=None, sites=0):
         self.table = table
         self.reporter = reporter
         self.units = units
         self.main_name = main_name
         self.block_infos = block_infos if block_infos is not None else {}
+        self.sites = sites      # send sites numbered in the world and the program
 
     def ok(self):
         return not self.reporter.has_errors()
@@ -46,7 +48,8 @@ class Program:
 
 class World:
     """The builtin entries and the prelude: parsed, desugared, registered,
-    linked, checked and block-analysed.  Shared read-only by every compile."""
+    linked, checked, block-analysed and compiled.  Shared read-only by every
+    compile."""
 
     def __init__(self, prelude_text):
         rep = Reporter("<prelude>")
@@ -61,7 +64,7 @@ class World:
         self.table = PrototypeTable(self.reporter)
         self.desugarer = Desugarer([], self.reporter)
         checker = Checker(self.table, self.reporter)
-        self.units = _elaborate([cu], self.table, self.desugarer, checker)
+        self.units, self.sites = _elaborate([cu], self.table, self.desugarer, checker, 0)
         self.block_infos = checker.block_infos
 
 
@@ -80,9 +83,11 @@ def _parsed_prelude(prelude_text):
     return world
 
 
-def _elaborate(cus, table, desugarer, checker):
+def _elaborate(cus, table, desugarer, checker, first_site):
     """Desugar the units of the compilation units `cus`, then register, link
-    and check them in `table`.  Returns the desugared units."""
+    and check them in `table`, and compile them when they have no error,
+    numbering their send sites from `first_site`.  Returns the desugared
+    units and the next site number."""
     all_units = []
     packages = {}
     for cu in cus:
@@ -106,6 +111,7 @@ def _elaborate(cus, table, desugarer, checker):
         with reporter.file(u.filename):
             table.register_unit(u, packages.get(id(u), "main"))
     # link and check until the queue drains (instantiation adds entries)
+    checked = []
     while table.check_queue:
         batch = table.check_queue
         table.check_queue = []
@@ -115,7 +121,10 @@ def _elaborate(cus, table, desugarer, checker):
         for entry in batch:
             with reporter.file(entry.filename):
                 checker.check_entry(entry)
-    return units
+        checked += batch
+    if reporter.has_errors():
+        return units, first_site
+    return units, compile_entries(table, checked, first_site)
 
 
 def compile_program(sources, main_name="Program", reporter=None, prelude_text=None):
@@ -137,9 +146,10 @@ def compile_program(sources, main_name="Program", reporter=None, prelude_text=No
                           for d in world.reporter.items)
 
     checker = Checker(table, reporter)
-    units = _elaborate(cus, table, world.desugarer.fork(reporter), checker)
+    units, sites = _elaborate(cus, table, world.desugarer.fork(reporter), checker,
+                              world.sites)
     program = Program(table, reporter, world.units + units, main_name,
-                      {**world.block_infos, **checker.block_infos})
+                      {**world.block_infos, **checker.block_infos}, sites)
     main = table.get(main_name)
     if main is None or main.is_interface:
         reporter.error(0, 0, f"the program needs a prototype named '{main_name}'"

@@ -413,7 +413,7 @@ class PackPlan:
     children: list = field(default_factory=list)
     value: object = None
     tag: int = 0             # union field index (0-based)
-    expr: object = None      # default-value expression
+    sel: object = None       # 'default': the GSel whose default value it is
 
 
 def plan_packing(regex, match):
@@ -457,7 +457,7 @@ def plan_packing(regex, match):
             inner_node = node.item
             if isinstance(inner_node, GSel) and inner_node.argspec[0] == "default":
                 if m.part is None:
-                    return PackPlan("default", dt.canonical(), expr=inner_node.argspec[2])
+                    return PackPlan("default", dt.canonical(), sel=inner_node)
                 return plan(inner_node, m.part, dt)
             if m.part is None:
                 return PackPlan("empty_union", dt.canonical())

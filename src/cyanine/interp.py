@@ -1,17 +1,18 @@
-"""Tree-walking interpreter: object model, textual-order multimethod dispatch,
-closures with %-snapshots, dynamic mixins, method objects, and the
-object-oriented exception machinery."""
+"""The interpreter: object model, textual-order multimethod dispatch, inline
+caches, closures with %-snapshots, dynamic mixins, method objects, and the
+object-oriented exception machinery.  It runs the closures the compile step
+(`compiler`) left on the nodes."""
 
-import time
+from types import MappingProxyType
 
 from . import builtins as bi
-from .cyast import *
+from .compiler import Frame
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
 from .driver import raise_recursion_limit
 from .grammar_methods import NoMatch, first_selectors, match_message, plan_packing
 from .prototypes import split_generic
-from .values import (FRESH_LITERALS, NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV,
-                     MethodV, NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
+from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV, MethodV,
+                     NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
 
 
 class CyThrow(Exception):
@@ -25,12 +26,6 @@ class OutOfSteps(Exception):
 
     def __init__(self, stack):
         self.stack = stack
-
-
-class ReturnSignal(Exception):
-    def __init__(self, ctx, value):
-        self.ctx = ctx
-        self.value = value
 
 
 class ExitSignal(Exception):
@@ -51,53 +46,7 @@ class FieldProxy:
         self.name = name
 
 
-class Scope:
-    __slots__ = ("vars", "parent")
-
-    def __init__(self, parent=None):
-        self.vars = {}
-        self.parent = parent
-
-    def declare(self, name, value, eternal=False):
-        cell = Cell(value, eternal)
-        self.vars[name] = cell
-        return cell
-
-    def find(self, name):
-        cur = self
-        while cur is not None:
-            cell = cur.vars.get(name)
-            if cell is not None:
-                return cell
-            cur = cur.parent
-        return None
-
-    def kill(self):
-        for cell in self.vars.values():
-            if not cell.eternal:
-                cell.alive = False
-
-
-class Frame:
-    """One activation.  A `return` leaves the method frame whose `ctx` it
-    names: its own, or in a block frame (`block`) that of the method that
-    made the block.  A return that ends the frame's statements leaves its
-    value in `result`."""
-    __slots__ = ("entry_name", "method_name", "receiver", "fields_owner", "ctx",
-                 "found_owner", "mixin_index", "block", "result")
-
-    def __init__(self, entry_name, method_name, receiver, fields_owner,
-                 found_owner=None, mixin_index=None, block_ctx=None):
-        self.entry_name = entry_name
-        self.method_name = method_name
-        self.receiver = receiver
-        self.fields_owner = fields_owner
-        self.found_owner = found_owner
-        self.mixin_index = mixin_index
-        self.block = block_ctx is not None
-        self.ctx = object() if block_ctx is None else block_ctx
-        self.result = NOOBJECT
-
+_NO_ENTRIES = MappingProxyType({})     # the cache of a site before its first miss
 
 _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
              "Double": 0.0, "Char": "\0", "Boolean": False, "String": ""}
@@ -136,12 +85,12 @@ class Interp:
         self.bound_values = {}      # MethodEntry -> object bound by `fun sig = e`
                                     # or by assigning a method
         self.dyn_methods = {}       # (entry name, selector) -> body from addMethod:
-        # per-call-site inline caches: id(send node) -> {(receiver type,
-        # argument types...): (method, owner entry)}; the nodes belong to the
-        # program or the world, which outlive the Interp.  A send counts as a
-        # hit, a miss (looked up, then cached) or a skip (looked up but not
-        # cacheable, or not looked up), so hits = steps - misses - skips.
-        self.inline_caches = {}
+        # one inline cache per send site, indexed by the site's number:
+        # {receiver type, or (receiver type, argument types...): (handler,
+        # method, owner entry)}.  A send counts as a hit, a miss (looked up,
+        # then cached) or a skip (looked up but not cacheable, or not looked
+        # up), so hits = steps - misses - skips.
+        self.inline_caches = [_NO_ENTRIES] * program.sites
         self.misses = 0
         self.skips = 0
 
@@ -263,19 +212,19 @@ class Interp:
         frame = Frame(entry.name, "<init>", obj, obj)
         self.frames.append(frame)
         try:
-            scope = Scope()
+            env = [None]
             if entry.consts or entry.shared_vars:
                 # shared variables after constants: a shared one wins a name clash
                 statics = self.statics[entry.name] = {}
                 for v in entry.consts + entry.shared_vars:
-                    statics[v.name] = self.eval_expr(v.init, scope, frame) \
+                    statics[v.name] = v.code(self, env, frame) \
                         if v.init is not None else self.default_value(v.resolved_type)
-            self.init_fields(obj, frame_scope=scope)
+            self.init_fields(obj)
             for m in entry.methods:
                 if m.decl is not None and m.decl.body_expr is not None:
-                    self.bound_values[m] = self.eval_expr(m.decl.body_expr, scope, frame)
-            if entry.init_once is not None:
-                self.invoke_body(entry.init_once.body or [], entry, "initOnce", obj, obj)
+                    self.bound_values[m] = m.decl.code(self, env, frame)
+            if entry.init_once is not None and entry.init_once.code is not None:
+                entry.init_once.code(self, None, obj, [], None)
         finally:
             self.frames.pop()
 
@@ -287,15 +236,15 @@ class Interp:
                 out.append(var)
         return out
 
-    def init_fields(self, obj, frame_scope=None):
+    def init_fields(self, obj):
         entry = self.table.get(obj.proto)
         frame = Frame(entry.name, "<fields>", obj, obj)
         self.frames.append(frame)
         try:
-            scope = Scope()
+            env = [None]
             for var in self.field_template(entry):
                 if var.init is not None:
-                    obj.fields[var.name] = self.eval_expr(var.init, scope, frame)
+                    obj.fields[var.name] = var.code(self, env, frame)
                 else:
                     obj.fields[var.name] = self.default_value(var.resolved_type)
         finally:
@@ -384,11 +333,15 @@ class Interp:
         cur = obj.fields.get(name)
         if isinstance(cur, Cell):
             cur.value = value
-            return
-        if isinstance(cur, FieldProxy):
+        elif isinstance(cur, FieldProxy):
             self.field_write(cur.owner, cur.name, value)
-            return
-        obj.fields[name] = value
+        else:
+            obj.fields[name] = value
+        return value
+
+    def set_static(self, owner, name, value):
+        self.statics[owner][name] = value
+        return value
 
     def uninitialized(self, name):
         """An initial value read a field or shared variable not yet set."""
@@ -396,30 +349,16 @@ class Interp:
 
     # -- dispatch ---------------------------------------------------------------------------
 
-    def send(self, recv, shape, arg_nodes=None, scope=None, super_frame=None, site=None):
-        """Send `shape`, [(selector, [argument values])], to `recv`.  `site`
-        is the send node when the send has one, except for super sends: its
-        inline cache serves a receiver and argument types it has seen, and
-        `lookup` is the miss path."""
+    def send(self, recv, shape, super_frame=None, refs=None, site=None, key=None):
+        """Send `shape`, [(selector, [argument values])], to `recv`: the path
+        of a send without a site (a super send, a send a builtin makes) and
+        of a site closure whose cache missed, which passes its number and the
+        key it probed.  `lookup` finds the method, which the site's inline
+        cache keeps when it can.  `refs` says what each argument of a `new:`
+        or `bind:` send refers to (`ctx_bind`)."""
         self.steps += 1
         if self.steps + self.evals > self.max_steps:
             self.out_of_steps()
-        cache = None
-        # objects with own methods or mixins dispatch per object, not per type
-        if site is not None and recv is not NIL and recv is not NOOBJECT and not (
-                type(recv) is ObjectV and (recv.own_methods or recv.mixins)):
-            rt = self.runtime_type
-            if len(shape) == 1:
-                key = (rt(recv), *map(rt, shape[0][1]))
-            else:
-                key = (rt(recv), *[rt(a) for _s, args in shape for a in args])
-            cache = self.inline_caches.get(id(site))
-            if cache is None:
-                cache = self.inline_caches[id(site)] = {}
-            found = cache.get(key)
-            if found is not None:
-                return self.invoke(found[0], recv, shape, found[1], None, None,
-                                   arg_nodes=arg_nodes, scope=scope)
         name = "".join(sel for sel, _ in shape)
         if recv is NIL or recv is NOOBJECT:
             self.skips += 1
@@ -429,8 +368,12 @@ class Interp:
         hit = self.lookup(recv, shape, super_frame=super_frame, name=name)
         # grammar hits carry a match tree of argument values, and methods
         # added by addMethod: are found per prototype, not per type
-        if cache is not None and hit is not None and hit[1][3] is None:
-            cache[key] = hit[1][:2]
+        if site is not None and hit is not None and hit[1][3] is None:
+            m, owner = hit[1][:2]
+            cache = self.inline_caches[site]
+            if cache is _NO_ENTRIES:
+                cache = self.inline_caches[site] = {}
+            cache[key] = (self.cached_handler(m, owner), m, owner)
             self.misses += 1
         else:
             self.skips += 1
@@ -445,8 +388,20 @@ class Interp:
         if kind == "own":
             return self.call_added_method(payload, recv, shape)
         m, owner_entry, mixin_obj, plan = payload
-        return self.invoke(m, recv, shape, owner_entry, mixin_obj, plan,
-                           arg_nodes=arg_nodes, scope=scope)
+        return self.invoke(m, recv, shape, owner_entry, mixin_obj, plan, refs)
+
+    @staticmethod
+    def cached_handler(m, owner):
+        """What a site whose cache holds `m` calls, as (interp, m, recv,
+        args, shape): a builtin's handler, a method body's runner, or else
+        `invoke`.  The site calls `invoke` itself while `m` has a bound value."""
+        if m.builtin is not None:
+            return bi.handler(m)
+        if m.ctx_marker is None and not m.is_abstract and m.decl is not None \
+                and m.decl.body is not None:
+            return m.decl.code
+        return lambda interp, m, recv, args, shape: \
+            interp.invoke(m, recv, shape, owner, None, None)
 
     def send_to_nil(self, shape, name):
         if len(shape) == 1 and shape[0][0] in ("isNil", "notNil") and not shape[0][1]:
@@ -463,7 +418,7 @@ class Interp:
         own methods are never cached, a replaced method is found as the same
         entry (`invoke` reads its new value), and the run never writes the
         table."""
-        self.inline_caches.clear()
+        self.inline_caches = [_NO_ENTRIES] * len(self.inline_caches)
 
     def lookup(self, recv, shape, super_frame=None, name=None):
         """The first method in textual order that takes the message; the one
@@ -526,8 +481,7 @@ class Interp:
                         continue
         return None
 
-    def invoke(self, m, recv, shape, owner_entry, mixin_obj, plan,
-               arg_nodes=None, scope=None):
+    def invoke(self, m, recv, shape, owner_entry, mixin_obj, plan, refs=None):
         if plan is not None and plan[0] == "dyn":
             return self.call_added_method(plan[1], recv, shape)
         args = [a for _s, aa in shape for a in aa]
@@ -537,56 +491,19 @@ class Interp:
         if m.builtin is not None and bound is None:
             return bi.call(self, m, recv, args, shape)
         if m.ctx_marker is not None:
-            return self.call_ctx_native(m, recv, shape, arg_nodes, scope, owner_entry)
+            return self.call_ctx_native(m, recv, args, refs, owner_entry)
         if bound is not None:
             return self.call_block_like(bound, shape)
         decl = m.decl
-        if m.is_abstract or decl is None or (decl.body is None and decl.body_expr is None):
+        if decl is not None and decl.body_expr is not None:
+            self.str_exception(f"method '{m.name}' is sent before its value is set")
+        if m.is_abstract or decl is None or decl.body is None:
             exc = "ExceptionCannotCallInterfaceMethod" if owner_entry.is_interface \
                 else "ExceptionCannotCallAbstractMethod"
             self.throw_name(exc, f"{owner_entry.name}::{m.name}")
         if m.kind == "grammar":
-            packed = self.execute_plan(plan_packing(m.regex, plan[1]), recv, owner_entry)
-            args = [packed]
-        fields_owner = mixin_obj[0] if mixin_obj else recv
-        self_obj = recv
-        if m.ctx_self_field is not None:
-            self_obj = self.field_read(recv, m.ctx_self_field)
-            fields_owner = self_obj if isinstance(self_obj, ObjectV) else recv
-        frame = Frame(owner_entry.name, m.name, self_obj, fields_owner,
-                      found_owner=owner_entry,
-                      mixin_index=mixin_obj[1] if mixin_obj else None)
-        if len(self.frames) > 2000:
-            self.str_exception("method call stack overflow")
-        self.frames.append(frame)
-        mscope = Scope()
-        for pname, pval in zip(m.param_names, args):
-            mscope.declare(pname, pval, eternal=True)
-        try:
-            self.eval_stats(decl.body, mscope, frame)
-            return frame.result
-        except ReturnSignal as r:
-            if r.ctx is frame.ctx:
-                return r.value
-            raise
-        finally:
-            mscope.kill()
-            self.frames.pop()
-
-    def invoke_body(self, body, entry, name, recv, fields_owner):
-        frame = Frame(entry.name, name, recv, fields_owner, found_owner=entry)
-        self.frames.append(frame)
-        scope = Scope()
-        try:
-            self.eval_stats(body, scope, frame)
-            return frame.result
-        except ReturnSignal as r:
-            if r.ctx is frame.ctx:
-                return r.value
-            raise
-        finally:
-            scope.kill()
-            self.frames.pop()
+            args = [self.execute_plan(plan_packing(m.regex, plan[1]), recv, owner_entry)]
+        return decl.code(self, m, recv, args, shape, mixin_obj)
 
     # -- context-object natives ------------------------------------------------------------
 
@@ -595,19 +512,20 @@ class Interp:
             return "_" + cp.name
         return cp.name
 
-    def call_ctx_native(self, m, recv, shape, arg_nodes, scope, owner_entry):
-        args = [a for _s, aa in shape for a in aa]
-        nodes = arg_nodes or [None] * len(args)
+    def call_ctx_native(self, m, recv, args, refs, owner_entry):
+        refs = refs or [(None, None)] * len(args)
         if m.ctx_marker in (CTX_NEW, CTX_NEWOBJECT):
             inst = self.instantiate(owner_entry)
-            self.ctx_bind(owner_entry, inst, args, nodes, scope)
+            self.ctx_bind(owner_entry, inst, args, refs)
             return inst
         if m.ctx_marker == CTX_BIND:
-            self.ctx_bind(owner_entry, recv, args, nodes, scope)
+            self.ctx_bind(owner_entry, recv, args, refs)
             return NOOBJECT
         raise RuntimeError(m.ctx_marker)
 
-    def ctx_bind(self, entry, inst, args, nodes, scope):
+    def ctx_bind(self, entry, inst, args, refs):
+        """Bind the context parameters of `inst` to `args`; `refs` holds
+        (the cell of a local or None, a variable name or None) per argument."""
         cps = entry.ctx_params
         if not cps:
             # lowered context blocks bind their self object
@@ -618,26 +536,18 @@ class Interp:
         if any(cp.mode == "*" for cp in cps) and len(args) == len(cps) + 1:
             owner_arg = args[-1]
             args = args[:-1]
-            nodes = nodes[:-1]
-        for cp, val, node in zip(cps, args, nodes):
+            refs = refs[:-1]
+        for cp, val, (cell, field) in zip(cps, args, refs):
             fname = self.ctx_field_name(entry, cp)
             if cp.mode == "%":
                 self.field_write(inst, fname, val)
             elif cp.mode == "&":
-                cell = None
-                if isinstance(node, NameRef) and scope is not None:
-                    cell = scope.find(node.name)
                 if cell is None:
                     self.str_exception("the argument of a '&' context parameter must be"
                                        " a local variable")
                 inst.fields[fname] = cell
             else:  # '*'
                 owner = owner_arg
-                field = None
-                if isinstance(node, NameRef):
-                    field = node.name
-                elif isinstance(node, SelfRef):
-                    field = node.field_name
                 if owner is None or field is None or field not in owner.fields:
                     self.str_exception("the argument of a '*' context parameter must be"
                                        " an instance variable")
@@ -695,109 +605,26 @@ class Interp:
             frame = Frame(owner_entry.name, "<default>", owner, owner)
             self.frames.append(frame)
             try:
-                return self.eval_expr(plan.expr, Scope(), frame)
+                return plan.sel.code(self, [None], frame)
             finally:
                 self.frames.pop()
         raise RuntimeError(op)
 
-    # -- statements ------------------------------------------------------------------------------
-
-    def eval_stats(self, stats, scope, frame):
-        """Run `stats`.  True when a return of `frame` ended them; the
-        value is in `frame.result`."""
-        for st in stats:
-            if _EXEC[type(st)](self, st, scope, frame):
-                return True
-        return False
-
-    def exec_expr(self, st, scope, frame):
-        self.eval_expr(st.expr, scope, frame)
-
-    def exec_var_decl(self, st, scope, frame):
-        for (name, _t, init), ty in zip(st.decls, st.resolved_types):
-            if init is not None:
-                v = self.eval_expr(init, scope, frame)
-            else:
-                v = self.default_value(ty)
-            scope.declare(name, v)
-
-    def exec_assign(self, st, scope, frame):
-        v = self.eval_expr(st.value, scope, frame)
-        self.assign(st.targets[0], v, scope, frame)
-
-    def exec_return(self, st, scope, frame):
-        """`return` ends a method frame and `^` a block frame, by value; a
-        `return` in a block frame unwinds by exception to the block's method."""
-        v = self.eval_expr(st.value, scope, frame) if st.value is not None else NOOBJECT
-        if frame.block and not st.is_caret:
-            raise ReturnSignal(frame.ctx, v)
-        frame.result = v
-        return True
-
-    def exec_if(self, st, scope, frame):
-        for i, (cond, body) in enumerate(st.arms):
-            if self.truthy(self.eval_expr(cond, scope, frame)):
-                return self.exec_body(body, st.scoped[i], scope, frame)
-        if st.else_body is not None:
-            return self.exec_body(st.else_body, st.scoped[-1], scope, frame)
-
-    def exec_while(self, st, scope, frame):
-        cond, body, scoped = st.cond, st.body, st.scoped
-        while self.truthy(self.eval_expr(cond, scope, frame)):
-            self.evals += 1
-            if self.steps + self.evals > self.max_steps:
-                self.out_of_steps()
-            if self.exec_body(body, scoped, scope, frame):
-                return True
-
-    def exec_body(self, body, scoped, scope, frame):
-        # only a declaration adds to a scope, and `kill` ends only the cells
-        # declared in it, so a body that declares nothing needs no scope
-        if not scoped:
-            return self.eval_stats(body, scope, frame)
-        inner = Scope(scope)
-        try:
-            return self.eval_stats(body, inner, frame)
-        finally:
-            inner.kill()
-
-    def exec_empty(self, st, scope, frame):
-        pass
+    # -- values the compiled code needs ------------------------------------------------------
 
     def truthy(self, v):
         if isinstance(v, PrimV) and v.kind == "Boolean":
             return v.v
         self.str_exception("a Boolean value was expected")
 
-    def assign(self, target, value, scope, frame):
-        if isinstance(target, PercentRef):
-            cell = scope.find(target.name)
-            if cell is None:
-                self.str_exception(f"unknown variable '%{target.name}'")
-            cell.value = value
-            return
-        if isinstance(target, NameRef):
-            binding = target.binding
-            if binding is LOCAL:
-                scope.find(target.name).value = value
-            elif binding is FIELD:
-                self.field_write(frame.fields_owner, target.name, value)
-            else:
-                self.statics[binding[1]][target.name] = value
-        elif isinstance(target, SelfRef) and target.field_name is not None:
-            self.field_write(frame.fields_owner, target.field_name, value)
-        elif isinstance(target, MethodAccess):
-            self.replace_method(target, value, scope, frame)
-        else:
-            self.str_exception("illegal assignment target")
-
-    def replace_method(self, target, value, scope, frame):
-        recv = self.eval_expr(target.receiver, scope, frame)
-        m = self.resolve_sig(recv, target.sig)
+    def replace_method(self, value, recv, sig):
+        """`recv.{sig} = value`."""
+        m = self.resolve_sig(recv, sig)
         if isinstance(recv, ObjectV) and not recv.is_prototype:
             recv.own_methods[m.name] = _BoundOverride(value)
         else:
             self.bound_values[m] = value
+        return value
 
     def _mixin_chain(self, proto_name):
         return [e for e in self.table.chain(proto_name) if e.is_mixin]
@@ -816,110 +643,6 @@ class Interp:
                     return m
         self.str_exception(f"'{rty}' has no method '{sig.name}'")
 
-    # -- expressions --------------------------------------------------------------------------------
-
-    def eval_expr(self, e, scope, frame):
-        return _EVAL[type(e)](self, e, scope, frame)
-
-    def eval_lit(self, e, scope, frame):
-        v = e.runtime_value
-        if v is None:
-            return PrimV(FRESH_LITERALS[e.kind], e.value)
-        return v
-
-    def eval_array(self, e, scope, frame):
-        vals = [self.eval_expr(x, scope, frame) for x in e.elems]
-        tname = e.resolved_type
-        _b, groups = split_generic(tname)
-        return ArrayV(tname, groups[0][0], vals)
-
-    def eval_tuple(self, e, scope, frame):
-        vals = [self.eval_expr(x, scope, frame) for _n, x in e.items]
-        tname = e.resolved_type
-        names = [n for n, _t in self.table.get(tname).tuple_fields]
-        return TupleV(tname, names, vals)
-
-    def eval_generic(self, e, scope, frame):
-        return self.prototype_object(self.table.get(e.resolved))
-
-    def eval_self(self, e, scope, frame):
-        if e.field_name is None:
-            return frame.receiver
-        return self.field_read(frame.fields_owner, e.field_name)
-
-    def eval_percent(self, e, scope, frame):
-        cell = scope.find(e.name)
-        if cell is None:
-            self.str_exception(f"unknown variable '%{e.name}'")
-        return self.cell_read(cell)
-
-    def eval_unary_send(self, e, scope, frame):
-        r = e.receiver
-        if type(r) is SuperRef:
-            return self.send(frame.receiver, [(e.selector, [])], super_frame=frame)
-        return self.send(self.eval_expr(r, scope, frame), [(e.selector, [])], site=e)
-
-    def eval_keyword_send(self, e, scope, frame):
-        shape = []
-        nodes = []
-        for sel, argexprs in e.parts:
-            shape.append((sel, [self.eval_expr(a, scope, frame) for a in argexprs]))
-            nodes.extend(argexprs)
-        r = e.receiver
-        if type(r) is SuperRef:
-            return self.send(frame.receiver, shape, arg_nodes=nodes, scope=scope,
-                             super_frame=frame)
-        recv = frame.receiver if r is None else self.eval_expr(r, scope, frame)
-        return self.send(recv, shape, arg_nodes=nodes, scope=scope, site=e)
-
-    def eval_binary_send(self, e, scope, frame):
-        lv = self.eval_expr(e.left, scope, frame)
-        rv = self.eval_expr(e.right, scope, frame)
-        if e.op == "..":
-            return self.make_interval(lv, rv)
-        return self.send(lv, [(e.op, [rv])], site=e)
-
-    def eval_prefix(self, e, scope, frame):
-        v = self.eval_expr(e.operand, scope, frame)
-        return self.send(v, [(e.op, [])], site=e)
-
-    def eval_method_access(self, e, scope, frame):
-        recv = self.eval_expr(e.receiver, scope, frame)
-        return MethodV(recv, self.resolve_sig(recv, e.sig), e.resolved_type, recv)
-
-    def eval_assign(self, e, scope, frame):
-        v = self.eval_expr(e.value, scope, frame)
-        self.assign(e.target, v, scope, frame)
-        return v
-
-    def eval_if(self, e, scope, frame):
-        if self.truthy(self.eval_expr(e.cond, scope, frame)):
-            return self.eval_expr(e.then, scope, frame)
-        return self.eval_expr(e.otherwise, scope, frame)
-
-    def eval_let(self, e, scope, frame):
-        inner = Scope(scope)
-        inner.declare(e.name, self.eval_expr(e.init, scope, frame))
-        try:
-            return self.eval_expr(e.body, inner, frame)
-        finally:
-            inner.kill()
-
-    def eval_name(self, e, scope, frame):
-        binding = e.binding
-        if binding is LOCAL:
-            return self.cell_read(scope.find(e.name))
-        if binding is FIELD:
-            return self.field_read(frame.fields_owner, e.name)
-        if binding is SEND:
-            return self.send(frame.receiver, [(e.name, [])], site=e)
-        if binding is PROTO:
-            return self.prototype_object(self.table.get(e.name))
-        try:
-            return self.statics[binding[1]][e.name]
-        except KeyError:
-            self.uninitialized(e.name)
-
     def make_interval(self, lv, rv):
         # the checker gave both ends one discrete basic type and made the
         # entry, but a variable of that type may hold nil
@@ -932,22 +655,15 @@ class Interp:
             self.str_exception("end < start in interval")
         return IntervalV(f"Interval<{kind}>", kind, a, b)
 
-    def make_block(self, e, scope, frame):
-        snapshot = {}
-        if e.info is not None:
-            for name in e.info.percent_vars:
-                cell = scope.find(name)
-                snapshot[name] = self.cell_read(cell) if cell is not None else NIL
-        entry = self.table.get(frame.entry_name)
-        return BlockV(e, scope, frame.receiver, frame.fields_owner, frame.ctx,
-                      e.runtime_type, snapshot, entry)
-
     # -- block evaluation (the block_eval builtin lands here) --------------------------------------
 
     def eval_block_value(self, blk, args):
+        """Run a block-like value: a block literal's value runs its runner."""
         self.evals += 1
         if self.steps + self.evals > self.max_steps:
             self.out_of_steps()
+        if type(blk) is BlockV:
+            return blk.decl.code(self, blk, args)
         if isinstance(blk, NativeBlockV):
             return blk.fn(args)
         if isinstance(blk, MethodV):
@@ -967,50 +683,7 @@ class Interp:
         if isinstance(blk, ObjectV):
             # a context object or prototype used where a block is expected
             return self.send(blk, self._eval_shape_for(args, None))
-        decl = blk.decl
-        home = blk.home_entry.name if blk.home_entry is not None else self.runtime_type(blk)
-        frame = Frame(home, "eval", blk.self_obj, blk.fields_owner, block_ctx=blk.method_ctx)
-        self.frames.append(frame)
-        bscope = Scope(blk.scope)
-        params = [p for sec in decl.param_sections for p in sec]
-        for p, v in zip(params, args):
-            bscope.declare(p.name, v, eternal=True)
-        for name, v in blk.snapshot.items():
-            bscope.declare(name, v)
-        try:
-            self.eval_stats(decl.body, bscope, frame)
-            return frame.result
-        finally:
-            bscope.kill()
-            self.frames.pop()
-
-
-class _Handlers(dict):
-    """Node class -> the Interp method that runs such a node."""
-
-    def __init__(self, verb, handlers):
-        super().__init__(handlers)
-        self.verb = verb
-
-    def __missing__(self, cls):
-        raise RuntimeError(f"cannot {self.verb} a {cls.__name__} node")
-
-
-_EXEC = _Handlers("execute", {
-    ExprStat: Interp.exec_expr, VarDeclStat: Interp.exec_var_decl,
-    AssignStat: Interp.exec_assign, ReturnStat: Interp.exec_return,
-    IfStat: Interp.exec_if, WhileStat: Interp.exec_while, EmptyStat: Interp.exec_empty,
-})
-
-_EVAL = _Handlers("evaluate", {
-    Lit: Interp.eval_lit, ArrayLit: Interp.eval_array, TupleLit: Interp.eval_tuple,
-    NameRef: Interp.eval_name, GenericRef: Interp.eval_generic, SelfRef: Interp.eval_self,
-    PercentRef: Interp.eval_percent, UnarySend: Interp.eval_unary_send,
-    KeywordSend: Interp.eval_keyword_send, BinarySend: Interp.eval_binary_send,
-    PrefixOp: Interp.eval_prefix, BlockLit: Interp.make_block,
-    MethodAccess: Interp.eval_method_access, AssignExpr: Interp.eval_assign,
-    IfExpr: Interp.eval_if, LetExpr: Interp.eval_let,
-})
+        raise TypeError(blk)
 
 
 class _BoundOverride:

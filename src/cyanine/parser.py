@@ -258,11 +258,12 @@ class Parser:
         while not self.tok().is_kw("end"):
             if self.at_eof():
                 self.error(f"missing 'end' of prototype {name}")
+            start = self.pos
             try:
                 slot = self.parse_slot()
                 decl.slots.extend(slot if isinstance(slot, list) else [slot])
             except ParseError:
-                self.recover_in_body()
+                self.recover_in_body(start)
         self.advance()
         return decl
 
@@ -308,17 +309,21 @@ class Parser:
         while not self.tok().is_kw("end"):
             if self.at_eof():
                 self.error(f"missing 'end' of interface {name}")
+            start = self.pos
             try:
                 fk = self.expect_kw("fun")
                 sig, ret = self.parse_inter_meth_sig()
                 decl.sigs.append(MethodDecl("public", sig=sig, return_type=ret,
                                             line=fk.line, col=fk.col))
             except ParseError:
-                self.recover_in_body()
+                self.recover_in_body(start)
         self.advance()
         return decl
 
-    def recover_in_body(self):
+    def recover_in_body(self, start):
+        """Skip to the next slot of a body after a parse error in a slot
+        that began at token `start`.  It never stops at `start` itself, so a
+        body loop cannot fail at the same token again."""
         depth = 0
         while not self.at_eof():
             t = self.tok()
@@ -331,6 +336,8 @@ class Parser:
                 depth -= 1
             elif depth == 0 and (t.is_kw("end") or t.is_kw("fun") or t.is_kw("public")
                                  or t.is_kw("private") or t.is_kw("protected")):
+                if self.pos == start:
+                    self.advance()
                 return
             self.advance()
 

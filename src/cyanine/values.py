@@ -1,15 +1,15 @@
-"""Runtime value representations for the tree-walking interpreter."""
+"""Runtime value representations of the interpreter."""
 
 
 class Cell:
     """A mutable variable slot; liveness is tracked so the classification
-    soundness property can assert no dead captured slot is ever read."""
-    __slots__ = ("value", "alive", "eternal")
+    soundness property can assert no dead captured slot is ever read.  The
+    cell of a parameter never dies."""
+    __slots__ = ("value", "alive")
 
-    def __init__(self, value, eternal=False):
+    def __init__(self, value):
         self.value = value
         self.alive = True
-        self.eternal = eternal
 
     def __repr__(self):
         return f"Cell({self.value!r}{'' if self.alive else ', dead'})"
@@ -40,6 +40,10 @@ NIL = _Singleton("nil")
 NOOBJECT = _Singleton("noObject")
 UNIT = _Singleton("unit")      # value of argument-less grammar selectors (type Any)
 
+# no PrimV is ever written, so every Boolean result can be one of these two
+TRUE = PrimV("Boolean", True)
+FALSE = PrimV("Boolean", False)
+
 # literal kinds that make a new value at each evaluation: Strings compare by
 # identity, so two evaluations of "a" are not eq:
 FRESH_LITERALS = {"String": "String", "RawString": "String", "Symbol": "CySymbol"}
@@ -54,6 +58,8 @@ def literal_value(kind, v):
         return NOOBJECT
     if kind in FRESH_LITERALS:
         return None
+    if kind == "Boolean":
+        return TRUE if v else FALSE
     return PrimV(kind, v)
 
 
@@ -110,19 +116,19 @@ class ObjectV:
 
 
 class BlockV:
-    __slots__ = ("decl", "scope", "self_obj", "fields_owner", "method_ctx",
-                 "type_name", "snapshot", "home_entry")
+    __slots__ = ("decl", "env", "self_obj", "fields_owner", "method_ctx",
+                 "type_name", "snapshot", "home")
 
-    def __init__(self, decl, scope, self_obj, fields_owner, method_ctx,
-                 type_name, snapshot, home_entry):
+    def __init__(self, decl, env, self_obj, fields_owner, method_ctx,
+                 type_name, snapshot, home):
         self.decl = decl
-        self.scope = scope
+        self.env = env                    # the env the block was made in
         self.self_obj = self_obj
         self.fields_owner = fields_owner
         self.method_ctx = method_ctx      # return target of `return` in the body
         self.type_name = type_name
-        self.snapshot = snapshot          # %-var name -> value at creation
-        self.home_entry = home_entry      # entry whose method created the block
+        self.snapshot = snapshot          # values of the %-vars at creation, in order
+        self.home = home                  # name of the entry whose code made the block
 
     def __repr__(self):
         return f"<block {self.type_name}>"

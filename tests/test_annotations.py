@@ -10,9 +10,11 @@ import os
 import pytest
 
 from cyanine import cyast as A
+from cyanine.compiler import Compiler
 from cyanine.corpus import parse_directives
 from cyanine.desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT, Desugarer
 from cyanine.driver import compile_program
+from cyanine.grammar_methods import all_nodes
 from cyanine.interp import Interp
 from cyanine.prototypes import MethodEntry, PrototypeTable, ProtoEntry
 
@@ -89,21 +91,62 @@ def unset_notes(body):
             yield node
 
 
+def uncompiled(entry):
+    """Every body of `entry` the interpreter runs, and every block literal in
+    one, that the compile step left without its code."""
+    bodies = [var.init for var in entry.consts + entry.shared_vars + entry.ivars]
+    for m in entry.methods:
+        decl = m.decl
+        if decl is None or m.ctx_marker is not None or m.is_stub:
+            continue
+        if decl.body is not None or decl.body_expr is not None:
+            bodies.append(decl.body or decl.body_expr)
+            if decl.code is None:
+                yield decl
+        if m.kind == "grammar":
+            for node in all_nodes(m.regex):
+                if isinstance(node, A.GSel) and node.argspec[0] == "default":
+                    bodies.append(node.argspec[2])
+                    if node.code is None:
+                        yield node
+    for var in entry.consts + entry.shared_vars + entry.ivars:
+        if var.init is not None and var.code is None:
+            yield var
+    for node in A.walk(bodies):
+        if isinstance(node, A.BlockLit) and node.code is None:
+            yield node
+
+
 def test_every_checked_method_body_is_annotated():
+    """The checker leaves the notes the compile step reads on every method
+    body, and the compile step leaves its code on every body the interpreter
+    runs and every block literal: the program's, the prelude's and those of
+    generic instances."""
     compiled = 0
-    for path in CORPUS:
-        program = compile_program([(path, read(path))])
+    files = set()
+    instances = defaults = 0
+    extra = [MIXIN_BODIES, BOX_FROM_A_MIXIN, GRAMMAR_DEFAULTS]
+    for path, source in [(path, read(path)) for path in CORPUS] + \
+            [("<test>", source) for source in extra]:
+        program = compile_program([(path, source)])
         if not program.ok():
             continue
         compiled += 1
         for entry in program.table.entries.values():
             if not isinstance(entry.decl, A.PrototypeDecl):
                 continue
+            files.add(entry.filename)
+            instances += "<" in entry.name
             for m in entry.methods:
                 if m.decl is not None:
                     unset = list(unset_notes([m.decl.body, m.decl.body_expr]))
                     assert not unset, (path, entry.name, m.name, unset)
-    assert compiled >= 60
+                if m.kind == "grammar":
+                    defaults += sum(isinstance(node, A.GSel) and node.code is not None
+                                    for node in all_nodes(m.regex))
+            assert not list(uncompiled(entry)), (path, entry.name)
+    assert compiled >= 63
+    assert "<prelude>" in files and instances > 0 and defaults > 0
 
 
 # A mixin's own bodies run when it is attached at run time.  The checker
@@ -243,8 +286,10 @@ end
     lits = {(node.kind, node.value): node for node in A.walk(run) if isinstance(node, A.Lit)}
     one, text = lits["Int", 1], lits["String", "a"]
     interp = Interp(program)
-    assert interp.eval_expr(one, None, None) is one.runtime_value
-    assert interp.eval_expr(text, None, None) is not interp.eval_expr(text, None, None)
+    compiler = Compiler(program.table, program.sites)
+    one_code, text_code = compiler.expr(one), compiler.expr(text)
+    assert one_code(interp, None, None) is one.runtime_value
+    assert text_code(interp, None, None) is not text_code(interp, None, None)
 
 
 def run_program(source):

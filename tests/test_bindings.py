@@ -43,6 +43,47 @@ end
     assert (code, out) == (0, "method of A\n")
 
 
+def test_a_local_is_the_one_its_scope_declares(run):
+    """Each local gets its address at compile time: a block parameter hides
+    the outer local of its name, two sibling `if` bodies each have their own
+    `y`, a block reads locals two envs up, and the outer local is unchanged."""
+    code, out, _ = run('''package main
+public object Program
+    public fun run [
+        :x = 1;
+        :b = [ |:x Int| ^x ];
+        Out println: (b eval: 2);
+        if ( x == 1 ) [ :y = 6; Out println: y; ];
+        if ( x == 1 ) [ :y = 70; Out println: [ ^ y * x ] eval; ];
+        Out println: x;
+    ]
+end
+''')
+    assert (code, out) == (0, "2\n6\n70\n1\n")
+
+
+def test_a_reference_parameter_binds_the_local_it_names(run):
+    """A `&` context parameter binds the cell of the local named by the
+    argument: one declared in an `if` body, in a block, or outside a block."""
+    code, out, _ = run('''package main
+private object Sum(:sum &Int) implements Block<Int><Void>
+    public fun eval: (:x Int) [ sum = sum + x; ]
+end
+public object Program
+    public fun run [
+        :v = {# 1, 2, 3 #};
+        :go = true;
+        if ( go ) [ :s Int = 0; v foreach: Sum(s); Out println: s; ];
+        [ :t Int = 10; v foreach: Sum(t); Out println: t; ] eval;
+        :u Int = 100;
+        [ v foreach: Sum(u); ] eval;
+        Out println: u;
+    ]
+end
+''')
+    assert (code, out) == (0, "6\n16\n106\n")
+
+
 def test_a_shared_variable_is_its_declaring_entrys(run):
     code, out, _ = run('''package main
 private object A

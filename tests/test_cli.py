@@ -31,10 +31,10 @@ end
 '''
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", timeout=60):
     proc = subprocess.run([sys.executable, "-m", "cyanine.cli"] + args,
                           capture_output=True, text=True, input=stdin,
-                          timeout=60)
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -137,6 +137,21 @@ end
     assert (code, out) == (1, "")
     assert "Traceback" not in err
     assert f"{src}:3:36: error: a 'return' with a value is not allowed" in err
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    # recovery stops at `private`, where the failed slot began
+    ("package main private interface I private fun save end",
+     "1:34: error: expected 'fun', found 'private'"),
+    ("package main public object Program private private end",
+     "1:44: error: expected slot declaration"),
+], ids=["interface", "prototype"])
+def test_a_qualifier_that_starts_no_slot_is_exit_1(tmp_path, text, diagnostic):
+    src = write(tmp_path, "qualifier.cyan", text + "\n")
+    code, out, err = run_cli(["run", src], timeout=10)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert f"{src}:{diagnostic}" in err
 
 
 def test_bad_usage_is_64():

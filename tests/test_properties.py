@@ -196,7 +196,7 @@ def test_inline_cache_agrees_with_fresh_lookup(data, steps):
             expected = eat_value(interp, recv, objects[food])
             assert interp.send(main, [("feed:", [recv, objects[food]])]).v == expected, \
                 (mutations, src)
-        for (rtype, ftype), (m, owner) in interp.inline_caches.get(id(site), {}).items():
+        for (rtype, ftype), (_handler, m, owner) in interp.inline_caches[site.site].items():
             again = interp.lookup(plain[rtype], [("eat:", [plain[ftype]])])
             assert again == ("static", (m, owner, None, None)), (rtype, ftype, mutations, src)
             assert m is flattened_slot_scan(interp, rtype, ftype), (rtype, ftype, mutations, src)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import compile_src, errors_of, run_src
 from cyanine import cyast as A
+from cyanine.compiler import Compiler
 from cyanine.driver import compile_program
 from cyanine.interp import Interp
 from cyanine.prelude import PRELUDE_SOURCE
@@ -155,6 +156,32 @@ public object Program
 end
 ''')
     assert out == "division by zero\nInt overflow\n"
+
+
+def test_a_method_value_sent_before_it_is_set_is_a_cyan_exception(run):
+    code, out, _ = run('''package main
+public object Program
+    private :n Int = self twice: 2
+    public fun twice: (:k Int) -> Int = [ |:k Int -> Int| ^k * 2 ]
+    public fun run [ Out println: n; ]
+end
+''')
+    assert (code, out) == (2, "uncaught exception: StrException\n  at Program::<fields>\n"
+                              "  at Program::<init>\n")
+
+
+def test_float_arithmetic_reaches_infinity_and_back(run):
+    """Each operator is its own handler, so `+` never computes a `%` that
+    is undefined for an infinite operand."""
+    code, out, _ = run('''package main
+public object Program
+    public fun run [
+        :x = 1.0 / 0.0;
+        Out println: x + 1.0, " ", x * 2.0, " ", 0.0 - x, " ", 1.0 / x;
+    ]
+end
+''')
+    assert (code, out) == (0, "inf inf -inf 0.0\n")
 
 
 def test_uncaught_exception_exit_2_and_stack(run):
@@ -492,10 +519,11 @@ def test_sends_workload_misses_are_few():
 
 
 def test_a_node_without_a_handler_cannot_run():
-    """Desugaring leaves no Creation and no MetaStat behind; the interpreter
-    has no handler for them and says so."""
-    interp = Interp(compile_src(HIER))
+    """Desugaring leaves no Creation and no MetaStat behind; the compile
+    step has no closure for them and says so."""
+    program = compile_src(HIER)
+    compiler = Compiler(program.table, program.sites)
     with pytest.raises(RuntimeError, match="cannot evaluate a Creation node"):
-        interp.eval_expr(A.Creation(), None, None)
+        compiler.expr(A.Creation())
     with pytest.raises(RuntimeError, match="cannot execute a MetaStat node"):
-        interp.eval_stats([A.MetaStat()], None, None)
+        compiler.stats([A.MetaStat()])

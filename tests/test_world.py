@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from cyanine import driver
 from cyanine.corpus import parse_directives
 from cyanine.diagnostics import Reporter
@@ -113,10 +115,11 @@ end
                        f" method declared to return 'Int'"] * 2
 
 
-def test_tracer_hooks_resolve():
+@pytest.mark.parametrize("workload", ["corpus", "sends", "dispatch"])
+def test_tracer_hooks_resolve(workload):
     """The benchmark's tracer wraps cyanine functions by name; a traced run
     fails when one of them has gone."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "corpus",
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "0", "--trace", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
