@@ -12,7 +12,7 @@ restricted-block rules (letters refer to the r-block rule list):
 
 from .cyast import *
 from .block_analysis import analyze_method, block_interface_type
-from .grammar_methods import NoMatch, all_nodes, first_selectors, match_message
+from .grammar_methods import all_nodes
 from .prototypes import split_generic
 from .values import literal_value
 
@@ -469,7 +469,7 @@ class Checker:
         if isinstance(target, MethodAccess):
             # the value runs as the method: it takes the method's arguments
             # and answers its return type ("Any": no such method, reported)
-            mty = self.check_method_access(target, env)
+            mty = self.check_method_access(target, env)[0]
             if mty != "Any":
                 self.check_assign_types(st, None, vty, mty, 10 ** 6, source_expr=st.value)
             return
@@ -619,12 +619,11 @@ class Checker:
                 rty = self.type_of(x, env)
                 if rty == "Any":
                     return "Any"
-                ret, _m = self.resolve_send(rty, [(op, [])], e, is_operator=True)
-                return ret
+                return self.resolve_send(rty, [(op, [])], e)[0]
             case BlockLit():
                 return self.check_block_lit(e, env)
             case MethodAccess():
-                return self.check_method_access(e, env)
+                return self.check_method_access(e, env)[0]
             case AssignExpr(target=t, value=v):
                 vty = self.type_of(v, env)
                 fake = AssignStat([t], v, line=e.line, col=e.col)
@@ -668,8 +667,7 @@ class Checker:
             e.binding = PROTO
             return name
         # implicit unary self-send
-        ret, m = self.resolve_send(self.current_self_type, [(name, [])], e,
-                                   is_operator=False, quiet=True)
+        ret, m = self.resolve_send(self.current_self_type, [(name, [])], e, quiet=True)
         if m is not None:
             e.binding = SEND
             return ret
@@ -706,7 +704,7 @@ class Checker:
         if self._abstract_proto_receiver(e.receiver):
             self.error(e, f"cannot send a message to the abstract prototype"
                           f" '{e.receiver.name}'")
-        ret, m = self.resolve_send(rty, [(e.selector, [])], e, is_operator=False)
+        ret, m = self.resolve_send(rty, [(e.selector, [])], e)
         if m is not None and m.builtin in ("clone", "prototype") and m.owner == "Any":
             return rty
         if m is not None and m.builtin == "primitive_new":
@@ -733,9 +731,7 @@ class Checker:
             return "Any"
         if lty == "Any":
             return "Any"
-        shape = [(e.op, [(rty, e.right)])]
-        ret, _m = self.resolve_send(lty, shape, e, is_operator=True)
-        return ret
+        return self.resolve_send(lty, [(e.op, [rty])], e)[0]
 
     def check_keyword_send(self, e, env):
         modes = e.part_modes or [e.mode] * len(e.parts)
@@ -744,7 +740,7 @@ class Checker:
                           " '?'-prefixed")
         arg_types = []
         for _sel, args in e.parts:
-            arg_types.append([(self.type_of(a, env), a) for a in args])
+            arg_types.append([self.type_of(a, env) for a in args])
         name = e.message_name
         if e.receiver is None:
             rty = self.current_self_type
@@ -778,12 +774,12 @@ class Checker:
                 self.error(e, "'new' methods are only accessible through prototypes")
         if rty == "Any":
             return "Any"
-        ret, m = self.resolve_send(rty, shape, e, is_operator=False)
+        ret, m = self.resolve_send(rty, shape, e)
         if m is None:
             return ret
         # metaobject-backed special checks
         if m.builtin == "if_nil":
-            aty = arg_types[0][0][0]
+            aty = arg_types[0][0]
             if not self.table.assignable(aty, rty):
                 self.error(e, f"the argument of 'ifNil:' must have the receiver type"
                               f" '{rty}', found '{aty}'")
@@ -802,12 +798,12 @@ class Checker:
                 self.error(e, "the argument of 'isA:' must be a prototype or interface")
             return "Boolean"
         if m.builtin == "throw":
-            aty = arg_types[0][0][0]
+            aty = arg_types[0][0]
             entry = self.table.get(aty)
             if entry is not None and entry.restricted:
                 self.error(e, "a restricted context object cannot be thrown")
         if m.builtin in ("t_f", "f_t"):
-            a1, a2 = arg_types[0][0][0], arg_types[1][0][0]
+            a1, a2 = arg_types[0][0], arg_types[1][0]
             if a1 != a2 and "Nil" not in (a1, a2):
                 self.error(e, f"the arguments of 'T:F:' must have the same type,"
                               f" found '{a1}' and '{a2}'")
@@ -815,7 +811,7 @@ class Checker:
         if m.builtin == "switch":
             for (sel, args), ats in zip(e.parts, arg_types):
                 if sel == "case:":
-                    for (aty, aexpr) in ats:
+                    for aty, aexpr in zip(ats, args):
                         if aty != rty and not self.table.assignable(aty, rty):
                             self.error(aexpr, f"'case:' expressions must have the"
                                               f" receiver type '{rty}', found '{aty}'")
@@ -836,10 +832,10 @@ class Checker:
         return ret
 
     def _check_catch_args(self, e, arg_types):
-        for (sel, _args), ats in zip(e.parts, arg_types):
+        for (sel, args), ats in zip(e.parts, arg_types):
             if sel != "catch:":
                 continue
-            for aty, aexpr in ats:
+            for aty, aexpr in zip(ats, args):
                 if not self._is_catch_object(aty):
                     self.error(aexpr, f"a 'catch:' argument must have an 'eval:' method"
                                       f" taking a CyException; '{aty}' has none")
@@ -912,26 +908,19 @@ class Checker:
         return e.runtime_type
 
     def check_method_access(self, e, env):
+        """The block type of the method object `e` denotes, and its method: the
+        one with the signature `e.sig`.  The resolved types go on
+        `e.sig.resolved`, for the run to search again from the receiver's
+        run-time type."""
         sig = e.sig
         rty = self.type_of(e.receiver, env)
-        entry = self.table.get(rty)
-        ret = self.table.resolve_type(sig.return_type) if sig.return_type else "Void"
+        ret = self.table.resolve_type(sig.return_type) if sig.return_type else None
         ptypes = [self.table.resolve_type(t) for t in sig.param_types]
-        found = None
-        for anc in self.table.chain(rty):
-            g = anc.groups.get(sig.name)
-            if g is None:
-                continue
-            for m in g.entries:
-                if m.param_types == ptypes and (sig.return_type is None
-                                                or m.return_type == ret):
-                    found = m
-                    break
-            if found:
-                break
+        sig.resolved = (ptypes, ret)
+        found = self.table.find_signature(rty, sig.name, ptypes, ret)
         if found is None:
             self.error(e, f"'{rty}' has no method with signature '{sig.name}'")
-            return "Any"
+            return "Any", None
         groups = []
         if found.kind == "keyword":
             i = 0
@@ -942,51 +931,20 @@ class Checker:
             groups = [list(found.param_types)]
         e.resolved_type = self.table.block_type(None, found.return_type, restricted=False,
                                                 groups=groups)
-        return e.resolved_type
+        return e.resolved_type, found
 
     # -- resolution ------------------------------------------------------------------
 
-    def resolve_send(self, recv_type, shape, node, is_operator=False, quiet=False):
+    def resolve_send(self, recv_type, shape, node, quiet=False):
         """Static method resolution starting at the declared receiver type.
-        shape: [(selector, [(argtype, argexpr), ...]), ...]"""
-        table = self.table
-        name = "".join(sel for sel, _ in shape) if not is_operator else shape[0][0]
-        plain_shape = [(sel, [t for t, _x in args]) for sel, args in shape]
-        rule_f = None
+        shape: [(selector, [argument type, ...]), ...]"""
         chain = self.self_chain if self.self_chain is not None and _sent_to_self(node) \
-            else table.dispatch_chain(recv_type)
-        for anc in chain:
-            g = anc.groups.get(name)
-            if g is not None:
-                candidates = [m for m in g.entries if m.arity_matches(plain_shape)]
-                accept = None
-                for m in candidates:
-                    flat = [t for _sel, args in plain_shape for t in args]
-                    bad = [(a, p) for a, p in zip(flat, m.param_types)
-                           if not (table.assignable(a, p) or a == "Any")]
-                    if self._private_ok(m, anc) and not bad:
-                        accept = m
-                        break
-                    if bad and all(table.is_restricted(a) and not table.is_restricted(p)
-                                   for a, p in bad) and not m.lenient_restricted:
-                        rule_f = bad[0]
-                if accept is not None:
-                    return accept.return_type, accept
-            for m in anc.methods:
-                if m.kind != "grammar" or m.automaton is None:
-                    continue
-                if plain_shape[0][0] not in first_selectors(m.regex):
-                    continue
-                oracle = (lambda s, t: t == "Any" or table.is_subtype(s, t)) \
-                    if m.lenient_restricted else \
-                    (lambda s, t: s == "Any" or table.is_subtype(s, t))
-                try:
-                    flat_shape = [(sel, [t for t, _x in args]) for sel, args in shape]
-                    match_message(m.automaton, flat_shape, lambda a: a, oracle)
-                    return m.return_type, m
-                except NoMatch:
-                    continue
+            else self.table.dispatch_chain(recv_type)
+        hit = self.table.find_method(chain, shape, lambda t: t, self._param_test)
+        if hit is not None:
+            return hit[0].return_type, hit[0]
         if not quiet:
+            rule_f = self._rule_f(chain, shape)
             if rule_f is not None:
                 self.error(node, f"an r-block of type '{rule_f[0]}' cannot be the"
                                  f" argument of a parameter of type '{rule_f[1]}' [rule f]")
@@ -995,6 +953,39 @@ class Checker:
                                   for sel, args in shape)
                 self.error(node, f"'{recv_type}' has no method matching '{pretty.strip()}'")
         return "Any", None
+
+    def _param_test(self, m, owner_entry):
+        """The static parameter test of `m`, or None if it is not visible here.
+        An argument of type Any passes, and the catch family takes restricted
+        blocks for its Any parameters."""
+        if not self._private_ok(m, owner_entry):
+            return None
+        return self._fits_lenient if m.lenient_restricted else self._fits
+
+    def _fits(self, s, t):
+        return s == "Any" or self.table.is_subtype(s, t)
+
+    def _fits_lenient(self, s, t):
+        return t == "Any" or self.table.is_subtype(s, t)
+
+    def _rule_f(self, chain, shape):
+        """(argument type, parameter type) of the last method of the message
+        that fits it but for r-block arguments of unrestricted parameters
+        [rule f], or None."""
+        table = self.table
+        name = "".join(sel for sel, _ in shape)
+        types = [t for _s, ts in shape for t in ts]
+        found = None
+        for anc in chain:
+            g = anc.groups.get(name)
+            for m in g.entries if g is not None else ():
+                if not m.arity_matches(shape):
+                    continue
+                bad = [(a, p) for a, p in zip(types, m.param_types) if not self._fits(a, p)]
+                if bad and all(table.is_restricted(a) and not table.is_restricted(p)
+                               for a, p in bad):
+                    found = bad[0]
+        return found
 
     def _private_ok(self, m, owner_entry):
         if m.qualifier == "private":

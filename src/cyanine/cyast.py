@@ -21,7 +21,9 @@ The notes, by the pass that writes them:
     checker          VarDecl.resolved_type (inferred types); ArrayLit.resolved_type,
                      TupleLit.resolved_type, VarDeclStat.resolved_types (one per
                      name), BlockLit.runtime_type, GenericRef.resolved,
-                     MethodAccess.resolved_type (the method object's block type);
+                     MethodAccess.resolved_type (the method object's block type),
+                     SigRef.resolved (its parameter types and its return type,
+                     None if not written);
                      Lit.runtime_value (immutable kinds), IfStat.scoped and
                      WhileStat.scoped (a body that declares no variable runs in
                      the enclosing scope); NameRef.binding (what a bare name
@@ -456,6 +458,7 @@ class SigRef(Node):
     name: str = ""
     param_types: list = field(default_factory=list)
     return_type: TypeExpr = None
+    resolved: tuple = note()
 
 
 @dataclass(slots=True)

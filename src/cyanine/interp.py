@@ -1,7 +1,10 @@
-"""The interpreter: object model, textual-order multimethod dispatch, inline
-caches, closures with %-snapshots, dynamic mixins, method objects, and the
-object-oriented exception machinery.  It runs the closures the compile step
-(`compiler`) left on the nodes."""
+"""The interpreter: object model, dispatch, inline caches, closures with
+%-snapshots, dynamic mixins, method objects, and the object-oriented
+exception machinery.  It runs the closures the compile step (`compiler`)
+left on the nodes.  Which method of a chain takes a message, in textual
+order, is the table's `find_method`, the search the checker makes too;
+`lookup` adds what only the run has: methods of an object's own, attached
+mixins, `super` and `addMethod:` bodies."""
 
 from types import MappingProxyType
 
@@ -9,7 +12,7 @@ from . import builtins as bi
 from .compiler import Frame
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
 from .driver import raise_recursion_limit
-from .grammar_methods import NoMatch, first_selectors, match_message, plan_packing
+from .grammar_methods import plan_packing
 from .prototypes import split_generic
 from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV, MethodV,
                      NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
@@ -368,7 +371,7 @@ class Interp:
         hit = self.lookup(recv, shape, super_frame=super_frame, name=name)
         # grammar hits carry a match tree of argument values, and methods
         # added by addMethod: are found per prototype, not per type
-        if site is not None and hit is not None and hit[1][3] is None:
+        if site is not None and hit is not None and hit[0] == "static" and hit[1][3] is None:
             m, owner = hit[1][:2]
             cache = self.inline_caches[site]
             if cache is _NO_ENTRIES:
@@ -387,8 +390,8 @@ class Interp:
         kind, payload = hit
         if kind == "own":
             return self.call_added_method(payload, recv, shape)
-        m, owner_entry, mixin_obj, plan = payload
-        return self.invoke(m, recv, shape, owner_entry, mixin_obj, plan, refs)
+        m, owner_entry, mixin_obj, tree = payload
+        return self.invoke(m, recv, shape, owner_entry, mixin_obj, tree, refs)
 
     @staticmethod
     def cached_handler(m, owner):
@@ -421,8 +424,12 @@ class Interp:
         self.inline_caches = [_NO_ENTRIES] * len(self.inline_caches)
 
     def lookup(self, recv, shape, super_frame=None, name=None):
-        """The first method in textual order that takes the message; the one
-        place that orders candidates.  `name` is the joined selector."""
+        """What takes the message: the receiver's own method for it, else the
+        first found on the chain of one of its attached mixins, then on its
+        dispatch chain.  Answers ("own", body) for a body of the object's own
+        or one `addMethod:` gave, ("static", (method, owner entry, (mixin
+        object, index) or None, match tree or None)), or None.  `name` is
+        the joined selector."""
         if name is None:
             name = "".join(sel for sel, _ in shape)
         chain = self.table.dispatch_chain(self.runtime_type(recv))
@@ -440,53 +447,35 @@ class Interp:
             found = super_frame.found_owner
             chain = chain[chain.index(found) + 1:] if found in chain else chain[1:]
         for idx in range(first, len(mixins)):
-            mobj = mixins[idx]
-            hit = self._search_chain(self._mixin_chain(mobj.proto), shape, name)
+            hit = self._search(self._mixin_chain(mixins[idx].proto), shape, name,
+                               (mixins[idx], idx))
             if hit is not None:
-                m, owner, plan = hit
-                return ("static", (m, owner, (mobj, idx), plan))
-        hit = self._search_chain(chain, shape, name)
-        if hit is None:
-            return None
-        m, owner, plan = hit
-        return ("static", (m, owner, None, plan))
+                return hit
+        return self._search(chain, shape, name, None)
 
-    def _search_chain(self, chain, shape, name):
-        plain = [(sel, [self.runtime_type(a) for a in args]) for sel, args in shape]
-        dyn_methods = self.dyn_methods
-        for entry in chain:
-            if dyn_methods:
-                dyn = dyn_methods.get((entry.name, name))
-                if dyn is not None:
-                    return (None, entry, ("dyn", dyn))
-            g = entry.groups.get(name)
-            if g is not None:
-                for m in g.entries:
-                    if m.is_stub:
-                        continue
-                    if not m.arity_matches(plain):
-                        continue
-                    types = [t for _s, ts in plain for t in ts]
-                    if all(self.reaches(a, p) for a, p in zip(types, m.param_types)):
-                        return (m, entry, None)
-            for m in entry.methods:
-                if m.kind == "grammar" and m.automaton is not None:
-                    if shape[0][0] not in first_selectors(m.regex):
-                        continue
-                    try:
-                        tree = match_message(m.automaton, shape, self.runtime_type,
-                                             self.reaches)
-                        return (m, entry, ("match", tree))
-                    except NoMatch:
-                        continue
-        return None
+    def _search(self, chain, shape, name, mixin):
+        """The table's `find_method` over `chain`; a body `addMethod:` gave an
+        entry of the chain takes the message if no entry before it has a
+        method for it."""
+        added = None
+        if self.dyn_methods:
+            for i, entry in enumerate(chain):
+                added = self.dyn_methods.get((entry.name, name))
+                if added is not None:
+                    chain = chain[:i]
+                    break
+        hit = self.table.find_method(chain, shape, self.runtime_type, self._param_test)
+        if hit is not None:
+            m, owner, tree = hit
+            return ("static", (m, owner, mixin, tree))
+        return None if added is None else ("own", added)
 
-    def invoke(self, m, recv, shape, owner_entry, mixin_obj, plan, refs=None):
-        if plan is not None and plan[0] == "dyn":
-            return self.call_added_method(plan[1], recv, shape)
+    def _param_test(self, m, _owner_entry):
+        """The run-time parameter test: a mixin's stub never takes a message."""
+        return None if m.is_stub else self.reaches
+
+    def invoke(self, m, recv, shape, owner_entry, mixin_obj, tree, refs=None):
         args = [a for _s, aa in shape for a in aa]
-        if m is None:
-            return NOOBJECT
         bound = self.bound_values.get(m) if self.bound_values else None
         if m.builtin is not None and bound is None:
             return bi.call(self, m, recv, args, shape)
@@ -502,7 +491,7 @@ class Interp:
                 else "ExceptionCannotCallAbstractMethod"
             self.throw_name(exc, f"{owner_entry.name}::{m.name}")
         if m.kind == "grammar":
-            args = [self.execute_plan(plan_packing(m.regex, plan[1]), recv, owner_entry)]
+            args = [self.execute_plan(plan_packing(m.regex, tree), recv, owner_entry)]
         return decl.code(self, m, recv, args, shape, mixin_obj)
 
     # -- context-object natives ------------------------------------------------------------
@@ -630,18 +619,15 @@ class Interp:
         return [e for e in self.table.chain(proto_name) if e.is_mixin]
 
     def resolve_sig(self, recv, sig):
+        """The method `recv.{sig}` denotes: the one with the signature the
+        checker resolved, searched from the run-time type of `recv`."""
         rty = self.runtime_type(recv)
-        for anc in self.table.dispatch_chain(rty):
-            g = anc.groups.get(sig.name)
-            if g is None:
-                continue
-            for m in g.entries:
-                if len(m.param_types) == len(sig.param_types):
-                    if m.builtin == "block_eval":
-                        self.str_exception("it is illegal to retrieve a primitive"
-                                           " 'eval' method")
-                    return m
-        self.str_exception(f"'{rty}' has no method '{sig.name}'")
+        m = self.table.find_signature(rty, sig.name, *sig.resolved)
+        if m is None:
+            self.str_exception(f"'{rty}' has no method '{sig.name}'")
+        if m.builtin == "block_eval":
+            self.str_exception("it is illegal to retrieve a primitive 'eval' method")
+        return m
 
     def make_interval(self, lv, rv):
         # the checker gave both ends one discrete basic type and made the

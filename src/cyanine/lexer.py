@@ -82,7 +82,6 @@ FIXED_PUNCTS = {"=", "->", "^"}
 # maximal run over these characters, then classify; angle brackets are lexed
 # separately so nested generic types like Block<Int><Void> never merge
 _OP_RUN_CHARS = set("+-*/%&|~=!^$\\")
-_FORBIDDEN_PREFIXES = ()
 _NUM_SUFFIXES = {
     "b": TokenKind.BYTE, "byte": TokenKind.BYTE,
     "s": TokenKind.SHORT, "short": TokenKind.SHORT,
@@ -375,56 +374,23 @@ class Lexer:
         self._emit(kind, lex, line, col)
 
     def scan_user_operator(self):
-        """Maximal-munch over the operator charset; classify fixed vs user-defined."""
+        """Maximal munch over the operator charset: a fixed operator or
+        punctuation, else a user-defined operator ('!!' ones are reserved)."""
         line, col = self.line, self.col
         start = self.i
         while self.i < self.n and self._peek() in _OP_RUN_CHARS:
             self._advance()
         run = self.src[start:self.i]
-        self._classify_run(run, line, col)
-
-    def _classify_run(self, run, line, col):
-        while run:
-            if run in FIXED_OPERATORS:
-                self._emit(TokenKind.OPERATOR, run, line, col)
-                return
-            if run in FIXED_PUNCTS:
-                self._emit(TokenKind.PUNCT, run, line, col)
-                return
+        if run in FIXED_OPERATORS:
+            kind = TokenKind.OPERATOR
+        elif run in FIXED_PUNCTS:
+            kind = TokenKind.PUNCT
+        else:
+            kind = TokenKind.USER_OPERATOR
             if run.startswith("!!"):
-                self._error(line, col, "operators starting with '!!' are reserved and cannot be user-defined")
-                self._emit(TokenKind.USER_OPERATOR, run, line, col)
-                return
-            if not any(run.startswith(p) for p in _FORBIDDEN_PREFIXES):
-                known_prefix = self._longest_fixed_prefix(run)
-                if known_prefix is None or len(run) > len(known_prefix):
-                    # a longer sequence than any fixed token: user-defined operator
-                    if known_prefix is None or self._is_plausible_userop(run):
-                        self._emit(TokenKind.USER_OPERATOR, run, line, col)
-                        return
-            prefix = self._longest_fixed_prefix(run)
-            if prefix is None:
-                self._error(line, col, f"invalid character '{run[0]}'")
-                prefix = run[0]
-                run = run[1:]
-                col += 1
-                continue
-            kind = TokenKind.PUNCT if prefix in FIXED_PUNCTS else TokenKind.OPERATOR
-            self._emit(kind, prefix, line, col)
-            col += len(prefix)
-            run = run[len(prefix):]
-
-    @staticmethod
-    def _longest_fixed_prefix(run):
-        best = None
-        for tok in FIXED_OPERATORS | FIXED_PUNCTS:
-            if run.startswith(tok) and (best is None or len(tok) > len(best)):
-                best = tok
-        return best
-
-    @staticmethod
-    def _is_plausible_userop(run):
-        return all(ch in _OP_RUN_CHARS for ch in run)
+                self._error(line, col, "operators starting with '!!' are reserved and"
+                                       " cannot be user-defined")
+        self._emit(kind, run, line, col)
 
     # -- main loop ------------------------------------------------------------
 

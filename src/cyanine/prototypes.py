@@ -14,9 +14,9 @@ from .cyast import (GAlt, GOpt, GPlus, GSel, GSeq, GStar, GrammarSig, InterfaceD
                     UnarySig, VarDecl)
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT, Desugarer
 from .diagnostics import Reporter
-from .grammar_methods import (ArrayOf, Scalar, UTupleOf, UUnionOf, AnyMarker,
-                              build_automaton, derive_parameter_type, method_name_of,
-                              validate_signature)
+from .grammar_methods import (ArrayOf, Scalar, UTupleOf, UUnionOf, AnyMarker, NoMatch,
+                              build_automaton, derive_parameter_type, first_selectors,
+                              match_message, method_name_of, validate_signature)
 
 BASIC_TYPES = ("Byte", "Short", "Int", "Long", "Float", "Double", "Char", "Boolean")
 INTEGRAL_TYPES = ("Byte", "Short", "Int", "Long")
@@ -286,6 +286,55 @@ class PrototypeTable:
 
     def assignable(self, source, target):
         return self.is_subtype(source, target)
+
+    # -- method search ------------------------------------------------------------------
+
+    def find_method(self, chain, shape, type_of, test):
+        """The method that takes the message `shape`, [(selector, [argument,
+        ...]), ...], in textual order: for each entry of `chain`, the methods
+        of the message's group whose arity fits and whose every parameter
+        takes its argument, then the entry's grammar methods whose first
+        selector fits and whose automaton matches the message.  `type_of`
+        types an argument; `test(m, entry)` is the test (argument type,
+        parameter type) -> bool of method `m` of `entry`, or None where `m`
+        may not take the message.  Answers (method, owner entry, match tree
+        of a grammar method or None), or None."""
+        name = "".join(sel for sel, _ in shape)
+        types = [type_of(a) for _s, args in shape for a in args]
+        first = shape[0][0]
+        for entry in chain:
+            g = entry.groups.get(name)
+            if g is not None:
+                for m in g.entries:
+                    if m.arity_matches(shape):
+                        fits = test(m, entry)
+                        if fits is not None and all(fits(a, p)
+                                                    for a, p in zip(types, m.param_types)):
+                            return m, entry, None
+            for m in entry.methods:
+                if m.kind == "grammar" and m.automaton is not None \
+                        and first in first_selectors(m.regex):
+                    fits = test(m, entry)
+                    if fits is not None:
+                        try:
+                            return m, entry, match_message(m.automaton, shape, type_of, fits)
+                        except NoMatch:
+                            pass
+        return None
+
+    def find_signature(self, type_name, name, param_types, return_type=None):
+        """The method `.{sig}` denotes on a receiver of type `type_name`: the
+        first on its dispatch chain named `name` with exactly `param_types`
+        and, when given, a return type that reaches `return_type` (an
+        override may narrow it).  None if there is none."""
+        for entry in self.dispatch_chain(type_name):
+            g = entry.groups.get(name)
+            if g is not None:
+                for m in g.entries:
+                    if m.param_types == param_types and (
+                            return_type is None or self.reaches(m.return_type, return_type)):
+                        return m
+        return None
 
     # -- type resolution ---------------------------------------------------------------
 

@@ -72,6 +72,9 @@ def test_hexlike_suffix_rejected():
 def test_user_operator_longest_match():
     assert lexemes("&&&") == [(K.USER_OPERATOR, "&&&")]
     assert lexemes("a && b") == [(K.IDENT, "a"), (K.OPERATOR, "&&"), (K.IDENT, "b")]
+    # a run that is no fixed token is one user operator, never split
+    assert lexemes("a +- b") == [(K.IDENT, "a"), (K.USER_OPERATOR, "+-"), (K.IDENT, "b")]
+    assert lexemes("= ^ =^") == [(K.PUNCT, "="), (K.PUNCT, "^"), (K.USER_OPERATOR, "=^")]
 
 
 def test_forbidden_block_prefix_splits():
@@ -82,6 +85,7 @@ def test_forbidden_block_prefix_splits():
 def test_double_bang_reserved():
     _, rep = tokenize("!!x")
     assert "reserved" in rep.format_all()
+    assert lexemes("!!x") == [(K.USER_OPERATOR, "!!"), (K.IDENT, "x")]
 
 
 def test_selector_tokens():

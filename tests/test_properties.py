@@ -7,8 +7,9 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from conftest import compile_src
-from cyanine.checker import Checker
-from cyanine.cyast import GAlt, GOpt, GPlus, GSel, GSeq, GStar, TypeExpr
+from cyanine.checker import Checker, _Env
+from cyanine.cyast import (GAlt, GOpt, GPlus, GSel, GSeq, GStar, MethodAccess, NameRef,
+                          SigRef, TypeExpr)
 from cyanine.diagnostics import Reporter
 from cyanine.grammar_methods import derive_parameter_type
 from cyanine.interp import Interp, _BoundOverride
@@ -118,6 +119,10 @@ def eat_hierarchies(draw, program=EMPTY_PROGRAM):
 @given(eat_hierarchies())
 @settings(max_examples=40, deadline=None)
 def test_static_and_dynamic_dispatch_agree(data):
+    """A send and a `.{sig}` find the same method in the checker and in the
+    run when the types agree: a send the first overload in the flattened
+    slot list that takes the argument, a `.{eat: F -> Int}` the first
+    overload declared with exactly that parameter type."""
     src, animals, foods = data
     program = compile_src(src)
     assert not program.reporter.has_errors(), program.reporter.format_all() + src
@@ -126,11 +131,21 @@ def test_static_and_dynamic_dispatch_agree(data):
     interp = Interp(program)
     interp.setup()
     for r, a in itertools.product(animals, foods):
-        static = checker.resolve_send(r, [("eat:", [(a, None)])], None)[1]
+        static = checker.resolve_send(r, [("eat:", [a])], None)[1]
         hit = interp.lookup(interp.proto_objects[r], [("eat:", [interp.proto_objects[a]])])
         assert hit is not None, (r, a, src)
         expected = flattened_slot_scan(interp, r, a)
         assert static is hit[1][0] is expected, (r, a, static, hit, expected, src)
+    for r in animals:
+        env = _Env()
+        env.declare("x", r)
+        overloads = [m for entry in table.chain(r) for m in entry.methods if m.name == "eat:"]
+        for m in overloads:
+            sig = SigRef("keyword", "eat:", [TypeExpr(m.param_types[0])], TypeExpr("Int"))
+            static = checker.check_method_access(MethodAccess(NameRef("x"), sig), env)[1]
+            dynamic = interp.resolve_sig(interp.proto_objects[r], sig)
+            expected = next(x for x in overloads if x.param_types == m.param_types)
+            assert static is dynamic is expected, (r, m, static, dynamic, src)
 
 
 # --- inline caches: every cached method is what a fresh lookup finds ----------
@@ -155,11 +170,9 @@ end
 def eat_value(interp, recv, food):
     """What `recv eat: food` answers, by a fresh lookup."""
     kind, payload = interp.lookup(recv, [("eat:", [food])])
-    if kind == "own":       # addMethod: or a replacement on this object
+    if kind == "own":       # addMethod:, or a replacement on this object
         return 300 if isinstance(payload, _BoundOverride) else 200
-    m, _owner, _mixin, plan = payload
-    if plan is not None:    # addMethod: on a prototype of its chain
-        return 200
+    m = payload[0]
     if m in interp.bound_values:
         return 300
     return m.decl.body[0].value.value

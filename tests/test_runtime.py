@@ -280,6 +280,38 @@ end
     assert out == "proto 3\nmine 10\n"
 
 
+def test_method_object_is_the_overload_with_that_signature(run):
+    """`.{sig}` takes the overload with exactly the parameter types of `sig`,
+    not the first of its arity, searched from the run-time type of the
+    receiver (an override that narrows the return type still matches); so
+    does assigning to it, which leaves the other overloads as they are."""
+    code, out, _ = run('''package main
+private object Food end
+private object Grass extends Food end
+private object P
+    public fun f: (:x Int) -> String [ ^"int" ]
+    public fun f: (:x String) -> String [ ^"string" ]
+    public fun meal -> Food [ ^Food ]
+end
+private object Q extends P
+    public override fun f: (:x String) -> String [ ^"q string" ]
+    public override fun meal -> Grass [ ^Grass ]
+end
+public object Program
+    public fun run [
+        Out println: (P.{f: String -> String}. eval: "a");
+        Out println: (P.{f: Int -> String}. eval: 1);
+        :p P = Q new;
+        Out println: (p.{f: String -> String}. eval: "a"), " ", (p.{f: Int -> String}. eval: 1);
+        Out println: (p.{meal -> Food}. eval prototypeName);
+        P.{f: String -> String}. = [ |:x String -> String| ^"new" ];
+        Out println: (P f: 1), " ", (P f: "b");
+    ]
+end
+''')
+    assert (code, out) == (0, "string\nint\nq string int\nGrass\nint new\n")
+
+
 def test_selector_param_equivalence(run):
     code, out, _ = run('''package main
 private object Map

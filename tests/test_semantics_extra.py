@@ -263,6 +263,21 @@ end
     assert not msgs, msgs
 
 
+def test_private_grammar_method_only_inside_its_prototype():
+    """A private grammar method takes a message from its own prototype only,
+    like every other private method."""
+    msgs = errors_of('''package main
+private object Bag
+    private fun (add: Int)+ :v Array<Int> [ Out println: v size ]
+    public fun fill [ self add: 1 add: 2 ]
+end
+public object Program
+    public fun run [ Bag fill; Bag add: 1 add: 2; ]
+end
+''')
+    assert msgs == "<test>:7:36: error: 'Bag' has no method matching 'add: _ add: _'", msgs
+
+
 def test_package_qualified_reference(run):
     from cyanine.driver import compile_program
     from cyanine.interp import Interp
