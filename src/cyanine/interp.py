@@ -477,6 +477,8 @@ class Interp:
     def invoke(self, m, recv, shape, owner_entry, mixin_obj, tree, refs=None):
         args = [a for _s, aa in shape for a in aa]
         bound = self.bound_values.get(m) if self.bound_values else None
+        if type(recv) is ObjectV and recv.own_methods:
+            bound = recv.own_methods.get(m, bound)
         if m.builtin is not None and bound is None:
             return bi.call(self, m, recv, args, shape)
         if m.ctx_marker is not None:
@@ -545,10 +547,8 @@ class Interp:
     # -- dynamically added methods ------------------------------------------------------------
 
     def call_added_method(self, body, recv, shape):
-        """body implements ContextObject (or is a plain override block)."""
+        """body implements ContextObject."""
         args = [a for _s, aa in shape for a in aa]
-        if isinstance(body, _BoundOverride):
-            return self.send(body.value, self._eval_shape_for(args, shape))
         bound = self.send(body, [("newObject:", [recv])])
         return self.send(bound, self._eval_shape_for(args, shape))
 
@@ -607,10 +607,11 @@ class Interp:
         self.str_exception("a Boolean value was expected")
 
     def replace_method(self, value, recv, sig):
-        """`recv.{sig} = value`."""
+        """`recv.{sig} = value`: `value` takes the place of the one method
+        `sig` denotes, for `recv` alone when it is no prototype."""
         m = self.resolve_sig(recv, sig)
         if isinstance(recv, ObjectV) and not recv.is_prototype:
-            recv.own_methods[m.name] = _BoundOverride(value)
+            recv.own_methods[m] = value
         else:
             self.bound_values[m] = value
         return value
@@ -670,11 +671,3 @@ class Interp:
             # a context object or prototype used where a block is expected
             return self.send(blk, self._eval_shape_for(args, None))
         raise TypeError(blk)
-
-
-class _BoundOverride:
-    """Per-object method override installed through `obj.{sig}. = block`."""
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value

@@ -1,10 +1,13 @@
 """Lexer: UTF-8 Cyan source text -> token stream with positions.
 
-Comments (nested block comments and line comments) separate tokens like a
-single space.  String tokens carry their decoded value; every other lexeme is
-a verbatim slice of the source.
+One table, `TOKENS`, gives the kind of every fixed lexeme, and one master
+regular expression finds the next lexeme; `Lexer.run` dispatches on the name
+of the group that matched.  Comments (nested block comments and line
+comments) separate tokens like a single space.  String tokens carry their
+decoded value; every other lexeme is a verbatim slice of the source.
 """
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +40,9 @@ class TokenKind(Enum):
     META_TEXT = "metaText"            # delimited argument text of a metaobject call
     PUNCT = "punctuation"
     EOF = "eof"
+
+
+K = TokenKind
 
 
 @dataclass
@@ -72,16 +78,24 @@ KEYWORDS = {
     "val", "volatile", "for", "let", "virtual", "switch", "case",
 }
 
-# binary/unary operators from the precedence figure plus assignment-level glue
-FIXED_OPERATORS = {
-    "||", "~||", "&&", "==", "<=", "<", ">", ">=", "!=", "..",
-    "+", "-", "/", "*", "%", "|", "~|", "&", "<.<", ">.>", ">.>>",
-    "++", "--", "!", "~",
+# every fixed lexeme: the operators of the precedence figure, the prefix
+# operators, the optional quantifier '?' of grammar methods, and punctuation
+TOKENS = {
+    **dict.fromkeys([
+        "||", "~||", "&&", "==", "<=", "<", ">", ">=", "!=", "..",
+        "+", "-", "/", "*", "%", "|", "~|", "&", "<.<", ">.>", ">.>>",
+        "++", "--", "!", "~", "?",
+    ], K.OPERATOR),
+    **dict.fromkeys([
+        ",", ";", ":", "(", ")", "{", "}", "[", "]", ".", "=", "->", "^",
+        "{#", "#}", "}.", "[.", ".]", "]?", ".{", "?[",
+    ], K.PUNCT),
 }
-FIXED_PUNCTS = {"=", "->", "^"}
-# maximal run over these characters, then classify; angle brackets are lexed
-# separately so nested generic types like Block<Int><Void> never merge
-_OP_RUN_CHARS = set("+-*/%&|~=!^$\\")
+# a maximal run over these characters is one lexeme: a fixed one of the
+# table, else a user-defined operator.  Angle brackets are not among them,
+# so nested generic types like Block<Int><Void> never merge.
+_OP_RUN_CHARS = "+-*/%&|~=!^$\\"
+
 _NUM_SUFFIXES = {
     "b": TokenKind.BYTE, "byte": TokenKind.BYTE,
     "s": TokenKind.SHORT, "short": TokenKind.SHORT,
@@ -95,8 +109,34 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
 
 MAX_COMMENT_DEPTH = 256
 
-# left delimiter characters of a metaobject argument; the closing run is the mirror
-_META_LEFT = set("=!#$%&*+-/:<?@\\^~|([{")
+
+# The groups are tried in order.  A fixed lexeme spelled with operator-run
+# characters only is found by the run, so that `+-` stays one user-defined
+# operator; the others, `->` among them, are tried before the run.  '$'
+# continues an identifier: compiler-generated names use it and desugared dumps
+# must re-lex.  `[^\W\d]` is a word character but no decimal digit; the lexer
+# refuses those of them that are no letter either, such as '²'.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<blank>(?:[ \t\r\n]+|//[^\n]*)+)",
+    r"(?P<comment>/\*)",
+    r"(?P<word>[^\W\d][\w$]*(?::(?!:))?)",        # a name, or a selector
+    r"(?P<number>(?P<digits>[0-9][0-9_]*(?:\.[0-9][0-9_]*)?)(?P<suffix>\w*))",
+    r'(?P<string>")',
+    r"(?P<char>')",
+    r'(?P<quoted_symbol>#")',
+    r"(?P<symbol>#(?:\w[\w$]*(?::\w[\w$]*)*:?|\Z))",
+    r'(?P<raw_string>@"[^"\n]*"?)',
+    r"(?P<meta>@@?)",
+    r"(?P<inter>\?\.?[^\W\d][\w$]*:?)",            # ?at: ?name ?.at: ?.name
+    "(?P<fixed>%s)" % "|".join(re.escape(t) for t in sorted(TOKENS, key=len, reverse=True)
+                               if not set(t) <= set(_OP_RUN_CHARS)),   # longest first
+    "(?P<op_run>[%s]+)" % re.escape(_OP_RUN_CHARS),
+    r"(?P<other>.)",
+]), re.DOTALL)
+_IDENT_REST = re.compile(r"[\w$]*")
+_COMMENT_MARK = re.compile(r"/\*|\*/")
+# left delimiter run of a metaobject argument; the closing run is its mirror
+_META_LEFT = re.compile(r"[=!#$%&*+\-/:<?@\\^~|(\[{]+")
 _MIRROR = {"(": ")", "[": "]", "{": "}", "<": ">"}
 
 
@@ -104,31 +144,18 @@ def _mirror_of(left):
     return "".join(_MIRROR.get(ch, ch) for ch in reversed(left))
 
 
+def _is_letter(ch):
+    return ch.isalpha() or ch == "_"
+
+
 class Lexer:
     def __init__(self, source, reporter=None):
         self.src = source
         self.n = len(source)
-        self.i = 0
         self.line = 1
-        self.col = 1
+        self.line_start = 0     # offset of the first character of `line`
         self.reporter = reporter if reporter is not None else Reporter()
         self.tokens = []
-
-    # -- low-level cursor ---------------------------------------------------
-
-    def _peek(self, k=0):
-        j = self.i + k
-        return self.src[j] if j < self.n else ""
-
-    def _advance(self):
-        ch = self.src[self.i]
-        self.i += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
 
     def _emit(self, kind, lexeme, line, col, value=None):
         self.tokens.append(Token(kind, lexeme, line, col, value, col + len(lexeme)))
@@ -136,355 +163,202 @@ class Lexer:
     def _error(self, line, col, msg):
         self.reporter.error(line, col, msg)
 
-    # -- whitespace and comments --------------------------------------------
+    def _pos(self, i):
+        """Line and column of offset `i`, on the current line or after it."""
+        nl = self.src.rfind("\n", self.line_start, i)
+        if nl < 0:
+            return self.line, i - self.line_start + 1
+        return self.line + self.src.count("\n", self.line_start, i), i - nl
 
-    def _skip_blank(self):
-        while self.i < self.n:
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.i < self.n and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
+    def _consumed(self, start, end):
+        """Move the line count past the newlines of src[start:end]."""
+        nl = self.src.rfind("\n", start, end)
+        if nl >= 0:
+            self.line += self.src.count("\n", start, end)
+            self.line_start = nl + 1
+
+    # -- the main loop ------------------------------------------------------------
+
+    def run(self):
+        src, n = self.src, self.n
+        match = _TOKEN_RE.match
+        emit = self._emit
+        i = 0
+        while i < n:
+            m = match(src, i)
+            group, end = m.lastgroup, m.end()
+            line, col = self.line, i - self.line_start + 1
+            if group == "blank":
+                self._consumed(i, end)
+            elif group == "word":
+                text = m.group()
+                if text == "_" or text == "_:":
+                    self._error(line, col, "a single underscore is not a valid identifier")
+                if not _is_letter(text[0]):         # '²', '½': word characters, no letters
+                    self._error(line, col, f"invalid character {text[0]!r}")
+                    end = i + 1
+                elif text[-1] == ":":
+                    emit(K.ID_COLON, text, line, col)
+                elif text in KEYWORDS:
+                    emit(K.KEYWORD, text, line, col)
+                elif text == "true" or text == "false":
+                    emit(K.BOOLEAN, text, line, col, text == "true")
+                else:
+                    emit(K.IDENT, text, line, col)
+            elif group == "fixed":
+                text = m.group()
+                emit(TOKENS[text], text, line, col)
+            elif group == "op_run":
+                text = m.group()
+                kind = TOKENS.get(text, K.USER_OPERATOR)
+                if kind is K.USER_OPERATOR and text.startswith("!!"):
+                    self._error(line, col, "operators starting with '!!' are reserved and"
+                                           " cannot be user-defined")
+                emit(kind, text, line, col)
+            elif group == "number":
+                self._number(m, line, col)
+            elif group == "comment":
+                end = self._skip_comment(i, line, col)
+                self._consumed(i, end)
+            elif group == "inter":
+                text = m.group()
+                dotted = text[1] == "."
+                if not _is_letter(text[2 if dotted else 1]):
+                    # the optional quantifier of grammar-method signatures
+                    emit(K.OPERATOR, "?", line, col)
+                    end = i + 1
+                elif text[-1] == ":":
+                    emit(K.INTER_DOT_ID_COLON if dotted else K.INTER_ID_COLON, text, line, col)
+                else:
+                    emit(K.INTER_DOT_ID if dotted else K.INTER_ID, text, line, col)
+            elif group == "string":
+                text, _, end = self._escaped(i + 1, '"', line, col, keep_hash_escape=True)
+                emit(K.STRING, text, line, col, text)
+                self._consumed(i, end)
+            elif group == "char":
+                text, ok, end = self._escaped(i + 1, "'", line, col, keep_hash_escape=False)
+                if ok and len(text) != 1:
+                    self._error(line, col, "character literal must contain exactly one character")
+                emit(K.CHAR, src[i:end], line, col, text[:1] or "\0")
+                self._consumed(i, end)
+            elif group == "symbol":
+                text = m.group()
+                if text == "#":     # at the end of the source
+                    self._error(line, col, "invalid symbol literal")
+                emit(K.SYMBOL, text, line, col, text[1:])
+            elif group == "quoted_symbol":
+                text, _, end = self._escaped(i + 2, '"', line, col, keep_hash_escape=False)
+                emit(K.SYMBOL, src[i:end], line, col, text)
+                self._consumed(i, end)
+            elif group == "raw_string":
+                text = m.group()[2:]
+                if text.endswith('"'):
+                    text = text[:-1]
+                else:
+                    self._error(line, col, "unterminated string")
+                emit(K.RAW_STRING, text, line, col, text)
+            elif group == "meta":
+                end = self._meta(i, end, line, col)
+                self._consumed(i, end)
             else:
-                return
+                self._error(line, col, f"invalid character {m.group()!r}")
+            i = end
+        emit(K.EOF, "", self.line, n - self.line_start + 1)
+        return self.tokens
 
-    def _skip_block_comment(self):
-        line, col = self.line, self.col
+    # -- the lexemes scanned by hand --------------------------------------------------
+
+    def _skip_comment(self, i, line, col):
+        """Skip the nested block comment that opens at offset `i`; answers the
+        offset past its end."""
         depth = 0
-        while self.i < self.n:
-            if self._peek() == "/" and self._peek(1) == "*":
-                self._advance(); self._advance()
+        for m in _COMMENT_MARK.finditer(self.src, i):
+            if m.group() == "/*":
                 depth += 1
                 if depth > MAX_COMMENT_DEPTH:
                     self._error(line, col, "comment nesting exceeds %d levels" % MAX_COMMENT_DEPTH)
                     depth = MAX_COMMENT_DEPTH
-            elif self._peek() == "*" and self._peek(1) == "/":
-                self._advance(); self._advance()
+            else:
                 depth -= 1
                 if depth == 0:
-                    return
-            elif self.i < self.n:
-                self._advance()
+                    return m.end()
         self._error(line, col, "unterminated comment")
+        return self.n
 
-    # -- token scanners -----------------------------------------------------
-
-    def _ident_text(self):
-        # '$' continues an identifier: compiler-generated names use it and
-        # desugared dumps must re-lex
-        start = self.i
-        while self.i < self.n and (self._peek().isalnum() or self._peek() in "_$"):
-            self._advance()
-        return self.src[start:self.i]
-
-    def _scan_word(self):
-        line, col = self.line, self.col
-        text = self._ident_text()
-        if text == "_":
-            self._error(line, col, "a single underscore is not a valid identifier")
-        if self._peek() == ":" and self._peek(1) != ":":
-            # selector: no space allowed before ':'
-            self._advance()
-            self._emit(TokenKind.ID_COLON, text + ":", line, col)
-            return
-        if text in ("true", "false"):
-            self._emit(TokenKind.BOOLEAN, text, line, col, text == "true")
-        elif text in KEYWORDS:
-            self._emit(TokenKind.KEYWORD, text, line, col)
-        else:
-            self._emit(TokenKind.IDENT, text, line, col)
-
-    def _scan_number(self):
-        line, col = self.line, self.col
-        start = self.i
-
-        def digits_run():
-            prev_us = False
-            while self.i < self.n and (self._peek().isdigit() or self._peek() == "_"):
-                if self._peek() == "_":
-                    if prev_us:
-                        self._error(self.line, self.col, "Two underscores cannot appear together in a number")
-                    prev_us = True
-                else:
-                    prev_us = False
-                self._advance()
-            if prev_us:
-                self._error(line, col, "a number cannot end with an underscore")
-
-        digits_run()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            digits_run()
-        suffix_start = self.i
-        while self.i < self.n and (self._peek().isalpha() or self._peek() == "_" or self._peek().isdigit()):
-            self._advance()
-        suffix = self.src[suffix_start:self.i]
-        lexeme = self.src[start:self.i]
-        body = self.src[start:suffix_start].replace("_", "")
-        kind = TokenKind.FLOAT if is_float else TokenKind.INT
+    def _number(self, m, line, col):
+        digits, suffix = m.group("digits"), m.group("suffix")
+        if "_" in digits:
+            start = col
+            for run in digits.split("."):       # the integer part, then the fraction
+                for j in range(1, len(run)):
+                    if run[j] == "_" == run[j - 1]:
+                        self._error(line, start + j, "Two underscores cannot appear together in a number")
+                if run.endswith("_"):
+                    self._error(line, col, "a number cannot end with an underscore")
+                start += len(run) + 1
+        is_float = "." in digits
+        kind = K.FLOAT if is_float else K.INT
         if suffix:
             mapped = _NUM_SUFFIXES.get(suffix.lower())
             if mapped is None:
                 self._error(line, col, f"unsupported literal suffix '{suffix}'")
             else:
                 kind = mapped
-                if is_float and mapped not in (TokenKind.FLOAT, TokenKind.DOUBLE):
+                if is_float and mapped not in (K.FLOAT, K.DOUBLE):
                     self._error(line, col, f"suffix '{suffix}' is not valid on a fractional number")
-                    kind = TokenKind.FLOAT
-        value = float(body) if kind in (TokenKind.FLOAT, TokenKind.DOUBLE) else int(body or "0")
-        self._emit(kind, lexeme, line, col, value)
+                    kind = K.FLOAT
+        body = digits.replace("_", "")
+        value = float(body) if kind in (K.FLOAT, K.DOUBLE) else int(body)
+        self._emit(kind, m.group(), line, col, value)
 
-    def _scan_escaped(self, quote, line, col, keep_hash_escape):
-        out = []
-        while self.i < self.n:
-            ch = self._advance()
+    def _escaped(self, i, quote, line, col, keep_hash_escape):
+        """Decode the text from offset `i` to the closing `quote`; answers the
+        text, whether the quote closed it, and the offset past it.  An
+        unescaped newline ends the text unclosed."""
+        src, n, out = self.src, self.n, []
+        while i < n:
+            ch = src[i]
+            i += 1
             if ch == quote:
-                return "".join(out), True
+                return "".join(out), True, i
             if ch == "\n":
                 break
             if ch == "\\":
-                nxt = self._peek()
+                nxt = src[i:i + 1]
                 if nxt == "#" and keep_hash_escape:
-                    self._advance()
                     out.append("\\#")  # resolved by the interpolation rewrite
                 elif nxt in _ESCAPES:
-                    self._advance()
                     out.append(_ESCAPES[nxt])
                 else:
-                    self._error(self.line, self.col, f"invalid escape character '\\{nxt}'")
-                    if self.i < self.n:
-                        self._advance()
+                    self._error(*self._pos(i), f"invalid escape character '\\{nxt}'")
+                i += len(nxt)
             else:
                 out.append(ch)
         self._error(line, col, "unterminated string" if quote == '"' else "unterminated character literal")
-        return "".join(out), False
+        return "".join(out), False, i
 
-    def _scan_string(self):
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        text, _ = self._scan_escaped('"', line, col, keep_hash_escape=True)
-        self._emit(TokenKind.STRING, text, line, col, text)
-
-    def _scan_raw_string(self):
-        line, col = self.line, self.col
-        self._advance(); self._advance()  # @"
-        start = self.i
-        while self.i < self.n and self._peek() != '"' and self._peek() != "\n":
-            self._advance()
-        text = self.src[start:self.i]
-        if self._peek() == '"':
-            self._advance()
-        else:
-            self._error(line, col, "unterminated string")
-        self._emit(TokenKind.RAW_STRING, text, line, col, text)
-
-    def _scan_char(self):
-        line, col = self.line, self.col
-        start = self.i
-        self._advance()
-        text, ok = self._scan_escaped("'", line, col, keep_hash_escape=False)
-        if ok and len(text) != 1:
-            self._error(line, col, "character literal must contain exactly one character")
-        self._emit(TokenKind.CHAR, self.src[start:self.i], line, col, text[:1] or "\0")
-
-    def _scan_symbol(self):
-        line, col = self.line, self.col
-        start = self.i
-        self._advance()  # '#'
-        if self._peek() == '"':
-            self._advance()
-            text, _ = self._scan_escaped('"', line, col, keep_hash_escape=False)
-            self._emit(TokenKind.SYMBOL, self.src[start:self.i], line, col, text)
-            return
-        parts = []
-        while self.i < self.n and (self._peek().isalnum() or self._peek() == "_"):
-            part = self._ident_text()
-            parts.append(part)
-            if self._peek() == ":":
-                self._advance()
-                parts.append(":")
-            else:
-                break
-        text = "".join(parts)
-        if not text:
-            self._error(line, col, "invalid symbol literal")
-        self._emit(TokenKind.SYMBOL, "#" + text, line, col, text)
-
-    def _scan_meta(self):
-        line, col = self.line, self.col
-        self._advance()
-        double = self._peek() == "@"
-        if double:
-            self._advance()
-        self._emit(TokenKind.META_AT_AT if double else TokenKind.META_AT,
-                   "@@" if double else "@", line, col)
-        if not (self._peek().isalpha() or self._peek() == "_"):
+    def _meta(self, i, j, line, col):
+        """`@name` or `@@name` (the '@'s end at offset `j`), then the raw text
+        between an adjacent delimiter run and its mirror; answers the offset
+        past them."""
+        src = self.src
+        self._emit(K.META_AT_AT if j - i == 2 else K.META_AT, src[i:j], line, col)
+        if not _is_letter(src[j:j + 1]):
             self._error(line, col, "metaobject name expected after '@'")
-            return
-        nline, ncol = self.line, self.col
-        name = self._ident_text()
-        self._emit(TokenKind.IDENT, name, nline, ncol)
-        # adjacent delimiter introduces the raw argument text
-        if self._peek() in _META_LEFT:
-            dline, dcol = self.line, self.col
-            left_start = self.i
-            while self.i < self.n and self._peek() in _META_LEFT:
-                self._advance()
-            left = self.src[left_start:self.i]
-            closing = _mirror_of(left)
-            end = self.src.find(closing, self.i)
-            if end < 0:
-                self._error(dline, dcol, f"metaobject argument not closed by '{closing}'")
-                return
-            text = self.src[self.i:end]
-            while self.i < end + len(closing):
-                self._advance()
-            self._emit(TokenKind.META_TEXT, text, dline, dcol, text)
-
-    def _scan_inter(self):
-        # '?' prefixes: ?sel: ?sel ?.sel: ?.sel ?[
-        line, col = self.line, self.col
-        if self._peek(1) == "[":
-            self._advance(); self._advance()
-            self._emit(TokenKind.PUNCT, "?[", line, col)
-            return
-        dotted = self._peek(1) == "."
-        k = 2 if dotted else 1
-        if not (self._peek(k).isalpha() or self._peek(k) == "_"):
-            # lone '?': the optional quantifier of grammar-method signatures
-            self._advance()
-            self._emit(TokenKind.OPERATOR, "?", line, col)
-            return
-        self._advance()
-        if dotted:
-            self._advance()
-        text = self._ident_text()
-        if self._peek() == ":":
-            self._advance()
-            kind = TokenKind.INTER_DOT_ID_COLON if dotted else TokenKind.INTER_ID_COLON
-            lex = ("?." if dotted else "?") + text + ":"
-        else:
-            kind = TokenKind.INTER_DOT_ID if dotted else TokenKind.INTER_ID
-            lex = ("?." if dotted else "?") + text
-        self._emit(kind, lex, line, col)
-
-    def scan_user_operator(self):
-        """Maximal munch over the operator charset: a fixed operator or
-        punctuation, else a user-defined operator ('!!' ones are reserved)."""
-        line, col = self.line, self.col
-        start = self.i
-        while self.i < self.n and self._peek() in _OP_RUN_CHARS:
-            self._advance()
-        run = self.src[start:self.i]
-        if run in FIXED_OPERATORS:
-            kind = TokenKind.OPERATOR
-        elif run in FIXED_PUNCTS:
-            kind = TokenKind.PUNCT
-        else:
-            kind = TokenKind.USER_OPERATOR
-            if run.startswith("!!"):
-                self._error(line, col, "operators starting with '!!' are reserved and"
-                                       " cannot be user-defined")
-        self._emit(kind, run, line, col)
-
-    # -- main loop ------------------------------------------------------------
-
-    def run(self):
-        while True:
-            self._skip_blank()
-            if self.i >= self.n:
-                self._emit(TokenKind.EOF, "", self.line, self.col)
-                return self.tokens
-            ch = self._peek()
-            line, col = self.line, self.col
-            if ch.isalpha() or ch == "_":
-                self._scan_word()
-            elif ch.isdigit():
-                self._scan_number()
-            elif ch == '"':
-                self._scan_string()
-            elif ch == "'":
-                self._scan_char()
-            elif ch == "#":
-                if self._peek(1) == "}":
-                    self._advance(); self._advance()
-                    self._emit(TokenKind.PUNCT, "#}", line, col)
-                elif self._peek(1).isalnum() or self._peek(1) in '_"':
-                    self._scan_symbol()
-                else:
-                    self._advance()
-                    self._error(line, col, "invalid character '#'")
-            elif ch == "@":
-                if self._peek(1) == '"':
-                    self._scan_raw_string()
-                else:
-                    self._scan_meta()
-            elif ch == "?":
-                self._scan_inter()
-            elif ch in ",;:()":
-                self._advance()
-                self._emit(TokenKind.PUNCT, ch, line, col)
-            elif ch == "{":
-                self._advance()
-                if self._peek() == "#":
-                    self._advance()
-                    self._emit(TokenKind.PUNCT, "{#", line, col)
-                else:
-                    self._emit(TokenKind.PUNCT, "{", line, col)
-            elif ch == "}":
-                self._advance()
-                if self._peek() == ".":
-                    self._advance()
-                    self._emit(TokenKind.PUNCT, "}.", line, col)
-                else:
-                    self._emit(TokenKind.PUNCT, "}", line, col)
-            elif ch == "[":
-                self._advance()
-                if self._peek() == ".":
-                    self._advance()
-                    self._emit(TokenKind.PUNCT, "[.", line, col)
-                else:
-                    self._emit(TokenKind.PUNCT, "[", line, col)
-            elif ch == "]":
-                self._advance()
-                if self._peek() == "?":
-                    self._advance()
-                    self._emit(TokenKind.PUNCT, "]?", line, col)
-                else:
-                    self._emit(TokenKind.PUNCT, "]", line, col)
-            elif ch == ".":
-                self._advance()
-                if self._peek() == "{":
-                    self._advance()
-                    self._emit(TokenKind.PUNCT, ".{", line, col)
-                elif self._peek() == ".":
-                    self._advance()
-                    self._emit(TokenKind.OPERATOR, "..", line, col)
-                elif self._peek() == "]":
-                    self._advance()
-                    self._emit(TokenKind.PUNCT, ".]", line, col)
-                else:
-                    self._emit(TokenKind.PUNCT, ".", line, col)
-            elif ch in "<>":
-                for tok in (">.>>", ">.>", "<.<", ">=", "<=", ">", "<"):
-                    if self.src.startswith(tok, self.i):
-                        for _ in tok:
-                            self._advance()
-                        self._emit(TokenKind.OPERATOR, tok, line, col)
-                        break
-            elif ch == "-" and self._peek(1) == ">":
-                self._advance(); self._advance()
-                self._emit(TokenKind.PUNCT, "->", line, col)
-            elif ch in _OP_RUN_CHARS:
-                self.scan_user_operator()
-            else:
-                self._advance()
-                self._error(line, col, f"invalid character {ch!r}")
+            return j
+        k = _IDENT_REST.match(src, j).end()
+        self._emit(K.IDENT, src[j:k], line, col + j - i)
+        left = _META_LEFT.match(src, k)
+        if left is None:
+            return k
+        closing = _mirror_of(left.group())
+        end = src.find(closing, left.end())
+        if end < 0:
+            self._error(line, col + k - i, f"metaobject argument not closed by '{closing}'")
+            return left.end()
+        text = src[left.end():end]
+        self._emit(K.META_TEXT, text, line, col + k - i, text)
+        return end + len(closing)
 
 
 def tokenize(source, reporter=None):

@@ -1,11 +1,13 @@
 """Recursive-descent parser for the Cyan core subset.
 
-Precedence follows the reference figure (low to high): || < ~|| < && <
-relational < .. < additive < multiplicative < bit < shift < unary.  A keyword
-message owns every selector that follows it and is not shielded by
-parentheses; its arguments are parsed at binary-expression level.  User
-defined binary operators bind loosest unless they are spelled like a fixed
-operator.
+Binary operators are parsed by one precedence-climbing loop over the levels
+of the reference figure (low to high): || < ~|| < && < relational < .. <
+additive < multiplicative < bit < shift < unary.  The relational, interval
+and shift levels are non-associative: one operator each, and a second one of
+the same level ends the expression.  User-defined binary operators bind
+loosest and take the whole rest of the expression as their right operand.  A
+keyword message owns every selector that follows it and is not shielded by
+parentheses; its arguments are parsed at binary-expression level.
 """
 
 from .cyast import *
@@ -14,17 +16,19 @@ from .lexer import Token, TokenKind, tokenize
 
 K = TokenKind
 
-BINARY_LEVELS = [
-    {"||"},
-    {"~||"},
-    {"&&"},
-    {"==", "<=", "<", ">", ">=", "!="},   # non-associative
-    {".."},                                # non-associative
-    {"+", "-"},
-    {"/", "*", "%"},
-    {"|", "~|", "&"},
-    {"<.<", ">.>", ">.>>"},                # non-associative
-]
+# binary operator -> its level in the precedence figure, loosest first
+OP_LEVEL = {
+    "||": 0,
+    "~||": 1,
+    "&&": 2,
+    "==": 3, "<=": 3, "<": 3, ">": 3, ">=": 3, "!=": 3,
+    "..": 4,
+    "+": 5, "-": 5,
+    "/": 6, "*": 6, "%": 6,
+    "|": 7, "~|": 7, "&": 7,
+    "<.<": 8, ">.>": 8, ">.>>": 8,
+}
+TOP_LEVEL = max(OP_LEVEL.values())
 NONASSOC_LEVELS = {3, 4, 8}
 USERDEF_LEVEL = -1   # user-defined binary operators bind loosest
 PREFIX_OPS = {"+", "-", "++", "--", "!", "~"}
@@ -45,7 +49,7 @@ class NestingTooDeep(Exception):
 
 class Parser:
     def __init__(self, tokens, reporter=None, filename="<source>"):
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:] * 2     # `tok(k)` looks two past the EOF
         self.pos = 0
         self.depth = 0
         self.reporter = reporter if reporter is not None else Reporter(filename)
@@ -53,8 +57,7 @@ class Parser:
     # -- primitives ---------------------------------------------------------
 
     def tok(self, k=0):
-        j = min(self.pos + k, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.pos + k]
 
     def at_eof(self):
         return self.tok().kind is K.EOF
@@ -110,6 +113,23 @@ class Parser:
 
     def adjacent(self, a, b):
         return a.line == b.line and a.end_col == b.col
+
+    def comma_list(self, parse):
+        """`parse()`, and again after each ','."""
+        items = [parse()]
+        while self.tok().is_punct(","):
+            self.advance()
+            items.append(parse())
+        return items
+
+    def colon_names(self, what):
+        """A name, and each further `, :name`: the names of one declaration."""
+        names = [self.expect_ident(what).lexeme]
+        while self.tok().is_punct(",") and self.tok(1).is_punct(":"):
+            self.advance()
+            self.advance()
+            names.append(self.expect_ident(what).lexeme)
+        return names
 
     # -- compilation unit -----------------------------------------------------
 
@@ -245,16 +265,10 @@ class Parser:
             decl.extends = self.parse_type()
         if self.tok().is_kw("mixin"):
             self.advance()
-            decl.mixin_list.append(self.parse_type())
-            while self.tok().is_punct(","):
-                self.advance()
-                decl.mixin_list.append(self.parse_type())
+            decl.mixin_list = self.comma_list(self.parse_type)
         if self.tok().is_kw("implements"):
             self.advance()
-            decl.implements.append(self.parse_type())
-            while self.tok().is_punct(","):
-                self.advance()
-                decl.implements.append(self.parse_type())
+            decl.implements = self.comma_list(self.parse_type)
         while not self.tok().is_kw("end"):
             if self.at_eof():
                 self.error(f"missing 'end' of prototype {name}")
@@ -276,11 +290,7 @@ class Parser:
             if t.kind is K.KEYWORD and t.lexeme in ("public", "private", "protected"):
                 qualifier = self.advance().lexeme
             colon = self.expect_punct(":")
-            names = [self.expect_ident("context parameter name").lexeme]
-            while self.tok().is_punct(",") and self.tok(1).is_punct(":"):
-                self.advance()
-                self.advance()
-                names.append(self.expect_ident("context parameter name").lexeme)
+            names = self.colon_names("context parameter name")
             mode = "%"
             t = self.tok()
             if t.kind is K.OPERATOR and t.lexeme in ("%", "&", "*"):
@@ -302,10 +312,7 @@ class Parser:
         decl.template_params = self.parse_template_groups()
         if self.tok().is_kw("extends"):
             self.advance()
-            decl.extends.append(self.parse_type())
-            while self.tok().is_punct(","):
-                self.advance()
-                decl.extends.append(self.parse_type())
+            decl.extends = self.comma_list(self.parse_type)
         while not self.tok().is_kw("end"):
             if self.at_eof():
                 self.error(f"missing 'end' of interface {name}")
@@ -377,11 +384,7 @@ class Parser:
         if self.tok().is_kw("var"):
             self.advance()
         self.expect_punct(":", "before variable name")
-        names = [self.expect_ident("variable name").lexeme]
-        while self.tok().is_punct(",") and self.tok(1).is_punct(":"):
-            self.advance()
-            self.advance()
-            names.append(self.expect_ident("variable name").lexeme)
+        names = self.colon_names("variable name")
         ty = None
         if self.tok().kind is K.IDENT or self.tok().is_kw("type"):
             ty = self.parse_type()
@@ -456,10 +459,7 @@ class Parser:
             self.advance()
         while True:
             colon = self.expect_punct(":", "before parameter name")
-            names = [self.expect_ident("parameter name").lexeme]
-            while self.tok().is_punct(",") and self.tok(1).is_punct(":"):
-                self.advance(); self.advance()
-                names.append(self.expect_ident("parameter name").lexeme)
+            names = self.colon_names("parameter name")
             ty = self.parse_type()
             for nm in names:
                 params.append(Param(nm, ty, line=colon.line, col=colon.col))
@@ -573,7 +573,7 @@ class Parser:
             alts = self.parse_type_alternatives()
             if self.tok().is_punct("="):
                 self.advance()
-                default = self.parse_binary_expr(0)
+                default = self.parse_binary_expr()
                 if len(alts) != 1:
                     self.error("a default value needs a single parameter type", sel)
                 argspec = ("default", alts[0], default)
@@ -668,18 +668,18 @@ class Parser:
         while self.tok().is_punct(".") and self.tok(1).kind is K.IDENT:
             self.advance()
             name += "." + self.advance().lexeme
+        return TypeExpr(name, self.parse_type_args(), line=name_tok.line, col=name_tok.col)
+
+    def parse_type_args(self):
+        """The groups of type arguments: `<T, U><V>`."""
         groups = []
         while self.tok().is_op("<"):
             self.advance()
-            group = [self.parse_type()]
-            while self.tok().is_punct(","):
-                self.advance()
-                group.append(self.parse_type())
+            groups.append(self.comma_list(self.parse_type))
             if not self.tok().is_op(">"):
                 self.error("expected '>' closing type arguments")
             self.advance()
-            groups.append(group)
-        return TypeExpr(name, groups, line=name_tok.line, col=name_tok.col)
+        return groups
 
     # -- statements ---------------------------------------------------------------
 
@@ -736,7 +736,7 @@ class Parser:
             targets = [expr]
             while self.tok().is_punct(","):
                 self.advance()
-                targets.append(self.parse_binary_expr(0))
+                targets.append(self.parse_binary_expr())
             self.expect_punct("=", "in multiple assignment")
             value = self.parse_expr()
             return AssignStat(targets, value, line=t.line, col=t.col)
@@ -770,10 +770,7 @@ class Parser:
     def parse_var_decl_stat(self):
         start = self.expect_punct(":")
         decls = []
-        names = [self.expect_ident("variable name").lexeme]
-        while self.tok().is_punct(",") and self.tok(1).is_punct(":"):
-            self.advance(); self.advance()
-            names.append(self.expect_ident("variable name").lexeme)
+        names = self.colon_names("variable name")
         ty = None
         if self.tok().kind is K.IDENT or self.tok().is_kw("type"):
             ty = self.parse_type()
@@ -798,7 +795,7 @@ class Parser:
         t = self.tok()
         if t.kind in self.SELECTOR_KINDS:
             return self.parse_keyword_send(None, t)   # implicit self receiver
-        left = self.parse_binary_expr(0)
+        left = self.parse_binary_expr()
         if self.tok().kind in self.SELECTOR_KINDS:
             return self.parse_keyword_send(left, self.tok())
         return left
@@ -814,12 +811,7 @@ class Parser:
                 mode, text = "?", sel.lexeme[1:]
             else:
                 mode, text = "?.", sel.lexeme[2:]
-            args = []
-            if self.starts_expression():
-                args.append(self.parse_binary_expr(0))
-                while self.tok().is_punct(","):
-                    self.advance()
-                    args.append(self.parse_binary_expr(0))
+            args = self.comma_list(self.parse_binary_expr) if self.starts_expression() else []
             parts.append((text, args))
             modes.append(mode)
         return KeywordSend(receiver, parts, modes[0], part_modes=modes,
@@ -840,43 +832,33 @@ class Parser:
             return True
         return False
 
-    def level_of(self, tok):
-        if tok.kind is K.OPERATOR:
-            for i, ops in enumerate(BINARY_LEVELS):
-                if tok.lexeme in ops:
-                    return i
-            if tok.lexeme == "%":
-                return 6
-        if tok.kind is K.USER_OPERATOR and not tok.lexeme.startswith("!"):
-            return USERDEF_LEVEL
-        return None
+    def parse_binary_expr(self):
+        return self.nested(self._binary_expr, USERDEF_LEVEL)
 
-    def parse_binary_expr(self, level):
-        if level == 0:
-            return self.nested(self._binary_expr, 0)
-        return self._binary_expr(level)
-
-    def _binary_expr(self, level):
-        if level >= len(BINARY_LEVELS):
-            return self.parse_unary_expr()
-        left = self._binary_expr(level + 1)
-        first = True
+    def _binary_expr(self, lowest):
+        """Operands joined by operators of level `lowest` or tighter.  A level
+        above `top` has ended: a tighter operator refused the token, or a
+        non-associative level took its one operator; seeing an operator of an
+        ended level ends every enclosing expression too."""
+        left = self.parse_unary_expr()
+        top = TOP_LEVEL
         while True:
-            t = self.tok()
-            lv = self.level_of(t)
-            if lv == USERDEF_LEVEL and level == 0:
-                op = self.advance()
-                right = self.parse_binary_expr(0)
-                left = BinarySend(left, op.lexeme, right, line=op.line, col=op.col)
-                continue
-            if lv != level:
+            op = self.tok()
+            if op.kind is K.OPERATOR:
+                level = OP_LEVEL.get(op.lexeme)
+            elif op.kind is K.USER_OPERATOR and not op.lexeme.startswith("!"):
+                level = USERDEF_LEVEL
+            else:
                 return left
-            if level in NONASSOC_LEVELS and not first:
+            if level is None or not lowest <= level <= top:
                 return left
-            first = False
-            op = self.advance()
-            right = self._binary_expr(level + 1)
+            self.advance()
+            if level == USERDEF_LEVEL:
+                right = self.parse_binary_expr()
+            else:
+                right = self._binary_expr(level + 1)
             left = BinarySend(left, op.lexeme, right, line=op.line, col=op.col)
+            top = level - 1 if level in NONASSOC_LEVELS else level
 
     def parse_unary_expr(self):
         t = self.tok()
@@ -992,12 +974,7 @@ class Parser:
             return PercentRef(name, line=t.line, col=t.col)
         if t.is_punct("{#"):
             self.advance()
-            elems = []
-            if not self.tok().is_punct("#}"):
-                elems.append(self.parse_binary_expr(0))
-                while self.tok().is_punct(","):
-                    self.advance()
-                    elems.append(self.parse_binary_expr(0))
+            elems = [] if self.tok().is_punct("#}") else self.comma_list(self.parse_binary_expr)
             self.expect_punct("#}")
             return ArrayLit(elems, line=t.line, col=t.col)
         if t.is_punct("[."):
@@ -1030,9 +1007,9 @@ class Parser:
                 sel = self.advance()
                 if sel.kind is not K.ID_COLON:
                     self.error("field name expected in named tuple")
-                items.append((sel.lexeme[:-1], self.parse_binary_expr(0)))
+                items.append((sel.lexeme[:-1], self.parse_binary_expr()))
             else:
-                items.append((None, self.parse_binary_expr(0)))
+                items.append((None, self.parse_binary_expr()))
             if self.tok().is_punct(","):
                 self.advance()
                 continue
@@ -1059,29 +1036,13 @@ class Parser:
         if self.tok().is_op("<") and self.adjacent(t, self.tok()):
             probe = self.mark()
             try:
-                groups = []
-                while self.tok().is_op("<"):
-                    self.advance()
-                    group = [self.parse_type()]
-                    while self.tok().is_punct(","):
-                        self.advance()
-                        group.append(self.parse_type())
-                    if not self.tok().is_op(">"):
-                        raise ParseError("no closing '>'")
-                    self.advance()
-                    groups.append(group)
-                expr = GenericRef(name, groups, line=t.line, col=t.col)
+                expr = GenericRef(name, self.parse_type_args(), line=t.line, col=t.col)
             except ParseError:
-                self.reset(probe)
+                self.reset(probe)   # no closing '>': a comparison
         # adjacent '(' is the short creation form P(args)
         if self.tok().is_punct("(") and self.adjacent(self.toks[self.pos - 1], self.tok()):
             lp = self.advance()
-            args = []
-            if not self.tok().is_punct(")"):
-                args.append(self.parse_binary_expr(0))
-                while self.tok().is_punct(","):
-                    self.advance()
-                    args.append(self.parse_binary_expr(0))
+            args = [] if self.tok().is_punct(")") else self.comma_list(self.parse_binary_expr)
             self.expect_punct(")")
             return Creation(expr, args, line=lp.line, col=lp.col)
         return expr
@@ -1109,10 +1070,7 @@ class Parser:
             params = []
             while self.tok().is_punct(":"):
                 colon = self.advance()
-                names = [self.expect_ident("parameter name").lexeme]
-                while self.tok().is_punct(",") and self.tok(1).is_punct(":"):
-                    self.advance(); self.advance()
-                    names.append(self.expect_ident("parameter name").lexeme)
+                names = self.colon_names("parameter name")
                 ty = None
                 if self.tok().kind is K.IDENT:
                     ty = self.parse_type()
@@ -1158,6 +1116,8 @@ def parse_expression(source, reporter=None):
     parser = Parser(tokens, rep)
     try:
         expr = parser.parse_expr()
+        if not parser.at_eof():
+            parser.error(f"end of expression expected, found '{parser.tok().lexeme}'")
     except (ParseError, NestingTooDeep):
         expr = Lit("Nil", None)
     return expr, rep

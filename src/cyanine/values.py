@@ -108,6 +108,8 @@ class ObjectV:
         self.proto = proto
         self.fields = {}
         self.mixins = []        # most recently attached first
+        # selector -> body given by addMethod:, and MethodEntry -> the value
+        # that replaced that method (`obj.{sig}. = value`) on this object
         self.own_methods = {}
         self.is_prototype = is_prototype
 

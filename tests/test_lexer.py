@@ -36,6 +36,19 @@ def test_doubled_underscore_rejected():
     assert "underscores" in rep.format_all().lower() or "Two underscores" in rep.format_all()
 
 
+def test_number_literals_take_ascii_digits_only():
+    """Other digits, such as '²', '①' and the Arabic-Indic '٣', are no
+    number: alone they are invalid characters, after a number a suffix."""
+    for src, col, message in [
+            ("Out println: ²;", 14, "invalid character '²'"),
+            ("x = 1²", 5, "unsupported literal suffix '²'"),
+            ("①", 1, "invalid character '①'"),
+            ("٣", 1, "invalid character '٣'")]:
+        toks, rep = tokenize(src)
+        assert [(d.line, d.col, d.message) for d in rep.items] == [(1, col, message)], src
+    assert lexemes("٣ 3") == [(K.INT, "3")]
+
+
 def test_symbol_literals():
     assert lexemes("#at:put:") == [(K.SYMBOL, "#at:put:")]
     assert lexemes("#name #age: #711 #_0") == [
@@ -161,3 +174,36 @@ def test_comment_nesting_property(depth, text):
     toks, rep = tokenize(src)
     assert not rep.has_errors()
     assert [t.kind for t in toks] == [TokenKind.EOF]
+
+
+# property: every token but a string (whose lexeme is its decoded value) is
+# the source text at its position, whatever blanks and comments separate them
+_STRINGS = ['"text"', r'"a\tb"', r'"x\\y"', '""']
+_LEXEME = st.one_of(
+    _WORD,
+    _WORD.map(lambda w: w + ":"),
+    _WORD.map(lambda w: "?" + w),
+    _WORD.map(lambda w: "?." + w + ":"),
+    _WORD.map(lambda w: "#" + w + ":x:"),
+    st.integers(min_value=0, max_value=10 ** 6).map(str),
+    st.sampled_from(_STRINGS + [
+        "1_000", "2.5", "7B", "3.0D", "12Long", "'c'", r"'\n'", '#"a b"',
+        "->", "..", "<.<", ">.>>", ">=", "==", "~||", "&&", "$$", "+-", "=", "^",
+        "?", "?[", "]?", "{#", "#}", ".{", "}.", "[.", ".]", ",", ";", ":",
+        "(", ")", "[", "]", "{", "}", "<", ">", "|", "!", "%"]),
+)
+_BLANK = st.sampled_from([" ", "\t", "\n", "\r\n"])
+_COMMENT = st.sampled_from(["", "// line\n", "/* a */", "/* a\n /* b\r\n */ c */", "/**/"])
+
+
+@given(st.lists(st.tuples(_LEXEME, _BLANK, _COMMENT, _BLANK), min_size=1, max_size=16))
+@settings(max_examples=200)
+def test_positions_point_at_the_lexeme(parts):
+    src = "".join(lexeme + b1 + comment + b2 for lexeme, b1, comment, b2 in parts)
+    toks, rep = tokenize(src)
+    assert not rep.has_errors(), rep.format_all()
+    assert len(toks) == len(parts) + 1
+    lines = src.split("\n")
+    for t in toks:
+        if t.kind is not K.STRING:
+            assert lines[t.line - 1][t.col - 1:t.end_col - 1] == t.lexeme, (src, t)

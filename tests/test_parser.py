@@ -3,7 +3,8 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from cyanine import cyast as A
-from cyanine.parser import parse_expression, parse_source
+from cyanine.lexer import TOKENS, TokenKind
+from cyanine.parser import OP_LEVEL as PARSER_LEVELS, parse_expression, parse_source
 
 
 def expr_of(src):
@@ -184,14 +185,16 @@ end
 
 # --- property: precedence figure equals a reference precedence-climbing oracle
 
-LEVELS = [["||"], ["~||"], ["&&"], ["==", "<=", ">=", "!="],
+LEVELS = [["||"], ["~||"], ["&&"], ["==", "<=", "<", ">", ">=", "!="], [".."],
           ["+", "-"], ["/", "*", "%"], ["|", "~|", "&"], ["<.<", ">.>", ">.>>"]]
-NONASSOC = {3, 7}
+NONASSOC = {3, 4, 8}
 OP_LEVEL = {op: i for i, ops in enumerate(LEVELS) for op in ops}
+USER_OP = "$$"      # binds loosest; its right operand is the rest of the expression
 
 
 def reference_parse(tokens):
-    """Independent precedence climber over (name|op) token lists."""
+    """Independent climber over (name|op) token lists, one recursion per
+    level; None where it leaves tokens unconsumed."""
     pos = [0]
 
     def peek():
@@ -206,6 +209,10 @@ def reference_parse(tokens):
         first = True
         while True:
             t = peek()
+            if level == 0 and t == USER_OP:
+                pos[0] += 1
+                left = f"({left}{t}{parse_level(0)})"
+                continue
             if t is None or OP_LEVEL.get(t) != level:
                 return left
             if level in NONASSOC and not first:
@@ -214,26 +221,31 @@ def reference_parse(tokens):
             pos[0] += 1
             right = parse_level(level + 1)
             left = f"({left}{t}{right})"
-        return left
 
     out = parse_level(0)
     return out if pos[0] == len(tokens) else None
 
 
 NAMES = st.sampled_from(list("abcxyz"))
-OPS = st.sampled_from([op for ops in LEVELS for op in ops])
+OPS = st.sampled_from([op for ops in LEVELS for op in ops] + [USER_OP])
 
 
 @given(st.lists(st.tuples(OPS, NAMES), min_size=0, max_size=6), NAMES)
-@settings(max_examples=300)
+@settings(max_examples=500)
 def test_operator_precedence_matches_reference(pairs, first):
-    from hypothesis import assume
     tokens = [first]
     for op, name in pairs:
         tokens.extend([op, name])
     want = reference_parse(tokens)
-    assume(want is not None)   # skip chained non-associative operators
     src = " ".join(tokens)
     e, rep = parse_expression(src)
-    assert not rep.has_errors(), src
-    assert shape(e) == want, src
+    if want is None:    # a second operator of a non-associative level
+        assert rep.has_errors(), src
+    else:
+        assert not rep.has_errors(), src
+        assert shape(e) == want, src
+
+
+def test_level_map_and_token_table_list_the_same_binary_operators():
+    operators = {lexeme for lexeme, kind in TOKENS.items() if kind is TokenKind.OPERATOR}
+    assert set(PARSER_LEVELS) == operators - {"++", "--", "!", "~", "?"}

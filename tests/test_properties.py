@@ -12,7 +12,7 @@ from cyanine.cyast import (GAlt, GOpt, GPlus, GSel, GSeq, GStar, MethodAccess, N
                           SigRef, TypeExpr)
 from cyanine.diagnostics import Reporter
 from cyanine.grammar_methods import derive_parameter_type
-from cyanine.interp import Interp, _BoundOverride
+from cyanine.interp import Interp
 from test_runtime import flattened_slot_scan
 
 
@@ -170,10 +170,10 @@ end
 def eat_value(interp, recv, food):
     """What `recv eat: food` answers, by a fresh lookup."""
     kind, payload = interp.lookup(recv, [("eat:", [food])])
-    if kind == "own":       # addMethod:, or a replacement on this object
-        return 300 if isinstance(payload, _BoundOverride) else 200
+    if kind == "own":       # addMethod:
+        return 200
     m = payload[0]
-    if m in interp.bound_values:
+    if m in recv.own_methods or m in interp.bound_values:   # replaced on recv or its prototype
         return 300
     return m.decl.body[0].value.value
 

@@ -312,6 +312,47 @@ end
     assert (code, out) == (0, "string\nint\nq string int\nGrass\nint new\n")
 
 
+def test_replacing_a_method_of_an_object_takes_that_overload_only(run):
+    """`q.{sig}. = block` on an object that is no prototype replaces the one
+    overload `sig` denotes, on `q` alone: the other overloads of the name and
+    other objects of the prototype keep their methods."""
+    code, out, _ = run('''package main
+private object P
+    public fun f: (:x Int) -> String [ ^"int" ]
+    public fun f: (:x String) -> String [ ^"string" ]
+end
+public object Program
+    public fun run [
+        :q P = P new;
+        q.{f: String -> String}. = [ |:x String -> String| ^"new" ];
+        Out println: (q f: 1), " ", (q f: "b"), " ", (q.{f: String -> String}. eval: "c");
+        Out println: ((P new) f: "d"), " ", (q clone f: "e");
+    ]
+end
+''')
+    assert (code, out) == (0, "int new new\nstring new\n")
+
+
+def test_interpolation_reports_the_tokens_after_its_expression(errors):
+    """An interpolated expression must take the whole text between '#{' and
+    '}': a chained comparison or a stray ')' is an error at the literal, not
+    a silently shorter expression."""
+    out = errors('''package main
+public object Program
+    public fun run [
+        :a = 1;
+        :b = 2;
+        Out println: "#{a < b < 0}";
+        Out println: "#{a + b) * 100}";
+    ]
+end
+''')
+    assert out.splitlines() == [
+        "<test>:6:22: error: in string interpolation: end of expression expected, found '<'",
+        "<test>:7:22: error: in string interpolation: end of expression expected, found ')'",
+    ]
+
+
 def test_selector_param_equivalence(run):
     code, out, _ = run('''package main
 private object Map
