@@ -743,12 +743,15 @@ def b_retry(interp, m, recv, args, shape):
 
 
 def _find_handler(interp, catchers, exc):
-    """First catch argument with an eval: overload accepting the exception,
-    searched in textual order (the same search as any message send)."""
+    """The first catch argument with an eval: overload accepting the
+    exception, searched in textual order (the same search as any message
+    send): (catcher, shape of its eval: send, what `lookup` answers for
+    it), or None."""
+    shape = [("eval:", [exc])]
     for catcher in catchers:
-        hit = interp.lookup(catcher, [("eval:", [exc])])
+        hit = interp.handler_lookup(catcher, shape)
         if hit is not None:
-            return catcher
+            return catcher, shape, hit
     return None
 
 
@@ -780,7 +783,7 @@ def b_catch_family(interp, m, recv, args, shape):
                 if handler is None and not universal:
                     raise
                 if handler is not None:
-                    interp.send(handler, [("eval:", [t.value])])
+                    interp.send_found(*handler)
                 if retry_b is not None:
                     send_eval(interp, retry_b, [])
                     continue

@@ -537,19 +537,57 @@ def _super_send(parts, refs):
     return send
 
 
+def mixin_at(recv, index):
+    """What `lookup` pairs with a method it found on the chain of the mixin
+    of `recv` at `index`: (that mixin object, index); None for no index."""
+    return None if index is None else (recv.mixins[index], index)
+
+
+def send_key(interp, recv, args):
+    """The inline-cache key of a send of `args` to `recv`, or None where the
+    send is not cached.  The receiver's part is its type; for an object with
+    attached mixins, (its prototype, the tuple of its mixins' prototypes),
+    so that `attachMixin:` and `popMixin` change the key and not the cache.
+    Objects with methods of their own, nil and noObject are not cached.  A
+    send with arguments keys by the tuple of the receiver's part and the
+    arguments' types: what `lookup` answers, and a grammar method's match,
+    depend on nothing else at one site."""
+    t = type(recv)
+    if t is PrimV:
+        key = recv.kind
+    elif t is ObjectV:
+        if recv.own_methods:
+            return None
+        key = (recv.proto, tuple([mixin.proto for mixin in recv.mixins])) \
+            if recv.mixins else recv.proto
+    elif recv is NIL or recv is NOOBJECT:
+        return None
+    else:
+        key = interp.runtime_type(recv)
+    if not args:
+        return key
+    if len(args) == 1:
+        arg = args[0]
+        t = type(arg)
+        return key, (arg.kind if t is PrimV else arg.proto if t is ObjectV
+                     else interp.runtime_type(arg))
+    return (key, *[a.kind if type(a) is PrimV else interp.runtime_type(a) for a in args])
+
+
 def _site(site, parts, recv_code, args_first=True, refs=None):
     """The closure of a send site: `parts` is [(selector, [argument
     closures])], and a keyword send runs its arguments before its receiver.
-    The site keys its inline cache by the receiver's type, or by the tuple of
-    the receiver's and the arguments' types, and hands a miss to
-    `Interp.send` with the key.  Objects with methods or mixins of their
-    own, nil and noObject are never cached.  A hit of a `new:` or `bind:`
-    send, which has `refs` (`Compiler.refs`), goes through `invoke`."""
+    The site probes its inline cache with `send_key` and hands a miss, or a
+    send it does not cache, to `Interp.send`.  A hit calls the entry's
+    handler, or `invoke` for a `new:` or `bind:` send, which has `refs`
+    (`Compiler.refs`), and for a method with a bound value."""
     (selector, codes), = parts if len(parts) == 1 else [(None, None)]
     arg_code = codes[0] if codes is not None and len(codes) == 1 else None
     unary = ((selector, ()),) if codes == [] else None
 
     def send(interp, env, frame):
+        # the commonest sends, to a primitive with no argument or with one
+        # primitive argument, are keyed here as `send_key` keys them
         if arg_code is not None:
             if args_first:
                 arg = arg_code(interp, env, frame)
@@ -559,37 +597,28 @@ def _site(site, parts, recv_code, args_first=True, refs=None):
                 arg = arg_code(interp, env, frame)
             args = [arg]
             shape = [(selector, args)]
+            key = (recv.kind, arg.kind) if type(recv) is PrimV and type(arg) is PrimV \
+                else send_key(interp, recv, args)
         elif unary is not None:
             recv, args, shape = recv_code(interp, env, frame), (), unary
+            key = recv.kind if type(recv) is PrimV else send_key(interp, recv, args)
         else:
             shape = [(sel, [code(interp, env, frame) for code in codes])
                      for sel, codes in parts]
             recv = recv_code(interp, env, frame)
             args = [a for _s, part in shape for a in part]
-        t = type(recv)
-        if t is PrimV:
-            key = recv.kind
-        elif t is ObjectV and not (recv.own_methods or recv.mixins):
-            key = recv.proto
-        elif t is ObjectV or recv is NIL or recv is NOOBJECT:
+            key = send_key(interp, recv, args)
+        if key is None:
             return interp.send(recv, shape, refs=refs and refs(env))
-        else:
-            key = interp.runtime_type(recv)
-        if arg_code is not None:
-            t = type(arg)
-            key = key, (arg.kind if t is PrimV else arg.proto if t is ObjectV
-                        else interp.runtime_type(arg))
-        elif args:
-            key = (key, *[a.kind if type(a) is PrimV else interp.runtime_type(a)
-                          for a in args])
         found = interp.inline_caches[site].get(key)
         if found is None:
             return interp.send(recv, shape, refs=refs and refs(env), site=site, key=key)
         interp.steps += 1
         if interp.steps + interp.evals > interp.max_steps:
             interp.out_of_steps()
-        handler, m, owner = found
+        handler, m, owner, index, plan = found
         if refs is not None or m in interp.bound_values:
-            return interp.invoke(m, recv, shape, owner, None, None, refs and refs(env))
+            return interp.invoke(m, recv, shape, owner, mixin_at(recv, index), plan,
+                                 refs and refs(env))
         return handler(interp, m, recv, args, shape)
     return send

@@ -579,28 +579,28 @@ class Desugarer:
     def rewrite_incr(self, e, scope):
         op = "+" if e.op == "++" else "-"
         target = e.operand
-        one = Lit("Int", 1, line=e.line, col=e.col)
+        at = {"line": e.line, "col": e.col}     # every node built here is at `e`
+        one = Lit("Int", 1, **at)
         if isinstance(target, IndexGet):
             # ++v[e]:  :t1 = e; :t2 = v[t1] + 1; v[t1] = t2; value t2
             recv = self.rx(target.receiver, scope)
             idx = self.rx(target.index, scope)
             t1, t2 = self.fresh(), self.fresh()
-            get = send1(recv, "at:", NameRef(t1))
+            get = send1(recv, "at:", NameRef(t1, **at), **at)
             put = KeywordSend(copy.deepcopy(recv),
-                              [("at:", [NameRef(t1)]), ("put:", [NameRef(t2)])])
+                              [("at:", [NameRef(t1, **at)]), ("put:", [NameRef(t2, **at)])],
+                              **at)
             return LetExpr(t1, idx,
-                           LetExpr(t2, BinarySend(get, op, one),
-                                   LetExpr(self.fresh(), put, NameRef(t2))),
-                           line=e.line, col=e.col)
+                           LetExpr(t2, BinarySend(get, op, one, **at),
+                                   LetExpr(self.fresh(), put, NameRef(t2, **at), **at), **at),
+                           **at)
         if isinstance(target, NameRef) and target.name not in scope.all_names():
             qual = self.visible_var_qualifier(self.current_proto.name, target.name)
             if qual is not None:
                 # public/protected variable: (v: (v + 1))
                 return send1(None, target.name + ":",
-                             BinarySend(NameRef(target.name), op, one),
-                             line=e.line, col=e.col)
-        return AssignExpr(target, BinarySend(copy.deepcopy(target), op, one),
-                          line=e.line, col=e.col)
+                             BinarySend(NameRef(target.name, **at), op, one, **at), **at)
+        return AssignExpr(target, BinarySend(copy.deepcopy(target), op, one, **at), **at)
 
     def rewrite_creation(self, e, scope):
         callee = e.callee

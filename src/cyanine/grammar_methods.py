@@ -8,6 +8,7 @@ alternative that is a supertype of the argument.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate, count
 
 from .cyast import GAlt, GOpt, GPlus, GSel, GSeq, GStar
 
@@ -285,11 +286,11 @@ class NoMatch(Exception):
     pass
 
 
-# match-tree nodes; argument entries are (value, chosen_alternative_index)
+# match-tree nodes
 @dataclass
 class MSel:
     node: GSel
-    args: list          # list of (arg, alt_index)
+    args: list          # per argument: (its index in the flat argument list, alt_index)
 
 
 @dataclass
@@ -317,8 +318,13 @@ def match_message(automaton, shape, type_of, is_subtype):
     """Possessive-greedy match of a message shape against the automaton's
     signature regex.  `shape` is a list of (selector, [arg,...]); `type_of`
     maps an arg to its type name.  Returns the match tree or raises NoMatch.
+    The tree holds no argument, only where each one is in the flat argument
+    list, so it is the same for every message of the same selectors,
+    argument counts and argument types.
     """
     regex = automaton.regex if isinstance(automaton, SelectorAutomaton) else automaton
+    # the flat index of the first argument of each part
+    starts = [0, *accumulate(len(args) for _sel, args in shape)]
 
     def pick_alt(arg, alts):
         ty = type_of(arg)
@@ -342,12 +348,13 @@ def match_message(automaton, shape, type_of, is_subtype):
             positions = spec[1]
             if len(args) != len(positions):
                 raise NoMatch()
-            out = [(a, pick_alt(a, alts)) for a, alts in zip(args, positions)]
+            out = [(k, pick_alt(a, alts))
+                   for k, a, alts in zip(count(starts[i]), args, positions)]
             return i + 1, MSel(node, out)
         if spec[0] in ("star", "plus"):
             if spec[0] == "plus" and not args:
                 raise NoMatch()
-            out = [(a, pick_alt(a, spec[1])) for a in args]
+            out = [(k, pick_alt(a, spec[1])) for k, a in zip(count(starts[i]), args)]
             return i + 1, MSel(node, out)
         if spec[0] == "default":
             if len(args) != 1:
@@ -355,7 +362,7 @@ def match_message(automaton, shape, type_of, is_subtype):
             ty = type_of(args[0])
             if not is_subtype(ty, spec[1].canonical()):
                 raise NoMatch()
-            return i + 1, MSel(node, [(args[0], 0)])
+            return i + 1, MSel(node, [(starts[i], 0)])
         raise ValueError(spec)
 
     def match(node, i):
@@ -408,16 +415,18 @@ def match_message(automaton, shape, type_of, is_subtype):
 
 @dataclass
 class PackPlan:
-    op: str                  # 'value'|'unit'|'array'|'tuple'|'union'|'empty_union'|'default'
+    op: str                  # 'arg'|'unit'|'array'|'tuple'|'union'|'empty_union'|'default'
     type_name: str = ""
     children: list = field(default_factory=list)
-    value: object = None
+    index: int = 0           # 'arg': the argument's index in the flat argument list
     tag: int = 0             # union field index (0-based)
     sel: object = None       # 'default': the GSel whose default value it is
 
 
 def plan_packing(regex, match):
-    """Map a match tree to construction steps for the derived parameter type."""
+    """Map a match tree to construction steps for the derived parameter type.
+    The plan reads the arguments by their index, so it serves every message
+    that gives the same tree."""
     derived = derive_parameter_type(regex)
 
     def plan(node, m, dt):
@@ -428,19 +437,19 @@ def plan_packing(regex, match):
             if spec[0] == "types":
                 positions = spec[1]
                 plans = []
-                for (arg, alt_i), alts, pos_dt in zip(
+                for (index, alt_i), alts, pos_dt in zip(
                         m.args, positions,
                         dt.fields if isinstance(dt, UTupleOf) else [dt]):
-                    plans.append(_arg_plan(arg, alt_i, alts, pos_dt))
+                    plans.append(_arg_plan(index, alt_i, alts, pos_dt))
                 if len(positions) == 1:
                     return plans[0]
                 return PackPlan("tuple", dt.canonical(), plans)
             if spec[0] in ("star", "plus"):
                 elem_dt = dt.elem
-                plans = [_arg_plan(arg, alt_i, spec[1], elem_dt) for arg, alt_i in m.args]
+                plans = [_arg_plan(index, alt_i, spec[1], elem_dt) for index, alt_i in m.args]
                 return PackPlan("array", dt.canonical(), plans)
             if spec[0] == "default":
-                return PackPlan("value", dt.canonical(), value=m.args[0][0])
+                return PackPlan("arg", dt.canonical(), index=m.args[0][0])
         if isinstance(node, GSeq):
             if len(node.items) == 1:
                 return plan(node.items[0], m.parts[0], dt)
@@ -465,11 +474,11 @@ def plan_packing(regex, match):
             return PackPlan("union", dt.canonical(), [inner], tag=0)
         raise ValueError(node)
 
-    def _arg_plan(arg, alt_i, alts, pos_dt):
+    def _arg_plan(index, alt_i, alts, pos_dt):
         if isinstance(pos_dt, UUnionOf):
-            inner = PackPlan("value", pos_dt.fields[alt_i].canonical(), value=arg)
+            inner = PackPlan("arg", pos_dt.fields[alt_i].canonical(), index=index)
             return PackPlan("union", pos_dt.canonical(), [inner], tag=alt_i)
-        return PackPlan("value", pos_dt.canonical(), value=arg)
+        return PackPlan("arg", pos_dt.canonical(), index=index)
 
     return plan(regex, match, derived)
 

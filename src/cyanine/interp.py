@@ -4,12 +4,15 @@ exception machinery.  It runs the closures the compile step (`compiler`)
 left on the nodes.  Which method of a chain takes a message, in textual
 order, is the table's `find_method`, the search the checker makes too;
 `lookup` adds what only the run has: methods of an object's own, attached
-mixins, `super` and `addMethod:` bodies."""
+mixins, `super` and `addMethod:` bodies.  A send site's cache keeps what
+`lookup` found under `compiler.send_key`, which holds an object's mixin
+stack, with the packing plan of a grammar method; the catch builtin's
+handler search has a cache of its own, `CATCH_SITE`."""
 
 from types import MappingProxyType
 
 from . import builtins as bi
-from .compiler import Frame
+from .compiler import Frame, mixin_at, send_key
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
 from .driver import raise_recursion_limit
 from .grammar_methods import plan_packing
@@ -51,6 +54,10 @@ class FieldProxy:
 
 _NO_ENTRIES = MappingProxyType({})     # the cache of a site before its first miss
 
+# the cache of the catch builtin's handler search: the `eval:` send to each
+# catcher, one cache after those of the send sites
+CATCH_SITE = -1
+
 _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
              "Double": 0.0, "Char": "\0", "Boolean": False, "String": ""}
 
@@ -88,12 +95,13 @@ class Interp:
         self.bound_values = {}      # MethodEntry -> object bound by `fun sig = e`
                                     # or by assigning a method
         self.dyn_methods = {}       # (entry name, selector) -> body from addMethod:
-        # one inline cache per send site, indexed by the site's number:
-        # {receiver type, or (receiver type, argument types...): (handler,
-        # method, owner entry)}.  A send counts as a hit, a miss (looked up,
-        # then cached) or a skip (looked up but not cacheable, or not looked
-        # up), so hits = steps - misses - skips.
-        self.inline_caches = [_NO_ENTRIES] * program.sites
+        # one inline cache per send site, indexed by the site's number, and
+        # CATCH_SITE: {`compiler.send_key`: (handler, method, owner entry,
+        # index of the receiver's mixin that has it or None, packing plan of
+        # a grammar method or None)}.  A send counts as a hit, a miss (looked
+        # up, then cached) or a skip (looked up but not cacheable, or not
+        # looked up), so hits = steps - misses - skips.
+        self.inline_caches = [_NO_ENTRIES] * (program.sites + 1)
         self.misses = 0
         self.skips = 0
 
@@ -369,18 +377,28 @@ class Interp:
                 self.str_exception(f"message '{name}' sent to noObject")
             return self.send_to_nil(shape, name)
         hit = self.lookup(recv, shape, super_frame=super_frame, name=name)
-        # grammar hits carry a match tree of argument values, and methods
-        # added by addMethod: are found per prototype, not per type
-        if site is not None and hit is not None and hit[0] == "static" and hit[1][3] is None:
-            m, owner = hit[1][:2]
-            cache = self.inline_caches[site]
-            if cache is _NO_ENTRIES:
-                cache = self.inline_caches[site] = {}
-            cache[key] = (self.cached_handler(m, owner), m, owner)
+        self._keep(site, key, hit)
+        return self.perform(recv, shape, hit, refs)
+
+    def _keep(self, site, key, hit):
+        """Count a send that `lookup` answered with `hit`: a miss when `key`
+        is a cache key and `hit` a static hit, which the cache of `site` then
+        keeps; else a skip.  A body `addMethod:` gave is found per
+        prototype, not per type, so it is never kept."""
+        if key is not None and hit is not None and hit[0] == "static":
+            m, owner, mixin_obj, plan = hit[1]
+            index = None if mixin_obj is None else mixin_obj[1]
+            self._cache(site)[key] = (self.cached_handler(m, owner, index, plan), m, owner,
+                                      index, plan)
             self.misses += 1
         else:
             self.skips += 1
+
+    def perform(self, recv, shape, hit, refs=None):
+        """The rest of a send of `shape` to `recv` once `lookup` answered
+        `hit`: run what it found, or send doesNotUnderstand:."""
         if hit is None:
+            name = "".join(sel for sel, _ in shape)
             if name == "doesNotUnderstand:":
                 self.throw_name("DoesNotUnderstandException", "doesNotUnderstand: loop")
             sym = PrimV("CySymbol", name)
@@ -390,21 +408,64 @@ class Interp:
         kind, payload = hit
         if kind == "own":
             return self.call_added_method(payload, recv, shape)
-        m, owner_entry, mixin_obj, tree = payload
-        return self.invoke(m, recv, shape, owner_entry, mixin_obj, tree, refs)
+        m, owner_entry, mixin_obj, plan = payload
+        return self.invoke(m, recv, shape, owner_entry, mixin_obj, plan, refs)
+
+    def send_found(self, recv, shape, hit):
+        """Send `shape` to `recv` when `hit`, not None, is what `lookup`
+        answers for it: one step, then `perform`."""
+        self.steps += 1
+        if self.steps + self.evals > self.max_steps:
+            self.out_of_steps()
+        return self.perform(recv, shape, hit)
+
+    def _cache(self, site):
+        """The cache of `site`, which a miss may write."""
+        cache = self.inline_caches[site]
+        if cache is _NO_ENTRIES:
+            cache = self.inline_caches[site] = {}
+        return cache
+
+    def handler_lookup(self, recv, shape):
+        """What `lookup` answers for the catch builtin's one-argument `eval:`
+        send `shape` to the catcher `recv`, through the cache CATCH_SITE,
+        which keeps a catcher with no method for it as None.  Where a method
+        takes it, the builtin sends it with `send_found`, and that send
+        counts here: a miss when this search filled the cache, a skip when
+        it could not be cached, else a hit."""
+        key = send_key(self, recv, shape[0][1])
+        cache = self.inline_caches[CATCH_SITE]
+        if key in cache:
+            found = cache[key]
+            if found is None:
+                return None
+            _handler, m, owner, index, plan = found
+            return ("static", (m, owner, mixin_at(recv, index), plan))
+        hit = self.lookup(recv, shape)
+        if hit is not None:
+            self._keep(CATCH_SITE, key, hit)
+        elif key is not None:
+            self._cache(CATCH_SITE)[key] = None
+        return hit
 
     @staticmethod
-    def cached_handler(m, owner):
+    def cached_handler(m, owner, index, plan):
         """What a site whose cache holds `m` calls, as (interp, m, recv,
-        args, shape): a builtin's handler, a method body's runner, or else
-        `invoke`.  The site calls `invoke` itself while `m` has a bound value."""
+        args, shape): a builtin's handler; a method body's runner, given the
+        receiver's mixin at `index` as `invoke` gives it; or else `invoke`,
+        which packs a grammar method's arguments by `plan`.  The site calls
+        `invoke` itself while `m` has a bound value."""
         if m.builtin is not None:
             return bi.handler(m)
-        if m.ctx_marker is None and not m.is_abstract and m.decl is not None \
-                and m.decl.body is not None:
-            return m.decl.code
+        if plan is None and m.ctx_marker is None and not m.is_abstract \
+                and m.decl is not None and m.decl.body is not None:
+            run = m.decl.code
+            if index is None:
+                return run
+            return lambda interp, m, recv, args, shape: \
+                run(interp, m, recv, args, shape, mixin_at(recv, index))
         return lambda interp, m, recv, args, shape: \
-            interp.invoke(m, recv, shape, owner, None, None)
+            interp.invoke(m, recv, shape, owner, mixin_at(recv, index), plan)
 
     def send_to_nil(self, shape, name):
         if len(shape) == 1 and shape[0][0] in ("isNil", "notNil") and not shape[0][1]:
@@ -417,10 +478,10 @@ class Interp:
     def invalidate_caches(self):
         """Start a new cache epoch: `addMethod:` added a method to a
         prototype, which a cached send to it or to a sub-prototype must
-        find.  Nothing else can make an entry stale: objects with mixins or
-        own methods are never cached, a replaced method is found as the same
-        entry (`invoke` reads its new value), and the run never writes the
-        table."""
+        find.  Nothing else can make an entry stale: an object's mixin stack
+        is part of its key, objects with methods of their own are never
+        cached, a replaced method is found as the same entry (`invoke` reads
+        its new value), and the run never writes the table."""
         self.inline_caches = [_NO_ENTRIES] * len(self.inline_caches)
 
     def lookup(self, recv, shape, super_frame=None, name=None):
@@ -428,8 +489,8 @@ class Interp:
         first found on the chain of one of its attached mixins, then on its
         dispatch chain.  Answers ("own", body) for a body of the object's own
         or one `addMethod:` gave, ("static", (method, owner entry, (mixin
-        object, index) or None, match tree or None)), or None.  `name` is
-        the joined selector."""
+        object, index) or None, packing plan of a grammar method with a body
+        or None)), or None.  `name` is the joined selector."""
         if name is None:
             name = "".join(sel for sel, _ in shape)
         chain = self.table.dispatch_chain(self.runtime_type(recv))
@@ -467,14 +528,17 @@ class Interp:
         hit = self.table.find_method(chain, shape, self.runtime_type, self._param_test)
         if hit is not None:
             m, owner, tree = hit
-            return ("static", (m, owner, mixin, tree))
+            # a builtin grammar method (the catch family) reads the message itself
+            plan = None if tree is None or m.builtin is not None \
+                else plan_packing(m.regex, tree)
+            return ("static", (m, owner, mixin, plan))
         return None if added is None else ("own", added)
 
     def _param_test(self, m, _owner_entry):
         """The run-time parameter test: a mixin's stub never takes a message."""
         return None if m.is_stub else self.reaches
 
-    def invoke(self, m, recv, shape, owner_entry, mixin_obj, tree, refs=None):
+    def invoke(self, m, recv, shape, owner_entry, mixin_obj, plan, refs=None):
         args = [a for _s, aa in shape for a in aa]
         bound = self.bound_values.get(m) if self.bound_values else None
         if type(recv) is ObjectV and recv.own_methods:
@@ -493,7 +557,7 @@ class Interp:
                 else "ExceptionCannotCallAbstractMethod"
             self.throw_name(exc, f"{owner_entry.name}::{m.name}")
         if m.kind == "grammar":
-            args = [self.execute_plan(plan_packing(m.regex, tree), recv, owner_entry)]
+            args = [self.execute_plan(plan, recv, owner_entry, args)]
         return decl.code(self, m, recv, args, shape, mixin_obj)
 
     # -- context-object natives ------------------------------------------------------------
@@ -564,27 +628,29 @@ class Interp:
 
     # -- packing plans ------------------------------------------------------------------------
 
-    def execute_plan(self, plan, recv, owner_entry):
+    def execute_plan(self, plan, recv, owner_entry, args):
+        """The argument a grammar method receives: `plan` built from the
+        message's flat argument list `args`."""
         op = plan.op
-        if op == "value":
-            return plan.value
+        if op == "arg":
+            return args[plan.index]
         if op == "unit":
             return UNIT
         if op == "array":
             base, groups = split_generic(plan.type_name)
             elem = groups[0][0]
             return ArrayV(plan.type_name, elem,
-                          [self.execute_plan(c, recv, owner_entry) for c in plan.children])
+                          [self.execute_plan(c, recv, owner_entry, args) for c in plan.children])
         if op == "tuple":
             entry = self.table.get(plan.type_name)
             names = [n for n, _t in entry.tuple_fields]
-            vals = [self.execute_plan(c, recv, owner_entry) for c in plan.children]
+            vals = [self.execute_plan(c, recv, owner_entry, args) for c in plan.children]
             return TupleV(plan.type_name, names, vals)
         if op == "union":
             entry = self.table.get(plan.type_name)
             names = [n for n, _t in entry.union_fields]
             return UnionV(plan.type_name, names, plan.tag,
-                          self.execute_plan(plan.children[0], recv, owner_entry))
+                          self.execute_plan(plan.children[0], recv, owner_entry, args))
         if op == "empty_union":
             entry = self.table.get(plan.type_name)
             names = [n for n, _t in entry.union_fields]

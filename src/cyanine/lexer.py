@@ -124,7 +124,7 @@ _TOKEN_RE = re.compile("|".join([
     r'(?P<string>")',
     r"(?P<char>')",
     r'(?P<quoted_symbol>#")',
-    r"(?P<symbol>#(?:\w[\w$]*(?::\w[\w$]*)*:?|\Z))",
+    r"(?P<symbol>#\w[\w$]*(?::\w[\w$]*)*:?)",
     r'(?P<raw_string>@"[^"\n]*"?)',
     r"(?P<meta>@@?)",
     r"(?P<inter>\?\.?[^\W\d][\w$]*:?)",            # ?at: ?name ?.at: ?.name
@@ -243,8 +243,6 @@ class Lexer:
                 self._consumed(i, end)
             elif group == "symbol":
                 text = m.group()
-                if text == "#":     # at the end of the source
-                    self._error(line, col, "invalid symbol literal")
                 emit(K.SYMBOL, text, line, col, text[1:])
             elif group == "quoted_symbol":
                 text, _, end = self._escaped(i + 2, '"', line, col, keep_hash_escape=False)

@@ -1,10 +1,14 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from cyanine.cli import main as cli_main
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write(tmp_path, name, text):
@@ -36,6 +40,23 @@ def run_cli(args, stdin="", timeout=60):
                           capture_output=True, text=True, input=stdin,
                           timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_m_cyanine_is_the_cyanine_script(tmp_path):
+    """`python -m cyanine` runs what the `cyanine` script of pyproject.toml
+    runs, here on `--check` of a good and of a rejected program."""
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        module, func = re.search(r'^cyanine = "(.+):(.+)"$', fh.read(), re.M).groups()
+    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    for name, text in (("hello.cyan", HELLO), ("bad.cyan", BAD_RBLOCK)):
+        src = write(tmp_path, name, text)
+        results = [subprocess.run(cmd + ["--check", src], capture_output=True, text=True,
+                                  timeout=60)
+                   for cmd in ([sys.executable, "-m", "cyanine"],
+                               [sys.executable, "-c", script])]
+        outcomes = [(r.returncode, r.stdout, r.stderr) for r in results]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if text is HELLO else 1), outcomes[0]
 
 
 def test_run_mode(tmp_path):

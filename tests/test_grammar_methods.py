@@ -99,7 +99,7 @@ def test_single_selector_automaton():
     auto = build_automaton(sel("add:", ["Int"]))
     assert auto.n_states == 2
     tree = match(sel("add:", ["Int"]), [("add:", ["Int"])])
-    assert tree.args[0][0] == "Int"
+    assert tree.args[0] == (0, 0)     # the first argument, its first alternative
     with pytest.raises(NoMatch):
         match(sel("add:", ["Int"]), [("add:", ["Int", "Int"])])
 

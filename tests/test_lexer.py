@@ -126,6 +126,15 @@ def test_nested_comments_to_depth_16():
         assert [t.kind for t in toks] == [K.EOF], f"depth {n}"
 
 
+def test_lone_hash_is_an_invalid_character_at_the_end_too():
+    """A '#' followed by no symbol character gives no token, wherever it is."""
+    for src, col in (("#", 1), ("a #", 3), ("a # b", 3), ("{# 1 #} #", 9)):
+        toks, rep = tokenize(src)
+        assert [t.lexeme for t in toks if t.lexeme == "#"] == []
+        assert [(d.line, d.col, d.message) for d in rep.items] == \
+            [(1, col, "invalid character '#'")], src
+
+
 def test_unterminated_comment_and_string():
     _, rep = tokenize("/* open")
     assert "unterminated comment" in rep.format_all()

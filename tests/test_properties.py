@@ -11,8 +11,10 @@ from cyanine.checker import Checker, _Env
 from cyanine.cyast import (GAlt, GOpt, GPlus, GSel, GSeq, GStar, MethodAccess, NameRef,
                           SigRef, TypeExpr)
 from cyanine.diagnostics import Reporter
-from cyanine.grammar_methods import derive_parameter_type
+from cyanine.compiler import mixin_at, send_key
+from cyanine.grammar_methods import derive_parameter_type, match_message, plan_packing
 from cyanine.interp import Interp
+from cyanine.values import ArrayV, PrimV, TupleV, UnionV
 from test_runtime import flattened_slot_scan
 
 
@@ -153,14 +155,23 @@ def test_static_and_dynamic_dispatch_agree(data):
 FEEDER = """private mixin(Animal) object Picky
     public override fun eat: (:food Food) -> Int [ return 100 ]
 end
+private mixin(Animal) object Plain
+    public fun shade -> Int [ return 0 ]
+end
+private object Grammar
+    public fun ( (take: (Int | String | Food)*) (with: Int)? ) :t -> Any [ ^t ]
+end
 public object Program
     public fun feed: (:a Animal, :f Food) -> Int [ return a eat: f ]
+    public fun take: (:a Any, :b Any) -> Any [ ^Grammar take: a, b ]
+    public fun takeWith: (:a Any, :b Any, :c Int) -> Any [ ^Grammar take: a, b with: c ]
     public fun add: (:a Animal) [
         a addMethod: selector: #eat param: Food returnType: Int
             body: (:self Animal)[ |:p Food -> Int| ^200 ];
     ]
     public fun replace: (:a Animal) [ a.{eat: Food}. = [ |:p Food -> Int| ^300 ]; ]
     public fun attach: (:a Animal) [ a attachMixin: Picky; ]
+    public fun plain: (:a Animal) [ a attachMixin: Plain; ]
     public fun pop: (:a Animal) [ a popMixin; ]
     public fun run [ ]
 end
@@ -178,29 +189,57 @@ def eat_value(interp, recv, food):
     return m.decl.body[0].value.value
 
 
+def fresh_receiver(interp, key):
+    """A new object whose receiver key is `key`: a prototype name, or (a
+    prototype name, the names of its mixins, most recently attached first)."""
+    proto, mixins = key if isinstance(key, tuple) else (key, ())
+    obj = interp.instantiate(interp.table.get(proto))
+    obj.mixins = [interp.instantiate(interp.table.get(name)) for name in mixins]
+    return obj
+
+
+def unpack(v):
+    """A grammar method's argument as plain Python values, to compare."""
+    if isinstance(v, ArrayV):
+        return ("array", v.type_name, [unpack(x) for x in v.elems])
+    if isinstance(v, TupleV):
+        return ("tuple", v.type_name, [unpack(x) for x in v.values])
+    if isinstance(v, UnionV):
+        return ("union", v.type_name, v.tag, None if v.payload is None else unpack(v.payload))
+    if isinstance(v, PrimV):
+        return (v.kind, v.v)
+    return v
+
+
 @given(eat_hierarchies(program=FEEDER), st.data())
 @settings(max_examples=40, deadline=None)
 def test_inline_cache_agrees_with_fresh_lookup(data, steps):
     """Every receiver and food sent through one site, before and after each
     of a sequence of addMethod:, method replacements, attachMixin: and
     popMixin: each send answers what a fresh lookup finds, and each cache
-    entry is the method a fresh lookup and the flattened textual-order scan
-    find for its receiver and argument types."""
+    entry is what a fresh lookup finds for a new object of its receiver key
+    (the mixin index too), and for a receiver without mixins the method the
+    flattened textual-order scan finds.  Arguments of every value and type
+    sent through one grammar-method site are packed as a fresh match and its
+    plan pack them, and each entry of that site keeps the plan of a fresh
+    match of its argument types."""
     src, animals, foods = data
     program = compile_src(src)
     assert program.ok(), program.reporter.format_all() + src
     interp = Interp(program)
     interp.setup()
+    table = program.table
     objects = interp.proto_objects
     main = objects["Program"]
-    site = program.table.get("Program").groups["feed:"].entries[0].decl.body[0].value
+    site = table.get("Program").groups["feed:"].entries[0].decl.body[0].value
     receivers = [objects[a] for a in animals] + \
-        [interp.instantiate(program.table.get(a)) for a in animals]
+        [interp.instantiate(table.get(a)) for a in animals]
     # one object per type with no mixins and no methods of its own
-    plain = {t: interp.instantiate(program.table.get(t)) for t in animals + foods}
+    plain = {t: interp.instantiate(table.get(t)) for t in animals + foods}
+    plain["Int"], plain["String"] = PrimV("Int", 0), PrimV("String", "")
     mutations = steps.draw(st.lists(st.tuples(
-        st.sampled_from(["add", "replace", "attach", "pop"]), st.sampled_from(receivers)),
-        min_size=1, max_size=8))
+        st.sampled_from(["add", "replace", "attach", "plain", "pop"]),
+        st.sampled_from(receivers)), min_size=1, max_size=8))
     for mutation in [None] + mutations:
         if mutation is not None:
             op, recv = mutation
@@ -209,10 +248,46 @@ def test_inline_cache_agrees_with_fresh_lookup(data, steps):
             expected = eat_value(interp, recv, objects[food])
             assert interp.send(main, [("feed:", [recv, objects[food]])]).v == expected, \
                 (mutations, src)
-        for (rtype, ftype), (_handler, m, owner) in interp.inline_caches[site.site].items():
-            again = interp.lookup(plain[rtype], [("eat:", [plain[ftype]])])
-            assert again == ("static", (m, owner, None, None)), (rtype, ftype, mutations, src)
-            assert m is flattened_slot_scan(interp, rtype, ftype), (rtype, ftype, mutations, src)
+        for (rkey, ftype), (_handler, m, owner, index, plan) in \
+                interp.inline_caches[site.site].items():
+            recv = fresh_receiver(interp, rkey)
+            again = interp.lookup(recv, [("eat:", [plain[ftype]])])
+            assert again == ("static", (m, owner, mixin_at(recv, index), None)), \
+                (rkey, ftype, mutations, src)
+            assert send_key(interp, recv, [plain[ftype]]) == (rkey, ftype)
+            if index is None:
+                assert m is flattened_slot_scan(interp, recv.proto, ftype), \
+                    (rkey, ftype, mutations, src)
+
+    grammar, g_entry = objects["Grammar"], table.get("Grammar")
+    g_method = next(m for m in g_entry.methods if m.kind == "grammar")
+
+    def fresh_plan(shape):
+        return plan_packing(g_method.regex, match_message(
+            g_method.automaton, shape, interp.runtime_type, interp.reaches))
+
+    def shape_of(selector, args):
+        return [("take:", args[:2])] + ([("with:", args[2:])] if selector == "takeWith:" else [])
+
+    arg = st.one_of(st.integers(-3, 3).map(lambda v: PrimV("Int", v)),
+                    st.text(max_size=2).map(lambda v: PrimV("String", v)),
+                    st.sampled_from(foods).map(lambda f: objects[f]))
+    sends = steps.draw(st.lists(st.one_of(
+        st.tuples(st.just("take:"), st.lists(arg, min_size=2, max_size=2)),
+        st.tuples(st.just("takeWith:"), st.tuples(arg, arg, st.integers(-3, 3)).map(
+            lambda t: [t[0], t[1], PrimV("Int", t[2])]))), min_size=1, max_size=12))
+    for selector, args in sends:
+        answer = interp.send(main, [(selector, args)])
+        expected = interp.execute_plan(fresh_plan(shape_of(selector, args)), grammar, g_entry,
+                                       args)
+        assert unpack(answer) == unpack(expected), (selector, args, src)
+    for selector in ("take:", "takeWith:"):
+        g_site = table.get("Program").groups[selector].entries[0].decl.body[0].value
+        for (_rkey, *types), (_handler, m, owner, index, plan) in \
+                interp.inline_caches[g_site.site].items():
+            assert (m, owner, index) == (g_method, g_entry, None)
+            assert plan == fresh_plan(shape_of(selector, [plain[t] for t in types])), \
+                (selector, types, src)
 
 
 # --- checked sends never fail: attached mixins included ------------------------

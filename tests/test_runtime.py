@@ -353,6 +353,21 @@ end
     ]
 
 
+def test_increment_diagnostics_point_at_the_increment(errors):
+    """Every node `++`/`--` becomes is at the operator's position, so the
+    send of `-` it makes is reported there, at the literal inside an
+    interpolation, beside the illegal target."""
+    out = errors('''package main
+public object Program
+    public fun run [ Out println: "#{-- nil}"; ]
+end
+''')
+    assert out.splitlines() == [
+        "<test>:3:35: error: 'Nil' has no method matching '- _'",
+        "<test>:3:35: error: illegal assignment target",
+    ]
+
+
 def test_selector_param_equivalence(run):
     code, out, _ = run('''package main
 private object Map
@@ -589,6 +604,50 @@ def test_sends_workload_misses_are_few():
     assert interp.steps == 89271
     assert interp.misses < 50
     assert interp.misses + interp.skips < 50
+
+
+def test_mixins_grammar_methods_and_catch_handlers_hit_the_cache():
+    """A loop of a grammar-method send, a `catch:` whose block throws, and
+    `attachMixin:`, `draw:` and `popMixin`: from the second iteration on,
+    every send is a cache hit but the `super` send of the mixin's `draw:`."""
+    program = compile_src('''package main
+private object Oops extends CyException end
+private object Handler
+    public fun eval: (:e Oops) [ Out println: "caught" ]
+end
+private object Window
+    public fun draw: (:n Int) -> Int [ ^n + 1 ]
+end
+private mixin(Window) object Shade
+    public override fun draw: (:n Int) -> Int [ ^(super draw: n) * 2 ]
+end
+private object Store
+    public fun ( add: (wattsHour: Int | joule: Int)+ ) :t [ Out println: t f2 size ]
+end
+public object Program
+    public fun run [
+        :n = In readInt;
+        :i = 0;
+        :w = Window new;
+        [^ i < n ] whileTrue: [
+            Store add: joule: i wattsHour: 2;
+            [ throw: Oops ] catch: Handler;
+            w attachMixin: Shade;
+            Out println: (w draw: i);
+            w popMixin;
+            ++i;
+        ];
+    ]
+end
+''')
+    assert program.ok(), program.reporter.format_all()
+    counts = []
+    for n in (1, 5):
+        interp = Interp(program, stdin_text=str(n))
+        assert interp.run() == 0
+        assert interp.stdout().splitlines()[-3:] == ["2", "caught", str(2 * n)]
+        counts.append(interp.misses + interp.skips)
+    assert counts[1] - counts[0] == 4       # one super send per later iteration
 
 
 def test_a_node_without_a_handler_cannot_run():
