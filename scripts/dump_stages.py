@@ -5,9 +5,15 @@ core, block classification, and grammar automata.
     python scripts/dump_stages.py FILE.cyan [PROTO]
 """
 
+import os
 import sys
 
-from cyanine.cli import main as cli_main
+# the checkout's sources come first, installed or not
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+from cyanine.cli import main as cli_main  # noqa: E402
 
 
 def main(argv):

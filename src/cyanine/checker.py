@@ -937,12 +937,17 @@ class Checker:
 
     def resolve_send(self, recv_type, shape, node, quiet=False):
         """Static method resolution starting at the declared receiver type.
-        shape: [(selector, [argument type, ...]), ...]"""
+        shape: [(selector, [argument type, ...]), ...].  A send node that
+        resolves to a builtin notes it with the types it was resolved for."""
         chain = self.self_chain if self.self_chain is not None and _sent_to_self(node) \
             else self.table.dispatch_chain(recv_type)
         hit = self.table.find_method(chain, shape, lambda t: t, self._param_test)
         if hit is not None:
-            return hit[0].return_type, hit[0]
+            m = hit[0]
+            if m.builtin is not None and type(node) is not NameRef:
+                types = shape[0][1] if len(shape) == 1 else [t for _s, ts in shape for t in ts]
+                node.builtin = (m, recv_type, tuple(types))
+            return m.return_type, m
         if not quiet:
             rule_f = self._rule_f(chain, shape)
             if rule_f is not None:

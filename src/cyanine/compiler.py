@@ -11,14 +11,28 @@ Locals live in envs, lists [parent env, cell, ...]: one per activation of a
 method or block, per `if`/`while` body that declares a variable, per `let`,
 and per <init>, <fields> or <default> frame; a local's address is (depth,
 slot).  Each local keeps its own Cell, which dies when its env is left, for
-the dead-cell check.  Each send with a receiver expression gets a site
-number, the index of its inline cache: on a hit its closure counts the step
-and calls the cached handler, and everything else goes to `Interp.send`.
+the dead-cell check.
+
+Two kinds of send are bound here, from what the checker proved:
+
+- A send the checker resolved to a builtin for a receiver and at most one
+  argument of basic types (`Int`, `Boolean`, `Char`, ...), which are final:
+  its closure calls the builtin's handler while the values have those kinds
+  (not nil) and the method is neither replaced nor overtaken by an
+  `addMethod:` body, and goes to `Interp.send` otherwise (`_bound_site`).
+- A whileTrue:, whileFalse: or repeatUntil: send of two block literals with
+  no parameter, %-variable or local: its closure runs the two bodies in a
+  Python loop, with no block value (`_loop`).
+
+Every other send with a receiver expression gets a site number, the index of
+its inline cache: on a hit its closure counts the step and calls the cached
+handler, and everything else goes to `Interp.send`.
 """
 
+from . import builtins as bi
 from .cyast import *
 from .grammar_methods import all_nodes
-from .prototypes import split_generic
+from .prototypes import BASIC_TYPES, split_generic
 from .values import (FALSE, FRESH_LITERALS, NIL, NOOBJECT, TRUE, ArrayV, BlockV, Cell,
                      MethodV, ObjectV, PrimV, TupleV)
 
@@ -311,19 +325,33 @@ class Compiler:
             return _raiser(_no_object, f"unknown variable '%{e.name}'")
         return _reader(*address)
 
+    def send(self, e, parts, recv_code, args_first=True, refs=None):
+        """The closure of the send `e` of `parts` to what `recv_code`
+        answers: bound to its builtin where the checker resolved it for a
+        receiver and at most one argument of basic types (`_bound_site`),
+        else a site with an inline cache (`_site`)."""
+        bound = e.builtin
+        if bound is not None and bound[1] in _BASIC and len(parts) == 1 \
+                and (not bound[2] or len(bound[2]) == 1 and bound[2][0] in _BASIC):
+            return _bound_site(bound, parts[0], recv_code, args_first)
+        return _site(self.new_site(e), parts, recv_code, args_first, refs)
+
     def unary(self, e):
         if type(e.receiver) is SuperRef:
             return _super_send([(e.selector, [])], None)
-        return _site(self.new_site(e), [(e.selector, [])], self.expr(e.receiver))
+        return self.send(e, [(e.selector, [])], self.expr(e.receiver))
 
     def binary(self, e):
         left, right = self.expr(e.left), self.expr(e.right)
         if e.op == "..":
             return lambda interp, env, frame: \
                 interp.make_interval(left(interp, env, frame), right(interp, env, frame))
-        return _site(self.new_site(e), [(e.op, [right])], left, args_first=False)
+        return self.send(e, [(e.op, [right])], left, args_first=False)
 
     def keyword(self, e):
+        if e.builtin is not None and e.builtin[0].builtin in _LOOPS \
+                and _plain_block(e.receiver) and _plain_block(e.parts[0][1][0]):
+            return self.loop(e)
         parts = [(sel, [self.expr(a) for a in args]) for sel, args in e.parts]
         # a context object's `new:` and `bind:` bind their `&` and `*`
         # parameters to what the arguments refer to
@@ -332,7 +360,23 @@ class Compiler:
         if type(e.receiver) is SuperRef:
             return _super_send(parts, refs)
         recv = _receiver if e.receiver is None else self.expr(e.receiver)
-        return _site(self.new_site(e), parts, recv, refs=refs)
+        return self.send(e, parts, recv, refs=refs)
+
+    def loop(self, e):
+        """A whileTrue:, whileFalse: or repeatUntil: send of two block
+        literals with no parameter and no %-variable: where neither body
+        declares a local, a Python loop over the two bodies (`_loop`), else
+        the site that sends the two block values."""
+        (selector, (arg,)), = e.parts
+        make_arg, arg_body, arg_slots = self.block(arg)
+        make_recv, recv_body, recv_slots = self.block(e.receiver)
+        site = _site(self.new_site(e), [(selector, [make_arg])], make_recv)
+        if arg_slots or recv_slots:
+            return site
+        m = e.builtin[0]
+        if m.builtin == "repeat_until":
+            return _loop(m, arg_body, recv_body, True, False, site)
+        return _loop(m, recv_body, arg_body, False, m.builtin == "while_true", site)
 
     def refs(self, nodes):
         """A closure of the env answering, per argument node, the cell of
@@ -347,6 +391,9 @@ class Compiler:
                             for address, name in spec]
 
     def block(self, e):
+        """Compile the block literal `e`, leaving its runner in `e.code`:
+        (the closure that makes its value, the closure of its body, the
+        number of slots of its env)."""
         percent = list(e.info.percent_vars) if e.info is not None else []
         snapshot = [self.address(name) for name in percent]
         params = [p.name for sec in e.param_sections for p in sec]
@@ -363,7 +410,7 @@ class Compiler:
                 if snapshot else ()
             return BlockV(e, env, frame.receiver, frame.fields_owner, frame.ctx, rtype,
                           values, frame.entry_name)
-        return make_block
+        return make_block, body, scope.size
 
     def method_access(self, e):
         recv, sig, rtype = self.expr(e.receiver), e.sig, e.resolved_type
@@ -397,13 +444,26 @@ _EXPRS = {
     Lit: Compiler.lit, ArrayLit: Compiler.array, TupleLit: Compiler.tuple_lit,
     NameRef: Compiler.name, GenericRef: lambda c, e: c.prototype(e.resolved),
     SelfRef: Compiler.self_ref, PercentRef: Compiler.percent, UnarySend: Compiler.unary,
-    PrefixOp: lambda c, e: _site(c.new_site(e), [(e.op, [])], c.expr(e.operand)),
-    BinarySend: Compiler.binary, KeywordSend: Compiler.keyword, BlockLit: Compiler.block,
+    PrefixOp: lambda c, e: c.send(e, [(e.op, [])], c.expr(e.operand)),
+    BinarySend: Compiler.binary, KeywordSend: Compiler.keyword,
+    BlockLit: lambda c, e: c.block(e)[0],
     MethodAccess: Compiler.method_access, LetExpr: Compiler.let,
     AssignExpr: lambda c, e: c.assign(e.target, c.expr(e.value)),
     IfExpr: lambda c, e: _branch([(c.expr(e.cond), c.expr(e.then)),
                                   (_true, c.expr(e.otherwise))]),
 }
+
+
+# the builtins of the loops whose block literals `Compiler.loop` runs inline
+_LOOPS = ("while_true", "while_false", "repeat_until")
+
+_BASIC = frozenset(BASIC_TYPES)
+
+
+def _plain_block(e):
+    """Whether `e` is a block literal with no parameter and no %-variable."""
+    return type(e) is BlockLit and not e.param_sections \
+        and (e.info is None or not e.info.percent_vars)
 
 
 # -- closures -----------------------------------------------------------------------------
@@ -586,8 +646,6 @@ def _site(site, parts, recv_code, args_first=True, refs=None):
     unary = ((selector, ()),) if codes == [] else None
 
     def send(interp, env, frame):
-        # the commonest sends, to a primitive with no argument or with one
-        # primitive argument, are keyed here as `send_key` keys them
         if arg_code is not None:
             if args_first:
                 arg = arg_code(interp, env, frame)
@@ -597,17 +655,14 @@ def _site(site, parts, recv_code, args_first=True, refs=None):
                 arg = arg_code(interp, env, frame)
             args = [arg]
             shape = [(selector, args)]
-            key = (recv.kind, arg.kind) if type(recv) is PrimV and type(arg) is PrimV \
-                else send_key(interp, recv, args)
         elif unary is not None:
             recv, args, shape = recv_code(interp, env, frame), (), unary
-            key = recv.kind if type(recv) is PrimV else send_key(interp, recv, args)
         else:
             shape = [(sel, [code(interp, env, frame) for code in codes])
                      for sel, codes in parts]
             recv = recv_code(interp, env, frame)
             args = [a for _s, part in shape for a in part]
-            key = send_key(interp, recv, args)
+        key = send_key(interp, recv, args)
         if key is None:
             return interp.send(recv, shape, refs=refs and refs(env))
         found = interp.inline_caches[site].get(key)
@@ -622,3 +677,88 @@ def _site(site, parts, recv_code, args_first=True, refs=None):
                                  refs and refs(env))
         return handler(interp, m, recv, args, shape)
     return send
+
+
+def _bound_site(bound, part, recv_code, args_first):
+    """The closure of a send that the checker resolved to the builtin `m`
+    for a receiver of the basic type `kind` and arguments of the basic types
+    `kinds`, [(selector, [argument closures])] being `part`.  Basic types
+    are final, so a value of one is of that kind or nil.  While the values
+    have those kinds, `m` has no bound value and no `addMethod:` body can
+    take a message first, the closure counts the step and calls the
+    handler of `m`; anything else goes to `Interp.send`, uncached."""
+    m, kind, kinds = bound
+    handler = bi.handler(m)
+    selector, codes = part
+    if not codes:
+        shape = ((selector, ()),)
+
+        def send_unary(interp, env, frame):
+            recv = recv_code(interp, env, frame)
+            if type(recv) is PrimV and recv.kind == kind \
+                    and m not in interp.bound_values and not interp.dyn_methods:
+                interp.steps += 1
+                if interp.steps + interp.evals > interp.max_steps:
+                    interp.out_of_steps()
+                return handler(interp, m, recv, (), shape)
+            return interp.send(recv, shape)
+        return send_unary
+    arg_code, = codes
+    arg_kind, = kinds
+
+    def send(interp, env, frame):
+        if args_first:
+            arg = arg_code(interp, env, frame)
+            recv = recv_code(interp, env, frame)
+        else:
+            recv = recv_code(interp, env, frame)
+            arg = arg_code(interp, env, frame)
+        args = [arg]
+        if type(recv) is PrimV and recv.kind == kind and type(arg) is PrimV \
+                and arg.kind == arg_kind and m not in interp.bound_values \
+                and not interp.dyn_methods:
+            interp.steps += 1
+            if interp.steps + interp.evals > interp.max_steps:
+                interp.out_of_steps()
+            return handler(interp, m, recv, args, [(selector, args)])
+        return interp.send(recv, [(selector, args)])
+    return send
+
+
+def _loop(m, cond, body, body_first, goes_on, site):
+    """The closure of a send of the loop builtin `m` to a block literal,
+    with a block literal argument, whose envs would hold no slot: `cond`
+    and `body`, the closures of the two bodies, run in turn, `body` first
+    for repeatUntil:, until `cond` does not answer `goes_on`.  The send
+    counts its step, and each evaluation counts, checks the budget and
+    pushes a frame as the block runner does; but one frame and one env
+    serve the whole loop, and no block value is made.  While `m` has a
+    bound value, or an `addMethod:` body might take the message, the send
+    goes to the general `site`, which sends the two block values."""
+    def loop(interp, env, frame):
+        if m in interp.bound_values or interp.dyn_methods:
+            return site(interp, env, frame)
+        interp.steps += 1
+        if interp.steps + interp.evals > interp.max_steps:
+            interp.out_of_steps()
+        block = Frame(frame.entry_name, "eval", frame.receiver, frame.fields_owner,
+                      None, None, frame.ctx)
+        env = [env]
+        frames = interp.frames
+        testing = not body_first
+        while True:
+            interp.evals += 1
+            if interp.steps + interp.evals > interp.max_steps:
+                interp.out_of_steps()
+            block.result = NOOBJECT
+            frames.append(block)
+            try:
+                (cond if testing else body)(interp, env, block)
+            finally:
+                frames.pop()
+            if testing:
+                v = block.result
+                if (v is TRUE or v is not FALSE and interp.truthy(v)) != goes_on:
+                    return NOOBJECT
+            testing = not testing
+    return loop

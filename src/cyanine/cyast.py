@@ -27,11 +27,15 @@ The notes, by the pass that writes them:
                      Lit.runtime_value (immutable kinds), IfStat.scoped and
                      WhileStat.scoped (a body that declares no variable runs in
                      the enclosing scope); NameRef.binding (what a bare name
-                     denotes, one of the bindings below)
+                     denotes, one of the bindings below); .builtin of a send
+                     node (UnarySend, KeywordSend, BinarySend, PrefixOp) that
+                     resolved to a builtin method: (that method, the static
+                     type of the receiver, the tuple of the arguments' types)
     compiler         MethodDecl.code, VarDecl.code, GSel.code, BlockLit.code (the
                      closures of the bodies, see `compiler`); .site of a send
-                     node (UnarySend, KeywordSend, BinarySend, PrefixOp, and a
-                     NameRef that is a self-send): the number of its inline cache
+                     node (those above, and a NameRef that is a self-send) that
+                     the compile step does not bind: the number of its inline
+                     cache
 """
 
 from dataclasses import dataclass, field, fields
@@ -393,6 +397,7 @@ class UnarySend(Node):
     receiver: object = None
     selector: str = ""
     mode: str = ""            # '' checked | '?' dynamic | '?.' nil-safe
+    builtin: tuple = note()
     site: int = note()
 
 
@@ -402,6 +407,7 @@ class KeywordSend(Node):
     parts: list = field(default_factory=list)      # (selector, [args])
     mode: str = ""
     part_modes: list = note()
+    builtin: tuple = note()
     site: int = note()
 
     @property
@@ -414,6 +420,7 @@ class BinarySend(Node):
     left: object = None
     op: str = ""
     right: object = None
+    builtin: tuple = note()
     site: int = note()
 
 
@@ -421,6 +428,7 @@ class BinarySend(Node):
 class PrefixOp(Node):
     op: str = ""
     operand: object = None
+    builtin: tuple = note()
     site: int = note()
 
 

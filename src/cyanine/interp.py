@@ -98,9 +98,11 @@ class Interp:
         # one inline cache per send site, indexed by the site's number, and
         # CATCH_SITE: {`compiler.send_key`: (handler, method, owner entry,
         # index of the receiver's mixin that has it or None, packing plan of
-        # a grammar method or None)}.  A send counts as a hit, a miss (looked
-        # up, then cached) or a skip (looked up but not cacheable, or not
-        # looked up), so hits = steps - misses - skips.
+        # a grammar method or None)}.  A send counts as a hit (served by a
+        # cache, or by the binding the compile step gave it: `_bound_site`,
+        # `_loop` of `compiler`), a miss (looked up, then cached) or a skip
+        # (looked up but not cacheable, or not looked up: a send to nil, a
+        # bound send whose guard failed), so hits = steps - misses - skips.
         self.inline_caches = [_NO_ENTRIES] * (program.sites + 1)
         self.misses = 0
         self.skips = 0

@@ -59,6 +59,20 @@ def test_python_m_cyanine_is_the_cyanine_script(tmp_path):
         assert outcomes[0][0] == (0 if text is HELLO else 1), outcomes[0]
 
 
+def test_dump_stages_runs_from_a_checkout(tmp_path):
+    """`scripts/dump_stages.py` imports cyanine from the checkout's `src/`,
+    run from elsewhere and with no import path set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "dump_stages.py"),
+                           os.path.join(ROOT, "corpus", "69_loops.cyan")],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    headers = [line.split()[1] for line in proc.stdout.splitlines()
+               if line.startswith("==== ")]
+    assert headers == ["--dump-tokens", "--dump-ast", "--dump-desugar", "--dump-blocks"]
+    assert "whileTrue:" in proc.stdout
+
+
 def test_run_mode(tmp_path):
     src = write(tmp_path, "hello.cyan", HELLO)
     code, out, err = run_cli(["run", src])

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import compile_src
 from cyanine.checker import Checker, _Env
-from cyanine.cyast import (GAlt, GOpt, GPlus, GSel, GSeq, GStar, MethodAccess, NameRef,
-                          SigRef, TypeExpr)
+from cyanine.cyast import (BinarySend, GAlt, GOpt, GPlus, GSel, GSeq, GStar, MethodAccess,
+                          NameRef, PrefixOp, SigRef, TypeExpr, UnarySend)
 from cyanine.diagnostics import Reporter
 from cyanine.compiler import mixin_at, send_key
 from cyanine.grammar_methods import derive_parameter_type, match_message, plan_packing
-from cyanine.interp import Interp
-from cyanine.values import ArrayV, PrimV, TupleV, UnionV
+from cyanine.interp import CyThrow, Interp
+from cyanine.prototypes import BASIC_TYPES
+from cyanine.values import NIL, ArrayV, ObjectV, PrimV, TupleV, UnionV
 from test_runtime import flattened_slot_scan
 
 
@@ -332,6 +333,143 @@ def test_checked_sends_are_understood(data, bodies):
     assert program.ok(), program.reporter.format_all() + src
     interp = Interp(program)
     assert interp.run() == 0, interp.stdout() + src
+
+
+# --- bound sends: the checker's builtin for final basic types ------------------
+
+# sends a program makes of the parameters `a` and `b` of a method: the type
+# of `a`, the expression, the type of `b` or None, the signature of the
+# method it resolves to, and a value of that method's type for a
+# replacement, or None
+AS_STRING = ("Int", "a asString", None, "asString -> String", '"r"')
+BASIC_SENDS = (
+    ("Int", "a + b", "Int", "+ Int -> Int", "7"),
+    ("Int", "a + b", "Any", "+ Int -> Int", "7"),
+    ("Int", "a == b", "Float", "== Any -> Boolean", "true"),
+    ("Int", "a == b", "Int", "== Int -> Boolean", "false"),
+    ("Int", "a % b", "Int", "% Int -> Int", "7"),
+    ("Int", "a <.< b", "Int", "<.< Int -> Int", "7"),
+    ("Int", "a eq: b", "Int", "eq: Any -> Boolean", "false"),
+    ("Int", "-a", None, "- -> Int", "7"),
+    AS_STRING,
+    ("Int", "a asByte", None, "asByte -> Byte", None),
+    ("Long", "a * b", "Long", "* Long -> Long", None),
+    ("Byte", "a - b", "Byte", "- Byte -> Byte", None),
+    ("Float", "a / b", "Float", "/ Float -> Float", None),
+    ("Double", "a < b", "Double", "< Double -> Boolean", "true"),
+    ("Char", "a <= b", "Char", "<= Char -> Boolean", "true"),
+    ("Char", "a asInt", None, "asInt -> Int", "7"),
+    ("Char", "a != b", "Int", "!= Any -> Boolean", "true"),
+    ("Boolean", "a && b", "Boolean", "&& Boolean -> Boolean", "true"),
+    ("Boolean", "!a", None, "! -> Boolean", "true"),
+    ("Boolean", "a != b", "Boolean", "!= Boolean -> Boolean", "true"),
+)
+
+_WIDTHS = {"Byte": 8, "Short": 16, "Int": 32, "Long": 64}
+
+
+def basic_values(kind):
+    """Values of the basic type `kind`, or of any type for `Any`."""
+    if kind == "Any":
+        return st.one_of(st.sampled_from(sorted(BASIC_TYPES)).flatmap(basic_values),
+                         st.text(max_size=2).map(lambda v: PrimV("String", v)))
+    if kind in _WIDTHS:
+        top = 2 ** (_WIDTHS[kind] - 1)
+        values = st.one_of(st.integers(-3, 3), st.integers(-top, top - 1))
+    elif kind in ("Float", "Double"):
+        values = st.floats(width=32 if kind == "Float" else 64)
+    elif kind == "Char":
+        values = st.characters(max_codepoint=0x7f)
+    else:
+        values = st.booleans()
+    return values.map(lambda v: PrimV(kind, v))
+
+
+def bound_send_program(sends):
+    """A program whose method `s{i}:` makes the send `sends[i]` of its
+    parameters, `r{i}` replaces that send's method for every receiver (when
+    it has a replacement value), and `add` gives `Int` an `asString` body."""
+    methods = []
+    for i, (rtype, expr, atype, sig, value) in enumerate(sends):
+        params = f"(:a {rtype}, :b {atype})" if atype else f"(:a {rtype})"
+        methods.append(f"    public fun s{i}: {params} -> Any [ ^ {expr} ]")
+        if value is not None:
+            ptypes = sig.split("->")[0].split()[1:]
+            param = f"|:x {ptypes[0]}| " if ptypes else ""
+            methods.append(f"    public fun r{i} [ :a {rtype};"
+                           f" a.{{{sig}}}. = [ {param}^{value} ]; ]")
+    methods.append('    public fun add [ Int addMethod: selector: #asString returnType: String'
+                   ' body: (:self Int)[ | -> String | ^"added" ]; ]')
+    return "package main\npublic object Program\n" + "\n".join(methods) + \
+        "\n    public fun run [ ]\nend\n"
+
+
+def message_of(node, arg=None):
+    """The selector of the send `node` and its shape with the argument `arg`."""
+    if isinstance(node, (UnarySend, PrefixOp)):
+        selector = node.selector if isinstance(node, UnarySend) else node.op
+        return selector, [(selector, [])]
+    selector = node.op if isinstance(node, BinarySend) else node.parts[0][0]
+    return selector, [(selector, [arg])]
+
+
+def outcome(interp, send):
+    """What `send()` answers, or the type and fields of what it throws.  A
+    builtin that reads the value of a nil argument fails in Python, on the
+    bound path and on `Interp.send` alike, so the error's type is an
+    outcome too."""
+    try:
+        return "answer", repr(unpack(send()))
+    except CyThrow as t:
+        fields = t.value.fields if isinstance(t.value, ObjectV) else {}
+        return "throw", interp.runtime_type(t.value), \
+            sorted((k, repr(unpack(v))) for k, v in fields.items())
+    except AttributeError as e:
+        return "error", str(e)
+
+
+@given(st.lists(st.sampled_from(BASIC_SENDS), min_size=1, max_size=5, unique=True), st.data())
+@settings(max_examples=40, deadline=None)
+def test_bound_sends_agree_with_fresh_lookup(sends, data):
+    """A send is bound (has no inline cache) exactly where the checker
+    resolved it to a builtin for a receiver and an argument of basic types,
+    and the method it calls is what a fresh `lookup` finds for values of
+    those kinds.  Sent any values of its parameters' types, nil included,
+    before and after replacements of its method and, last, an `addMethod:`
+    body for `asString` on `Int`, each bound send (`a asString` always among
+    them) answers or throws what `Interp.send` of the same message to the
+    same receiver does."""
+    sends = [AS_STRING] + [send for send in sends if send is not AS_STRING]
+    src = bound_send_program(sends)
+    program = compile_src(src)
+    assert program.ok(), program.reporter.format_all() + src
+    interp = Interp(program)
+    interp.setup()
+    main = interp.proto_objects["Program"]
+    entry = program.table.get("Program")
+    nodes = [entry.groups[f"s{i}:"].entries[0].decl.body[0].value for i in range(len(sends))]
+    for node, (rtype, _expr, atype, _sig, _value) in zip(nodes, sends):
+        assert (node.site is None) == (atype != "Any"), (node, src)
+        if node.site is None:
+            m, kind, kinds = node.builtin
+            assert kind == rtype and kinds == ((atype,) if atype else ()), (node, src)
+            assert kind in BASIC_TYPES and all(k in BASIC_TYPES for k in kinds)
+            selector, shape = message_of(node, *[interp.default_value(k) for k in kinds])
+            hit = interp.lookup(interp.default_value(kind), shape)
+            assert hit is not None and hit[0] == "static" and hit[1][0] is m, (node, src)
+    replaceable = [f"r{i}" for i, send in enumerate(sends) if send[4] is not None]
+    mutations = data.draw(st.lists(st.sampled_from(replaceable), max_size=3)) + ["add"]
+    nil_or = lambda kind: st.one_of(st.just(NIL), basic_values(kind))
+    for mutation in [None] + mutations:
+        if mutation is not None:
+            interp.send(main, [(mutation, [])])
+        for i, (node, (rtype, _expr, atype, _sig, _value)) in enumerate(zip(nodes, sends)):
+            for _ in range(3):
+                recv = data.draw(nil_or(rtype))
+                args = [data.draw(nil_or(atype))] if atype else []
+                got = outcome(interp, lambda: interp.send(main, [(f"s{i}:", [recv, *args])]))
+                want = outcome(interp, lambda: interp.send(recv, message_of(node, *args)[1]))
+                assert got == want, (node, recv, args, mutations, src)
 
 
 # --- random regexes: the derivation is compositional ---------------------------
