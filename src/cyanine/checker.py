@@ -337,7 +337,7 @@ class Checker:
             want = self.table.block_type(None, m.return_type, restricted=False,
                                          groups=[[t] for t in m.param_types]
                                          if m.param_types else [])
-            if not self.table.assignable(ty, want):
+            if not self.table.is_subtype(ty, want):
                 self.error(decl, f"the expression assigned to '{m.name}' has type"
                                  f" '{ty}' which does not implement '{want}'")
 
@@ -409,7 +409,7 @@ class Checker:
                                        " method returning Void")
                 elif v is None:
                     self.error(st, f"'return' needs a value of type '{ret}'")
-                elif not self.table.assignable(vty, ret):
+                elif not self.table.is_subtype(vty, ret):
                     self.error(st, f"cannot return '{vty}' from a method declared"
                                    f" to return '{ret}'")
             case IfStat(arms=arms, else_body=eb):
@@ -477,7 +477,7 @@ class Checker:
 
     def check_assign_types(self, node, _init, src_type, dst_type, dst_level, source_expr=None):
         table = self.table
-        if not table.assignable(src_type, dst_type):
+        if not table.is_subtype(src_type, dst_type):
             if table.is_restricted(src_type) and not table.is_restricted(dst_type):
                 self.error(node, f"an r-block of type '{src_type}' cannot flow into the"
                                  f" unrestricted type '{dst_type}' [rule f]")
@@ -571,7 +571,7 @@ class Checker:
                 types = [self.type_of(x, env) for x in xs]
                 elem = types[0] if types[0] != "Nil" else "Any"
                 for k, t in enumerate(types[1:], 1):
-                    if not self.table.assignable(t, elem):
+                    if not self.table.is_subtype(t, elem):
                         self.error(xs[k], f"array element {k + 1} has type '{t}', not a"
                                           f" subtype of the first element's type '{elem}'")
                 e.resolved_type = self.table.instantiate_generic("Array", [[elem]], e.pos())
@@ -780,7 +780,7 @@ class Checker:
         # metaobject-backed special checks
         if m.builtin == "if_nil":
             aty = arg_types[0][0]
-            if not self.table.assignable(aty, rty):
+            if not self.table.is_subtype(aty, rty):
                 self.error(e, f"the argument of 'ifNil:' must have the receiver type"
                               f" '{rty}', found '{aty}'")
             return rty
@@ -812,7 +812,7 @@ class Checker:
             for (sel, args), ats in zip(e.parts, arg_types):
                 if sel == "case:":
                     for aty, aexpr in zip(ats, args):
-                        if aty != rty and not self.table.assignable(aty, rty):
+                        if aty != rty and not self.table.is_subtype(aty, rty):
                             self.error(aexpr, f"'case:' expressions must have the"
                                               f" receiver type '{rty}', found '{aty}'")
         if m.builtin == "catch_family":
@@ -883,7 +883,7 @@ class Checker:
         declared = self.table.resolve_type(e.return_type) if e.return_type is not None else None
         if declared is not None:
             for ty, node in rets:
-                if not self.table.assignable(ty, declared):
+                if not self.table.is_subtype(ty, declared):
                     self.error(node, f"the block returns '{ty}' but declares '{declared}'")
             ret = declared
         elif rets:
@@ -891,7 +891,7 @@ class Checker:
             if ret == "Nil":
                 ret = "Any"
             for ty, node in rets[1:]:
-                if not self.table.assignable(ty, ret):
+                if not self.table.is_subtype(ty, ret):
                     self.error(node, "all values returned by a block should have the"
                                      " same type")
             if self.table.is_restricted(ret):

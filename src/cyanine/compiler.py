@@ -26,7 +26,9 @@ Two kinds of send are bound here, from what the checker proved:
 
 Every other send with a receiver expression gets a site number, the index of
 its inline cache: on a hit its closure counts the step and calls the cached
-handler, and everything else goes to `Interp.send`.
+handler, and everything else goes to `Interp.send`.  A `super` send is such
+a site too (`_super_site`), whose search starts above the entry whose body
+holds it, wherever in that body it runs.
 """
 
 from . import builtins as bi
@@ -47,17 +49,16 @@ class Frame:
     """One activation.  A `return` leaves the method frame whose `ctx` it
     names: its own, or in a block's frame that of the method that made the
     block.  A return that ends the frame's statements leaves its value in
-    `result`."""
+    `result`.  `mixin_index` indexes the receiver's mixin whose body runs."""
     __slots__ = ("entry_name", "method_name", "receiver", "fields_owner", "ctx",
-                 "found_owner", "mixin_index", "result")
+                 "mixin_index", "result")
 
     def __init__(self, entry_name, method_name, receiver, fields_owner,
-                 found_owner=None, mixin_index=None, block_ctx=None):
+                 mixin_index=None, block_ctx=None):
         self.entry_name = entry_name
         self.method_name = method_name
         self.receiver = receiver
         self.fields_owner = fields_owner
-        self.found_owner = found_owner
         self.mixin_index = mixin_index
         self.ctx = object() if block_ctx is None else block_ctx
         self.result = NOOBJECT
@@ -96,8 +97,10 @@ class Compiler:
         self.sites = first_site
         self.scope = _Scope(None)
         self.in_block = False       # whether a `return` runs in a block frame
+        self.owner = None           # the entry whose bodies compile
 
     def entry(self, entry):
+        self.owner = entry
         for var in entry.consts + entry.shared_vars + entry.ivars:
             if var.init is not None:
                 var.code = self.value(var.init)
@@ -338,7 +341,7 @@ class Compiler:
 
     def unary(self, e):
         if type(e.receiver) is SuperRef:
-            return _super_send([(e.selector, [])], None)
+            return _super_site(self.new_site(e), [(e.selector, [])], self.owner, None)
         return self.send(e, [(e.selector, [])], self.expr(e.receiver))
 
     def binary(self, e):
@@ -358,7 +361,7 @@ class Compiler:
         refs = self.refs(e.parts[0][1]) \
             if len(parts) == 1 and parts[0][0] in ("new:", "bind:") else None
         if type(e.receiver) is SuperRef:
-            return _super_send(parts, refs)
+            return _super_site(self.new_site(e), parts, self.owner, refs)
         recv = _receiver if e.receiver is None else self.expr(e.receiver)
         return self.send(e, parts, recv, refs=refs)
 
@@ -408,8 +411,7 @@ class Compiler:
             values = [NIL if c is None else interp.cell_read(c) for c in (
                 address and _env_at(env, address[0])[address[1]] for address in snapshot)] \
                 if snapshot else ()
-            return BlockV(e, env, frame.receiver, frame.fields_owner, frame.ctx, rtype,
-                          values, frame.entry_name)
+            return BlockV(e, env, frame, rtype, values)
         return make_block, body, scope.size
 
     def method_access(self, e):
@@ -417,7 +419,7 @@ class Compiler:
 
         def method_object(interp, env, frame):
             r = recv(interp, env, frame)
-            return MethodV(r, interp.resolve_sig(r, sig), rtype, r)
+            return MethodV(r, interp.resolve_sig(r, sig), rtype)
         return method_object
 
     def let(self, e):
@@ -550,7 +552,7 @@ def _method_runner(entry, method, body, scope):
             # a context block's body: self is the object it is bound to
             self_obj = interp.field_read(recv, ctx_self)
             fields_owner = self_obj if isinstance(self_obj, ObjectV) else recv
-        frame = Frame(entry.name, name, self_obj, fields_owner, entry, mixin_index)
+        frame = Frame(entry.name, name, self_obj, fields_owner, mixin_index)
         frames = interp.frames
         if len(frames) > 2000:
             interp.str_exception("method call stack overflow")
@@ -574,8 +576,9 @@ def _block_runner(body, scope, nparams, npercent):
     blank, dying = [None] * (scope.size - nparams - npercent), scope.dying
 
     def run(interp, blk, args):
-        frame = Frame(blk.home, "eval", blk.self_obj, blk.fields_owner, None, None,
-                      blk.method_ctx)
+        home = blk.home
+        frame = Frame(home.entry_name, "eval", home.receiver, home.fields_owner,
+                      home.mixin_index, home.ctx)
         frames = interp.frames
         frames.append(frame)
         env = _activation(blk.env, args, nparams,
@@ -588,13 +591,6 @@ def _block_runner(body, scope, nparams, npercent):
                 _kill(env, dying)
             frames.pop()
     return run
-
-
-def _super_send(parts, refs):
-    def send(interp, env, frame):
-        shape = [(sel, [code(interp, env, frame) for code in codes]) for sel, codes in parts]
-        return interp.send(frame.receiver, shape, super_frame=frame, refs=refs and refs(env))
-    return send
 
 
 def mixin_at(recv, index):
@@ -679,6 +675,29 @@ def _site(site, parts, recv_code, args_first=True, refs=None):
     return send
 
 
+def _super_site(site, parts, above, refs):
+    """The closure of a `super` send of `parts` in a body of the entry
+    `above`: a `_site` to self whose miss hands `above` and the frame's mixin
+    index to `Interp.send`.  One mixin can be attached twice, so a site in a
+    mixin's body keys by that index too."""
+    def send(interp, env, frame):
+        shape = [(sel, [code(interp, env, frame) for code in codes]) for sel, codes in parts]
+        recv, index = frame.receiver, frame.mixin_index
+        key = send_key(interp, recv, [a for _s, part in shape for a in part])
+        if above.is_mixin and key is not None:
+            key = key, index
+        found = None if key is None else interp.inline_caches[site].get(key)
+        if found is None:
+            return interp.send(recv, shape, above, index, refs and refs(env), site, key)
+        interp.steps += 1
+        if interp.steps + interp.evals > interp.max_steps:
+            interp.out_of_steps()
+        _handler, m, owner, found_index, plan = found
+        return interp.invoke(m, recv, shape, owner, mixin_at(recv, found_index), plan,
+                             refs and refs(env))
+    return send
+
+
 def _bound_site(bound, part, recv_code, args_first):
     """The closure of a send that the checker resolved to the builtin `m`
     for a receiver of the basic type `kind` and arguments of the basic types
@@ -742,7 +761,7 @@ def _loop(m, cond, body, body_first, goes_on, site):
         if interp.steps + interp.evals > interp.max_steps:
             interp.out_of_steps()
         block = Frame(frame.entry_name, "eval", frame.receiver, frame.fields_owner,
-                      None, None, frame.ctx)
+                      frame.mixin_index, frame.ctx)
         env = [env]
         frames = interp.frames
         testing = not body_first

@@ -256,17 +256,6 @@ def first_selectors(regex):
     raise ValueError(regex)
 
 
-def all_selectors(regex):
-    if isinstance(regex, GSel):
-        return {regex.selector}
-    if isinstance(regex, (GSeq, GAlt)):
-        out = set()
-        for item in regex.items:
-            out |= all_selectors(item)
-        return out
-    return all_selectors(regex.item)
-
-
 def _nullable(node):
     if isinstance(node, GSel):
         return False

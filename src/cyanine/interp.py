@@ -4,7 +4,8 @@ exception machinery.  It runs the closures the compile step (`compiler`)
 left on the nodes.  Which method of a chain takes a message, in textual
 order, is the table's `find_method`, the search the checker makes too;
 `lookup` adds what only the run has: methods of an object's own, attached
-mixins, `super` and `addMethod:` bodies.  A send site's cache keeps what
+mixins and `addMethod:` bodies, and it starts a `super` search where the
+compile step said.  A send site's cache, a `super` send's too, keeps what
 `lookup` found under `compiler.send_key`, which holds an object's mixin
 stack, with the packing plan of a grammar method; the catch builtin's
 handler search has a cache of its own, `CATCH_SITE`."""
@@ -362,13 +363,13 @@ class Interp:
 
     # -- dispatch ---------------------------------------------------------------------------
 
-    def send(self, recv, shape, super_frame=None, refs=None, site=None, key=None):
+    def send(self, recv, shape, above=None, mixin_index=None, refs=None, site=None, key=None):
         """Send `shape`, [(selector, [argument values])], to `recv`: the path
-        of a send without a site (a super send, a send a builtin makes) and
-        of a site closure whose cache missed, which passes its number and the
-        key it probed.  `lookup` finds the method, which the site's inline
-        cache keeps when it can.  `refs` says what each argument of a `new:`
-        or `bind:` send refers to (`ctx_bind`)."""
+        of a send without a site (one a builtin makes) and of a site closure
+        whose cache missed, which passes its number and the key it probed.
+        `lookup` finds the method, which the site's inline cache keeps when
+        it can.  `refs` says what each argument of a `new:` or `bind:` send
+        refers to (`ctx_bind`)."""
         self.steps += 1
         if self.steps + self.evals > self.max_steps:
             self.out_of_steps()
@@ -378,7 +379,7 @@ class Interp:
             if recv is NOOBJECT:
                 self.str_exception(f"message '{name}' sent to noObject")
             return self.send_to_nil(shape, name)
-        hit = self.lookup(recv, shape, super_frame=super_frame, name=name)
+        hit = self.lookup(recv, shape, above, mixin_index, name)
         self._keep(site, key, hit)
         return self.perform(recv, shape, hit, refs)
 
@@ -486,32 +487,30 @@ class Interp:
         its new value), and the run never writes the table."""
         self.inline_caches = [_NO_ENTRIES] * len(self.inline_caches)
 
-    def lookup(self, recv, shape, super_frame=None, name=None):
+    def lookup(self, recv, shape, above=None, mixin_index=None, name=None):
         """What takes the message: the receiver's own method for it, else the
         first found on the chain of one of its attached mixins, then on its
-        dispatch chain.  Answers ("own", body) for a body of the object's own
-        or one `addMethod:` gave, ("static", (method, owner entry, (mixin
-        object, index) or None, packing plan of a grammar method with a body
-        or None)), or None.  `name` is the joined selector."""
+        dispatch chain; for a `super` send, above the entry `above`, or after
+        the attached mixin at `mixin_index`.  Answers ("own", body) for a
+        body of the object's own or one `addMethod:` gave, ("static", (method,
+        owner entry, (mixin object, index) or None, packing plan of a grammar
+        method with a body or None)), or None.  `name` is the joined selector."""
         if name is None:
             name = "".join(sel for sel, _ in shape)
+        if above is not None and mixin_index is None:
+            return self._search(self.table.dispatch_chain(above.name)[1:], shape, name, None)
         chain = self.table.dispatch_chain(self.runtime_type(recv))
         mixins, first = (), 0
-        if super_frame is None:
-            if isinstance(recv, ObjectV):
-                own = recv.own_methods.get(name)
-                if own is not None:
-                    return ("own", own)
-                mixins = recv.mixins
-        elif super_frame.mixin_index is not None:
-            # super inside a dynamically attached mixin: remaining mixins first
-            mixins, first = recv.mixins, super_frame.mixin_index + 1
-        else:
-            found = super_frame.found_owner
-            chain = chain[chain.index(found) + 1:] if found in chain else chain[1:]
+        if above is not None:
+            mixins, first = recv.mixins, mixin_index + 1
+        elif isinstance(recv, ObjectV):
+            own = recv.own_methods.get(name)
+            if own is not None:
+                return ("own", own)
+            mixins = recv.mixins
         for idx in range(first, len(mixins)):
-            hit = self._search(self._mixin_chain(mixins[idx].proto), shape, name,
-                               (mixins[idx], idx))
+            mixin_chain = [e for e in self.table.chain(mixins[idx].proto) if e.is_mixin]
+            hit = self._search(mixin_chain, shape, name, (mixins[idx], idx))
             if hit is not None:
                 return hit
         return self._search(chain, shape, name, None)
@@ -537,8 +536,16 @@ class Interp:
         return None if added is None else ("own", added)
 
     def _param_test(self, m, _owner_entry):
-        """The run-time parameter test: a mixin's stub never takes a message."""
-        return None if m.is_stub else self.reaches
+        """The run-time parameter test: a mixin's stub never takes a message,
+        and nil takes no builtin's parameter of a final type of the builtin
+        world, since the handler reads the argument's value."""
+        if m.is_stub:
+            return None
+        return self.reaches if m.builtin is None else self._builtin_param_takes
+
+    def _builtin_param_takes(self, s, t):
+        entry = self.table.get(t)
+        return self.reaches(s, t) and (s != "Nil" or not (entry.builtin and entry.is_final))
 
     def invoke(self, m, recv, shape, owner_entry, mixin_obj, plan, refs=None):
         args = [a for _s, aa in shape for a in aa]
@@ -550,7 +557,7 @@ class Interp:
         if m.ctx_marker is not None:
             return self.call_ctx_native(m, recv, args, refs, owner_entry)
         if bound is not None:
-            return self.call_block_like(bound, shape)
+            return self.send(bound, self._eval_shape_for(args, shape))
         decl = m.decl
         if decl is not None and decl.body_expr is not None:
             self.str_exception(f"method '{m.name}' is sent before its value is set")
@@ -624,10 +631,6 @@ class Interp:
             return [("eval", [])]
         return [("eval:", list(args))]
 
-    def call_block_like(self, value, shape):
-        args = [a for _s, aa in shape for a in aa]
-        return self.send(value, self._eval_shape_for(args, shape))
-
     # -- packing plans ------------------------------------------------------------------------
 
     def execute_plan(self, plan, recv, owner_entry, args):
@@ -683,9 +686,6 @@ class Interp:
         else:
             self.bound_values[m] = value
         return value
-
-    def _mixin_chain(self, proto_name):
-        return [e for e in self.table.chain(proto_name) if e.is_mixin]
 
     def resolve_sig(self, recv, sig):
         """The method `recv.{sig}` denotes: the one with the signature the

@@ -284,9 +284,6 @@ class PrototypeTable:
         memo[name] = out
         return out
 
-    def assignable(self, source, target):
-        return self.is_subtype(source, target)
-
     # -- method search ------------------------------------------------------------------
 
     def find_method(self, chain, shape, type_of, test):

@@ -118,32 +118,26 @@ class ObjectV:
 
 
 class BlockV:
-    __slots__ = ("decl", "env", "self_obj", "fields_owner", "method_ctx",
-                 "type_name", "snapshot", "home")
+    __slots__ = ("decl", "env", "home", "type_name", "snapshot")
 
-    def __init__(self, decl, env, self_obj, fields_owner, method_ctx,
-                 type_name, snapshot, home):
+    def __init__(self, decl, env, home, type_name, snapshot):
         self.decl = decl
         self.env = env                    # the env the block was made in
-        self.self_obj = self_obj
-        self.fields_owner = fields_owner
-        self.method_ctx = method_ctx      # return target of `return` in the body
+        self.home = home                  # the frame that made the block
         self.type_name = type_name
         self.snapshot = snapshot          # values of the %-vars at creation, in order
-        self.home = home                  # name of the entry whose code made the block
 
     def __repr__(self):
         return f"<block {self.type_name}>"
 
 
 class MethodV:
-    __slots__ = ("receiver", "entry", "type_name", "fields_owner")
+    __slots__ = ("receiver", "entry", "type_name")
 
-    def __init__(self, receiver, entry, type_name, fields_owner):
+    def __init__(self, receiver, entry, type_name):
         self.receiver = receiver
         self.entry = entry
         self.type_name = type_name
-        self.fields_owner = fields_owner
 
     def __repr__(self):
         return f"<method {self.entry.owner}::{self.entry.name}>"
