@@ -9,6 +9,7 @@ width-checked: a result out of range throws StrException.
 import math
 import operator
 import time
+import zlib
 
 from .prototypes import BASIC_TYPES, split_generic
 from .values import (FALSE, NIL, NOOBJECT, TRUE, UNIT, ArrayV, BlockV, IntervalV, MethodV,
@@ -180,9 +181,15 @@ def b_assert(interp, m, recv, args, shape):
 
 
 def b_hash_code(interp, m, recv, args, shape):
+    """A basic value's hash is a fixed function of its kind and value; any
+    other value answers the number its first `hashCode` of the run drew."""
     if isinstance(recv, PrimV):
-        return PrimV("Int", hash(str(recv.v)) & 0x7FFFFFFF)
-    return PrimV("Int", id(recv) & 0x7FFFFFFF)
+        key = f"{recv.kind} {recv.v}".encode("utf-8", "surrogatepass")
+        return PrimV("Int", zlib.crc32(key) & 0x7FFFFFFF)
+    codes = interp.hash_codes
+    if id(recv) not in codes:
+        codes[id(recv)] = (len(codes) + 1, recv)
+    return PrimV("Int", codes[id(recv)][0])
 
 
 def b_prototype(interp, m, recv, args, shape):

@@ -45,6 +45,7 @@ class Checker:
         self._body_counter = 0
         self.host = self.self_chain = None     # set by `enter` for a mixin
         self.grammar_param = None     # a read-only grammar parameter in scope
+        self.blocks = 0               # how many literal blocks the check is in
 
     def error(self, node, msg):
         self.reporter.error(node.line, node.col, msg)
@@ -394,9 +395,7 @@ class Checker:
                     env.declare(name, declared)
                     st.resolved_types.append(declared)
             case AssignStat(targets=ts, value=v):
-                vty = self.type_of(v, env)
-                target = ts[0]
-                self.check_assign_target(st, target, vty, env)
+                self.check_assign_target(st, ts[0], self.type_of(v, env), env)
             case ReturnStat(value=v, is_caret=True):
                 rets.append((self.type_of(v, env) if v is not None else "Void", st))
             case ReturnStat(value=v):
@@ -431,49 +430,71 @@ class Checker:
                 pass
 
     def check_assign_target(self, st, target, vty, env):
-        if isinstance(target, PercentRef):
-            # writes land on the block-local %-copy
-            target = NameRef(target.name, line=target.line, col=target.col)
-        if isinstance(target, NameRef):
+        """Check the write of a value of type `vty` to `target`, deciding what
+        a bare name there denotes: a local, a public or protected variable of
+        self, whose write is a send of its setter, a field or a static.
+        Answers the type of what the assignment answers."""
+        if isinstance(target, (NameRef, PercentRef)):
+            name = target.name
+            hit = env.lookup(name)
+            if hit is None and type(target) is NameRef and self._visible_var(name):
+                target.binding = SEND
+                # resolved as the send `name: value` written where `st` is
+                setter = send1(None, name + ":", st.value, line=st.line, col=st.col)
+                return self.resolve_send(self.current_self_type, [(name + ":", [vty])],
+                                         setter)[0]
             self.guard_grammar_param(st.value, st)
-            hit = env.lookup(target.name)
             if hit is not None:
                 ty, level, is_param = hit
                 if is_param:
-                    self.error(st, f"parameters are read-only: cannot assign"
-                                   f" to '{target.name}'")
-                    return
-                target.binding = LOCAL
-                self.check_assign_types(st, None, vty, ty, level, source_expr=st.value)
-                return
-            owner, var = self._find_field(target.name)
-            if var is not None:
-                if var.is_const:
-                    self.error(st, f"cannot assign to the constant '{target.name}'")
-                    return
-                target.binding = _var_binding(owner, var)
-                self.check_assign_types(st, None, vty, var.resolved_type or "Any", 10 ** 6,
-                                        source_expr=st.value)
-                return
-            self.error(st, f"unknown variable '{target.name}' in assignment")
-            return
-        if isinstance(target, SelfRef) and target.field_name is not None:
+                    self.error(st, f"parameters are read-only: cannot assign to '{name}'")
+                else:
+                    if type(target) is NameRef:
+                        target.binding = LOCAL
+                    self.check_assign_types(st, None, vty, ty, level, source_expr=st.value)
+            else:
+                owner, var = self._find_field(name)
+                if var is None:
+                    self.error(st, f"unknown variable '{name}' in assignment")
+                elif var.is_const:
+                    self.error(st, f"cannot assign to the constant '{name}'")
+                elif type(target) is PercentRef:
+                    self.no_percent_local(target)
+                else:
+                    target.binding = _var_binding(owner, var)
+                    self.check_assign_types(st, None, vty, var.resolved_type or "Any", 10 ** 6,
+                                            source_expr=st.value)
+        elif isinstance(target, SelfRef) and target.field_name is not None:
             _owner, var = self._find_field(target.field_name)
             if var is None:
                 self.error(st, f"'{self.current_entry.name}' has no instance variable"
                                f" '{target.field_name}'")
-                return
-            self.check_assign_types(st, None, vty, var.resolved_type or "Any", 10 ** 6,
-                                    source_expr=st.value)
-            return
-        if isinstance(target, MethodAccess):
+            else:
+                self.check_assign_types(st, None, vty, var.resolved_type or "Any", 10 ** 6,
+                                        source_expr=st.value)
+        elif isinstance(target, MethodAccess):
             # the value runs as the method: it takes the method's arguments
             # and answers its return type ("Any": no such method, reported)
             mty = self.check_method_access(target, env)[0]
             if mty != "Any":
                 self.check_assign_types(st, None, vty, mty, 10 ** 6, source_expr=st.value)
-            return
-        self.error(st, "illegal assignment target")
+        else:
+            self.error(st, "illegal assignment target")
+        return vty
+
+    def _visible_var(self, name):
+        """Whether `name` is a public or protected variable of self: of the
+        checked prototype, or in a context block's body, of its self type."""
+        entry = self.current_entry
+        return any(name in e.visible_vars
+                   for e in self.table.chain(entry.ctx_self_type_name or entry.name))
+
+    def no_percent_local(self, e):
+        """Report the %-variable `e`, which names no visible local, in the
+        words of block analysis (which checks method bodies, not initial
+        values and grammar defaults)."""
+        self.error(e, f"'%{e.name}' does not name a visible local variable" if self.blocks
+                   else "'%' can only be used inside a block")
 
     def check_assign_types(self, node, _init, src_type, dst_type, dst_level, source_expr=None):
         table = self.table
@@ -607,6 +628,7 @@ class Checker:
             case PercentRef(name=n):
                 hit = env.lookup(n)
                 if hit is None:
+                    self.no_percent_local(e)
                     return "Any"
                 return hit[0]
             case UnarySend():
@@ -625,10 +647,8 @@ class Checker:
             case MethodAccess():
                 return self.check_method_access(e, env)[0]
             case AssignExpr(target=t, value=v):
-                vty = self.type_of(v, env)
                 fake = AssignStat([t], v, line=e.line, col=e.col)
-                self.check_assign_target(fake, t, vty, env)
-                return vty
+                return self.check_assign_target(fake, t, self.type_of(v, env), env)
             case IfExpr(cond=c, then=t, otherwise=o):
                 self.type_of(c, env)
                 tty = self.type_of(t, env)
@@ -879,7 +899,9 @@ class Checker:
                            level=inner.level)
         inner.parent = pscope
         rets = []
+        self.blocks += 1
         self.check_stats(e.body, inner, rets)
+        self.blocks -= 1
         declared = self.table.resolve_type(e.return_type) if e.return_type is not None else None
         if declared is not None:
             for ty, node in rets:

@@ -242,14 +242,13 @@ class Compiler:
 
     def assign(self, target, value):
         """The closure that assigns what `value` answers to `target`, and
-        answers it."""
+        answers it; a setter send answers what the setter answers."""
         t = type(target)
         if t is PercentRef or (t is NameRef and target.binding is LOCAL):
-            address = self.address(target.name)
-            if address is None:
-                return _raiser(value, f"unknown variable '%{target.name}'")
-            return _writer(*address, value)
-        if t is SelfRef and target.field_name is not None or t is NameRef:
+            return _writer(*self.local(target.name), value)
+        if t is NameRef and target.binding is SEND:
+            return _site(self.new_site(target), [(target.name + ":", [value])], _receiver)
+        if t is SelfRef or t is NameRef:
             name = target.field_name if t is SelfRef else target.name
             if t is SelfRef or target.binding is FIELD:
                 return lambda interp, env, frame: \
@@ -257,11 +256,10 @@ class Compiler:
             statics = target.binding[1]
             return lambda interp, env, frame: \
                 interp.set_static(statics, name, value(interp, env, frame))
-        if t is MethodAccess:
-            recv, sig = self.expr(target.receiver), target.sig
-            return lambda interp, env, frame: \
-                interp.replace_method(value(interp, env, frame), recv(interp, env, frame), sig)
-        return _raiser(value, "illegal assignment target")
+        # the checker allows no other target than a method access
+        recv, sig = self.expr(target.receiver), target.sig
+        return lambda interp, env, frame: \
+            interp.replace_method(value(interp, env, frame), recv(interp, env, frame), sig)
 
     # -- expressions -----------------------------------------------------------------
 
@@ -321,12 +319,6 @@ class Compiler:
         if name is None:
             return _receiver
         return lambda interp, env, frame: interp.field_read(frame.fields_owner, name)
-
-    def percent(self, e):
-        address = self.address(e.name)
-        if address is None:
-            return _raiser(_no_object, f"unknown variable '%{e.name}'")
-        return _reader(*address)
 
     def send(self, e, parts, recv_code, args_first=True, refs=None):
         """The closure of the send `e` of `parts` to what `recv_code`
@@ -445,7 +437,8 @@ _STATS = {
 _EXPRS = {
     Lit: Compiler.lit, ArrayLit: Compiler.array, TupleLit: Compiler.tuple_lit,
     NameRef: Compiler.name, GenericRef: lambda c, e: c.prototype(e.resolved),
-    SelfRef: Compiler.self_ref, PercentRef: Compiler.percent, UnarySend: Compiler.unary,
+    SelfRef: Compiler.self_ref, PercentRef: lambda c, e: _reader(*c.local(e.name)),
+    UnarySend: Compiler.unary,
     PrefixOp: lambda c, e: c.send(e, [(e.op, [])], c.expr(e.operand)),
     BinarySend: Compiler.binary, KeywordSend: Compiler.keyword,
     BlockLit: lambda c, e: c.block(e)[0],
@@ -490,13 +483,6 @@ def _branch(arms):
             if v is TRUE or (v is not FALSE and interp.truthy(v)):
                 return then(interp, env, frame)
     return branch
-
-
-def _raiser(value, message):
-    def fail(interp, env, frame):
-        value(interp, env, frame)
-        interp.str_exception(message)
-    return fail
 
 
 def _env_at(env, depth):

@@ -27,15 +27,17 @@ The notes, by the pass that writes them:
                      Lit.runtime_value (immutable kinds), IfStat.scoped and
                      WhileStat.scoped (a body that declares no variable runs in
                      the enclosing scope); NameRef.binding (what a bare name
-                     denotes, one of the bindings below); .builtin of a send
+                     denotes, one of the bindings below: SEND on the target of
+                     an assignment makes the write a send of the setter of a
+                     public or protected variable); .builtin of a send
                      node (UnarySend, KeywordSend, BinarySend, PrefixOp) that
                      resolved to a builtin method: (that method, the static
                      type of the receiver, the tuple of the arguments' types)
     compiler         MethodDecl.code, VarDecl.code, GSel.code, BlockLit.code (the
                      closures of the bodies, see `compiler`); .site of a send
-                     node (those above, and a NameRef that is a self-send) that
-                     the compile step does not bind: the number of its inline
-                     cache
+                     node (those above, and a NameRef that is a self-send or
+                     the target of a setter send) that the compile step does
+                     not bind: the number of its inline cache
 """
 
 from dataclasses import dataclass, field, fields
@@ -361,7 +363,8 @@ class TupleLit(Node):
 LOCAL = ("local", None)
 FIELD = ("field", None)     # an instance variable of the frame's fields owner
 PROTO = ("proto", None)     # a prototype
-SEND = ("send", None)       # an implicit unary self-send
+SEND = ("send", None)       # an implicit unary self-send, or on an assignment
+                            # target, a self-send of the variable's setter
 
 
 @dataclass(slots=True)

@@ -392,20 +392,15 @@ class Desugarer:
         self.current_proto = proto
         for slot in proto.slots:
             if isinstance(slot, VarDecl) and slot.init is not None:
-                slot.init = self.rx(slot.init, _Scope(None, set()))
+                slot.init = self.rx(slot.init)
             elif isinstance(slot, MethodDecl):
-                scope = _Scope(None, {p.name for p in self._flat_params(slot)})
                 if isinstance(slot.sig, GrammarSig):
-                    scope.names.add(slot.sig.param_name)
                     self.rewrite_defaults(slot.sig)
-                if isinstance(slot.sig, (UnarySig, OperatorSig)) and \
-                        isinstance(slot.sig, OperatorSig) and slot.sig.param:
-                    scope.names.add(slot.sig.param.name)
                 if slot.body is not None:
                     carets_return(slot.body)
-                    slot.body = self.rx_stats(slot.body, scope)
+                    slot.body = self.rx_stats(slot.body)
                 if slot.body_expr is not None:
-                    slot.body_expr = self.rx(slot.body_expr, scope)
+                    slot.body_expr = self.rx(slot.body_expr)
 
     def rewrite_defaults(self, sig):
         """The default values of a grammar signature, which run in the
@@ -413,44 +408,38 @@ class Desugarer:
         for node in all_nodes(sig.regex):
             if isinstance(node, GSel) and node.argspec[0] == "default":
                 kind, texpr, expr = node.argspec
-                node.argspec = (kind, texpr, self.rx(expr, _Scope(None, set())))
+                node.argspec = (kind, texpr, self.rx(expr))
 
-    def rx_stats(self, stats, scope):
+    def rx_stats(self, stats):
         out = []
         for st in stats:
-            res = self.rx_stat(st, scope)
+            res = self.rx_stat(st)
             out.extend(res if isinstance(res, list) else [res])
         return out
 
-    def rx_stat(self, st, scope):
+    def rx_stat(self, st):
         match st:
             case ExprStat(expr=e):
-                st.expr = self.rx(e, scope)
+                st.expr = self.rx(e)
                 return st
             case VarDeclStat(decls=ds):
-                new = []
-                for name, ty, init in ds:
-                    init2 = self.rx(init, scope) if init is not None else None
-                    scope.names.add(name)   # visible only after; rx of init came first
-                    new.append((name, ty, init2))
-                st.decls = new
+                st.decls = [(name, ty, self.rx(init)) for name, ty, init in ds]
                 return st
             case ReturnStat(value=v):
                 if v is not None:
-                    st.value = self.rx(v, scope)
+                    st.value = self.rx(v)
                 return st
             case IfStat(arms=arms, else_body=eb):
-                st.arms = [(self.rx(c, scope), self.rx_stats(b, _Scope(scope, set())))
-                           for c, b in arms]
+                st.arms = [(self.rx(c), self.rx_stats(b)) for c, b in arms]
                 if eb is not None:
-                    st.else_body = self.rx_stats(eb, _Scope(scope, set()))
+                    st.else_body = self.rx_stats(eb)
                 return st
             case WhileStat(cond=c, body=b):
-                st.cond = self.rx(c, scope)
-                st.body = self.rx_stats(b, _Scope(scope, set()))
+                st.cond = self.rx(c)
+                st.body = self.rx_stats(b)
                 return st
             case AssignStat():
-                return self.rx_assign(st, scope)
+                return self.rx_assign(st)
             case MetaStat(call=mc):
                 self.reporter.warning(st.line, st.col,
                                       f"unknown metaobject '@{mc.name}' ignored")
@@ -459,81 +448,74 @@ class Desugarer:
                 return st
         return st
 
-    def rx_assign(self, st, scope):
-        st.value = self.rx(st.value, scope)
+    def rx_assign(self, st):
+        st.value = self.rx(st.value)
         targets = st.targets
         if len(targets) == 1:
-            return self.single_assign(targets[0], st.value, scope, st)
+            return self.single_assign(targets[0], st.value, st)
         # multiple assignment: v1, ..., vn = tuple
         tmp = self.fresh()
         out = [VarDeclStat([(tmp, None, st.value)], line=st.line, col=st.col)]
-        scope.names.add(tmp)
         for i in range(len(targets) - 1, -1, -1):
             field_get = unary(NameRef(tmp), f"f{i + 1}", line=st.line, col=st.col)
-            res = self.single_assign(targets[i], field_get, scope, st)
-            out.extend(res if isinstance(res, list) else [res])
+            out.append(self.single_assign(targets[i], field_get, st))
         return out
 
-    def single_assign(self, target, value, scope, st):
-        target = self.rx_target(target, scope)
+    def single_assign(self, target, value, st):
+        target = self.rx_target(target)
         if isinstance(target, KeywordSend) and target.message_name == "at:":
             # v[e] = x   ->   v at: e put: x
             target.parts.append(("put:", [value]))
             return ExprStat(target, line=st.line, col=st.col)
-        if isinstance(target, NameRef) and target.name not in scope.all_names():
-            qual = self.visible_var_qualifier(self.current_proto.name, target.name)
-            if qual is not None:
-                return ExprStat(send1(None, target.name + ":", value,
-                                      line=st.line, col=st.col), line=st.line, col=st.col)
         return AssignStat([target], value, line=st.line, col=st.col)
 
-    def rx_target(self, t, scope):
+    def rx_target(self, t):
         if isinstance(t, IndexGet):
-            return self.rx(t, scope)
+            return self.rx(t)
         if isinstance(t, MethodAccess):
-            t.receiver = self.rx(t.receiver, scope)
+            t.receiver = self.rx(t.receiver)
             return t
         return t
 
-    def rx(self, e, scope):
+    def rx(self, e):
         match e:
             case None:
                 return None
             case Lit(kind="String", value=v):
-                return self.rewrite_interpolation(e, v, scope)
+                return self.rewrite_interpolation(e, v)
             case Lit():
                 return e
             case ArrayLit(elems=xs):
-                e.elems = [self.rx(x, scope) for x in xs]
+                e.elems = [self.rx(x) for x in xs]
                 return e
             case TupleLit(items=items):
-                e.items = [(n, self.rx(x, scope)) for n, x in items]
+                e.items = [(n, self.rx(x)) for n, x in items]
                 return e
             case NameRef() | SelfRef() | SuperRef() | PercentRef() | GenericRef():
                 return e
             case UnarySend(receiver=r, mode=m):
-                e.receiver = self.rx(r, scope)
+                e.receiver = self.rx(r)
                 if m == "?.":
-                    return self.nil_safe(e, scope)
+                    return self.nil_safe(e)
                 return e
             case KeywordSend(receiver=r, parts=parts):
-                e.receiver = self.rx(r, scope) if r is not None else None
-                e.parts = [(sel, [self.rx(a, scope) for a in args]) for sel, args in parts]
+                e.receiver = self.rx(r)
+                e.parts = [(sel, [self.rx(a) for a in args]) for sel, args in parts]
                 if e.mode == "?." and e.receiver is not None:
-                    return self.nil_safe(e, scope)
+                    return self.nil_safe(e)
                 return e
             case BinarySend(left=l, right=r):
-                e.left = self.rx(l, scope)
-                e.right = self.rx(r, scope)
+                e.left = self.rx(l)
+                e.right = self.rx(r)
                 return e
             case PrefixOp(op=op, operand=x):
                 if op in ("++", "--"):
-                    return self.rewrite_incr(e, scope)
-                e.operand = self.rx(x, scope)
+                    return self.rewrite_incr(e)
+                e.operand = self.rx(x)
                 return e
             case IndexGet(receiver=r, index=i, nil_safe=ns):
-                r = self.rx(r, scope)
-                i = self.rx(i, scope)
+                r = self.rx(r)
+                i = self.rx(i)
                 get = send1(r, "at:", i, line=e.line, col=e.col)
                 if not ns:
                     return get
@@ -544,28 +526,28 @@ class Desugarer:
                     line=e.line, col=e.col)
                 return LetExpr(tmp, r, guarded, line=e.line, col=e.col)
             case Creation(callee=c, args=args):
-                return self.rewrite_creation(e, scope)
+                return self.rewrite_creation(e)
             case BlockLit():
-                return self.rewrite_block(e, scope)
+                return self.rewrite_block(e)
             case MethodAccess(receiver=r):
-                e.receiver = self.rx(r, scope)
+                e.receiver = self.rx(r)
                 return e
             case AssignExpr(target=t, value=v):
-                e.target = self.rx(t, scope)
-                e.value = self.rx(v, scope)
+                e.target = self.rx(t)
+                e.value = self.rx(v)
                 return e
             case IfExpr(cond=c, then=t, otherwise=o):
-                e.cond = self.rx(c, scope)
-                e.then = self.rx(t, scope)
-                e.otherwise = self.rx(o, scope)
+                e.cond = self.rx(c)
+                e.then = self.rx(t)
+                e.otherwise = self.rx(o)
                 return e
             case LetExpr(init=i, body=b):
-                e.init = self.rx(i, scope)
-                e.body = self.rx(b, scope)
+                e.init = self.rx(i)
+                e.body = self.rx(b)
                 return e
         return e
 
-    def nil_safe(self, send, scope):
+    def nil_safe(self, send):
         recv = send.receiver
         tmp = self.fresh()
         send.receiver = NameRef(tmp)
@@ -576,15 +558,15 @@ class Desugarer:
                          send, Lit("Nil", None), line=send.line, col=send.col)
         return LetExpr(tmp, recv, guarded, line=send.line, col=send.col)
 
-    def rewrite_incr(self, e, scope):
+    def rewrite_incr(self, e):
         op = "+" if e.op == "++" else "-"
         target = e.operand
         at = {"line": e.line, "col": e.col}     # every node built here is at `e`
         one = Lit("Int", 1, **at)
         if isinstance(target, IndexGet):
             # ++v[e]:  :t1 = e; :t2 = v[t1] + 1; v[t1] = t2; value t2
-            recv = self.rx(target.receiver, scope)
-            idx = self.rx(target.index, scope)
+            recv = self.rx(target.receiver)
+            idx = self.rx(target.index)
             t1, t2 = self.fresh(), self.fresh()
             get = send1(recv, "at:", NameRef(t1, **at), **at)
             put = KeywordSend(copy.deepcopy(recv),
@@ -594,17 +576,11 @@ class Desugarer:
                            LetExpr(t2, BinarySend(get, op, one, **at),
                                    LetExpr(self.fresh(), put, NameRef(t2, **at), **at), **at),
                            **at)
-        if isinstance(target, NameRef) and target.name not in scope.all_names():
-            qual = self.visible_var_qualifier(self.current_proto.name, target.name)
-            if qual is not None:
-                # public/protected variable: (v: (v + 1))
-                return send1(None, target.name + ":",
-                             BinarySend(NameRef(target.name, **at), op, one, **at), **at)
         return AssignExpr(target, BinarySend(copy.deepcopy(target), op, one, **at), **at)
 
-    def rewrite_creation(self, e, scope):
+    def rewrite_creation(self, e):
         callee = e.callee
-        args = [self.rx(a, scope) for a in e.args]
+        args = [self.rx(a) for a in e.args]
         base = callee.name
         decl = self.proto_info.get(base)
         if decl is not None and decl.context_params and \
@@ -614,21 +590,10 @@ class Desugarer:
             return unary(callee, "new", line=e.line, col=e.col)
         return kwsend(callee, [("new:", args)], line=e.line, col=e.col)
 
-    def rewrite_block(self, block, scope):
+    def rewrite_block(self, block):
+        block.body = self.rx_stats(block.body)
         if block.self_type is not None:
-            # the body sees only the context self type, not enclosing locals
-            saved = self.current_proto
-            self.current_proto = PrototypeDecl(name=block.self_type.name,
-                                               filename=saved.filename)
-            inner = _Scope(None, {p.name for sec in block.param_sections for p in sec})
-            block.body = self.rx_stats(block.body, inner)
-            self.current_proto = saved
             return self.lower_context_block(block)
-        inner = _Scope(scope, set())
-        for sec in block.param_sections:
-            for p in sec:
-                inner.names.add(p.name)
-        block.body = self.rx_stats(block.body, inner)
         return block
 
     def lower_context_block(self, block):
@@ -668,7 +633,7 @@ class Desugarer:
 
     # -- string interpolation ------------------------------------------------------
 
-    def rewrite_interpolation(self, lit, text, scope):
+    def rewrite_interpolation(self, lit, text):
         segments = split_interpolation(text, self.reporter, lit.line, lit.col)
         if segments is None:
             return lit
@@ -689,7 +654,7 @@ class Desugarer:
                     return lit
                 for node in walk(sub):      # its diagnostics point at the literal
                     node.line, node.col = lit.line, lit.col
-                piece = unary(self.rx(sub, scope), "asString", line=lit.line, col=lit.col)
+                piece = unary(self.rx(sub), "asString", line=lit.line, col=lit.col)
             expr = piece if expr is None else BinarySend(expr, "+", piece,
                                                          line=lit.line, col=lit.col)
         return expr
@@ -725,20 +690,6 @@ def carets_return(stats):
                 carets_return(st.else_body)
         elif isinstance(st, WhileStat):
             carets_return(st.body)
-
-
-class _Scope:
-    def __init__(self, parent, names):
-        self.parent = parent
-        self.names = set(names)
-
-    def all_names(self):
-        out = set()
-        cur = self
-        while cur is not None:
-            out |= cur.names
-            cur = cur.parent
-        return out
 
 
 def split_interpolation(text, reporter, line, col):

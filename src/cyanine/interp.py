@@ -69,7 +69,7 @@ _NIL_SELECTORS = frozenset(("eq:", "neq:", "==", "!=", "ifNil:", "isA:", "protot
 
 
 class Interp:
-    def __init__(self, program, stdin_text="", argv=(), check_liveness=True, stdin=None):
+    def __init__(self, program, stdin_text="", argv=(), stdin=None):
         """`In` reads `stdin_text`, or else the file `stdin`, which is read to
         its end on the first use of `In`."""
         if not program.ok():
@@ -82,7 +82,6 @@ class Interp:
         self.stdin_pos = 0
         self.argv = list(argv)
         self.frames = []
-        self.check_liveness = check_liveness
         # the step budget bounds sends plus evaluations; only sends (and
         # `loop` iterations) count as steps
         self.max_steps = 10_000_000
@@ -96,6 +95,8 @@ class Interp:
         self.bound_values = {}      # MethodEntry -> object bound by `fun sig = e`
                                     # or by assigning a method
         self.dyn_methods = {}       # (entry name, selector) -> body from addMethod:
+        self.hash_codes = {}        # id -> (hashCode, value) of each non-basic value
+                                    # hashed, kept so that no other value gets its id
         # one inline cache per send site, indexed by the site's number, and
         # CATCH_SITE: {`compiler.send_key`: (handler, method, owner entry,
         # index of the receiver's mixin that has it or None, packing plan of
@@ -196,22 +197,16 @@ class Interp:
 
     def setup(self):
         table = self.table
-        for entry in table.entries.values():
-            self._proto_object(entry)
+        for name in table.entries:
+            self.proto_objects[name] = ObjectV(name, is_prototype=True)
         for entry in list(table.entries.values()):
             self.init_prototype(entry)
 
     def prototype_object(self, entry):
         """The object a prototype name evaluates to, initialized on first use."""
-        obj = self._proto_object(entry)
-        self.init_prototype(entry)
-        return obj
-
-    def _proto_object(self, entry):
-        obj = self.proto_objects.get(entry.name)
-        if obj is None:
-            obj = self.proto_objects[entry.name] = ObjectV(entry.name, is_prototype=True)
-        return obj
+        if entry.name not in self._init_done:
+            self.init_prototype(entry)
+        return self.proto_objects[entry.name]
 
     def init_prototype(self, entry):
         if entry.name in self._init_done or entry.builtin:
@@ -328,7 +323,7 @@ class Interp:
     # -- cells and fields ------------------------------------------------------------------
 
     def cell_read(self, cell):
-        if self.check_liveness and not cell.alive:
+        if not cell.alive:
             raise DeadCellRead("read of a captured local after its frame was popped")
         return cell.value
 

@@ -12,11 +12,11 @@ def compile_src(src, main_name="Program"):
     return compile_program([("<test>", src)], main_name=main_name)
 
 
-def run_src(src, stdin="", main_name="Program", check_liveness=True):
+def run_src(src, stdin="", main_name="Program"):
     """Compile and run; returns (exit_code, stdout, program)."""
     program = compile_src(src, main_name)
     assert not program.reporter.has_errors(), program.reporter.format_all()
-    interp = Interp(program, stdin_text=stdin, check_liveness=check_liveness)
+    interp = Interp(program, stdin_text=stdin)
     code = interp.run()
     return code, interp.stdout(), program
 

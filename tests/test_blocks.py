@@ -291,6 +291,6 @@ public object Program
     ]
 end
 '''
-    code, out, _ = run_src(src, check_liveness=True)
+    code, out, _ = run_src(src)
     assert code == 0
     assert out == "3\n3\n"

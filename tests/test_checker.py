@@ -533,3 +533,20 @@ end'''
         a.{put: Int}. = [ |:x Int| Out println: x ];
         a put: a get;''', extra=extra))
     assert (code, out) == (0, "2\n")
+
+
+def test_a_percent_variable_outside_a_method_body_names_a_local():
+    """Block analysis checks the %-variables of method bodies; the checker
+    rejects the others, in slot initial values and grammar defaults, in the
+    same words, so that each that compiles names a local."""
+    msgs = errors_of(wrap("", extra='''private object Holder
+    private :x Int = 1
+    private :y = %x
+    private :z Int = [ %x = 2; ^ 3 ] eval
+    public fun (make: Int (b: Any = %x)?) :t [ ]
+end'''))
+    assert msgs.splitlines() == [
+        "<test>:4:18: error: '%' can only be used inside a block",
+        "<test>:5:24: error: '%x' does not name a visible local variable",
+        "<test>:6:37: error: '%' can only be used inside a block",
+    ]

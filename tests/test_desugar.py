@@ -173,14 +173,6 @@ def test_increment_local_becomes_assign_expr():
     assert isinstance(incr.value, A.BinarySend) and incr.value.op == "+"
 
 
-def test_increment_public_var_uses_mutator():
-    src = "package p\nobject T\n  public :v Int\n  public fun f [ ++v; ]\nend"
-    units, rep = desugar(src)
-    m = [s for s in units[0].slots if isinstance(s, A.MethodDecl) and s.name == "f"][0]
-    incr = m.body[0].expr
-    assert isinstance(incr, A.KeywordSend) and incr.message_name == "v:"
-
-
 def test_increment_indexed_single_evaluation():
     body = _rewrite_of(":a = {# 1 #}; ++a[0];")
     incr = body[1].expr

@@ -2,11 +2,11 @@
 from any depth of `if` and `while`; `^` leaves the block it is written in;
 `return` in a block unwinds to the block's method through every frame
 between; and a return that leaves a scope early kills no cell that a later
-read needs.  Each program runs with the liveness check on."""
+read needs."""
 
 
 def run_ok(run, src):
-    code, out, _ = run(src, check_liveness=True)
+    code, out, _ = run(src)
     assert code == 0, out
     return out
 

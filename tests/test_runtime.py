@@ -2,6 +2,8 @@
 
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -770,3 +772,38 @@ end
                                   "  at Program::run\n")
     else:
         assert (code, out) == (0, expected)
+
+
+HASHES = '''package main
+private object P end
+public object Program
+    public fun run [
+        :p = P new;
+        :q = P new;
+        :n Any = nil;
+        Out println: (3 hashCode), " ", ("three" hashCode), " ", ('c' hashCode), " ",
+            (3.5 hashCode), " ", (true hashCode);
+        Out println: (p hashCode == p hashCode), " ", (p hashCode != q hashCode), " ",
+            (n hashCode == n hashCode), " ", (n hashCode != p hashCode);
+    ]
+end
+'''
+
+
+def test_hash_codes_are_the_same_in_every_run(tmp_path):
+    """A basic value hashes by its kind and value, whatever Python's string
+    hash seed; any other value keeps the number its first hashCode drew,
+    and no other value draws it."""
+    path = tmp_path / "hashes.cyan"
+    path.write_text(HASHES)
+    outs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run([sys.executable, "-m", "cyanine.cli", "run", str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    first, second = outs.pop().splitlines()
+    assert len(set(first.split())) == 5
+    assert second == "true true true true"
