@@ -15,7 +15,7 @@ from .prototypes import BASIC_TYPES, split_generic
 from .values import (FALSE, NIL, NOOBJECT, TRUE, UNIT, ArrayV, BlockV, IntervalV, MethodV,
                      NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
 
-_INT_RANGE = {"Byte": (-2 ** 7, 2 ** 7 - 1), "Short": (-2 ** 15, 2 ** 15 - 1),
+INT_RANGE = {"Byte": (-2 ** 7, 2 ** 7 - 1), "Short": (-2 ** 15, 2 ** 15 - 1),
               "Int": (-2 ** 31, 2 ** 31 - 1), "Long": (-2 ** 63, 2 ** 63 - 1)}
 _WIDTH = {"Byte": 8, "Short": 16, "Int": 32, "Long": 64}
 
@@ -28,7 +28,7 @@ def _bool(v):
 
 
 def _int(interp, kind, v):
-    lo, hi = _INT_RANGE[kind]
+    lo, hi = INT_RANGE[kind]
     if lo <= v <= hi:
         return PrimV(kind, v)
     interp.str_exception(f"{kind} overflow")

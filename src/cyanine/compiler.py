@@ -16,13 +16,16 @@ the dead-cell check.
 Two kinds of send are bound here, from what the checker proved:
 
 - A send the checker resolved to a builtin for a receiver and at most one
-  argument of basic types (`Int`, `Boolean`, `Char`, ...), which are final:
-  its closure calls the builtin's handler while the values have those kinds
-  (not nil) and the method is neither replaced nor overtaken by an
-  `addMethod:` body, and goes to `Interp.send` otherwise (`_bound_site`).
+  argument of basic types (`Int`, `Boolean`, `Char`, ...), which are final,
+  is one closure made from source once per shape (`Compiler.fused`): while
+  the values have those kinds (not nil) and the method is neither replaced
+  nor overtaken by an `addMethod:` body, it counts the step and applies the
+  builtin, `+ - *` and the comparisons inline; else it goes to
+  `Interp.send`, uncached.
 - A whileTrue:, whileFalse: or repeatUntil: send of two block literals with
   no parameter, %-variable or local: its closure runs the two bodies in a
-  Python loop, with no block value (`_loop`).
+  Python loop, with no block value, and a test `[^ e ]` as the expression
+  `e` (`_loop`).
 
 Every other send with a receiver expression gets a site number, the index of
 its inline cache: on a hit its closure counts the step and calls the cached
@@ -30,6 +33,8 @@ handler, and everything else goes to `Interp.send`.  A `super` send is such
 a site too (`_super_site`), whose search starts above the entry whose body
 holds it, wherever in that body it runs.
 """
+
+import functools
 
 from . import builtins as bi
 from .cyast import *
@@ -60,7 +65,7 @@ class Frame:
         self.receiver = receiver
         self.fields_owner = fields_owner
         self.mixin_index = mixin_index
-        self.ctx = object() if block_ctx is None else block_ctx
+        self.ctx = self if block_ctx is None else block_ctx
         self.result = NOOBJECT
 
 
@@ -196,11 +201,7 @@ class Compiler:
             def unwind(interp, env, frame):
                 raise ReturnSignal(frame.ctx, value(interp, env, frame))
             return unwind
-
-        def ret(interp, env, frame):
-            frame.result = value(interp, env, frame)
-            return True
-        return ret
+        return _ret(value)
 
     def if_stat(self, st):
         arms = [(self.expr(cond), self.body(body, scoped))
@@ -241,11 +242,17 @@ class Compiler:
         return nested
 
     def assign(self, target, value):
-        """The closure that assigns what `value` answers to `target`, and
-        answers it; a setter send answers what the setter answers."""
+        """The closure that assigns what the node `value` answers to
+        `target`, and answers it; a setter send answers what the setter
+        answers.  A bound send stored in a near local is one closure."""
         t = type(target)
         if t is PercentRef or (t is NameRef and target.binding is LOCAL):
-            return _writer(*self.local(target.name), value)
+            depth, slot = self.local(target.name)
+            if depth <= 1 and type(value) is BinarySend and _bound(value):
+                return self.fused(value, value.left, [(value.op, [value.right])], False,
+                                  (depth, slot))
+            return _writer(depth, slot, self.expr(value))
+        value = self.expr(value)
         if t is NameRef and target.binding is SEND:
             return _site(self.new_site(target), [(target.name + ":", [value])], _receiver)
         if t is SelfRef or t is NameRef:
@@ -320,42 +327,81 @@ class Compiler:
             return _receiver
         return lambda interp, env, frame: interp.field_read(frame.fields_owner, name)
 
-    def send(self, e, parts, recv_code, args_first=True, refs=None):
-        """The closure of the send `e` of `parts` to what `recv_code`
-        answers: bound to its builtin where the checker resolved it for a
-        receiver and at most one argument of basic types (`_bound_site`),
-        else a site with an inline cache (`_site`)."""
-        bound = e.builtin
-        if bound is not None and bound[1] in _BASIC and len(parts) == 1 \
-                and (not bound[2] or len(bound[2]) == 1 and bound[2][0] in _BASIC):
-            return _bound_site(bound, parts[0], recv_code, args_first)
-        return _site(self.new_site(e), parts, recv_code, args_first, refs)
+    def send(self, e, recv, parts, args_first=True, refs=None):
+        """The closure of the send `e` of `parts`, [(selector, [argument
+        nodes])], to the node `recv`, self for None: fused where the checker
+        bound it (`fused`), else a site with an inline cache (`_site`)."""
+        if _bound(e):
+            return self.fused(e, recv, parts, args_first)
+        recv_code = None if args_first else self.expr(recv)
+        codes = [(sel, [self.expr(a) for a in args]) for sel, args in parts]
+        if args_first:
+            recv_code = _receiver if recv is None else self.expr(recv)
+        return _site(self.new_site(e), codes, recv_code, args_first, refs)
+
+    def fused(self, e, recv, parts, args_first, store=None):
+        """The one closure of the bound send `e`, which stores its value in
+        the local at the address `store`, if any."""
+        m, kind, kinds = e.builtin
+        (selector, args), = parts
+        operands = [("recv", recv, kind), *zip(("arg",), args, kinds)]
+        leaves, values = [], {"arg": None}
+        for name, node, k in reversed(operands) if args_first else operands:
+            leaf, values[name] = self.leaf(node, k)
+            leaves.append((name, leaf))
+        op = "v = handler(interp, m, recv, (args := [arg]), [(selector, args)])" if args \
+            else "v = handler(interp, m, recv, (), shape)"
+        b = m.builtin if type(m.builtin) is tuple else ("",)
+        if b[0] == "cmp":
+            op = f"v = TRUE if recv.v {b[1]} arg.v else FALSE"
+        elif b[0] == "arith" and b[1] in ("+", "-", "*") and kind in bi.INT_RANGE:
+            # a new PrimV without a call of its __init__, which costs more
+            op = f"r = recv.v {b[1]} arg.v\nif lo <= r <= hi: v = new(PrimV); v.kind = Rk; " \
+                f"v.v = r\nelse: {op}"
+        shape = op, tuple(leaves), store and ("env", "env[0]")[store[0]]
+        make = _fused_factory(shape)
+        return make(m, bi.handler(m), selector, ((selector, ()),), kind,
+                    kinds[0] if kinds else None, *bi.INT_RANGE.get(kind, (None, None)),
+                    values["recv"], values["arg"], store and store[1])
+
+    def leaf(self, e, kind):
+        """How a fused send reads its operand `e` of the basic type `kind`:
+        ("env" or "env[0]", slot) for a local at depth 0 or 1, ("const",
+        value) for a shared literal of that kind, else ("code", closure)."""
+        t = type(e)
+        if t is PercentRef or t is NameRef and e.binding is LOCAL:
+            depth, slot = self.local(e.name)
+            if depth <= 1:
+                return ("env", "env[0]")[depth], slot
+        v = e.runtime_value if t is Lit else None
+        if type(v) is PrimV and v.kind == kind:
+            return "const", v
+        return "code", _receiver if e is None else self.expr(e)
 
     def unary(self, e):
         if type(e.receiver) is SuperRef:
             return _super_site(self.new_site(e), [(e.selector, [])], self.owner, None)
-        return self.send(e, [(e.selector, [])], self.expr(e.receiver))
+        return self.send(e, e.receiver, [(e.selector, [])])
 
     def binary(self, e):
-        left, right = self.expr(e.left), self.expr(e.right)
         if e.op == "..":
+            left, right = self.expr(e.left), self.expr(e.right)
             return lambda interp, env, frame: \
                 interp.make_interval(left(interp, env, frame), right(interp, env, frame))
-        return self.send(e, [(e.op, [right])], left, args_first=False)
+        return self.send(e, e.left, [(e.op, [e.right])], args_first=False)
 
     def keyword(self, e):
         if e.builtin is not None and e.builtin[0].builtin in _LOOPS \
                 and _plain_block(e.receiver) and _plain_block(e.parts[0][1][0]):
             return self.loop(e)
-        parts = [(sel, [self.expr(a) for a in args]) for sel, args in e.parts]
         # a context object's `new:` and `bind:` bind their `&` and `*`
         # parameters to what the arguments refer to
         refs = self.refs(e.parts[0][1]) \
-            if len(parts) == 1 and parts[0][0] in ("new:", "bind:") else None
+            if len(e.parts) == 1 and e.parts[0][0] in ("new:", "bind:") else None
         if type(e.receiver) is SuperRef:
+            parts = [(sel, [self.expr(a) for a in args]) for sel, args in e.parts]
             return _super_site(self.new_site(e), parts, self.owner, refs)
-        recv = _receiver if e.receiver is None else self.expr(e.receiver)
-        return self.send(e, parts, recv, refs=refs)
+        return self.send(e, e.receiver, e.parts, refs=refs)
 
     def loop(self, e):
         """A whileTrue:, whileFalse: or repeatUntil: send of two block
@@ -363,13 +409,14 @@ class Compiler:
         declares a local, a Python loop over the two bodies (`_loop`), else
         the site that sends the two block values."""
         (selector, (arg,)), = e.parts
-        make_arg, arg_body, arg_slots = self.block(arg)
-        make_recv, recv_body, recv_slots = self.block(e.receiver)
+        m = e.builtin[0]
+        until = m.builtin == "repeat_until"
+        make_arg, arg_body, arg_slots = self.block(arg, test=until)
+        make_recv, recv_body, recv_slots = self.block(e.receiver, test=not until)
         site = _site(self.new_site(e), [(selector, [make_arg])], make_recv)
         if arg_slots or recv_slots:
             return site
-        m = e.builtin[0]
-        if m.builtin == "repeat_until":
+        if until:
             return _loop(m, arg_body, recv_body, True, False, site)
         return _loop(m, recv_body, arg_body, False, m.builtin == "while_true", site)
 
@@ -385,17 +432,23 @@ class Compiler:
         return lambda env: [(address and _env_at(env, address[0])[address[1]], name)
                             for address, name in spec]
 
-    def block(self, e):
+    def block(self, e, test=False):
         """Compile the block literal `e`, leaving its runner in `e.code`:
         (the closure that makes its value, the closure of its body, the
-        number of slots of its env)."""
+        number of slots of its env).  For a `test`, the body's closure answers
+        the evaluation's value: for a body `^ x`, it is the closure of `x`."""
         percent = list(e.info.percent_vars) if e.info is not None else []
         snapshot = [self.address(name) for name in percent]
         params = [p.name for sec in e.param_sections for p in sec]
         outer_in_block, self.in_block = self.in_block, True
-        body, scope = self.activation(self.scope, params, percent, self.stats, e.body)
+        last = e.body[-1] if test and len(e.body) == 1 else None
+        caret = type(last) is ReturnStat and last.is_caret and last.value is not None
+        body, scope = self.activation(self.scope, params, percent, *(
+            (self.expr, last.value) if caret else (self.stats, e.body)))
         self.in_block = outer_in_block
-        e.code = _block_runner(body, scope, len(params), len(percent))
+        e.code = _block_runner(_ret(body) if caret else body, scope, len(params), len(percent))
+        if test and not caret:
+            body = _answer(body)
         rtype = e.runtime_type
 
         def make_block(interp, env, frame):
@@ -429,7 +482,7 @@ class Compiler:
 
 _STATS = {
     ExprStat: lambda c, st: c.expr(st.expr),
-    AssignStat: lambda c, st: c.assign(st.targets[0], c.expr(st.value)),
+    AssignStat: lambda c, st: c.assign(st.targets[0], st.value),
     VarDeclStat: Compiler.var_decl, ReturnStat: Compiler.return_stat,
     IfStat: Compiler.if_stat, WhileStat: Compiler.while_stat,
 }
@@ -439,11 +492,11 @@ _EXPRS = {
     NameRef: Compiler.name, GenericRef: lambda c, e: c.prototype(e.resolved),
     SelfRef: Compiler.self_ref, PercentRef: lambda c, e: _reader(*c.local(e.name)),
     UnarySend: Compiler.unary,
-    PrefixOp: lambda c, e: c.send(e, [(e.op, [])], c.expr(e.operand)),
+    PrefixOp: lambda c, e: c.send(e, e.operand, [(e.op, [])]),
     BinarySend: Compiler.binary, KeywordSend: Compiler.keyword,
     BlockLit: lambda c, e: c.block(e)[0],
     MethodAccess: Compiler.method_access, LetExpr: Compiler.let,
-    AssignExpr: lambda c, e: c.assign(e.target, c.expr(e.value)),
+    AssignExpr: lambda c, e: c.assign(e.target, e.value),
     IfExpr: lambda c, e: _branch([(c.expr(e.cond), c.expr(e.then)),
                                   (_true, c.expr(e.otherwise))]),
 }
@@ -461,6 +514,13 @@ def _plain_block(e):
         and (e.info is None or not e.info.percent_vars)
 
 
+def _bound(send):
+    """Whether the checker resolved `send` to a builtin for a receiver and at
+    most one argument of basic types."""
+    b = send.builtin
+    return b is not None and len(b[2]) <= 1 and _BASIC.issuperset((b[1], *b[2]))
+
+
 # -- closures -----------------------------------------------------------------------------
 
 def _true(interp, env, frame):
@@ -475,8 +535,32 @@ def _receiver(interp, env, frame):
     return frame.receiver
 
 
+def _ret(value):
+    def ret(interp, env, frame):
+        frame.result = value(interp, env, frame)
+        return True
+    return ret
+
+
+def _answer(body):
+    def answer(interp, env, frame):
+        frame.result = NOOBJECT
+        body(interp, env, frame)
+        return frame.result
+    return answer
+
+
 def _branch(arms):
     """Run the code of the first arm whose condition answers true."""
+    if len(arms) == 1:
+        (cond, then), = arms
+
+        def if_then(interp, env, frame):
+            v = cond(interp, env, frame)
+            if v is TRUE or (v is not FALSE and interp.truthy(v)):
+                return then(interp, env, frame)
+        return if_then
+
     def branch(interp, env, frame):
         for cond, then in arms:
             v = cond(interp, env, frame)
@@ -543,12 +627,14 @@ def _method_runner(entry, method, body, scope):
         if len(frames) > 2000:
             interp.str_exception("method call stack overflow")
         frames.append(frame)
-        env = _activation(None, args, nparams, blank)
+        env = [None, Cell(args[0]), *blank] if nparams == 1 == len(args) \
+            else [None, *map(Cell, args), *blank] if len(args) == nparams \
+            else _activation(None, args, nparams, blank)
         try:
             body(interp, env, frame)
             return frame.result
         except ReturnSignal as r:
-            if r.ctx is frame.ctx:
+            if r.ctx is frame:
                 return r.value
             raise
         finally:
@@ -637,14 +723,17 @@ def _site(site, parts, recv_code, args_first=True, refs=None):
                 arg = arg_code(interp, env, frame)
             args = [arg]
             shape = [(selector, args)]
+            key = (recv.proto, arg.kind) if type(recv) is ObjectV and type(arg) is PrimV \
+                and not recv.mixins and not recv.own_methods else send_key(interp, recv, args)
         elif unary is not None:
             recv, args, shape = recv_code(interp, env, frame), (), unary
+            key = send_key(interp, recv, args)
         else:
             shape = [(sel, [code(interp, env, frame) for code in codes])
                      for sel, codes in parts]
             recv = recv_code(interp, env, frame)
             args = [a for _s, part in shape for a in part]
-        key = send_key(interp, recv, args)
+            key = send_key(interp, recv, args)
         if key is None:
             return interp.send(recv, shape, refs=refs and refs(env))
         found = interp.inline_caches[site].get(key)
@@ -684,58 +773,51 @@ def _super_site(site, parts, above, refs):
     return send
 
 
-def _bound_site(bound, part, recv_code, args_first):
-    """The closure of a send that the checker resolved to the builtin `m`
-    for a receiver of the basic type `kind` and arguments of the basic types
-    `kinds`, [(selector, [argument closures])] being `part`.  Basic types
-    are final, so a value of one is of that kind or nil.  While the values
-    have those kinds, `m` has no bound value and no `addMethod:` body can
-    take a message first, the closure counts the step and calls the
-    handler of `m`; anything else goes to `Interp.send`, uncached."""
-    m, kind, kinds = bound
-    handler = bi.handler(m)
-    selector, codes = part
-    if not codes:
-        shape = ((selector, ()),)
-
-        def send_unary(interp, env, frame):
-            recv = recv_code(interp, env, frame)
-            if type(recv) is PrimV and recv.kind == kind \
-                    and m not in interp.bound_values and not interp.dyn_methods:
-                interp.steps += 1
-                if interp.steps + interp.evals > interp.max_steps:
-                    interp.out_of_steps()
-                return handler(interp, m, recv, (), shape)
-            return interp.send(recv, shape)
-        return send_unary
-    arg_code, = codes
-    arg_kind, = kinds
-
-    def send(interp, env, frame):
-        if args_first:
-            arg = arg_code(interp, env, frame)
-            recv = recv_code(interp, env, frame)
-        else:
-            recv = recv_code(interp, env, frame)
-            arg = arg_code(interp, env, frame)
-        args = [arg]
-        if type(recv) is PrimV and recv.kind == kind and type(arg) is PrimV \
-                and arg.kind == arg_kind and m not in interp.bound_values \
-                and not interp.dyn_methods:
+_FUSED_SOURCE = """\
+def make(m, handler, selector, shape, Rk, Ak, lo, hi, R, A, W):
+    def fused(interp, env, frame):
+        {reads}
+        if {tests}m not in interp.bound_values and not interp.dyn_methods:
             interp.steps += 1
-            if interp.steps + interp.evals > interp.max_steps:
-                interp.out_of_steps()
-            return handler(interp, m, recv, args, [(selector, args)])
-        return interp.send(recv, [(selector, args)])
-    return send
+            if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()
+            {op}
+        else: v = interp.send(recv, {message})
+        {store}
+        return v
+    return fused
+"""
 
 
-def _loop(m, cond, body, body_first, goes_on, site):
+@functools.cache
+def _fused_factory(shape):
+    """The factory of the fused sends of `shape` (`Compiler.fused`), made
+    once per shape for the whole process; it reads the operands `recv` and
+    `arg` from `R` and `A`."""
+    op, leaves, store = shape
+    reads, tests = [], []
+    for name, leaf in leaves:
+        p = name[0].upper()
+        reads.append(f"{name} = {p}" if leaf == "const" else
+                     f"{name} = {p}(interp, env, frame)" if leaf == "code" else
+                     f"{name} = {leaf}[{p}]; "
+                     f"{name} = {name}.value if {name}.alive else interp.cell_read({name})")
+        if leaf != "const":
+            tests.append(f"type({name}) is PrimV and {name}.kind == {p}k and ")
+    source = _FUSED_SOURCE.format(
+        reads="\n        ".join(reads), tests="".join(tests), op=op.replace("\n", "\n" + " " * 12),
+        message="shape" if len(leaves) == 1 else "[(selector, [arg])]",
+        store=f"{store}[W].value = v" if store else "")
+    namespace = {"PrimV": PrimV, "TRUE": TRUE, "FALSE": FALSE, "new": object.__new__}
+    exec(compile(source, f"<fused send {shape}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _loop(m, test, body, body_first, goes_on, site):
     """The closure of a send of the loop builtin `m` to a block literal,
-    with a block literal argument, whose envs would hold no slot: `cond`
-    and `body`, the closures of the two bodies, run in turn, `body` first
-    for repeatUntil:, until `cond` does not answer `goes_on`.  The send
-    counts its step, and each evaluation counts, checks the budget and
+    with a block literal argument, whose envs would hold no slot: `test`,
+    which answers its evaluation's value, and `body` run in turn, `body`
+    first for repeatUntil:, until `test` does not answer `goes_on`.  The
+    send counts its step, and each evaluation counts, checks the budget and
     pushes a frame as the block runner does; but one frame and one env
     serve the whole loop, and no block value is made.  While `m` has a
     bound value, or an `addMethod:` body might take the message, the send
@@ -755,15 +837,15 @@ def _loop(m, cond, body, body_first, goes_on, site):
             interp.evals += 1
             if interp.steps + interp.evals > interp.max_steps:
                 interp.out_of_steps()
-            block.result = NOOBJECT
             frames.append(block)
             try:
-                (cond if testing else body)(interp, env, block)
+                if testing:
+                    v = test(interp, env, block)
+                else:
+                    body(interp, env, block)
             finally:
                 frames.pop()
-            if testing:
-                v = block.result
-                if (v is TRUE or v is not FALSE and interp.truthy(v)) != goes_on:
-                    return NOOBJECT
+            if testing and (v is TRUE or v is not FALSE and interp.truthy(v)) != goes_on:
+                return NOOBJECT
             testing = not testing
     return loop

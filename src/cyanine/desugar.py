@@ -35,16 +35,14 @@ class Desugarer:
         self.proto_info = {}
         # proto name -> {varname: qualifier} for accessor-expanded variables
         self.visible_vars = {}
-        self.parents = {}
 
     def fork(self, reporter):
         """A desugarer for further units that sees what this one has
-        desugared (prototypes, accessor registries, parents) and continues
+        desugared (prototypes, accessor registries) and continues
         its temporary numbering, without writing to this one's state."""
         d = Desugarer([], reporter)
         d.proto_info = dict(self.proto_info)
         d.visible_vars = dict(self.visible_vars)
-        d.parents = dict(self.parents)
         d.tmp_counter = self.tmp_counter
         d.ctx_counter = self.ctx_counter
         return d
@@ -59,8 +57,6 @@ class Desugarer:
         protos = [u for u in self.units if isinstance(u, PrototypeDecl)]
         for p in protos:
             self.proto_info[p.name] = p
-            if p.extends is not None:
-                self.parents[p.name] = p.extends.name
         for p in self.each(protos):
             self.lower_context_declarations(p)
         for p in self.each(protos):
@@ -140,17 +136,6 @@ class Desugarer:
         proto.slots = out
         self.visible_vars[proto.name] = registry
 
-    def visible_var_qualifier(self, proto_name, var_name):
-        seen = set()
-        cur = proto_name
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            reg = self.visible_vars.get(cur, {})
-            if var_name in reg:
-                return reg[var_name]
-            cur = self.parents.get(cur)
-        return None
-
     # -- @init ---------------------------------------------------------------------
 
     def expand_init_metaobject(self, proto):
@@ -184,15 +169,19 @@ class Desugarer:
         parts = []
         assigns = []
         params = []
+        # a variable the prototype makes visible is written through its
+        # setter, any other straight into the field: a bare name could mean
+        # a visible variable of an ancestor, whose setter may be this method
+        visible = self.visible_vars.get(proto.name, {})
         for k, var in enumerate(chosen):
             pub = public_name(var)
             pname = f"p${k + 1}"
             params.append((pname, var.type))
             parts.append(SelectorPart(pub + ":", [Param(pname, var.type)]))
-            if self.visible_var_qualifier(proto.name, pub):
+            if pub in visible:
                 assigns.append(ExprStat(send1(None, pub + ":", NameRef(pname))))
             else:
-                assigns.append(AssignStat([NameRef(var.name)], NameRef(pname)))
+                assigns.append(AssignStat([SelfRef(var.name)], NameRef(pname)))
         initializer_name = "".join(p.selector for p in parts)
         if not self._method_exists(proto, initializer_name, len(parts)):
             proto.slots.append(MethodDecl("public", sig=KeywordSig(parts), body=assigns,
@@ -294,6 +283,9 @@ class Desugarer:
                     base.slots.append(stub)
                     own_names.add(s.name)
 
+        # the base keeps the host's registry, which the last clone's name
+        # takes over below
+        self.visible_vars[base.name] = dict(self.visible_vars.get(proto.name, {}))
         result = [base]
         prev = base
         for i, m in enumerate(chain):
@@ -308,10 +300,7 @@ class Desugarer:
             # the mixin body was already accessor-expanded; share its registry
             self.visible_vars[clone.name] = dict(self.visible_vars.get(m.name, {}))
             self.proto_info[clone.name] = clone
-            self.parents[clone.name] = clone.extends.name
-        self.visible_vars[base.name] = dict(self.visible_vars.get(proto.name, {}))
         self.proto_info[base.name] = base
-        self.parents[base.name] = base.extends.name if base.extends else None
         return result
 
     # -- init -> new synthesis -----------------------------------------------------------

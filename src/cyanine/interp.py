@@ -10,6 +10,7 @@ compile step said.  A send site's cache, a `super` send's too, keeps what
 stack, with the packing plan of a grammar method; the catch builtin's
 handler search has a cache of its own, `CATCH_SITE`."""
 
+import re
 from types import MappingProxyType
 
 from . import builtins as bi
@@ -62,6 +63,11 @@ CATCH_SITE = -1
 _DEFAULTS = {"Byte": 0, "Short": 0, "Int": 0, "Long": 0, "Float": 0.0,
              "Double": 0.0, "Char": "\0", "Boolean": False, "String": ""}
 
+# what `In` reads: a token and a character skip blanks first; on `str`, `\s`
+# matches exactly the characters `str.isspace` accepts
+_TOKEN = re.compile(r"\S+")
+_CHAR = re.compile(r"\S")
+
 # nil redefines isNil/notNil and still answers these final identity tests of
 # Any, each a builtin; everything else is DoesNotUnderstandException
 _NIL_SELECTORS = frozenset(("eq:", "neq:", "==", "!=", "ifNil:", "isA:", "prototype",
@@ -101,10 +107,11 @@ class Interp:
         # CATCH_SITE: {`compiler.send_key`: (handler, method, owner entry,
         # index of the receiver's mixin that has it or None, packing plan of
         # a grammar method or None)}.  A send counts as a hit (served by a
-        # cache, or by the binding the compile step gave it: `_bound_site`,
-        # `_loop` of `compiler`), a miss (looked up, then cached) or a skip
-        # (looked up but not cacheable, or not looked up: a send to nil, a
-        # bound send whose guard failed), so hits = steps - misses - skips.
+        # cache, or by the binding the compile step gave it: a fused send
+        # of `Compiler.fused`, a `_loop` of `compiler`), a miss (looked up,
+        # then cached) or a skip (looked up but not cacheable, or not looked
+        # up: a send to nil, a fused send whose guard failed), so hits =
+        # steps - misses - skips.
         self.inline_caches = [_NO_ENTRIES] * (program.sites + 1)
         self.misses = 0
         self.skips = 0
@@ -155,18 +162,11 @@ class Interp:
         return self.stdin_text
 
     def read_token(self):
-        text = self.input_text()
-        n = len(text)
-        i = self.stdin_pos
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
+        found = _TOKEN.search(self.input_text(), self.stdin_pos)
+        if found is None:
             return None
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        self.stdin_pos = j
-        return text[i:j]
+        self.stdin_pos = found.end()
+        return found.group()
 
     def read_line(self):
         text = self.input_text()
@@ -183,15 +183,11 @@ class Interp:
         return out
 
     def read_char(self):
-        text = self.input_text()
-        n = len(text)
-        i = self.stdin_pos
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
+        found = _CHAR.search(self.input_text(), self.stdin_pos)
+        if found is None:
             return None
-        self.stdin_pos = i + 1
-        return text[i]
+        self.stdin_pos = found.end()
+        return found.group()
 
     # -- startup: prototype objects and initialization order -----------------------
 

@@ -328,3 +328,42 @@ def test_grammar_signature_defaults_run_desugared(run):
     expression default makes an object."""
     code, out, _ = run(GRAMMAR_DEFAULTS)
     assert (code, out) == (0, "w8 1\ngiven 1\nw8 7\n")
+
+
+def test_a_mixin_host_keeps_its_own_public_variables(run):
+    """Flattening `Host mixin Counter` gives the last clone the name `Host`;
+    the base `Host'1`, which holds the host's slots, keeps the host's
+    registry, so `v = 1` is still a write to the public `v`."""
+    code, out, _ = run('''package main
+private mixin(Any) object Counter
+    public fun bump [ Out println: "bump"; ]
+end
+private object Host mixin Counter
+    public :v Int
+    public fun set [ v = 1; Out println: v; ]
+end
+public object Program
+    public fun run [ Host set; ]
+end
+''')
+    assert (code, out) == (0, "1\n")
+
+
+def test_init_writes_a_variable_of_its_own_into_the_field(run):
+    """`@init(x)` in `B` makes the initializer `x:`; `B`'s own private `x`
+    is written as `self.x`, not through the setter `x:` of `A`'s public
+    `x`, which would be the initializer itself."""
+    code, out, _ = run('''package main
+private object A
+    public :x Int
+end
+private object B extends A
+    @init(x)
+    private :x Int
+    public fun show [ Out println: self.x; ]
+end
+public object Program
+    public fun run [ :b = B new: 5; b show; Out println: "made"; ]
+end
+''')
+    assert (code, out) == (0, "5\nmade\n")

@@ -3,13 +3,14 @@ oracle, random regexes against the derivation rules, bl monotonicity,
 and static-resolution soundness by exhaustive runtime enumeration."""
 
 import itertools
+import re
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import compile_src
 from cyanine.checker import Checker, _Env
-from cyanine.cyast import (BinarySend, GAlt, GOpt, GPlus, GSel, GSeq, GStar, MethodAccess,
-                          NameRef, PrefixOp, SigRef, TypeExpr, UnarySend)
+from cyanine.cyast import (BinarySend, GAlt, GOpt, GPlus, GSel, GSeq, GStar, KeywordSend,
+                          MethodAccess, NameRef, PrefixOp, SigRef, TypeExpr, UnarySend, walk)
 from cyanine.diagnostics import Reporter
 from cyanine.compiler import mixin_at, send_key
 from cyanine.grammar_methods import derive_parameter_type, match_message, plan_packing
@@ -385,14 +386,43 @@ def basic_values(kind):
     return values.map(lambda v: PrimV(kind, v))
 
 
-def bound_send_program(sends):
+# how a method reads the operands of its send (`Compiler.leaf`): its
+# parameters, locals at depth 0 ("param"); the same from a block, at depth
+# 1 ("block"); as "param", storing the value into a local ("store"); a
+# literal argument ("literal"); a receiver that nested bound sends answer
+# ("nested")
+LEAVES = ("param", "block", "store", "literal", "nested")
+
+# per basic type, a literal and its value; for Char and Boolean, bound
+# sends that answer their receiver, as source and as the selectors that
+# `Interp.send` sends (other types use `+a`)
+LITERALS = {"Int": ("7", 7), "Long": ("7l", 7), "Byte": ("7b", 7), "Short": ("7s", 7),
+            "Float": ("1.5f", 1.5), "Double": ("1.5d", 1.5), "Char": ("'c'", "c"),
+            "Boolean": ("true", True)}
+IDENTITIES = {"Char": ("((a asInt) asChar)", ["asInt", "asChar"]),
+              "Boolean": ("(!(!a))", ["!", "!"])}
+
+
+def leaf_source(expr, rtype, atype, leaf):
+    """The body of a method that makes the send `expr` of `a` and `b`."""
+    if leaf == "literal" and atype in LITERALS:
+        expr = re.sub(r"\bb\b", LITERALS[atype][0], expr)
+    elif leaf == "nested":
+        expr = re.sub(r"\ba\b", IDENTITIES.get(rtype, ("(+a)",))[0], expr)
+    return {"block": f"^ [^ {expr} ] eval", "store": f":r Any; r = {expr}; ^ r"}.get(
+        leaf, f"^ {expr}")
+
+
+def bound_send_program(sends, leaves):
     """A program whose method `s{i}:` makes the send `sends[i]` of its
-    parameters, `r{i}` replaces that send's method for every receiver (when
-    it has a replacement value), and `add` gives `Int` an `asString` body."""
+    parameters, reading them as `leaves[i]` says, `r{i}` replaces that
+    send's method for every receiver (when it has a replacement value), and
+    `add` gives `Int` an `asString` body."""
     methods = []
-    for i, (rtype, expr, atype, sig, value) in enumerate(sends):
+    for i, ((rtype, expr, atype, sig, value), leaf) in enumerate(zip(sends, leaves)):
         params = f"(:a {rtype}, :b {atype})" if atype else f"(:a {rtype})"
-        methods.append(f"    public fun s{i}: {params} -> Any [ ^ {expr} ]")
+        methods.append(f"    public fun s{i}: {params} -> Any"
+                       f" [ {leaf_source(expr, rtype, atype, leaf)} ]")
         if value is not None:
             ptypes = sig.split("->")[0].split()[1:]
             param = f"|:x {ptypes[0]}| " if ptypes else ""
@@ -428,6 +458,23 @@ def outcome(interp, send):
         return "error", str(e)
 
 
+def sent(interp, recv, rtype, leaf, shape):
+    """What `Interp.send` answers for `shape` sent to `recv`, or to what the
+    nested identity sends answer for `recv`."""
+    if leaf == "nested":
+        for selector in IDENTITIES.get(rtype, (None, ["+"]))[1]:
+            recv = interp.send(recv, [(selector, [])])
+    return interp.send(recv, shape)
+
+
+def send_node(decl, selector, unary):
+    """The first send of `selector` in the body of `decl`, in pre-order."""
+    return next(node for node in walk(decl.body)
+                if type(node) in (UnarySend, PrefixOp, BinarySend, KeywordSend)
+                and message_of(node, None)[0] == selector
+                and (len(message_of(node, None)[1][0][1]) == 0) == unary)
+
+
 @given(st.lists(st.sampled_from(BASIC_SENDS), min_size=1, max_size=5, unique=True), st.data())
 @settings(max_examples=40, deadline=None)
 def test_bound_sends_agree_with_fresh_lookup(sends, data):
@@ -438,16 +485,18 @@ def test_bound_sends_agree_with_fresh_lookup(sends, data):
     before and after replacements of its method and, last, an `addMethod:`
     body for `asString` on `Int`, each bound send (`a asString` always among
     them) answers or throws what `Interp.send` of the same message to the
-    same receiver does."""
+    same receiver does, however it reads its operands (`LEAVES`)."""
     sends = [AS_STRING] + [send for send in sends if send is not AS_STRING]
-    src = bound_send_program(sends)
+    leaves = [data.draw(st.sampled_from(LEAVES)) for _ in sends]
+    src = bound_send_program(sends, leaves)
     program = compile_src(src)
     assert program.ok(), program.reporter.format_all() + src
     interp = Interp(program)
     interp.setup()
     main = interp.proto_objects["Program"]
     entry = program.table.get("Program")
-    nodes = [entry.groups[f"s{i}:"].entries[0].decl.body[0].value for i in range(len(sends))]
+    nodes = [send_node(entry.groups[f"s{i}:"].entries[0].decl, sig.split()[0], atype is None)
+             for i, (_rtype, _expr, atype, sig, _value) in enumerate(sends)]
     for node, (rtype, _expr, atype, _sig, _value) in zip(nodes, sends):
         assert (node.site is None) == (atype != "Any"), (node, src)
         if node.site is None:
@@ -463,13 +512,17 @@ def test_bound_sends_agree_with_fresh_lookup(sends, data):
     for mutation in [None] + mutations:
         if mutation is not None:
             interp.send(main, [(mutation, [])])
-        for i, (node, (rtype, _expr, atype, _sig, _value)) in enumerate(zip(nodes, sends)):
+        for i, (node, (rtype, _expr, atype, _sig, _value), leaf) in enumerate(
+                zip(nodes, sends, leaves)):
             for _ in range(3):
                 recv = data.draw(nil_or(rtype))
                 args = [data.draw(nil_or(atype))] if atype else []
+                sent_args = [PrimV(atype, LITERALS[atype][1])] \
+                    if leaf == "literal" and atype in LITERALS else args
                 got = outcome(interp, lambda: interp.send(main, [(f"s{i}:", [recv, *args])]))
-                want = outcome(interp, lambda: interp.send(recv, message_of(node, *args)[1]))
-                assert got == want, (node, recv, args, mutations, src)
+                want = outcome(interp, lambda: sent(interp, recv, rtype, leaf,
+                                                    message_of(node, *sent_args)[1]))
+                assert got == want, (node, leaf, recv, args, mutations, src)
 
 
 # --- random regexes: the derivation is compositional ---------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -807,3 +808,48 @@ def test_hash_codes_are_the_same_in_every_run(tmp_path):
     first, second = outs.pop().splitlines()
     assert len(set(first.split())) == 5
     assert second == "true true true true"
+
+
+ECHO_IN = '''package main
+public object Program
+    public fun run [
+        :n = In readInt;
+        Out println: "[", (In readChar), "|", (In readString), "|", (In readInt), "]", n;
+    ]
+end
+'''
+
+
+@pytest.mark.parametrize("stdin, out", [
+    ("7\ta\tbc\t-3", "[a|bc|-3]7\n"),
+    ("7\r\na\r\nbc\r\n-3\r\n", "[a|bc|-3]7\n"),
+    ("7\u00a0a\u2028bc\u00a0 -3", "[a|bc|-3]7\n"),
+    (" 7  xyz  -3   \n\t ", "[x|yz|-3]7\n"),
+])
+def test_in_reads_tokens_and_chars_between_blanks(run, stdin, out):
+    """A token is a longest run of non-blank characters, and a character the
+    first non-blank one; tabs, CR LF, U+00A0 and U+2028 are blanks."""
+    assert run(ECHO_IN, stdin=stdin)[:2] == (0, out)
+
+
+@pytest.mark.parametrize("stdin", ["", " \t\r\n\u00a0\u2028 "])
+def test_in_at_the_end_of_input_throws(run, stdin):
+    code, out, _ = run('''package main
+public object Program
+    public fun run [
+        [ Out println: In readInt; ] catch: [ |:e StrException| Out println: (e message) ];
+        [ Out println: In readChar; ] catch: [ |:e StrException| Out println: (e message) ];
+        Out println: In readString;
+    ]
+end
+''', stdin=stdin)
+    assert (code, out) == (2, "end of input\nend of input\nuncaught exception: StrException\n"
+                              "  at Program::run\n")
+
+
+def test_in_blanks_are_what_str_isspace_accepts():
+    """`In` finds blanks with the regular expression `\\s`, which on `str`
+    matches exactly the characters `str.isspace` accepts."""
+    blank = re.compile(r"\s")
+    assert [c for c in range(sys.maxunicode + 1)
+            if bool(blank.match(chr(c))) != chr(c).isspace()] == []
