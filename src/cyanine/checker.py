@@ -742,7 +742,12 @@ class Checker:
 
     def check_binary_send(self, e, env):
         lty = self.type_of(e.left, env)
-        rty = self.type_of(e.right, env)
+        if type(e.right) is Lit and e.right.step and lty in ("Byte", "Short", "Long"):
+            # `++` and `--` step an integer of any width by one of its kind
+            e.right.runtime_value = literal_value(lty, 1)
+            rty = lty
+        else:
+            rty = self.type_of(e.right, env)
         if e.op == "..":
             if lty in ("Byte", "Short", "Int", "Long", "Char", "Boolean") and rty == lty:
                 return self.table.instantiate_generic("Interval", [[lty]], e.pos())

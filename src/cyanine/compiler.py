@@ -1,11 +1,11 @@
 """The compile step: after the checker, every body the interpreter runs
-becomes a tree of Python closures, once, left in the `code` note of the node
-that owns the body.  A method's runner takes (interp, m, recv, args, shape,
-mixin=None), a block's (interp, block value, args); every other closure takes
-(interp, env, frame) and holds no run-time state, so the world's code serves
-every program and interpreter.  A statement's closure answers True when a
-return ended it (the value is in `frame.result`); an expression statement is
-its expression's closure, whose value is never True.
+becomes Python code, once, left in the `code` note of the node that owns
+the body.  A method's runner takes (interp, m, recv, args, shape,
+mixin=None), a block's (interp, block value, args); all other code takes
+(interp, env, frame) and holds no run-time state, so the world's code
+serves every program and interpreter.  A statement's code answers True when
+a return ended it (the value is in `frame.result`); an expression
+statement is its expression's code, whose value is never True.
 
 Locals live in envs, lists [parent env, cell, ...]: one per activation of a
 method or block, per `if`/`while` body that declares a variable, per `let`,
@@ -13,22 +13,38 @@ and per <init>, <fields> or <default> frame; a local's address is (depth,
 slot).  Each local keeps its own Cell, which dies when its env is left, for
 the dead-cell check.
 
-Two kinds of send are bound here, from what the checker proved:
+A *tree* is a maximal region of one body made of these nodes: sends the
+checker resolved to a builtin for a receiver and at most one argument of
+basic types (`Int`, `Boolean`, `Char`, ..., all final), the *proven*
+sends; local reads, stores and declarations, shared literals and `self`;
+`if` arms, `return`, statement lists and `while`; whileTrue:, whileFalse:
+and repeatUntil: sends of two block literals with no parameter or
+%-variable, the *literal loops*; and cached sends, whose receiver and
+arguments the tree evaluates before it probes the site's cache (`_probe`).
+A tree that holds a proven send or a literal loop is one Python function,
+generated from source (`_Tree`) by a factory made once per process for
+each source text, the tree's *shape* (`_factory`).  Every value the source
+reads, from methods and site numbers to literals, is a parameter of the
+factory, so programs that differ only in those share their shapes.  Any
+other node is a closure that the tree calls.
 
-- A send the checker resolved to a builtin for a receiver and at most one
-  argument of basic types (`Int`, `Boolean`, `Char`, ...), which are final,
-  is one closure made from source once per shape (`Compiler.fused`): while
-  the values have those kinds (not nil) and the method is neither replaced
-  nor overtaken by an `addMethod:` body, it counts the step and applies the
+- A proven send keeps the checks of the send path: while its operands have
+  the kinds the checker proved (not nil) and its method is neither replaced
+  nor overtaken by an `addMethod:` body, it counts its step and applies the
   builtin, `+ - *` and the comparisons inline; else it goes to
   `Interp.send`, uncached.
-- A whileTrue:, whileFalse: or repeatUntil: send of two block literals with
-  no parameter, %-variable or local: its closure runs the two bodies in a
-  Python loop, with no block value, and a test `[^ e ]` as the expression
-  `e` (`_loop`).
+- A literal loop whose blocks declare no local runs the two bodies in a
+  Python loop, with no block value and one frame for the whole loop, and
+  counts and checks each evaluation as the block runner does.  While its
+  method is replaced, or an `addMethod:` body might take the message, it
+  sends the two block values through its site.
 
-Every other send with a receiver expression gets a site number, the index of
-its inline cache: on a hit its closure counts the step and calls the cached
+A body that holds no proven send and no literal loop keeps one closure per
+node: generating source for it would put Python's `compile` into the
+world's build and into every cold compile, with no send to repay it.
+
+Every other send with a receiver expression gets a site number, the index
+of its inline cache: on a hit it counts the step and calls the cached
 handler, and everything else goes to `Interp.send`.  A `super` send is such
 a site too (`_super_site`), whose search starts above the entry whose body
 holds it, wherever in that body it runs.
@@ -42,6 +58,9 @@ from .grammar_methods import all_nodes
 from .prototypes import BASIC_TYPES, split_generic
 from .values import (FALSE, FRESH_LITERALS, NIL, NOOBJECT, TRUE, ArrayV, BlockV, Cell,
                      MethodV, ObjectV, PrimV, TupleV)
+
+
+new = object.__new__
 
 
 class ReturnSignal(Exception):
@@ -97,12 +116,17 @@ class _Scope:
 
 
 class Compiler:
+    """`expr` and `stats` compile a node or a body that no tree holds yet,
+    as a tree where it holds a proven send or a literal loop; `_expr` and
+    `_stats` compile closures for the nodes of a tree that holds neither."""
+
     def __init__(self, table, first_site):
         self.table = table
         self.sites = first_site
         self.scope = _Scope(None)
         self.in_block = False       # whether a `return` runs in a block frame
         self.owner = None           # the entry whose bodies compile
+        self.loop_blocks = {}       # id of a literal loop's block -> its `block`
 
     def entry(self, entry):
         self.owner = entry
@@ -125,7 +149,7 @@ class Compiler:
                         node.code = self.value(node.argspec[2])
 
     def value(self, e):
-        """The closure of `e`, run in a frame of its own with an empty env."""
+        """The code of `e`, run in a frame of its own with an empty env."""
         self.scope, self.in_block = _Scope(None), False
         return self.expr(e)
 
@@ -146,8 +170,11 @@ class Compiler:
         return address
 
     def new_site(self, node):
-        node.site = self.sites
-        self.sites += 1
+        """The site number of the send `node`, given on its first compile:
+        a literal loop's bodies compile twice, inline and for its site."""
+        if node.site is None:
+            node.site = self.sites
+            self.sites += 1
         return node.site
 
     def activation(self, parent, params, names, compile_body, body):
@@ -162,9 +189,33 @@ class Compiler:
         self.scope = parent
         return code, scope
 
+    def tree(self, root):
+        """The function of the tree rooted at `root`, a node or the
+        statements of a body."""
+        gen = _Tree(self)
+        if type(root) is list:
+            gen.stats(root)
+        else:
+            gen.emit(f"return {gen.value(root)}")
+        return gen.function()
+
+    def loop_block(self, e, test):
+        """`block` of the block literal `e` of a literal loop, made once: a
+        tree may hold the loop twice, inline and in the body of an
+        enclosing loop, whose site runs it as a block."""
+        made = self.loop_blocks.get(id(e))
+        if made is None:
+            made = self.loop_blocks[id(e)] = self.block(e, test)
+        return made
+
     # -- statements ----------------------------------------------------------------
 
     def stats(self, stats):
+        if _any_fusible(stats):
+            return self.tree(stats)
+        return self._stats(stats)
+
+    def _stats(self, stats):
         codes = [self.stat(st) for st in stats if type(st) is not EmptyStat]
         if len(codes) == 1:
             return codes[0]
@@ -185,7 +236,7 @@ class Compiler:
     def var_decl(self, st):
         decls = []
         for (name, _t, init), ty in zip(st.decls, st.resolved_types):
-            value = self.expr(init) if init is not None else None
+            value = self._expr(init) if init is not None else None
             self.scope.declare(name)
             decls.append((self.scope.size, value, ty))
 
@@ -196,7 +247,7 @@ class Compiler:
         return declare
 
     def return_stat(self, st):
-        value = self.expr(st.value) if st.value is not None else _no_object
+        value = self._expr(st.value) if st.value is not None else _no_object
         if self.in_block and not st.is_caret:
             def unwind(interp, env, frame):
                 raise ReturnSignal(frame.ctx, value(interp, env, frame))
@@ -204,14 +255,14 @@ class Compiler:
         return _ret(value)
 
     def if_stat(self, st):
-        arms = [(self.expr(cond), self.body(body, scoped))
+        arms = [(self._expr(cond), self.body(body, scoped))
                 for (cond, body), scoped in zip(st.arms, st.scoped)]
         if st.else_body is not None:
             arms.append((_true, self.body(st.else_body, st.scoped[-1])))
         return _branch(arms)
 
     def while_stat(self, st):
-        cond, body = self.expr(st.cond), self.body(st.body, st.scoped)
+        cond, body = self._expr(st.cond), self.body(st.body, st.scoped)
 
         def loop(interp, env, frame):
             while True:
@@ -229,8 +280,8 @@ class Compiler:
         """The statements of an `if` or `while` body: one that declares a
         variable runs in an env of its own."""
         if not scoped:
-            return self.stats(stats)
-        code, scope = self.activation(self.scope, (), (), self.stats, stats)
+            return self._stats(stats)
+        code, scope = self.activation(self.scope, (), (), self._stats, stats)
         blank, dying = [None] * scope.size, scope.dying
 
         def nested(interp, env, frame):
@@ -244,14 +295,10 @@ class Compiler:
     def assign(self, target, value):
         """The closure that assigns what the node `value` answers to
         `target`, and answers it; a setter send answers what the setter
-        answers.  A bound send stored in a near local is one closure."""
+        answers."""
+        if _local(target):
+            return _writer(*self.local(target.name), self._expr(value))
         t = type(target)
-        if t is PercentRef or (t is NameRef and target.binding is LOCAL):
-            depth, slot = self.local(target.name)
-            if depth <= 1 and type(value) is BinarySend and _bound(value):
-                return self.fused(value, value.left, [(value.op, [value.right])], False,
-                                  (depth, slot))
-            return _writer(depth, slot, self.expr(value))
         value = self.expr(value)
         if t is NameRef and target.binding is SEND:
             return _site(self.new_site(target), [(target.name + ":", [value])], _receiver)
@@ -271,6 +318,11 @@ class Compiler:
     # -- expressions -----------------------------------------------------------------
 
     def expr(self, e):
+        if _fusible(e):
+            return self.tree(e)
+        return self._expr(e)
+
+    def _expr(self, e):
         try:
             compile_expr = _EXPRS[type(e)]
         except KeyError:
@@ -327,98 +379,30 @@ class Compiler:
             return _receiver
         return lambda interp, env, frame: interp.field_read(frame.fields_owner, name)
 
-    def send(self, e, recv, parts, args_first=True, refs=None):
-        """The closure of the send `e` of `parts`, [(selector, [argument
-        nodes])], to the node `recv`, self for None: fused where the checker
-        bound it (`fused`), else a site with an inline cache (`_site`)."""
-        if _bound(e):
-            return self.fused(e, recv, parts, args_first)
-        recv_code = None if args_first else self.expr(recv)
-        codes = [(sel, [self.expr(a) for a in args]) for sel, args in parts]
-        if args_first:
-            recv_code = _receiver if recv is None else self.expr(recv)
-        return _site(self.new_site(e), codes, recv_code, args_first, refs)
-
-    def fused(self, e, recv, parts, args_first, store=None):
-        """The one closure of the bound send `e`, which stores its value in
-        the local at the address `store`, if any."""
-        m, kind, kinds = e.builtin
-        (selector, args), = parts
-        operands = [("recv", recv, kind), *zip(("arg",), args, kinds)]
-        leaves, values = [], {"arg": None}
-        for name, node, k in reversed(operands) if args_first else operands:
-            leaf, values[name] = self.leaf(node, k)
-            leaves.append((name, leaf))
-        op = "v = handler(interp, m, recv, (args := [arg]), [(selector, args)])" if args \
-            else "v = handler(interp, m, recv, (), shape)"
-        b = m.builtin if type(m.builtin) is tuple else ("",)
-        if b[0] == "cmp":
-            op = f"v = TRUE if recv.v {b[1]} arg.v else FALSE"
-        elif b[0] == "arith" and b[1] in ("+", "-", "*") and kind in bi.INT_RANGE:
-            # a new PrimV without a call of its __init__, which costs more
-            op = f"r = recv.v {b[1]} arg.v\nif lo <= r <= hi: v = new(PrimV); v.kind = Rk; " \
-                f"v.v = r\nelse: {op}"
-        shape = op, tuple(leaves), store and ("env", "env[0]")[store[0]]
-        make = _fused_factory(shape)
-        return make(m, bi.handler(m), selector, ((selector, ()),), kind,
-                    kinds[0] if kinds else None, *bi.INT_RANGE.get(kind, (None, None)),
-                    values["recv"], values["arg"], store and store[1])
-
-    def leaf(self, e, kind):
-        """How a fused send reads its operand `e` of the basic type `kind`:
-        ("env" or "env[0]", slot) for a local at depth 0 or 1, ("const",
-        value) for a shared literal of that kind, else ("code", closure)."""
-        t = type(e)
-        if t is PercentRef or t is NameRef and e.binding is LOCAL:
-            depth, slot = self.local(e.name)
-            if depth <= 1:
-                return ("env", "env[0]")[depth], slot
-        v = e.runtime_value if t is Lit else None
-        if type(v) is PrimV and v.kind == kind:
-            return "const", v
-        return "code", _receiver if e is None else self.expr(e)
-
-    def unary(self, e):
-        if type(e.receiver) is SuperRef:
-            return _super_site(self.new_site(e), [(e.selector, [])], self.owner, None)
-        return self.send(e, e.receiver, [(e.selector, [])])
-
-    def binary(self, e):
-        if e.op == "..":
-            left, right = self.expr(e.left), self.expr(e.right)
+    def send(self, e):
+        """The closure of the send `e`: a tree of one for a proven send or a
+        literal loop, a `super` site, or a site with an inline cache."""
+        form = _send_form(e)
+        if form == "proven" or form == "loop":
+            return self.tree(e)
+        recv, parts, args_first = _message(e)
+        if type(e) is BinarySend and form is None:
+            left, right = self.expr(recv), self.expr(parts[0][1][0])
             return lambda interp, env, frame: \
                 interp.make_interval(left(interp, env, frame), right(interp, env, frame))
-        return self.send(e, e.left, [(e.op, [e.right])], args_first=False)
-
-    def keyword(self, e):
-        if e.builtin is not None and e.builtin[0].builtin in _LOOPS \
-                and _plain_block(e.receiver) and _plain_block(e.parts[0][1][0]):
-            return self.loop(e)
         # a context object's `new:` and `bind:` bind their `&` and `*`
         # parameters to what the arguments refer to
-        refs = self.refs(e.parts[0][1]) \
-            if len(e.parts) == 1 and e.parts[0][0] in ("new:", "bind:") else None
-        if type(e.receiver) is SuperRef:
-            parts = [(sel, [self.expr(a) for a in args]) for sel, args in e.parts]
+        refs = self.refs(parts[0][1]) if form is None and len(parts) == 1 \
+            and parts[0][0] in ("new:", "bind:") else None
+        if form is None and type(recv) is SuperRef:
+            parts = [(sel, [self.expr(a) for a in args]) for sel, args in parts]
             return _super_site(self.new_site(e), parts, self.owner, refs)
-        return self.send(e, e.receiver, e.parts, refs=refs)
-
-    def loop(self, e):
-        """A whileTrue:, whileFalse: or repeatUntil: send of two block
-        literals with no parameter and no %-variable: where neither body
-        declares a local, a Python loop over the two bodies (`_loop`), else
-        the site that sends the two block values."""
-        (selector, (arg,)), = e.parts
-        m = e.builtin[0]
-        until = m.builtin == "repeat_until"
-        make_arg, arg_body, arg_slots = self.block(arg, test=until)
-        make_recv, recv_body, recv_slots = self.block(e.receiver, test=not until)
-        site = _site(self.new_site(e), [(selector, [make_arg])], make_recv)
-        if arg_slots or recv_slots:
-            return site
-        if until:
-            return _loop(m, arg_body, recv_body, True, False, site)
-        return _loop(m, recv_body, arg_body, False, m.builtin == "while_true", site)
+        sub = self._expr if form == "site" else self.expr
+        recv_code = None if args_first else sub(recv)
+        codes = [(sel, [sub(a) for a in args]) for sel, args in parts]
+        if args_first:
+            recv_code = _receiver if recv is None else sub(recv)
+        return _site(self.new_site(e), codes, recv_code, args_first, refs)
 
     def refs(self, nodes):
         """A closure of the env answering, per argument node, the cell of
@@ -434,9 +418,9 @@ class Compiler:
 
     def block(self, e, test=False):
         """Compile the block literal `e`, leaving its runner in `e.code`:
-        (the closure that makes its value, the closure of its body, the
-        number of slots of its env).  For a `test`, the body's closure answers
-        the evaluation's value: for a body `^ x`, it is the closure of `x`."""
+        (the closure that makes its value, the code of its body, the
+        number of slots of its env).  For a `test`, the body's code answers
+        the evaluation's value: for a body `^ x`, it is the code of `x`."""
         percent = list(e.info.percent_vars) if e.info is not None else []
         snapshot = [self.address(name) for name in percent]
         params = [p.name for sec in e.param_sections for p in sec]
@@ -481,7 +465,7 @@ class Compiler:
 
 
 _STATS = {
-    ExprStat: lambda c, st: c.expr(st.expr),
+    ExprStat: lambda c, st: c._expr(st.expr),
     AssignStat: lambda c, st: c.assign(st.targets[0], st.value),
     VarDeclStat: Compiler.var_decl, ReturnStat: Compiler.return_stat,
     IfStat: Compiler.if_stat, WhileStat: Compiler.while_stat,
@@ -491,21 +475,24 @@ _EXPRS = {
     Lit: Compiler.lit, ArrayLit: Compiler.array, TupleLit: Compiler.tuple_lit,
     NameRef: Compiler.name, GenericRef: lambda c, e: c.prototype(e.resolved),
     SelfRef: Compiler.self_ref, PercentRef: lambda c, e: _reader(*c.local(e.name)),
-    UnarySend: Compiler.unary,
-    PrefixOp: lambda c, e: c.send(e, e.operand, [(e.op, [])]),
-    BinarySend: Compiler.binary, KeywordSend: Compiler.keyword,
+    UnarySend: Compiler.send, PrefixOp: Compiler.send, BinarySend: Compiler.send,
+    KeywordSend: Compiler.send,
     BlockLit: lambda c, e: c.block(e)[0],
     MethodAccess: Compiler.method_access, LetExpr: Compiler.let,
     AssignExpr: lambda c, e: c.assign(e.target, e.value),
-    IfExpr: lambda c, e: _branch([(c.expr(e.cond), c.expr(e.then)),
-                                  (_true, c.expr(e.otherwise))]),
+    IfExpr: lambda c, e: _branch([(c._expr(e.cond), c._expr(e.then)),
+                                  (_true, c._expr(e.otherwise))]),
 }
 
 
-# the builtins of the loops whose block literals `Compiler.loop` runs inline
+# -- what a tree holds ------------------------------------------------------------------
+
+# the builtins of the literal loops
 _LOOPS = ("while_true", "while_false", "repeat_until")
 
 _BASIC = frozenset(BASIC_TYPES)
+
+_SENDS = (UnarySend, BinarySend, PrefixOp, KeywordSend)
 
 
 def _plain_block(e):
@@ -518,7 +505,502 @@ def _bound(send):
     """Whether the checker resolved `send` to a builtin for a receiver and at
     most one argument of basic types."""
     b = send.builtin
-    return b is not None and len(b[2]) <= 1 and _BASIC.issuperset((b[1], *b[2]))
+    return b is not None and b[1] in _BASIC \
+        and (not b[2] or len(b[2]) == 1 and b[2][0] in _BASIC)
+
+
+def _local(target):
+    t = type(target)
+    return t is PercentRef or t is NameRef and target.binding is LOCAL
+
+
+def _message(e):
+    """The send `e` as (its receiver node, None for self; [(selector,
+    [argument nodes])]; whether its arguments run before its receiver)."""
+    t = type(e)
+    if t is BinarySend:
+        return e.left, [(e.op, [e.right])], False
+    if t is UnarySend:
+        return e.receiver, [(e.selector, [])], True
+    if t is PrefixOp:
+        return e.operand, [(e.op, [])], True
+    return e.receiver, e.parts, True
+
+
+def _send_form(e):
+    """How the send `e` compiles: "proven", "loop" (a literal loop), "site",
+    or None for an interval, a `super` send or a `new:` or `bind:` send,
+    which no tree holds."""
+    t = type(e)
+    if t is BinarySend:
+        if e.op == "..":
+            return None
+    elif t is not PrefixOp:
+        if t is KeywordSend and e.builtin is not None and e.builtin[0].builtin in _LOOPS \
+                and _plain_block(e.receiver) and _plain_block(e.parts[0][1][0]):
+            return "loop"
+        if type(e.receiver) is SuperRef:
+            return None
+    if _bound(e):
+        return "proven"
+    if t is KeywordSend and len(e.parts) == 1 and e.parts[0][0] in ("new:", "bind:"):
+        return None
+    return "site"
+
+
+def _fusible(e):
+    """Whether the tree rooted at the node `e` holds a proven send or a
+    literal loop."""
+    fusible = _FUSIBLE.get(type(e))
+    return fusible is not None and fusible(e)
+
+
+def _send_fusible(e):
+    form = _send_form(e)
+    if form != "site":
+        return form is not None
+    recv, parts, _ = _message(e)
+    return recv is not None and _fusible(recv) \
+        or any(_fusible(a) for _s, args in parts for a in args)
+
+
+def _any_fusible(stats):
+    return any(map(_fusible, stats))
+
+
+# per node type that a tree may hold and that has nodes under it, whether
+# the tree rooted at such a node holds a proven send or a literal loop
+_FUSIBLE = {
+    UnarySend: _send_fusible, BinarySend: _send_fusible, PrefixOp: _send_fusible,
+    KeywordSend: _send_fusible,
+    ExprStat: lambda st: _fusible(st.expr),
+    AssignStat: lambda st: _local(st.targets[0]) and _fusible(st.value),
+    AssignExpr: lambda e: _local(e.target) and _fusible(e.value),
+    VarDeclStat: lambda st: any(init is not None and _fusible(init)
+                                for _n, _t, init in st.decls),
+    ReturnStat: lambda st: st.value is not None and _fusible(st.value),
+    IfStat: lambda st: any(_fusible(cond) or _any_fusible(body) for cond, body in st.arms)
+    or st.else_body is not None and _any_fusible(st.else_body),
+    WhileStat: lambda st: _fusible(st.cond) or _any_fusible(st.body),
+    IfExpr: lambda e: _fusible(e.cond) or _fusible(e.then) or _fusible(e.otherwise),
+}
+
+
+def _caret_free(stats):
+    """Whether no `^` among `stats`, or in their `if` and `while` bodies,
+    ends a block's evaluation."""
+    for st in stats:
+        t = type(st)
+        if t is ReturnStat and st.is_caret \
+                or t is IfStat and not all(_caret_free(body) for body in (
+                    *(body for _cond, body in st.arms), st.else_body or ())) \
+                or t is WhileStat and not _caret_free(st.body):
+            return False
+    return True
+
+
+def _truth(v):
+    """The source of the test that the value `v` is true."""
+    return f"{v} is TRUE or {v} is not FALSE and interp.truthy({v})"
+
+
+class _Tree:
+    """The source of one tree's function (`Compiler.tree`), generated node
+    by node in the order in which closures would compile, so that the
+    compiler's scopes and site numbers advance as they would.  The source
+    reads the values `consts` as K0, K1, ...; `envs` are the variables of
+    the envs the code runs in, the tree's own first, `frame` that of its
+    frame; `returns` says whether a `return` there ends the tree's own
+    statements."""
+
+    def __init__(self, compiler):
+        self.c = compiler
+        self.lines = []
+        self.consts = []
+        self.names = 0
+        self.pad = " " * 8
+        self.blocks = 0         # the Python loops and `try` blocks open
+        self.envs = ["env"]
+        self.frame = "frame"
+        self.returns = True
+
+    def function(self):
+        body = "\n".join(self.lines) or self.pad + "pass"
+        make = _factory(f"def make({_params(len(self.consts))}):\n"
+                        f"    def tree(interp, env, frame):\n{body}\n    return tree\n")
+        return make(*self.consts)
+
+    # -- the text ----------------------------------------------------------------------
+
+    def emit(self, line):
+        self.lines.append(self.pad + line)
+
+    def open(self, header):
+        self.emit(header)
+        self.pad += "    "
+        return len(self.lines)
+
+    def close(self, mark):
+        if len(self.lines) == mark:
+            self.emit("pass")
+        self.pad = self.pad[:-4]
+
+    def const(self, value):
+        self.consts.append(value)
+        return f"K{len(self.consts) - 1}"
+
+    def fresh(self, prefix="v"):
+        self.names += 1
+        return f"{prefix}{self.names}"
+
+    def deep(self):
+        """Whether a node that nests Python blocks starts a tree of its own:
+        Python allows 20 nested loops and `try` blocks, and 100 levels of
+        indentation."""
+        return self.blocks > 12 or len(self.pad) > 4 * 40
+
+    def cell(self, name):
+        depth, slot = self.c.local(name)
+        envs = self.envs
+        env = envs[-1 - depth] if depth < len(envs) \
+            else envs[0] + "[0]" * (depth - len(envs) + 1)
+        return f"{env}[{slot}]"
+
+    def call(self, code):
+        """Call the closure `code`: the variable of its value."""
+        v = self.fresh()
+        self.emit(f"{v} = {self.const(code)}(interp, {self.envs[-1]}, {self.frame})")
+        return v
+
+    # -- statements ----------------------------------------------------------------------
+
+    def stats(self, stats):
+        for st in stats:
+            if type(st) is not EmptyStat:
+                self.stat(st)
+
+    def stat(self, st):
+        gen = _TREE_STATS.get(type(st))
+        if gen is None or gen(self, st) is False:
+            # a statement no tree holds, or one that would nest too deep
+            # and starts a tree of its own
+            if type(st) is IfStat or type(st) is WhileStat:
+                v = self.call(self.c.stats([st]))
+                if self.returns:
+                    self.emit(f"if {v} is True: return True")
+            else:
+                self.call(self.c.stat(st))
+
+    def var_decl(self, st):
+        scope = self.c.scope
+        for (name, _t, init), ty in zip(st.decls, st.resolved_types):
+            v = self.value(init) if init is not None \
+                else f"interp.default_value({self.const(ty)})"
+            scope.declare(name)
+            self.emit(f"{self.envs[-1]}[{scope.size}] = Cell({v})")
+
+    def return_stat(self, st):
+        v = "NOOBJECT" if st.value is None else self.value(st.value)
+        if self.c.in_block and not st.is_caret:
+            self.emit(f"raise ReturnSignal({self.frame}.ctx, {v})")
+        else:
+            self.emit(f"{self.frame}.result = {v}")
+            self.emit("return True")
+
+    def if_stat(self, st):
+        """One arm is a Python `if`; more run in a loop of one turn, which
+        the first arm that runs leaves."""
+        if self.deep():
+            return False
+        arms = [(cond, body, scoped) for (cond, body), scoped in zip(st.arms, st.scoped)]
+        if len(arms) == 1:
+            (cond, body, scoped), = arms
+            mark = self.open(f"if {_truth(self.value(cond))}:")
+            self.body(body, scoped)
+            self.close(mark)
+            if st.else_body is not None:
+                mark = self.open("else:")
+                self.body(st.else_body, st.scoped[-1])
+                self.close(mark)
+            return
+        once = self.open("while True:")
+        self.blocks += 1
+        for cond, body, scoped in arms:
+            mark = self.open(f"if {_truth(self.value(cond))}:")
+            self.body(body, scoped)
+            self.emit("break")
+            self.close(mark)
+        if st.else_body is not None:
+            self.body(st.else_body, st.scoped[-1])
+        self.emit("break")
+        self.blocks -= 1
+        self.close(once)
+
+    def while_stat(self, st):
+        if self.deep():
+            return False
+        mark = self.open("while True:")
+        self.blocks += 1
+        self.emit(f"if not ({_truth(self.value(st.cond))}): break")
+        self.emit("interp.evals += 1")
+        self.emit("if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()")
+        self.body(st.body, st.scoped)
+        self.blocks -= 1
+        self.close(mark)
+
+    def body(self, stats, scoped):
+        """The statements of an `if` or `while` body: one that declares a
+        variable runs in an env of its own, whose cells die as it ends."""
+        if not scoped:
+            return self.stats(stats)
+        c = self.c
+        scope = c.scope = _Scope(c.scope)
+        env, at = self.fresh("e"), len(self.lines)
+        self.emit("")           # the env, once its size is known
+        mark = self.open("try:")
+        self.blocks += 1
+        self.envs.append(env)
+        self.stats(stats)
+        self.envs.pop()
+        self.blocks -= 1
+        self.close(mark)
+        mark = self.open("finally:")
+        for slot in scope.dying:
+            self.emit(f"if {env}[{slot}] is not None: {env}[{slot}].alive = False")
+        self.close(mark)
+        self.lines[at] = f"{self.pad}{env} = [{self.envs[-1]}{', None' * scope.size}]"
+        c.scope = scope.parent
+
+    # -- expressions ---------------------------------------------------------------------
+
+    def value(self, e):
+        """Generate the node `e`, None for self: the text of its value, a
+        variable or a constant.  A node that no tree holds, or that would
+        nest too deep and starts a tree of its own, is a closure's call."""
+        if e is None:
+            return self.frame + ".receiver"
+        gen = _TREE_EXPRS.get(type(e))
+        v = None if gen is None else gen(self, e)
+        return self.call(self.c.expr(e)) if v is None else v
+
+    def name(self, e):
+        if e.binding is LOCAL:
+            return self.read(e.name)
+        if e.binding is SEND:
+            return self.site(e, None, [(e.name, [])], True)    # a unary send to self
+        return None
+
+    def read(self, name):
+        v = self.fresh()
+        self.emit(f"{v} = {self.cell(name)}; "
+                  f"{v} = {v}.value if {v}.alive else interp.cell_read({v})")
+        return v
+
+    def store(self, target, value):
+        cell = self.cell(target.name)
+        v = self.value(value)
+        self.emit(f"{cell}.value = {v}")
+        return v
+
+    def if_expr(self, e):
+        if self.deep():
+            return None
+        cond, v = self.value(e.cond), self.fresh()
+        mark = self.open(f"if {_truth(cond)}:")
+        self.emit(f"{v} = {self.value(e.then)}")
+        self.close(mark)
+        mark = self.open("else:")
+        self.emit(f"{v} = {self.value(e.otherwise)}")
+        self.close(mark)
+        return v
+
+    def send(self, e):
+        form = _send_form(e)
+        if form is None:
+            return None
+        if form == "loop":
+            return None if self.deep() else self.loop(e)
+        recv, parts, args_first = _message(e)
+        if form == "proven":
+            return self.proven(e, recv, parts, args_first)
+        return self.site(e, recv, parts, args_first)
+
+    def site(self, e, recv, parts, args_first):
+        """A send with an inline cache: its operands, then `_probe`."""
+        r = None if args_first else self.value(recv)
+        args = [[self.value(a) for a in part] for _s, part in parts]
+        if args_first:
+            r = self.value(recv)
+        site, v = self.const(self.c.new_site(e)), self.fresh()
+        flat = [a for part in args for a in part]
+        if len(parts) == 1 and not flat:
+            self.emit(f"{v} = _probe(interp, {site}, {r}, (), "
+                      f"{self.const(((parts[0][0], ()),))})")
+        elif len(parts) == 1 and len(flat) == 1:
+            self.emit(f"w{v} = [{flat[0]}]; {v} = _probe(interp, {site}, {r}, w{v}, "
+                      f"[({self.const(parts[0][0])}, w{v})])")
+        else:
+            shape = ", ".join(f"({self.const(sel)}, [{', '.join(part)}])"
+                              for (sel, _), part in zip(parts, args))
+            self.emit(f"{v} = _probe(interp, {site}, {r}, [{', '.join(flat)}], [{shape}])")
+        return v
+
+    def proven(self, e, recv, parts, args_first):
+        """A proven send: the kind tests of its operands (none for a shared
+        literal of the proven kind) and the method's guard; then the step,
+        its budget and the builtin; else `Interp.send`, uncached."""
+        m, kind, kinds = e.builtin
+        (selector, args), = parts
+        nodes = [(recv, kind), *zip(args, kinds)]
+        ops, tests = [None] * len(nodes), []
+        for i in (reversed(range(len(nodes))) if args_first else range(len(nodes))):
+            node, k = nodes[i]
+            lit = node.runtime_value if type(node) is Lit else None
+            if type(lit) is PrimV and lit.kind == k:
+                ops[i] = self.const(lit)
+            else:
+                ops[i] = x = self.value(node)
+                tests.append(f"type({x}) is PrimV and {x}.kind == {k!r} and ")
+        self.names += 1
+        p, n, r, a, method = self.pad, self.names, ops[0], ops[-1], self.const(m)
+        sel = self.const(selector) if args else self.const(((selector, ()),))
+        b = m.builtin if type(m.builtin) is tuple else ("",)
+        if b[0] == "cmp":
+            op = f"v{n} = TRUE if {r}.v {b[1]} {a}.v else FALSE"
+        else:
+            op = f"v{n} = {self.const(bi.handler(m))}(interp, {method}, {r}, " + (
+                f"(w{n} := [{a}]), [({sel}, w{n})])" if args else f"(), {sel})")
+            if b[0] == "arith" and b[1] in ("+", "-", "*") and kind in bi.INT_RANGE:
+                # a new PrimV without a call of its __init__, which costs more
+                lo, hi = bi.INT_RANGE[kind]
+                op = f"x{n} = {r}.v {b[1]} {a}.v\n{p}    if {lo} <= x{n} <= {hi}: " \
+                    f"v{n} = new(PrimV); v{n}.kind = {kind!r}; v{n}.v = x{n}\n{p}    else: {op}"
+        self.lines.append(
+            f"{p}if {''.join(tests)}{method} not in interp.bound_values "
+            f"and not interp.dyn_methods:\n"
+            f"{p}    interp.steps += 1\n"
+            f"{p}    if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()\n"
+            f"{p}    {op}\n"
+            f"{p}else: v{n} = interp.send({r}, {f'[({sel}, [{a}])]' if args else sel})")
+        return f"v{n}"
+
+    def loop(self, e):
+        """A literal loop.  It counts its step as a send; where neither block
+        declares a local, it pushes one frame for its evaluations, which it
+        pops before the budget check between two evaluations ends the run
+        and while it judges a test's value, as the block path has no frame
+        then, and when anything leaves the loop."""
+        c = self.c
+        (selector, (arg,)), = e.parts
+        m = e.builtin[0]
+        until = m.builtin == "repeat_until"
+        make_arg, arg_body, arg_slots = c.loop_block(arg, until)
+        make_recv, recv_body, recv_slots = c.loop_block(e.receiver, not until)
+        site = self.const(_site(c.new_site(e), [(selector, [make_arg])], make_recv))
+        env, frame, v = self.envs[-1], self.frame, self.fresh()
+        if arg_slots or recv_slots:
+            self.emit(f"{v} = {site}(interp, {env}, {frame})")
+            return v
+        test, body = ((arg, arg_body), (e.receiver, recv_body)) if until \
+            else ((e.receiver, recv_body), (arg, arg_body))
+        mark = self.open(f"if {self.const(m)} in interp.bound_values or interp.dyn_methods:")
+        self.emit(f"{v} = {site}(interp, {env}, {frame})")
+        self.close(mark)
+        outer = self.open("else:")
+        self.emit("interp.steps += 1")
+        self.emit("if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()")
+        f, inner, frames = self.fresh("f"), self.fresh("e"), self.fresh("s")
+        self.emit(f"{f} = Frame({frame}.entry_name, 'eval', {frame}.receiver, "
+                  f"{frame}.fields_owner, {frame}.mixin_index, {frame}.ctx)")
+        self.emit(f"{inner} = [{env}]")
+        self.emit("interp.evals += 1")
+        self.emit("if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()")
+        self.emit(f"{frames} = interp.frames")
+        self.emit(f"{frames}.append({f})")
+        guard = self.open("try:")
+        turn = self.open("while True:")
+        self.blocks += 2
+        saved = self.frame, self.returns, c.in_block
+        self.envs.append(inner)
+        self.frame, self.returns, c.in_block = f, False, True
+        stop = "{t} is not TRUE and ({t} is FALSE or not _truthy_out(interp, {f}, {t}))" \
+            if m.builtin == "while_true" \
+            else "{t} is TRUE or {t} is not FALSE and _truthy_out(interp, {f}, {t})"
+        for block, code in (body, test) if until else (test, body):
+            c.scope = _Scope(c.scope)
+            if block is test[0]:
+                last = block.body[-1] if len(block.body) == 1 else None
+                t = self.value(last.value) if type(last) is ReturnStat and last.is_caret \
+                    and last.value is not None else self.call(code)
+                self.emit(f"if {stop.format(t=t, f=f)}: break")
+            elif _caret_free(block.body):
+                self.stats(block.body)
+            else:
+                self.call(code)
+            c.scope = c.scope.parent
+            self.emit("interp.evals += 1")
+            self.emit(f"if interp.steps + interp.evals > interp.max_steps: "
+                      f"{frames}.pop(); {f} = None; interp.out_of_steps()")
+        self.envs.pop()
+        self.frame, self.returns, c.in_block = saved
+        self.blocks -= 2
+        self.close(turn)
+        self.close(guard)
+        mark = self.open("finally:")
+        self.emit(f"if {f} is not None: {frames}.pop()")
+        self.close(mark)
+        self.emit(f"{v} = NOOBJECT")
+        self.close(outer)
+        return v
+
+
+# per node type that a tree may hold, the generator of a statement, which
+# answers False where it leaves the node to a closure
+_TREE_STATS = {
+    ExprStat: lambda g, st: g.value(st.expr),
+    AssignStat: lambda g, st: _local(st.targets[0]) and g.store(st.targets[0], st.value),
+    VarDeclStat: _Tree.var_decl, ReturnStat: _Tree.return_stat,
+    IfStat: _Tree.if_stat, WhileStat: _Tree.while_stat,
+}
+
+# per node type that a tree may hold, the generator of an expression, which
+# answers None where it leaves the node to a closure
+_TREE_EXPRS = {
+    Lit: lambda g, e: None if e.runtime_value is None else g.const(e.runtime_value),
+    NameRef: _Tree.name, PercentRef: lambda g, e: g.read(e.name),
+    SelfRef: lambda g, e: None if e.field_name is not None else g.value(None),
+    IfExpr: _Tree.if_expr,
+    AssignExpr: lambda g, e: g.store(e.target, e.value) if _local(e.target) else None,
+    UnarySend: _Tree.send, BinarySend: _Tree.send, PrefixOp: _Tree.send,
+    KeywordSend: _Tree.send,
+}
+
+
+@functools.cache
+def _params(n):
+    return ", ".join(f"K{i}" for i in range(n))
+
+
+@functools.cache
+def _factory(source):
+    """The factory of the trees whose source is `source`, their shape, made
+    once per shape for the whole process."""
+    namespace = {"PrimV": PrimV, "TRUE": TRUE, "FALSE": FALSE, "NOOBJECT": NOOBJECT,
+                 "Cell": Cell, "Frame": Frame, "ReturnSignal": ReturnSignal,
+                 "new": new, "_probe": _probe, "_truthy_out": _truthy_out}
+    exec(compile(source, "<tree>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _truthy_out(interp, frame, v):
+    """`interp.truthy(v)` for the test of an inline loop, with the loop's
+    evaluation frame `frame` off the stack, as on the block path."""
+    frames = interp.frames
+    frames.pop()
+    try:
+        return interp.truthy(v)
+    finally:
+        frames.append(frame)
 
 
 # -- closures -----------------------------------------------------------------------------
@@ -609,7 +1091,8 @@ def _activation(parent, args, nparams, tail):
 
 
 def _method_runner(entry, method, body, scope):
-    name, ctx_self, nparams = method.name, method.ctx_self_field, len(method.param_names)
+    entry_name, name = entry.name, method.name
+    ctx_self, nparams = method.ctx_self_field, len(method.param_names)
     blank, dying = [None] * (scope.size - nparams), scope.dying
 
     def run(interp, m, recv, args, shape, mixin_obj=None):
@@ -622,14 +1105,28 @@ def _method_runner(entry, method, body, scope):
             # a context block's body: self is the object it is bound to
             self_obj = interp.field_read(recv, ctx_self)
             fields_owner = self_obj if isinstance(self_obj, ObjectV) else recv
-        frame = Frame(entry.name, name, self_obj, fields_owner, mixin_index)
+        # the frame, and the cell of a sole argument, made without a call of
+        # their __init__, which costs more
+        frame = new(Frame)
+        frame.entry_name = entry_name
+        frame.method_name = name
+        frame.receiver = self_obj
+        frame.fields_owner = fields_owner
+        frame.mixin_index = mixin_index
+        frame.ctx = frame
+        frame.result = NOOBJECT
         frames = interp.frames
         if len(frames) > 2000:
             interp.str_exception("method call stack overflow")
         frames.append(frame)
-        env = [None, Cell(args[0]), *blank] if nparams == 1 == len(args) \
-            else [None, *map(Cell, args), *blank] if len(args) == nparams \
-            else _activation(None, args, nparams, blank)
+        if nparams == 1 == len(args):
+            cell = new(Cell)
+            cell.value = args[0]
+            cell.alive = True
+            env = [None, cell, *blank]
+        else:
+            env = [None, *map(Cell, args), *blank] if len(args) == nparams \
+                else _activation(None, args, nparams, blank)
         try:
             body(interp, env, frame)
             return frame.result
@@ -649,8 +1146,14 @@ def _block_runner(body, scope, nparams, npercent):
 
     def run(interp, blk, args):
         home = blk.home
-        frame = Frame(home.entry_name, "eval", home.receiver, home.fields_owner,
-                      home.mixin_index, home.ctx)
+        frame = new(Frame)      # as in `_method_runner`
+        frame.entry_name = home.entry_name
+        frame.method_name = "eval"
+        frame.receiver = home.receiver
+        frame.fields_owner = home.fields_owner
+        frame.mixin_index = home.mixin_index
+        frame.ctx = home.ctx
+        frame.result = NOOBJECT
         frames = interp.frames
         frames.append(frame)
         env = _activation(blk.env, args, nparams,
@@ -702,13 +1205,36 @@ def send_key(interp, recv, args):
     return (key, *[a.kind if type(a) is PrimV else interp.runtime_type(a) for a in args])
 
 
+def _probe(interp, site, recv, args, shape, refs=None):
+    """Send `shape`, [(selector, [argument values])], with the arguments
+    `args`, to `recv` through the inline cache of `site`, keyed by
+    `send_key`.  A miss, or a send the cache does not keep, goes to
+    `Interp.send`.  A hit counts the step and calls the entry's handler, or
+    `invoke` for a `new:` or `bind:` send, which has `refs` (what
+    `Compiler.refs` answers), and for a method with a bound value."""
+    if len(args) == 1 and type(recv) is ObjectV and type(args[0]) is PrimV \
+            and not recv.mixins and not recv.own_methods:
+        key = recv.proto, args[0].kind
+    else:
+        key = send_key(interp, recv, args)
+    if key is None:
+        return interp.send(recv, shape, refs=refs)
+    found = interp.inline_caches[site].get(key)
+    if found is None:
+        return interp.send(recv, shape, refs=refs, site=site, key=key)
+    interp.steps += 1
+    if interp.steps + interp.evals > interp.max_steps:
+        interp.out_of_steps()
+    handler, m, owner, index, plan = found
+    if refs is not None or m in interp.bound_values:
+        return interp.invoke(m, recv, shape, owner, mixin_at(recv, index), plan, refs)
+    return handler(interp, m, recv, args, shape)
+
+
 def _site(site, parts, recv_code, args_first=True, refs=None):
     """The closure of a send site: `parts` is [(selector, [argument
     closures])], and a keyword send runs its arguments before its receiver.
-    The site probes its inline cache with `send_key` and hands a miss, or a
-    send it does not cache, to `Interp.send`.  A hit calls the entry's
-    handler, or `invoke` for a `new:` or `bind:` send, which has `refs`
-    (`Compiler.refs`), and for a method with a bound value."""
+    It sends through `_probe`."""
     (selector, codes), = parts if len(parts) == 1 else [(None, None)]
     arg_code = codes[0] if codes is not None and len(codes) == 1 else None
     unary = ((selector, ()),) if codes == [] else None
@@ -722,31 +1248,14 @@ def _site(site, parts, recv_code, args_first=True, refs=None):
                 recv = recv_code(interp, env, frame)
                 arg = arg_code(interp, env, frame)
             args = [arg]
-            shape = [(selector, args)]
-            key = (recv.proto, arg.kind) if type(recv) is ObjectV and type(arg) is PrimV \
-                and not recv.mixins and not recv.own_methods else send_key(interp, recv, args)
-        elif unary is not None:
-            recv, args, shape = recv_code(interp, env, frame), (), unary
-            key = send_key(interp, recv, args)
-        else:
-            shape = [(sel, [code(interp, env, frame) for code in codes])
-                     for sel, codes in parts]
-            recv = recv_code(interp, env, frame)
-            args = [a for _s, part in shape for a in part]
-            key = send_key(interp, recv, args)
-        if key is None:
-            return interp.send(recv, shape, refs=refs and refs(env))
-        found = interp.inline_caches[site].get(key)
-        if found is None:
-            return interp.send(recv, shape, refs=refs and refs(env), site=site, key=key)
-        interp.steps += 1
-        if interp.steps + interp.evals > interp.max_steps:
-            interp.out_of_steps()
-        handler, m, owner, index, plan = found
-        if refs is not None or m in interp.bound_values:
-            return interp.invoke(m, recv, shape, owner, mixin_at(recv, index), plan,
-                                 refs and refs(env))
-        return handler(interp, m, recv, args, shape)
+            return _probe(interp, site, recv, args, [(selector, args)], refs and refs(env))
+        if unary is not None:
+            return _probe(interp, site, recv_code(interp, env, frame), (), unary,
+                          refs and refs(env))
+        shape = [(sel, [code(interp, env, frame) for code in codes]) for sel, codes in parts]
+        recv = recv_code(interp, env, frame)
+        return _probe(interp, site, recv, [a for _s, part in shape for a in part], shape,
+                      refs and refs(env))
     return send
 
 
@@ -771,81 +1280,3 @@ def _super_site(site, parts, above, refs):
         return interp.invoke(m, recv, shape, owner, mixin_at(recv, found_index), plan,
                              refs and refs(env))
     return send
-
-
-_FUSED_SOURCE = """\
-def make(m, handler, selector, shape, Rk, Ak, lo, hi, R, A, W):
-    def fused(interp, env, frame):
-        {reads}
-        if {tests}m not in interp.bound_values and not interp.dyn_methods:
-            interp.steps += 1
-            if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()
-            {op}
-        else: v = interp.send(recv, {message})
-        {store}
-        return v
-    return fused
-"""
-
-
-@functools.cache
-def _fused_factory(shape):
-    """The factory of the fused sends of `shape` (`Compiler.fused`), made
-    once per shape for the whole process; it reads the operands `recv` and
-    `arg` from `R` and `A`."""
-    op, leaves, store = shape
-    reads, tests = [], []
-    for name, leaf in leaves:
-        p = name[0].upper()
-        reads.append(f"{name} = {p}" if leaf == "const" else
-                     f"{name} = {p}(interp, env, frame)" if leaf == "code" else
-                     f"{name} = {leaf}[{p}]; "
-                     f"{name} = {name}.value if {name}.alive else interp.cell_read({name})")
-        if leaf != "const":
-            tests.append(f"type({name}) is PrimV and {name}.kind == {p}k and ")
-    source = _FUSED_SOURCE.format(
-        reads="\n        ".join(reads), tests="".join(tests), op=op.replace("\n", "\n" + " " * 12),
-        message="shape" if len(leaves) == 1 else "[(selector, [arg])]",
-        store=f"{store}[W].value = v" if store else "")
-    namespace = {"PrimV": PrimV, "TRUE": TRUE, "FALSE": FALSE, "new": object.__new__}
-    exec(compile(source, f"<fused send {shape}>", "exec"), namespace)
-    return namespace["make"]
-
-
-def _loop(m, test, body, body_first, goes_on, site):
-    """The closure of a send of the loop builtin `m` to a block literal,
-    with a block literal argument, whose envs would hold no slot: `test`,
-    which answers its evaluation's value, and `body` run in turn, `body`
-    first for repeatUntil:, until `test` does not answer `goes_on`.  The
-    send counts its step, and each evaluation counts, checks the budget and
-    pushes a frame as the block runner does; but one frame and one env
-    serve the whole loop, and no block value is made.  While `m` has a
-    bound value, or an `addMethod:` body might take the message, the send
-    goes to the general `site`, which sends the two block values."""
-    def loop(interp, env, frame):
-        if m in interp.bound_values or interp.dyn_methods:
-            return site(interp, env, frame)
-        interp.steps += 1
-        if interp.steps + interp.evals > interp.max_steps:
-            interp.out_of_steps()
-        block = Frame(frame.entry_name, "eval", frame.receiver, frame.fields_owner,
-                      frame.mixin_index, frame.ctx)
-        env = [env]
-        frames = interp.frames
-        testing = not body_first
-        while True:
-            interp.evals += 1
-            if interp.steps + interp.evals > interp.max_steps:
-                interp.out_of_steps()
-            frames.append(block)
-            try:
-                if testing:
-                    v = test(interp, env, block)
-                else:
-                    body(interp, env, block)
-            finally:
-                frames.pop()
-            if testing and (v is TRUE or v is not FALSE and interp.truthy(v)) != goes_on:
-                return NOOBJECT
-            testing = not testing
-    return loop

@@ -14,7 +14,10 @@ The notes, by the pass that writes them:
                      InterfaceDecl.filename (a generated unit has the file of
                      the unit it comes from)
     desugar          PrototypeDecl.is_ctx_block, .ctx_self_type, .mixin_host_base;
-                     MethodDecl.synthetic, .is_stub, .ctx_self_field
+                     MethodDecl.synthetic, .is_stub, .ctx_self_field; Lit.step
+                     (the `1` that `++` or `--` adds or subtracts, an Int
+                     literal to which the checker gives the kind of the
+                     integer it steps)
     prototype table  TypeExpr.resolved (grammar-method signatures; `canonical()`
                      returns it); VarDecl.resolved_type (declared types)
     block analysis   BlockLit.info (level bl(B), r/u class)
@@ -343,6 +346,7 @@ class Lit(Node):
     kind: str = "Int"   # Int Byte Short Long Float Double Char Boolean String RawString Symbol Nil NoObject
     value: object = None
     runtime_value: object = note()   # the one shared value, unless a String or Symbol
+    step: bool = note(False)          # the `1` of a `++` or `--`
 
 
 @dataclass(slots=True)

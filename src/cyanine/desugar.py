@@ -551,7 +551,7 @@ class Desugarer:
         op = "+" if e.op == "++" else "-"
         target = e.operand
         at = {"line": e.line, "col": e.col}     # every node built here is at `e`
-        one = Lit("Int", 1, **at)
+        one = Lit("Int", 1, step=True, **at)
         if isinstance(target, IndexGet):
             # ++v[e]:  :t1 = e; :t2 = v[t1] + 1; v[t1] = t2; value t2
             recv = self.rx(target.receiver)

@@ -107,10 +107,10 @@ class Interp:
         # CATCH_SITE: {`compiler.send_key`: (handler, method, owner entry,
         # index of the receiver's mixin that has it or None, packing plan of
         # a grammar method or None)}.  A send counts as a hit (served by a
-        # cache, or by the binding the compile step gave it: a fused send
-        # of `Compiler.fused`, a `_loop` of `compiler`), a miss (looked up,
-        # then cached) or a skip (looked up but not cacheable, or not looked
-        # up: a send to nil, a fused send whose guard failed), so hits =
+        # cache, or by the binding the compile step gave it: a proven send
+        # or a literal loop of a `compiler` tree), a miss (looked up, then
+        # cached) or a skip (looked up but not cacheable, or not looked up:
+        # a send to nil, a proven send whose guard failed), so hits =
         # steps - misses - skips.
         self.inline_caches = [_NO_ENTRIES] * (program.sites + 1)
         self.misses = 0
@@ -535,8 +535,10 @@ class Interp:
         return self.reaches if m.builtin is None else self._builtin_param_takes
 
     def _builtin_param_takes(self, s, t):
+        # a grammar builtin's parameter (`println:`'s) names no entry
         entry = self.table.get(t)
-        return self.reaches(s, t) and (s != "Nil" or not (entry.builtin and entry.is_final))
+        return self.reaches(s, t) and (s != "Nil" or entry is None
+                                       or not (entry.builtin and entry.is_final))
 
     def invoke(self, m, recv, shape, owner_entry, mixin_obj, plan, refs=None):
         args = [a for _s, aa in shape for a in aa]

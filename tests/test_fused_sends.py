@@ -1,8 +1,8 @@
-"""Fused sends: a send the checker bound to a builtin for basic types is one
-closure that reads its operands, applies the builtin and may store into a
-local (`Compiler.fused`).  It keeps the outcomes, steps, skips and traces
-of the send path: overflows, dead cells, nil operands, replaced and added
-methods, and the step budget."""
+"""Fused sends: a send the checker bound to a builtin for basic types runs
+in the tree that holds it (`compiler._Tree.proven`), which reads its
+operands, applies the builtin and may store into a local.  It keeps the
+outcomes, steps, skips and traces of the send path: overflows, dead cells,
+nil operands, replaced and added methods, and the step budget."""
 
 import pytest
 
@@ -47,8 +47,8 @@ end
 
 
 def fused_read(leaf_depth):
-    """The fused closure of `a + 1` with `a` a local at `leaf_depth`, and an
-    interpreter to run it."""
+    """The code of `a + 1`, a tree of one, with `a` a local at `leaf_depth`,
+    and an interpreter to run it."""
     program = compile_src('''package main
 public object Program
     public fun inc: (:a Int) -> Int [ ^ a + 1 ]
@@ -66,7 +66,7 @@ end
     return code, interp, Frame("Program", "inc:", None, None)
 
 
-@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("depth", [0, 1, 2])
 def test_a_fused_leaf_reads_a_dead_cell_as_an_error(depth):
     code, interp, frame = fused_read(depth)
     cell = Cell(PrimV("Int", 4))

@@ -386,7 +386,7 @@ def basic_values(kind):
     return values.map(lambda v: PrimV(kind, v))
 
 
-# how a method reads the operands of its send (`Compiler.leaf`): its
+# how a method reads the operands of its send (in its tree): its
 # parameters, locals at depth 0 ("param"); the same from a block, at depth
 # 1 ("block"); as "param", storing the value into a local ("store"); a
 # literal argument ("literal"); a receiver that nested bound sends answer
@@ -523,6 +523,169 @@ def test_bound_sends_agree_with_fresh_lookup(sends, data):
                 want = outcome(interp, lambda: sent(interp, recv, rtype, leaf,
                                                     message_of(node, *sent_args)[1]))
                 assert got == want, (node, leaf, recv, args, mutations, src)
+
+
+# --- trees: a body runs as it does with nothing in it proven --------------------
+
+TREE_PROGRAM = '''package main
+public object Program
+    public fun id: (:x Any) -> Any [ ^x ]
+    public fun truth: (:x Any) -> Boolean [ if ( x ) [ return true ]; return false; ]
+    public fun tick: (:x {i}) at: (:n Int) -> {i} [ Out println: "t", n, " ", x; ^x ]
+    public fun swap [ :t Int = 0; t.{{* Int -> Int}}. = [ |:x Int| ^x + 1 ]; ]
+    public fun f: (:a {i}, :b {i}, :p {b}) -> {i} [
+        {decls}
+        {body}
+        return a;
+    ]
+    public fun run [
+        [ Out println: (self f: {args}); ] catch: [ |:e CyException| Out println: "caught"; ];
+        self swap;
+        Out println: (self f: {args});
+    ]
+end
+'''
+
+
+@st.composite
+def tree_programs(draw):
+    """A program whose method `f:` is a body over the Int parameters `a`
+    and `b`, the Boolean `p` and locals of both kinds: proven sends, sends
+    of `tick:at:` (a user method that prints where it is sent), one-arm and multi-arm `if`s,
+    `return`s, nested literal loops and `while`s over counters, and maybe a
+    send of `swap`, which replaces `*` on Int, as `run` does between its two
+    sends of `f:`, the first of which may throw.  Answers (its source, the
+    source of its oracle): the same program with every operand of a send
+    routed through `id:` and every local an `Any`, so that nothing in it
+    is proven, each loop test through `truth:` and each loop body
+    declaring a local, so that each literal loop sends its blocks."""
+    ints, counters, names = ["a", "b"], [], itertools.count()
+
+    def pick(choices):
+        return draw(st.sampled_from(choices))
+
+    def int_expr(depth):
+        how = draw(st.integers(0, 5 if depth > 0 else 2 if depth == 0 else 1))
+        if how < 2:
+            x = pick(ints) if how == 0 else pick(["0", "1", "3", "1", "2", "2147483647"])
+            return x, x
+        if how < 4:
+            (x, xo), n = int_expr(depth - 1), next(names)
+            return f"(self tick: {x} at: {n})", f"(self tick: {xo} at: {n})"
+        op = pick(["+", "-", "*", "*"])
+        (x, xo), (y, yo) = int_expr(depth - 1), int_expr(depth - 1)
+        return f"({x} {op} {y})", f"((self id: {xo}) {op} (self id: {yo}))"
+
+    def bool_expr(depth):
+        how = draw(st.integers(0, 3 if depth else 1))
+        if how < 2:
+            x = pick(["p", "q0"]) if how == 0 else pick(["true", "false"])
+            return x, x
+        if how == 2:
+            x, xo = bool_expr(depth - 1)
+            return f"(!{x})", f"(!(self id: {xo}))"
+        op = pick(["<", "==", ">="])
+        (x, xo), (y, yo) = int_expr(depth - 1), int_expr(depth - 1)
+        return f"({x} {op} {y})", f"((self id: {xo}) {op} (self id: {yo}))"
+
+    def body(depth, scoped, last=()):
+        """The statements of a body; one that is `scoped` may declare an Int."""
+        saved, stats = len(ints), []
+        if scoped and draw(st.booleans()):
+            name, (x, xo) = f"y{next(names)}", int_expr(1)
+            stats.append((f":{name} Int = {x};", f":{name} Any = {xo};"))
+            ints.append(name)
+        stats += [stat(depth) for _ in range(draw(st.integers(0, 3)))]
+        del ints[saved:]
+        stats += last
+        return " ".join(s for s, _o in stats), " ".join(o for _s, o in stats)
+
+    def stat(depth):
+        how = pick(["print", "assign", "tick", "if"] +
+                   (["if", "loop", "loop", "return", "swap"] if depth else []))
+        if how == "print":
+            x, xo = pick([int_expr, bool_expr])(2)
+            return f"Out println: {x};", f"Out println: {xo};"
+        if how == "assign":
+            (x, xo), name = (int_expr(2), pick(["x0", "x1"])) if draw(st.booleans()) \
+                else (bool_expr(2), "q0")
+            return f"{name} = {x};", f"{name} = {xo};"
+        if how in ("tick", "return"):
+            x, xo = int_expr(1)
+            form = f"self tick: {{}} at: {next(names)};" if how == "tick" else "return {};"
+            return form.format(x), form.format(xo)
+        if how == "swap":
+            return "self swap;", "self swap;"
+        if how == "if":
+            arms, oracle = [], []
+            for _ in range(draw(st.integers(1, 3))):
+                (c, co), (s, so) = bool_expr(2), body(depth - 1, True)
+                arms.append(f"if ( {c} ) [ {s} ]")
+                oracle.append(f"if ( {co} ) [ {so} ]")
+            if draw(st.booleans()):
+                s, so = body(depth - 1, True)
+                arms.append(f"[ {s} ]")
+                oracle.append(f"[ {so} ]")
+            return " else ".join(arms) + ";", " else ".join(oracle) + ";"
+        k, limit, form = f"k{next(names)}", pick(["0", "1", "3"]), \
+            pick(["whileTrue:", "whileFalse:", "repeatUntil:", "while"])
+        counters.append(k)
+        ints.append(k)
+        s, so = body(depth - 1, False, [(f"++{k};", f"++{k};")])
+        ints.remove(k)
+        op = "<" if form in ("whileTrue:", "while") else ">="
+        test, oracle_test = f"{k} {op} {limit}", f"(self id: {k}) {op} (self id: {limit})"
+        local = f":z{next(names)} Int; "
+        if form == "while":
+            return f"{k} = 0; while ( {test} ) [ {s} ];", \
+                f"{k} = 0; while ( {oracle_test} ) [ {so} ];"
+        if form == "repeatUntil:":
+            return f"{k} = 0; [ {s} ] repeatUntil: [^ {test} ];", \
+                f"{k} = 0; [ {local}{so} ] repeatUntil: [^ self truth: ({oracle_test}) ];"
+        return f"{k} = 0; [^ {test} ] {form} [ {s} ];", \
+            f"{k} = 0; [^ self truth: ({oracle_test}) ] {form} [ {local}{so} ];"
+
+    ints += ["x0", "x1"]
+    stats = [stat(2) for _ in range(draw(st.integers(1, 5)))]
+    args = ", ".join(pick(choices) for choices in (["0", "3", "-2", "nil"], ["1", "2", "nil"],
+                                                     ["true", "false"]))
+    return tuple(TREE_PROGRAM.format(
+        i=i, b=b, args=args, body=" ".join(s[which] for s in stats),
+        decls=f":x0 {i} = 2; :x1 {i} = 5; :q0 {b} = true; " +
+        " ".join(f":{k} {i} = 0;" for k in counters))
+        for which, i, b in ((0, "Int", "Boolean"), (1, "Any", "Any")))
+
+
+def run_tree_program(program, max_steps=100_000, proven=True):
+    """(exit status, stdout, steps, evals) of a run of `program`; with
+    `proven` False, an `addMethod:` body for no prototype makes every proven
+    send and literal loop take the send path, which counts alike."""
+    interp = Interp(program)
+    interp.max_steps = max_steps
+    if not proven:
+        interp.dyn_methods[("", "")] = None
+    status = interp.run()
+    return status, interp.stdout(), interp.steps, interp.evals
+
+
+@given(tree_programs(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_trees_run_as_bodies_with_nothing_proven(programs, data):
+    """A body of proven sends, arms, returns and literal loops gives the
+    stdout, the exit status and the trace of its oracle, in which nothing is
+    proven.  And with the step budget spent at any step, it gives the
+    stdout, trace, steps and evaluations of the send path (the block path
+    of each loop): a tree counts and checks, and stacks frames, as sends
+    do."""
+    src, oracle_src = programs
+    program, oracle = compile_src(src), compile_src(oracle_src)
+    assert program.ok(), program.reporter.format_all() + src
+    assert oracle.ok(), oracle.reporter.format_all() + oracle_src
+    status, out, steps, evals = run_tree_program(program)
+    assert (status, out) == run_tree_program(oracle)[:2], (src, oracle_src)
+    for budget in data.draw(st.lists(st.integers(1, steps + evals), max_size=12)):
+        assert run_tree_program(program, budget) == \
+            run_tree_program(program, budget, proven=False), (budget, src)
 
 
 # --- random regexes: the derivation is compositional ---------------------------

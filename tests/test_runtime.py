@@ -758,11 +758,14 @@ end
     (":f Float = nil; Out println: 3 == f;", "false\n"),
     (":c Char = nil; Out println: 'a' < c;", None),
     (":n Int = nil; Out println: ({# 1, 2 #} at: n);", None),     # also at:(Interval<Int>)
+    (":n Int = nil; Out println: n;", "nil\n"),
 ])
 def test_nil_takes_no_final_builtin_parameter(run, body, expected):
     """A builtin's handler reads the value of a parameter of a final type of
     the builtin world, so nil does not take one: `3 == f` finds Any's `==`,
-    as the checker did, and the others do not understand the message."""
+    as the checker did, and the others do not understand the message.  The
+    parameter of a grammar builtin, as `println:`'s, names no type, and nil
+    takes it."""
     code, out, _program = run(f'''package main
 public object Program
     public fun run [ {body} ]

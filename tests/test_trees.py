@@ -1,0 +1,276 @@
+"""Trees: a body that holds a proven send or a literal loop runs as one
+function generated from source (`compiler._Tree`), whose factory is made
+once per shape and process.  A tree keeps the outcomes, steps, evaluations
+and traces of the send path: a method replaced or added in its middle, the
+budget spent at any of its steps and an exception out of an inline loop
+(a dead cell read at any depth is in `test_fused_sends`).  `++` and `--`
+step every integer width."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import compile_src
+from cyanine import compiler
+from cyanine import cyast as A
+from cyanine.interp import CyThrow, Interp
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_program(src, max_steps=None, proven=True):
+    """Run `src`: (exit status, stdout, the Interp).  With `proven` False,
+    an `addMethod:` body for no prototype sends every proven send and
+    literal loop through the send path, which counts alike."""
+    program = compile_src(src)
+    assert program.ok(), program.reporter.format_all()
+    interp = Interp(program)
+    if max_steps is not None:
+        interp.max_steps = max_steps
+    if not proven:
+        interp.dyn_methods[("", "")] = None
+    return interp.run(), interp.stdout(), interp
+
+
+def body_code(program, method):
+    """The code of the body of `method` of Program, which its runner calls."""
+    run = program.table.get("Program").groups[method].entries[0].decl.code
+    cells = dict(zip(run.__code__.co_freevars, run.__closure__))
+    return cells["body"].cell_contents
+
+
+# -- `++` and `--` on every integer kind ------------------------------------------------
+
+INCREMENTS = '''package main
+public object Program
+    public fun run [
+        :b = 126b; :s = -32767s; :i = 2147483646; :l = 9223372036854775806l;
+        ++b; --s; ++i; ++l;
+        Out println: b, " ", s, " ", i, " ", l;
+        [ ++b; ] catch: [ |:e StrException| Out println: (e message) ];
+        [ --s; ] catch: [ |:e StrException| Out println: (e message) ];
+        [ ++i; ] catch: [ |:e StrException| Out println: (e message) ];
+        [ ++l; ] catch: [ |:e StrException| Out println: (e message) ];
+        Out println: b, " ", s, " ", i, " ", l;
+        --b; ++s; --i; --l;
+        Out println: b, " ", s, " ", i, " ", l;
+    ]
+end
+'''
+
+
+def test_increments_step_each_integer_kind_and_leave_it_after_an_overflow():
+    status, out, interp = run_program(INCREMENTS)
+    assert (status, out) == (0, "127 -32768 2147483647 9223372036854775807\n"
+                                "Byte overflow\nShort overflow\nInt overflow\nLong overflow\n"
+                                "127 -32768 2147483647 9223372036854775807\n"
+                                "126 -32767 2147483646 9223372036854775806\n")
+    # each is a proven send stored by its tree: no site, a `1` of its kind
+    decl = interp.table.get("Program").groups["run"].entries[0].decl
+    steps = [node for node in A.walk(decl.body)
+             if isinstance(node, A.BinarySend) and node.right.step]
+    assert len(steps) == 12
+    for node in steps:
+        m, kind, kinds = node.builtin
+        assert node.site is None and kinds == (kind,) and node.right.runtime_value.kind == kind
+
+
+def test_a_written_int_literal_does_not_take_the_kind_of_a_long():
+    program = compile_src('''package main
+public object Program
+    public fun run [ :l = 5l; l = l + 1; ]
+end
+''')
+    assert "'Long' has no method matching '+ _'" in program.reporter.format_all()
+
+
+# -- what an opaque node does in the middle of a tree -----------------------------------
+
+def test_a_method_replaced_in_the_middle_of_a_tree_takes_the_next_proven_send():
+    src = '''package main
+public object Program
+    public fun run [
+        :a = 3;
+        Out println: a + 1;
+        a.{+ Int -> Int}. = [ |:x Int| ^42 ];
+        Out println: a + 1, " ", a - 1;
+    ]
+end
+'''
+    status, out, interp = run_program(src)
+    assert body_code(interp.program, "run").__name__ == "tree"
+    assert (status, out) == (0, "4\n42 2\n")
+    # the two sends after the replacement are skips: they go to `Interp.send`
+    assert (interp.steps, interp.misses, interp.skips) == (7, 2, 3)
+
+
+def test_a_method_added_in_the_middle_of_a_tree_takes_the_next_proven_send():
+    src = '''package main
+public object Program
+    public fun run [
+        :i = 7;
+        Out println: i asString, " ", i + 1;
+        Int addMethod: selector: #asString returnType: String
+            body: (:self Int)[ | -> String | ^"added" ];
+        Out println: i asString, " ", i + 1;
+    ]
+end
+'''
+    status, out, interp = run_program(src)
+    assert body_code(interp.program, "run").__name__ == "tree"
+    assert (status, out) == (0, "7 8\nadded 8\n")
+    # after the `addMethod:`, both proven sends go to `Interp.send`
+    assert (interp.steps, interp.misses, interp.skips) == (10, 3, 5)
+
+
+# -- the budget, at every step of a tree ---------------------------------------------------
+
+BUDGET = '''package main
+public object Program
+    public fun run [
+        :i = 0;
+        :s = 0;
+        [^ i < 2 ] whileTrue: [
+            s = s + i * 3;
+            if ( s > 2 ) [ Out println: s; ] else [ Out println: i; ];
+            ++i;
+        ];
+        [ s = s - 1; ] repeatUntil: [^ s < 1 ];
+        Out println: s;
+    ]
+end
+'''
+
+
+def test_the_budget_ends_a_tree_at_each_step_with_the_trace_of_the_send_path():
+    """At each budget the tree ends where the send path does (the block path
+    of each loop), with its stdout, trace, steps and evaluations: at a
+    proven send in an evaluation, with the evaluation's frame on the stack;
+    between two evaluations, without it."""
+    status, out, interp = run_program(BUDGET)
+    assert (status, out) == (0, "0\n3\n0\n")
+    total = interp.steps + interp.evals
+    traces = set()
+    for budget in range(1, total):
+        got = run_program(BUDGET, budget)
+        want = run_program(BUDGET, budget, proven=False)
+        assert got[:2] == want[:2], budget
+        assert (got[2].steps, got[2].evals) == (want[2].steps, want[2].evals), budget
+        assert got[0] == 2
+        traces.add(got[1].split("exhausted\n")[1])
+    assert traces == {"  at Program::run\n", "  at Program::eval\n  at Program::run\n"}
+    # between the first two evaluations: the test's, which sends `i < 2`,
+    # and the body's
+    assert run_program(BUDGET, 4)[1] == "step budget of 4 exhausted\n  at Program::run\n"
+
+
+# -- an exception out of an inline loop ----------------------------------------------
+
+def test_an_exception_out_of_an_inline_loop_leaves_the_frames_as_they_were(monkeypatch):
+    depths = []
+    write = Interp.write
+
+    def spy(self, text):
+        depths.append(len(self.frames))
+        write(self, text)
+    monkeypatch.setattr(Interp, "write", spy)
+    status, out, interp = run_program('''package main
+public object Program
+    public fun boom -> Int [
+        :i = 0;
+        [^ i < 5 ] whileTrue: [ ++i; if ( i == 3 ) [ i = i * 2147483647; ]; ];
+        return i;
+    ]
+    public fun run [
+        Out println: "before";
+        [ Out println: (self boom); ] catch: [ |:e StrException| Out println: (e message) ];
+        Out println: "after";
+    ]
+end
+''')
+    assert (status, out) == (0, "before\nInt overflow\nafter\n")
+    assert depths[0] == depths[-1] == 1
+    # caught outside: the loop's frame goes with the method's
+    interp.max_steps = 10_000
+    main = interp.proto_objects["Program"]
+    with pytest.raises(CyThrow):
+        interp.send(main, [("boom", [])])
+    assert interp.frames == []
+
+
+# -- the shape cache ---------------------------------------------------------------------
+
+def shapes():
+    return compiler._factory.cache_info().currsize
+
+
+def test_the_world_and_a_hello_world_make_no_shape():
+    """Bodies that hold no proven send and no literal loop keep their
+    closures, so that neither the world's build nor a plain program pays
+    for Python's `compile`."""
+    code = ("import sys\n"
+            "sys.setrecursionlimit(30000)\n"
+            "from cyanine import compiler\n"
+            "from cyanine.driver import compile_program\n"
+            "program = compile_program([('hello', 'package main\\npublic object Program\\n"
+            "    public fun run [ Out println: \"hello\"; ]\\nend\\n')])\n"
+            "assert program.ok()\n"
+            "print(compiler._factory.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+
+
+FIB_AND_SUM = '''package main
+public object Program
+    {extra}
+    public fun {fib}: (:{n} Int) -> Int [
+        if ( {n} < {two} ) [ return {n} ];
+        return (self {fib}: {n} - {one}) + (self {fib}: {n} - {two});
+    ]
+    public fun run [
+        :{s} = {zero};
+        :{i} = {zero};
+        [^ {i} < {ten} ] whileTrue: [ {s} = {s} + {i}; ++{i}; ];
+        Out println: {s}, (self {fib}: {ten});
+    ]
+end
+'''
+
+
+def test_a_program_compiled_again_makes_no_shape():
+    src = FIB_AND_SUM.format(extra="", fib="fib", n="n", s="s", i="i", zero="0", one="1",
+                             two="2", ten="10")
+    compile_src(src)
+    before = shapes()
+    compile_src(src)
+    assert shapes() == before
+
+
+def test_programs_that_differ_in_literals_names_and_sites_share_their_shapes():
+    compile_src(FIB_AND_SUM.format(extra="", fib="fib", n="n", s="s", i="i", zero="0",
+                                   one="1", two="2", ten="10"))
+    before = shapes()
+    # a method of sites alone comes first: the other sends get other numbers
+    status, out, _interp = run_program(FIB_AND_SUM.format(
+        extra='public fun hello [ Out println: "hello", 1; ]', fib="g", n="m", s="total",
+        i="k", zero="5", one="3", two="4", ten="12"))
+    assert status == 0 and shapes() == before
+
+
+def test_a_tree_nested_deeper_than_python_allows_splits_into_trees():
+    """Python allows 20 nested loops and `try` blocks and 100 levels of
+    indentation; a node nested deeper starts a tree of its own."""
+    loops, ifs = 25, 60
+    body = "".join(f"k{n} = 0; [^ k{n} < 1 ] whileTrue: [ ++k{n}; i = i + 1; "
+                   for n in range(loops)) + " ];" * loops
+    body += "".join(f"if ( i < {n + 100} ) [ :y{n} = i + 1; i = y{n}; "
+                    for n in range(ifs)) + " ];" * ifs
+    status, out, interp = run_program("package main\npublic object Program\n"
+                                      "    public fun run [ :i = 0; " +
+                                      "".join(f":k{n} = 0; " for n in range(loops)) +
+                                      body + " Out println: i; ]\nend\n")
+    assert (status, out) == (0, "85\n")
+    assert (interp.steps, interp.evals) == (loops * 5 + ifs * 2 + 2, loops * 3)
