@@ -3,9 +3,8 @@ becomes Python code, once, left in the `code` note of the node that owns
 the body.  A method's runner takes (interp, m, recv, args, shape,
 mixin=None), a block's (interp, block value, args); all other code takes
 (interp, env, frame) and holds no run-time state, so the world's code
-serves every program and interpreter.  A statement's code answers True when
-a return ended it (the value is in `frame.result`); an expression
-statement is its expression's code, whose value is never True.
+serves every program and interpreter.  A body's code answers True when a
+return ended it (the value is in `frame.result`).
 
 Locals live in envs, lists [parent env, cell, ...]: one per activation of a
 method or block, per `if`/`while` body that declares a variable, per `let`,
@@ -13,20 +12,20 @@ and per <init>, <fields> or <default> frame; a local's address is (depth,
 slot).  Each local keeps its own Cell, which dies when its env is left, for
 the dead-cell check.
 
-A *tree* is a maximal region of one body made of these nodes: sends the
-checker resolved to a builtin for a receiver and at most one argument of
-basic types (`Int`, `Boolean`, `Char`, ..., all final), the *proven*
-sends; local reads, stores and declarations, shared literals and `self`;
-`if` arms, `return`, statement lists and `while`; whileTrue:, whileFalse:
-and repeatUntil: sends of two block literals with no parameter or
-%-variable, the *literal loops*; and cached sends, whose receiver and
-arguments the tree evaluates before it probes the site's cache (`_probe`).
-A tree that holds a proven send or a literal loop is one Python function,
-generated from source (`_Tree`) by a factory made once per process for
-each source text, the tree's *shape* (`_factory`).  Every value the source
-reads, from methods and site numbers to literals, is a parameter of the
-factory, so programs that differ only in those share their shapes.  Any
-other node is a closure that the tree calls.
+Every body is a *tree*: one Python function, generated from source
+(`_Tree`) by a factory made once per process for each source text, the
+tree's *shape* (`_factory`).  Every value the source reads, from methods and
+site numbers to literals, is a parameter of the factory, so programs that
+differ only in those share their shapes.  A tree generates these nodes
+(`_generated`): local reads, stores and declarations, shared literals and
+`self`; `if` statements and expressions, `return`, statement lists and
+`while`; sends the checker resolved to a builtin for a receiver and at most
+one argument of basic types (`Int`, `Boolean`, `Char`, ..., all final), the
+*proven* sends; whileTrue:, whileFalse: and repeatUntil: sends of two block
+literals with no parameter or %-variable, the *literal loops*; and cached
+sends, whose receiver and arguments the tree evaluates before it probes the
+site's cache (`_probe`).  A statement nested deeper than Python allows
+starts a tree of its own (`_Tree.deep`).
 
 - A proven send keeps the checks of the send path: while its operands have
   the kinds the checker proved (not nil) and its method is neither replaced
@@ -39,11 +38,17 @@ other node is a closure that the tree calls.
   method is replaced, or an `addMethod:` body might take the message, it
   sends the two block values through its site.
 
-A body that holds no proven send and no literal loop keeps one closure per
-node: generating source for it would put Python's `compile` into the
-world's build and into every cold compile, with no send to repay it.
+Every other node is *opaque*, a closure that the tree calls
+(`Compiler.expr`): block literals, method access and `let`; array, tuple and
+fresh literals; field, static and prototype names; assignments to anything
+but a local; and intervals, `super` sends and a context object's `new:` and
+`bind:`.  Each of them builds a value or an env of its own, or is a call
+into the interpreter (a field, a static, a setter, a method search that
+starts above an entry, parameters bound to what the arguments refer to),
+whatever code runs it: generating it would save next to nothing and add
+shapes.  The nodes under an opaque one are trees again.
 
-Every other send with a receiver expression gets a site number, the index
+Every send but a proven one and an interval gets a site number, the index
 of its inline cache: on a hit it counts the step and calls the cached
 handler, and everything else goes to `Interp.send`.  A `super` send is such
 a site too (`_super_site`), whose search starts above the entry whose body
@@ -116,9 +121,8 @@ class _Scope:
 
 
 class Compiler:
-    """`expr` and `stats` compile a node or a body that no tree holds yet,
-    as a tree where it holds a proven send or a literal loop; `_expr` and
-    `_stats` compile closures for the nodes of a tree that holds neither."""
+    """`tree` compiles a body, or a node that a tree generates, to a tree;
+    `expr` compiles a node to a tree, or to its closure where it is opaque."""
 
     def __init__(self, table, first_site):
         self.table = table
@@ -139,7 +143,7 @@ class Compiler:
                 continue        # ctx markers run natively; stubs never run
             if decl.body is not None:
                 self.in_block = False
-                body, scope = self.activation(None, m.param_names, (), self.stats, decl.body)
+                body, scope = self.activation(None, m.param_names, (), self.tree, decl.body)
                 decl.code = _method_runner(entry, m, body, scope)
             elif decl.body_expr is not None:
                 decl.code = self.value(decl.body_expr)
@@ -208,100 +212,27 @@ class Compiler:
             made = self.loop_blocks[id(e)] = self.block(e, test)
         return made
 
-    # -- statements ----------------------------------------------------------------
-
-    def stats(self, stats):
-        if _any_fusible(stats):
-            return self.tree(stats)
-        return self._stats(stats)
-
-    def _stats(self, stats):
-        codes = [self.stat(st) for st in stats if type(st) is not EmptyStat]
-        if len(codes) == 1:
-            return codes[0]
-
-        def seq(interp, env, frame):
-            for code in codes:
-                if code(interp, env, frame) is True:
-                    return True
-        return seq
-
-    def stat(self, st):
+    def expr(self, e):
+        """The code of the node `e`: a tree where a tree generates `e`, else
+        the closure of an opaque node."""
+        if _generated(e):
+            return self.tree(e)
         try:
-            compile_stat = _STATS[type(st)]
+            compile_expr = _OPAQUE[type(e)]
         except KeyError:
-            raise RuntimeError(f"cannot execute a {type(st).__name__} node") from None
-        return compile_stat(self, st)
+            raise RuntimeError(f"cannot evaluate a {type(e).__name__} node") from None
+        return compile_expr(self, e)
 
-    def var_decl(self, st):
-        decls = []
-        for (name, _t, init), ty in zip(st.decls, st.resolved_types):
-            value = self._expr(init) if init is not None else None
-            self.scope.declare(name)
-            decls.append((self.scope.size, value, ty))
-
-        def declare(interp, env, frame):
-            for slot, value, ty in decls:
-                env[slot] = Cell(value(interp, env, frame) if value is not None
-                                 else interp.default_value(ty))
-        return declare
-
-    def return_stat(self, st):
-        value = self._expr(st.value) if st.value is not None else _no_object
-        if self.in_block and not st.is_caret:
-            def unwind(interp, env, frame):
-                raise ReturnSignal(frame.ctx, value(interp, env, frame))
-            return unwind
-        return _ret(value)
-
-    def if_stat(self, st):
-        arms = [(self._expr(cond), self.body(body, scoped))
-                for (cond, body), scoped in zip(st.arms, st.scoped)]
-        if st.else_body is not None:
-            arms.append((_true, self.body(st.else_body, st.scoped[-1])))
-        return _branch(arms)
-
-    def while_stat(self, st):
-        cond, body = self._expr(st.cond), self.body(st.body, st.scoped)
-
-        def loop(interp, env, frame):
-            while True:
-                v = cond(interp, env, frame)
-                if v is not TRUE and (v is FALSE or not interp.truthy(v)):
-                    return None
-                interp.evals += 1
-                if interp.steps + interp.evals > interp.max_steps:
-                    interp.out_of_steps()
-                if body(interp, env, frame) is True:
-                    return True
-        return loop
-
-    def body(self, stats, scoped):
-        """The statements of an `if` or `while` body: one that declares a
-        variable runs in an env of its own."""
-        if not scoped:
-            return self._stats(stats)
-        code, scope = self.activation(self.scope, (), (), self._stats, stats)
-        blank, dying = [None] * scope.size, scope.dying
-
-        def nested(interp, env, frame):
-            inner = [env, *blank]
-            try:
-                return code(interp, inner, frame)
-            finally:
-                _kill(inner, dying)
-        return nested
+    # -- opaque nodes ------------------------------------------------------------------
 
     def assign(self, target, value):
-        """The closure that assigns what the node `value` answers to
-        `target`, and answers it; a setter send answers what the setter
-        answers."""
-        if _local(target):
-            return _writer(*self.local(target.name), self._expr(value))
+        """The closure that assigns what the node `value` answers to the
+        target `target`, which is not a local, and answers it; a setter send
+        answers what the setter answers."""
         t = type(target)
         value = self.expr(value)
         if t is NameRef and target.binding is SEND:
-            return _site(self.new_site(target), [(target.name + ":", [value])], _receiver)
+            return _site(self.new_site(target), target.name + ":", [value], _receiver)
         if t is SelfRef or t is NameRef:
             name = target.field_name if t is SelfRef else target.name
             if t is SelfRef or target.binding is FIELD:
@@ -315,24 +246,7 @@ class Compiler:
         return lambda interp, env, frame: \
             interp.replace_method(value(interp, env, frame), recv(interp, env, frame), sig)
 
-    # -- expressions -----------------------------------------------------------------
-
-    def expr(self, e):
-        if _fusible(e):
-            return self.tree(e)
-        return self._expr(e)
-
-    def _expr(self, e):
-        try:
-            compile_expr = _EXPRS[type(e)]
-        except KeyError:
-            raise RuntimeError(f"cannot evaluate a {type(e).__name__} node") from None
-        return compile_expr(self, e)
-
-    def lit(self, e):
-        v = e.runtime_value
-        if v is not None:
-            return lambda interp, env, frame: v
+    def fresh(self, e):
         kind, raw = FRESH_LITERALS[e.kind], e.value
         return lambda interp, env, frame: PrimV(kind, raw)
 
@@ -349,13 +263,10 @@ class Compiler:
             TupleV(tname, names, [code(interp, env, frame) for code in codes])
 
     def name(self, e):
+        """A field, a shared variable or constant, or a prototype."""
         binding, name = e.binding, e.name
-        if binding is LOCAL:
-            return _reader(*self.local(name))
         if binding is FIELD:
-            return lambda interp, env, frame: interp.field_read(frame.fields_owner, name)
-        if binding is SEND:
-            return _site(self.new_site(e), [(name, [])], _receiver)
+            return _field(name)
         if binding is PROTO:
             return self.prototype(name)
         if binding is None:
@@ -373,36 +284,23 @@ class Compiler:
         entry = self.table.get(name)
         return lambda interp, env, frame: interp.prototype_object(entry)
 
-    def self_ref(self, e):
-        name = e.field_name
-        if name is None:
-            return _receiver
-        return lambda interp, env, frame: interp.field_read(frame.fields_owner, name)
-
     def send(self, e):
-        """The closure of the send `e`: a tree of one for a proven send or a
-        literal loop, a `super` site, or a site with an inline cache."""
-        form = _send_form(e)
-        if form == "proven" or form == "loop":
-            return self.tree(e)
-        recv, parts, args_first = _message(e)
-        if type(e) is BinarySend and form is None:
+        """The closure of a send that no tree holds: an interval, a `super`
+        send, or a context object's `new:` or `bind:`, which binds its `&`
+        and `*` parameters to what the arguments refer to."""
+        recv, parts, _ = _message(e)
+        if type(e) is BinarySend:
             left, right = self.expr(recv), self.expr(parts[0][1][0])
             return lambda interp, env, frame: \
                 interp.make_interval(left(interp, env, frame), right(interp, env, frame))
-        # a context object's `new:` and `bind:` bind their `&` and `*`
-        # parameters to what the arguments refer to
-        refs = self.refs(parts[0][1]) if form is None and len(parts) == 1 \
+        refs = self.refs(parts[0][1]) if len(parts) == 1 \
             and parts[0][0] in ("new:", "bind:") else None
-        if form is None and type(recv) is SuperRef:
-            parts = [(sel, [self.expr(a) for a in args]) for sel, args in parts]
-            return _super_site(self.new_site(e), parts, self.owner, refs)
-        sub = self._expr if form == "site" else self.expr
-        recv_code = None if args_first else sub(recv)
-        codes = [(sel, [sub(a) for a in args]) for sel, args in parts]
-        if args_first:
-            recv_code = _receiver if recv is None else sub(recv)
-        return _site(self.new_site(e), codes, recv_code, args_first, refs)
+        codes = [(sel, [self.expr(a) for a in args]) for sel, args in parts]
+        if type(recv) is SuperRef:
+            return _super_site(self.new_site(e), codes, self.owner, refs)
+        recv_code = _receiver if recv is None else self.expr(recv)
+        (selector, args), = codes
+        return _site(self.new_site(e), selector, args, recv_code, refs)
 
     def refs(self, nodes):
         """A closure of the env answering, per argument node, the cell of
@@ -420,18 +318,15 @@ class Compiler:
         """Compile the block literal `e`, leaving its runner in `e.code`:
         (the closure that makes its value, the code of its body, the
         number of slots of its env).  For a `test`, the body's code answers
-        the evaluation's value: for a body `^ x`, it is the code of `x`."""
+        the evaluation's value."""
         percent = list(e.info.percent_vars) if e.info is not None else []
         snapshot = [self.address(name) for name in percent]
         params = [p.name for sec in e.param_sections for p in sec]
         outer_in_block, self.in_block = self.in_block, True
-        last = e.body[-1] if test and len(e.body) == 1 else None
-        caret = type(last) is ReturnStat and last.is_caret and last.value is not None
-        body, scope = self.activation(self.scope, params, percent, *(
-            (self.expr, last.value) if caret else (self.stats, e.body)))
+        body, scope = self.activation(self.scope, params, percent, self.tree, e.body)
         self.in_block = outer_in_block
-        e.code = _block_runner(_ret(body) if caret else body, scope, len(params), len(percent))
-        if test and not caret:
+        e.code = _block_runner(body, scope, len(params), len(percent))
+        if test:
             body = _answer(body)
         rtype = e.runtime_type
 
@@ -464,24 +359,17 @@ class Compiler:
         return let
 
 
-_STATS = {
-    ExprStat: lambda c, st: c._expr(st.expr),
-    AssignStat: lambda c, st: c.assign(st.targets[0], st.value),
-    VarDeclStat: Compiler.var_decl, ReturnStat: Compiler.return_stat,
-    IfStat: Compiler.if_stat, WhileStat: Compiler.while_stat,
-}
-
-_EXPRS = {
-    Lit: Compiler.lit, ArrayLit: Compiler.array, TupleLit: Compiler.tuple_lit,
+# per node type of which a tree leaves all nodes or some opaque, the compiler
+# of their closures
+_OPAQUE = {
+    Lit: Compiler.fresh, ArrayLit: Compiler.array, TupleLit: Compiler.tuple_lit,
     NameRef: Compiler.name, GenericRef: lambda c, e: c.prototype(e.resolved),
-    SelfRef: Compiler.self_ref, PercentRef: lambda c, e: _reader(*c.local(e.name)),
+    SelfRef: lambda c, e: _field(e.field_name),
     UnarySend: Compiler.send, PrefixOp: Compiler.send, BinarySend: Compiler.send,
     KeywordSend: Compiler.send,
     BlockLit: lambda c, e: c.block(e)[0],
     MethodAccess: Compiler.method_access, LetExpr: Compiler.let,
     AssignExpr: lambda c, e: c.assign(e.target, e.value),
-    IfExpr: lambda c, e: _branch([(c._expr(e.cond), c._expr(e.then)),
-                                  (_true, c._expr(e.otherwise))]),
 }
 
 
@@ -548,42 +436,21 @@ def _send_form(e):
     return "site"
 
 
-def _fusible(e):
-    """Whether the tree rooted at the node `e` holds a proven send or a
-    literal loop."""
-    fusible = _FUSIBLE.get(type(e))
-    return fusible is not None and fusible(e)
-
-
-def _send_fusible(e):
-    form = _send_form(e)
-    if form != "site":
-        return form is not None
-    recv, parts, _ = _message(e)
-    return recv is not None and _fusible(recv) \
-        or any(_fusible(a) for _s, args in parts for a in args)
-
-
-def _any_fusible(stats):
-    return any(map(_fusible, stats))
-
-
-# per node type that a tree may hold and that has nodes under it, whether
-# the tree rooted at such a node holds a proven send or a literal loop
-_FUSIBLE = {
-    UnarySend: _send_fusible, BinarySend: _send_fusible, PrefixOp: _send_fusible,
-    KeywordSend: _send_fusible,
-    ExprStat: lambda st: _fusible(st.expr),
-    AssignStat: lambda st: _local(st.targets[0]) and _fusible(st.value),
-    AssignExpr: lambda e: _local(e.target) and _fusible(e.value),
-    VarDeclStat: lambda st: any(init is not None and _fusible(init)
-                                for _n, _t, init in st.decls),
-    ReturnStat: lambda st: st.value is not None and _fusible(st.value),
-    IfStat: lambda st: any(_fusible(cond) or _any_fusible(body) for cond, body in st.arms)
-    or st.else_body is not None and _any_fusible(st.else_body),
-    WhileStat: lambda st: _fusible(st.cond) or _any_fusible(st.body),
-    IfExpr: lambda e: _fusible(e.cond) or _fusible(e.then) or _fusible(e.otherwise),
-}
+def _generated(e):
+    """Whether a tree generates the node `e`; it calls the closure of any
+    other node, an *opaque* one (`Compiler.expr`)."""
+    t = type(e)
+    if t is NameRef:
+        return e.binding is LOCAL or e.binding is SEND
+    if t is Lit:
+        return e.runtime_value is not None
+    if t is SelfRef:
+        return e.field_name is None
+    if t is AssignExpr:
+        return _local(e.target)
+    if t in _SENDS:
+        return _send_form(e) is not None
+    return t is PercentRef or t is IfExpr
 
 
 def _caret_free(stats):
@@ -606,8 +473,8 @@ def _truth(v):
 
 class _Tree:
     """The source of one tree's function (`Compiler.tree`), generated node
-    by node in the order in which closures would compile, so that the
-    compiler's scopes and site numbers advance as they would.  The source
+    by node in the order in which the nodes run, which is the order in which
+    the compiler's scopes and site numbers advance.  The source
     reads the values `consts` as K0, K1, ...; `envs` are the variables of
     the envs the code runs in, the tree's own first, `frame` that of its
     frame; `returns` says whether a `return` there ends the tree's own
@@ -680,16 +547,15 @@ class _Tree:
                 self.stat(st)
 
     def stat(self, st):
-        gen = _TREE_STATS.get(type(st))
-        if gen is None or gen(self, st) is False:
-            # a statement no tree holds, or one that would nest too deep
-            # and starts a tree of its own
-            if type(st) is IfStat or type(st) is WhileStat:
-                v = self.call(self.c.stats([st]))
-                if self.returns:
-                    self.emit(f"if {v} is True: return True")
-            else:
-                self.call(self.c.stat(st))
+        try:
+            gen = _TREE_STATS[type(st)]
+        except KeyError:
+            raise RuntimeError(f"cannot execute a {type(st).__name__} node") from None
+        if gen(self, st) is False:
+            # an `if` or `while` that would nest too deep starts a tree of its own
+            v = self.call(self.c.tree([st]))
+            if self.returns:
+                self.emit(f"if {v} is True: return True")
 
     def var_decl(self, st):
         scope = self.c.scope
@@ -775,20 +641,17 @@ class _Tree:
 
     def value(self, e):
         """Generate the node `e`, None for self: the text of its value, a
-        variable or a constant.  A node that no tree holds, or that would
-        nest too deep and starts a tree of its own, is a closure's call."""
+        variable or a constant.  An opaque node, or one that would nest too
+        deep and starts a tree of its own, is a closure's call."""
         if e is None:
             return self.frame + ".receiver"
-        gen = _TREE_EXPRS.get(type(e))
-        v = None if gen is None else gen(self, e)
+        v = _TREE_EXPRS[type(e)](self, e) if _generated(e) else None
         return self.call(self.c.expr(e)) if v is None else v
 
     def name(self, e):
         if e.binding is LOCAL:
             return self.read(e.name)
-        if e.binding is SEND:
-            return self.site(e, None, [(e.name, [])], True)    # a unary send to self
-        return None
+        return self.site(e, None, [(e.name, [])], True)    # a unary send to self
 
     def read(self, name):
         v = self.fresh()
@@ -816,8 +679,6 @@ class _Tree:
 
     def send(self, e):
         form = _send_form(e)
-        if form is None:
-            return None
         if form == "loop":
             return None if self.deep() else self.loop(e)
         recv, parts, args_first = _message(e)
@@ -896,7 +757,7 @@ class _Tree:
         until = m.builtin == "repeat_until"
         make_arg, arg_body, arg_slots = c.loop_block(arg, until)
         make_recv, recv_body, recv_slots = c.loop_block(e.receiver, not until)
-        site = self.const(_site(c.new_site(e), [(selector, [make_arg])], make_recv))
+        site = self.const(_site(c.new_site(e), selector, [make_arg], make_recv))
         env, frame, v = self.envs[-1], self.frame, self.fresh()
         if arg_slots or recv_slots:
             self.emit(f"{v} = {site}(interp, {env}, {frame})")
@@ -954,23 +815,24 @@ class _Tree:
         return v
 
 
-# per node type that a tree may hold, the generator of a statement, which
-# answers False where it leaves the node to a closure
+# per statement type, its generator, which answers False where the statement
+# would nest too deep and starts a tree of its own
 _TREE_STATS = {
     ExprStat: lambda g, st: g.value(st.expr),
-    AssignStat: lambda g, st: _local(st.targets[0]) and g.store(st.targets[0], st.value),
+    AssignStat: lambda g, st: g.store(st.targets[0], st.value) if _local(st.targets[0])
+    else g.call(g.c.assign(st.targets[0], st.value)),
     VarDeclStat: _Tree.var_decl, ReturnStat: _Tree.return_stat,
     IfStat: _Tree.if_stat, WhileStat: _Tree.while_stat,
 }
 
-# per node type that a tree may hold, the generator of an expression, which
-# answers None where it leaves the node to a closure
+# per node type that a tree generates (`_generated`), its generator, which
+# answers None where the node would nest too deep and starts a tree of its own
 _TREE_EXPRS = {
-    Lit: lambda g, e: None if e.runtime_value is None else g.const(e.runtime_value),
+    Lit: lambda g, e: g.const(e.runtime_value),
     NameRef: _Tree.name, PercentRef: lambda g, e: g.read(e.name),
-    SelfRef: lambda g, e: None if e.field_name is not None else g.value(None),
+    SelfRef: lambda g, e: g.value(None),
     IfExpr: _Tree.if_expr,
-    AssignExpr: lambda g, e: g.store(e.target, e.value) if _local(e.target) else None,
+    AssignExpr: lambda g, e: g.store(e.target, e.value),
     UnarySend: _Tree.send, BinarySend: _Tree.send, PrefixOp: _Tree.send,
     KeywordSend: _Tree.send,
 }
@@ -1005,23 +867,12 @@ def _truthy_out(interp, frame, v):
 
 # -- closures -----------------------------------------------------------------------------
 
-def _true(interp, env, frame):
-    return TRUE
-
-
-def _no_object(interp, env, frame):
-    return NOOBJECT
-
-
 def _receiver(interp, env, frame):
     return frame.receiver
 
 
-def _ret(value):
-    def ret(interp, env, frame):
-        frame.result = value(interp, env, frame)
-        return True
-    return ret
+def _field(name):
+    return lambda interp, env, frame: interp.field_read(frame.fields_owner, name)
 
 
 def _answer(body):
@@ -1030,25 +881,6 @@ def _answer(body):
         body(interp, env, frame)
         return frame.result
     return answer
-
-
-def _branch(arms):
-    """Run the code of the first arm whose condition answers true."""
-    if len(arms) == 1:
-        (cond, then), = arms
-
-        def if_then(interp, env, frame):
-            v = cond(interp, env, frame)
-            if v is TRUE or (v is not FALSE and interp.truthy(v)):
-                return then(interp, env, frame)
-        return if_then
-
-    def branch(interp, env, frame):
-        for cond, then in arms:
-            v = cond(interp, env, frame)
-            if v is TRUE or (v is not FALSE and interp.truthy(v)):
-                return then(interp, env, frame)
-    return branch
 
 
 def _env_at(env, depth):
@@ -1062,23 +894,6 @@ def _kill(env, dying):
         cell = env[slot]
         if cell is not None:
             cell.alive = False
-
-
-def _reader(depth, slot):
-    def read(interp, env, frame):
-        cell = env[slot] if depth == 0 else env[0][slot] if depth == 1 \
-            else _env_at(env, depth)[slot]
-        return cell.value if cell.alive else interp.cell_read(cell)
-    return read
-
-
-def _writer(depth, slot, value):
-    def write(interp, env, frame):
-        cell = env[slot] if depth == 0 else env[0][slot] if depth == 1 \
-            else _env_at(env, depth)[slot]
-        cell.value = v = value(interp, env, frame)
-        return v
-    return write
 
 
 def _activation(parent, args, nparams, tail):
@@ -1231,30 +1046,16 @@ def _probe(interp, site, recv, args, shape, refs=None):
     return handler(interp, m, recv, args, shape)
 
 
-def _site(site, parts, recv_code, args_first=True, refs=None):
-    """The closure of a send site: `parts` is [(selector, [argument
-    closures])], and a keyword send runs its arguments before its receiver.
-    It sends through `_probe`."""
-    (selector, codes), = parts if len(parts) == 1 else [(None, None)]
-    arg_code = codes[0] if codes is not None and len(codes) == 1 else None
-    unary = ((selector, ()),) if codes == [] else None
+def _site(site, selector, codes, recv_code, refs=None):
+    """The closure of a send of one keyword part, `selector` with the
+    argument closures `codes`, to what `recv_code` answers, which runs after
+    them.  It sends through `_probe`."""
+    arg_code = codes[0] if len(codes) == 1 else None
 
     def send(interp, env, frame):
-        if arg_code is not None:
-            if args_first:
-                arg = arg_code(interp, env, frame)
-                recv = recv_code(interp, env, frame)
-            else:
-                recv = recv_code(interp, env, frame)
-                arg = arg_code(interp, env, frame)
-            args = [arg]
-            return _probe(interp, site, recv, args, [(selector, args)], refs and refs(env))
-        if unary is not None:
-            return _probe(interp, site, recv_code(interp, env, frame), (), unary,
-                          refs and refs(env))
-        shape = [(sel, [code(interp, env, frame) for code in codes]) for sel, codes in parts]
-        recv = recv_code(interp, env, frame)
-        return _probe(interp, site, recv, [a for _s, part in shape for a in part], shape,
+        args = [arg_code(interp, env, frame)] if arg_code is not None \
+            else [code(interp, env, frame) for code in codes]
+        return _probe(interp, site, recv_code(interp, env, frame), args, [(selector, args)],
                       refs and refs(env))
     return send
 

@@ -656,13 +656,13 @@ end
 
 def test_a_node_without_a_handler_cannot_run():
     """Desugaring leaves no Creation and no MetaStat behind; the compile
-    step has no closure for them and says so."""
+    step has no generator and no closure for them, and says so."""
     program = compile_src(HIER)
     compiler = Compiler(program.table, program.sites)
     with pytest.raises(RuntimeError, match="cannot evaluate a Creation node"):
         compiler.expr(A.Creation())
     with pytest.raises(RuntimeError, match="cannot execute a MetaStat node"):
-        compiler.stats([A.MetaStat()])
+        compiler.tree([A.MetaStat()])
 
 
 SUPER_IN_B = '''package main

@@ -1,6 +1,5 @@
-"""Trees: a body that holds a proven send or a literal loop runs as one
-function generated from source (`compiler._Tree`), whose factory is made
-once per shape and process.  A tree keeps the outcomes, steps, evaluations
+"""Trees: every body runs as one function generated from source
+(`compiler._Tree`), whose factory is made once per shape and process.  A tree keeps the outcomes, steps, evaluations
 and traces of the send path: a method replaced or added in its middle, the
 budget spent at any of its steps and an exception out of an inline loop
 (a dead cell read at any depth is in `test_fused_sends`).  `++` and `--`
@@ -16,6 +15,7 @@ from conftest import compile_src
 from cyanine import compiler
 from cyanine import cyast as A
 from cyanine.interp import CyThrow, Interp
+from cyanine.values import NOOBJECT
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -206,21 +206,27 @@ def shapes():
     return compiler._factory.cache_info().currsize
 
 
-def test_the_world_and_a_hello_world_make_no_shape():
-    """Bodies that hold no proven send and no literal loop keep their
-    closures, so that neither the world's build nor a plain program pays
-    for Python's `compile`."""
+# the shapes of the world and a hello world: the bodies of the world's
+# methods and initial values, the empty body among them, and `run`
+WORLD_SHAPES = 8
+
+
+def test_the_world_and_a_hello_world_make_a_fixed_number_of_shapes():
+    """Every body is a tree, the world's too.  The world and a hello world
+    make exactly WORLD_SHAPES shapes in a fresh process, and a program of the
+    same form with another literal and other names makes none."""
     code = ("import sys\n"
             "sys.setrecursionlimit(30000)\n"
             "from cyanine import compiler\n"
             "from cyanine.driver import compile_program\n"
-            "program = compile_program([('hello', 'package main\\npublic object Program\\n"
-            "    public fun run [ Out println: \"hello\"; ]\\nend\\n')])\n"
-            "assert program.ok()\n"
-            "print(compiler._factory.cache_info().currsize)\n")
+            "for name, text in (('Program', 'hello'), ('Main', 'bye')):\n"
+            "    src = f'package main\\npublic object {name}\\n"
+            "    public fun run [ Out println: \"{text}\"; ]\\nend\\n'\n"
+            "    assert compile_program([(text, src)], main_name=name).ok()\n"
+            "    print(compiler._factory.cache_info().currsize)\n")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                          capture_output=True, text=True, check=True).stdout
-    assert out == "0\n"
+    assert out == f"{WORLD_SHAPES}\n{WORLD_SHAPES}\n"
 
 
 FIB_AND_SUM = '''package main
@@ -236,13 +242,14 @@ public object Program
         [^ {i} < {ten} ] whileTrue: [ {s} = {s} + {i}; ++{i}; ];
         Out println: {s}, (self {fib}: {ten});
     ]
+    {last}
 end
 '''
 
 
 def test_a_program_compiled_again_makes_no_shape():
     src = FIB_AND_SUM.format(extra="", fib="fib", n="n", s="s", i="i", zero="0", one="1",
-                             two="2", ten="10")
+                             two="2", ten="10", last="")
     compile_src(src)
     before = shapes()
     compile_src(src)
@@ -251,12 +258,14 @@ def test_a_program_compiled_again_makes_no_shape():
 
 def test_programs_that_differ_in_literals_names_and_sites_share_their_shapes():
     compile_src(FIB_AND_SUM.format(extra="", fib="fib", n="n", s="s", i="i", zero="0",
-                                   one="1", two="2", ten="10"))
+                                   one="1", two="2", ten="10",
+                                   last='public fun bye [ Out println: "bye", 2; ]'))
     before = shapes()
-    # a method of sites alone comes first: the other sends get other numbers
+    # the method of sites alone comes first here and last there: the other
+    # sends get other numbers
     status, out, _interp = run_program(FIB_AND_SUM.format(
         extra='public fun hello [ Out println: "hello", 1; ]', fib="g", n="m", s="total",
-        i="k", zero="5", one="3", two="4", ten="12"))
+        i="k", zero="5", one="3", two="4", ten="12", last=""))
     assert status == 0 and shapes() == before
 
 
@@ -274,3 +283,66 @@ def test_a_tree_nested_deeper_than_python_allows_splits_into_trees():
                                       body + " Out println: i; ]\nend\n")
     assert (status, out) == (0, "85\n")
     assert (interp.steps, interp.evals) == (loops * 5 + ifs * 2 + 2, loops * 3)
+
+
+# -- nodes that only a tree runs ---------------------------------------------------------
+
+NIL_SAFE = '''package main
+public object Program
+    public fun show: (:v Array<Int>) [
+        :i = 0;
+        :a = v?[0]?;
+        :b = v?[i + 1]?;
+        Out println: a, " ", b;
+        [ :c = v?[0]?; :d = v?[i + 1]?; Out println: c, " ", d; ] eval;
+    ]
+    public fun run [
+        :none Array<Int>;
+        self show: none;
+        :xs = Array<Int> new: 2;
+        xs at: 0 put: 7;
+        xs at: 1 put: 8;
+        self show: xs;
+    ]
+end
+'''
+
+
+def test_a_nil_safe_index_runs_through_the_tree_of_its_if(monkeypatch):
+    """`v?[i]?` is a `let` of `v` whose body is an `if`: the `if` is the root
+    of a tree, in a method and in a block, with a nil array and another."""
+    generated = []
+    if_expr = compiler._TREE_EXPRS[A.IfExpr]
+
+    def spy(gen, e):
+        generated.append(e)
+        return if_expr(gen, e)
+    monkeypatch.setitem(compiler._TREE_EXPRS, A.IfExpr, spy)
+    status, out, interp = run_program(NIL_SAFE)
+    assert (status, out) == (0, "nil nil\nnil nil\n7 8\n7 8\n")
+    assert (interp.steps, interp.evals) == (34, 2)
+    decl = interp.table.get("Program").groups["show:"].entries[0].decl
+    ifs = [node for node in A.walk(decl.body) if isinstance(node, A.IfExpr)]
+    assert len(ifs) == 4 and all(any(node is e for e in generated) for node in ifs)
+
+
+def test_a_bare_return_in_a_body_of_sites_answers_no_object(monkeypatch):
+    returns = []
+    return_stat = compiler._TREE_STATS[A.ReturnStat]
+
+    def spy(gen, st):
+        returns.append(st)
+        return return_stat(gen, st)
+    monkeypatch.setitem(compiler._TREE_STATS, A.ReturnStat, spy)
+    status, out, interp = run_program('''package main
+public object Program
+    public fun stop [ Out println: "stop"; return; Out println: "unreached"; ]
+    public fun run [ self stop; Out println: "after"; ]
+end
+''')
+    assert (status, out) == (0, "stop\nafter\n")
+    decl = interp.table.get("Program").groups["stop"].entries[0].decl
+    bare, = [st for st in decl.body if isinstance(st, A.ReturnStat)]
+    assert bare.value is None and any(st is bare for st in returns)
+    assert interp.send(interp.proto_objects["Program"], [("stop", [])]) is NOOBJECT
+    assert interp.stdout() == "stop\nafter\nstop\n"
