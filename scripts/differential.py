@@ -11,9 +11,11 @@ side compiles and runs every program in a subprocess of its own that
 imports cyanine from its own directory, with stdin from the program's
 `//! stdin:` lines and a step budget of `--budget`.  The two sides must
 agree on each program's exit status, stdout, diagnostics, steps,
-evaluations, cache misses and skips, and on any Python exception.  The
-first program that differs is printed with both results, and the exit
-status is 1; with no difference it is 0.
+evaluations, cache misses and skips, and on any Python exception.  Each
+side's line says how many programs ran past the compile, how many ended
+at a diagnostic and how many raised.  The first program that differs is
+printed with both results, and the exit status is 1; with no difference
+it is 0.
 """
 
 import argparse
@@ -73,9 +75,8 @@ def run_side(src_dir, programs_path, budget):
         sys.stdout.write(json.dumps([result[field] for field in FIELDS]) + "\n")
 
 
-def compare(old_src, new_src, todo, budget):
-    """Run both sides; answer the index of the first program on which they
-    differ, with both results, or None."""
+def run_both(old_src, new_src, todo, budget):
+    """Run both sides: the results of each, one per program of `todo`."""
     with tempfile.TemporaryDirectory() as scratch:
         programs_path = os.path.join(scratch, "programs.json")
         with open(programs_path, "w", encoding="utf-8") as fh:
@@ -98,10 +99,17 @@ def compare(old_src, new_src, todo, budget):
     old, new = results
     if len(old) != len(todo) or len(new) != len(todo):
         raise SystemExit(f"the sides answered {len(old)} and {len(new)} of {len(todo)} programs")
-    for i, (a, b) in enumerate(zip(old, new)):
-        if a != b:
-            return i, a, b
-    return None
+    return old, new
+
+
+def outcomes(results):
+    """How the programs of one side's `results` ended: the text of the
+    numbers that ran past the compile, ended at a diagnostic, and raised."""
+    status, raised = FIELDS.index("status"), FIELDS.index("raised")
+    ran = sum(result[status] is not None for result in results)
+    failed = sum(result[raised] is not None for result in results)
+    return f"{ran} ran past the compile, {len(results) - ran - failed} ended at a diagnostic, " \
+        f"{failed} raised"
 
 
 def main(argv):
@@ -115,12 +123,15 @@ def main(argv):
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
     todo = programs(seeds, args.mutants)
-    found = compare(os.path.abspath(args.old_src), os.path.abspath(args.new_src), todo,
-                    args.budget)
-    if found is None:
+    old, new = run_both(os.path.abspath(args.old_src), os.path.abspath(args.new_src), todo,
+                        args.budget)
+    print(f"old: {outcomes(old)}\nnew: {outcomes(new)}")
+    found = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+    if not found:
         print(f"{len(todo)} programs, no difference")
         return 0
-    i, old, new = found
+    i = found[0]
+    old, new = old[i], new[i]
     name, src, _stdin = todo[i]
     print(f"{name} differs:\n{src}")
     for field, a, b in zip(FIELDS, old, new):

@@ -221,11 +221,6 @@ def _walk_any(v, scope, enclosing, infos, reporter):
         _walk_expr(v, scope, enclosing, infos, reporter)
 
 
-def block_interface_type(table, param_groups, return_type, restricted):
-    """Canonical Block/UBlock interface for a literal block."""
-    return table.block_type(None, return_type, restricted=restricted, groups=param_groups)
-
-
 def dump_blocks(infos):
     lines = []
     for info in infos:

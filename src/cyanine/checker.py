@@ -11,7 +11,7 @@ restricted-block rules (letters refer to the r-block rule list):
 """
 
 from .cyast import *
-from .block_analysis import analyze_method, block_interface_type
+from .block_analysis import analyze_method
 from .grammar_methods import all_nodes
 from .prototypes import split_generic
 from .values import literal_value
@@ -928,7 +928,7 @@ class Checker:
             ret = "Void"
         restricted = info.restricted if info is not None else False
         param_groups = [g for g in sections if g] if any(sections) else []
-        iface = block_interface_type(self.table, param_groups, ret, restricted)
+        iface = self.table.block_type(None, ret, restricted=restricted, groups=param_groups)
         if info is not None:
             info.interface_type = iface
         e.runtime_type = self.table.literal_block_proto(param_groups, ret, restricted)
@@ -950,10 +950,7 @@ class Checker:
             return "Any", None
         groups = []
         if found.kind == "keyword":
-            i = 0
-            for _sel, n in found.sel_arity:
-                groups.append(found.param_types[i:i + n])
-                i += n
+            groups = [group for _sel, group in found.keyword_parts(found.param_types)]
         elif found.param_types:
             groups = [list(found.param_types)]
         e.resolved_type = self.table.block_type(None, found.return_type, restricted=False,

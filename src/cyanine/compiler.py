@@ -16,43 +16,41 @@ Every body is a *tree*: one Python function, generated from source
 (`_Tree`) by a factory made once per process for each source text, the
 tree's *shape* (`_factory`).  Every value the source reads, from methods and
 site numbers to literals, is a parameter of the factory, so programs that
-differ only in those share their shapes.  A tree generates these nodes
-(`_generated`): local reads, stores and declarations, shared literals and
-`self`; `if` statements and expressions, `return`, statement lists and
-`while`; sends the checker resolved to a builtin for a receiver and at most
-one argument of basic types (`Int`, `Boolean`, `Char`, ..., all final), the
-*proven* sends; whileTrue:, whileFalse: and repeatUntil: sends of two block
-literals with no parameter or %-variable, the *literal loops*; and cached
-sends, whose receiver and arguments the tree evaluates before it probes the
-site's cache (`_probe`).  A statement nested deeper than Python allows
-starts a tree of its own (`_Tree.deep`).
+differ only in those share their shapes.  A tree generates every node, each
+a line or a few of Python in the order in which the nodes run: a field read
+is `interp.field_read(frame.fields_owner, K3)`, an array literal
+`ArrayV(K1, K2, [v1, v2])`, a block literal a `BlockV` with the snapshot of
+its %-variables, a `let` an env of its own whose cell dies in a `finally`.
+Only method and block runners, the factories, and a subtree for a node
+nested deeper than Python allows (`_Tree.deep`) are closures.  Measured in
+one process, the 80 corpus programs compile to 678 trees in 152 shapes,
+and `compile_entries` makes 2.3 GC objects per node of
+`perfbench/programs/sends.cyan`; a closure per field, block, `let`,
+literal or `super` send instead made 808 closures and 110 trees more, 2.7
+objects per node, and one shape less.  Two kinds of send are generated in
+full:
 
-- A proven send keeps the checks of the send path: while its operands have
-  the kinds the checker proved (not nil) and its method is neither replaced
+- A proven send, one the checker resolved to a builtin for a receiver and
+  at most one argument of basic types (`Int`, `Boolean`, `Char`, ..., all
+  final), keeps the checks of the send path: while its operands have the
+  kinds the checker proved (not nil) and its method is neither replaced
   nor overtaken by an `addMethod:` body, it counts its step and applies the
   builtin, `+ - *` and the comparisons inline; else it goes to
   `Interp.send`, uncached.
-- A literal loop whose blocks declare no local runs the two bodies in a
-  Python loop, with no block value and one frame for the whole loop, and
-  counts and checks each evaluation as the block runner does.  While its
-  method is replaced, or an `addMethod:` body might take the message, it
-  sends the two block values through its site.
+- A literal loop, a whileTrue:, whileFalse: or repeatUntil: send of two
+  block literals with no parameter or %-variable, whose blocks declare no
+  local, runs the two bodies in a Python loop, with no block value and one
+  frame for the whole loop, and counts and checks each evaluation as the
+  block runner does.  While its method is replaced, or an `addMethod:`
+  body might take the message, it sends the two block values through its
+  site.
 
-Every other node is *opaque*, a closure that the tree calls
-(`Compiler.expr`): block literals, method access and `let`; array, tuple and
-fresh literals; field, static and prototype names; assignments to anything
-but a local; and intervals, `super` sends and a context object's `new:` and
-`bind:`.  Each of them builds a value or an env of its own, or is a call
-into the interpreter (a field, a static, a setter, a method search that
-starts above an entry, parameters bound to what the arguments refer to),
-whatever code runs it: generating it would save next to nothing and add
-shapes.  The nodes under an opaque one are trees again.
-
-Every send but a proven one and an interval gets a site number, the index
-of its inline cache: on a hit it counts the step and calls the cached
+Every other send but an interval gets a site number, the index of its
+inline cache: the tree evaluates its receiver and arguments, then probes
+the cache (`_probe`); on a hit it counts the step and calls the cached
 handler, and everything else goes to `Interp.send`.  A `super` send is such
-a site too (`_super_site`), whose search starts above the entry whose body
-holds it, wherever in that body it runs.
+a site too (`_super`), whose search starts above the entry whose body holds
+it, wherever in that body it runs.
 """
 
 import functools
@@ -121,8 +119,7 @@ class _Scope:
 
 
 class Compiler:
-    """`tree` compiles a body, or a node that a tree generates, to a tree;
-    `expr` compiles a node to a tree, or to its closure where it is opaque."""
+    """`tree` compiles a body, or one node, to a tree."""
 
     def __init__(self, table, first_site):
         self.table = table
@@ -130,7 +127,7 @@ class Compiler:
         self.scope = _Scope(None)
         self.in_block = False       # whether a `return` runs in a block frame
         self.owner = None           # the entry whose bodies compile
-        self.loop_blocks = {}       # id of a literal loop's block -> its `block`
+        self.block_bodies = {}      # id of a block literal -> what `block` answers
 
     def entry(self, entry):
         self.owner = entry
@@ -155,7 +152,7 @@ class Compiler:
     def value(self, e):
         """The code of `e`, run in a frame of its own with an empty env."""
         self.scope, self.in_block = _Scope(None), False
-        return self.expr(e)
+        return self.tree(e)
 
     def address(self, name):
         depth, scope = 0, self.scope
@@ -203,174 +200,21 @@ class Compiler:
             gen.emit(f"return {gen.value(root)}")
         return gen.function()
 
-    def loop_block(self, e, test):
-        """`block` of the block literal `e` of a literal loop, made once: a
-        tree may hold the loop twice, inline and in the body of an
-        enclosing loop, whose site runs it as a block."""
-        made = self.loop_blocks.get(id(e))
+    def block(self, e):
+        """Compile the block literal `e` once, leaving its runner in `e.code`:
+        (the code of its body, the number of slots of its env).  A tree may
+        hold a literal twice, inline and in the body of an enclosing literal
+        loop, whose site runs that body as a block."""
+        made = self.block_bodies.get(id(e))
         if made is None:
-            made = self.loop_blocks[id(e)] = self.block(e, test)
+            params = [p.name for sec in e.param_sections for p in sec]
+            percent = _percent_vars(e)
+            outer_in_block, self.in_block = self.in_block, True
+            body, scope = self.activation(self.scope, params, percent, self.tree, e.body)
+            self.in_block = outer_in_block
+            e.code = _block_runner(body, scope, len(params), len(percent))
+            made = self.block_bodies[id(e)] = body, scope.size
         return made
-
-    def expr(self, e):
-        """The code of the node `e`: a tree where a tree generates `e`, else
-        the closure of an opaque node."""
-        if _generated(e):
-            return self.tree(e)
-        try:
-            compile_expr = _OPAQUE[type(e)]
-        except KeyError:
-            raise RuntimeError(f"cannot evaluate a {type(e).__name__} node") from None
-        return compile_expr(self, e)
-
-    # -- opaque nodes ------------------------------------------------------------------
-
-    def assign(self, target, value):
-        """The closure that assigns what the node `value` answers to the
-        target `target`, which is not a local, and answers it; a setter send
-        answers what the setter answers."""
-        t = type(target)
-        value = self.expr(value)
-        if t is NameRef and target.binding is SEND:
-            return _site(self.new_site(target), target.name + ":", [value], _receiver)
-        if t is SelfRef or t is NameRef:
-            name = target.field_name if t is SelfRef else target.name
-            if t is SelfRef or target.binding is FIELD:
-                return lambda interp, env, frame: \
-                    interp.field_write(frame.fields_owner, name, value(interp, env, frame))
-            statics = target.binding[1]
-            return lambda interp, env, frame: \
-                interp.set_static(statics, name, value(interp, env, frame))
-        # the checker allows no other target than a method access
-        recv, sig = self.expr(target.receiver), target.sig
-        return lambda interp, env, frame: \
-            interp.replace_method(value(interp, env, frame), recv(interp, env, frame), sig)
-
-    def fresh(self, e):
-        kind, raw = FRESH_LITERALS[e.kind], e.value
-        return lambda interp, env, frame: PrimV(kind, raw)
-
-    def array(self, e):
-        codes, tname = [self.expr(x) for x in e.elems], e.resolved_type
-        elem = split_generic(tname)[1][0][0]
-        return lambda interp, env, frame: \
-            ArrayV(tname, elem, [code(interp, env, frame) for code in codes])
-
-    def tuple_lit(self, e):
-        codes, tname = [self.expr(x) for _n, x in e.items], e.resolved_type
-        names = [n for n, _t in self.table.get(tname).tuple_fields]
-        return lambda interp, env, frame: \
-            TupleV(tname, names, [code(interp, env, frame) for code in codes])
-
-    def name(self, e):
-        """A field, a shared variable or constant, or a prototype."""
-        binding, name = e.binding, e.name
-        if binding is FIELD:
-            return _field(name)
-        if binding is PROTO:
-            return self.prototype(name)
-        if binding is None:
-            raise RuntimeError(f"the name '{name}' was not resolved")
-        statics = binding[1]
-
-        def static(interp, env, frame):
-            try:
-                return interp.statics[statics][name]
-            except KeyError:
-                interp.uninitialized(name)
-        return static
-
-    def prototype(self, name):
-        entry = self.table.get(name)
-        return lambda interp, env, frame: interp.prototype_object(entry)
-
-    def send(self, e):
-        """The closure of a send that no tree holds: an interval, a `super`
-        send, or a context object's `new:` or `bind:`, which binds its `&`
-        and `*` parameters to what the arguments refer to."""
-        recv, parts, _ = _message(e)
-        if type(e) is BinarySend:
-            left, right = self.expr(recv), self.expr(parts[0][1][0])
-            return lambda interp, env, frame: \
-                interp.make_interval(left(interp, env, frame), right(interp, env, frame))
-        refs = self.refs(parts[0][1]) if len(parts) == 1 \
-            and parts[0][0] in ("new:", "bind:") else None
-        codes = [(sel, [self.expr(a) for a in args]) for sel, args in parts]
-        if type(recv) is SuperRef:
-            return _super_site(self.new_site(e), codes, self.owner, refs)
-        recv_code = _receiver if recv is None else self.expr(recv)
-        (selector, args), = codes
-        return _site(self.new_site(e), selector, args, recv_code, refs)
-
-    def refs(self, nodes):
-        """A closure of the env answering, per argument node, the cell of
-        the local it names or None, and the variable it names or None."""
-        spec = []
-        for node in nodes:
-            t = type(node)
-            address = self.local(node.name) if t is NameRef and node.binding is LOCAL else None
-            spec.append((address, node.name if t is NameRef
-                         else node.field_name if t is SelfRef else None))
-        return lambda env: [(address and _env_at(env, address[0])[address[1]], name)
-                            for address, name in spec]
-
-    def block(self, e, test=False):
-        """Compile the block literal `e`, leaving its runner in `e.code`:
-        (the closure that makes its value, the code of its body, the
-        number of slots of its env).  For a `test`, the body's code answers
-        the evaluation's value."""
-        percent = list(e.info.percent_vars) if e.info is not None else []
-        snapshot = [self.address(name) for name in percent]
-        params = [p.name for sec in e.param_sections for p in sec]
-        outer_in_block, self.in_block = self.in_block, True
-        body, scope = self.activation(self.scope, params, percent, self.tree, e.body)
-        self.in_block = outer_in_block
-        e.code = _block_runner(body, scope, len(params), len(percent))
-        if test:
-            body = _answer(body)
-        rtype = e.runtime_type
-
-        def make_block(interp, env, frame):
-            # a %-variable whose declaration has not run yet is nil
-            values = [NIL if c is None else interp.cell_read(c) for c in (
-                address and _env_at(env, address[0])[address[1]] for address in snapshot)] \
-                if snapshot else ()
-            return BlockV(e, env, frame, rtype, values)
-        return make_block, body, scope.size
-
-    def method_access(self, e):
-        recv, sig, rtype = self.expr(e.receiver), e.sig, e.resolved_type
-
-        def method_object(interp, env, frame):
-            r = recv(interp, env, frame)
-            return MethodV(r, interp.resolve_sig(r, sig), rtype)
-        return method_object
-
-    def let(self, e):
-        init = self.expr(e.init)
-        body, _scope = self.activation(self.scope, (), [e.name], self.expr, e.body)
-
-        def let(interp, env, frame):
-            inner = [env, Cell(init(interp, env, frame))]
-            try:
-                return body(interp, inner, frame)
-            finally:
-                inner[1].alive = False
-        return let
-
-
-# per node type of which a tree leaves all nodes or some opaque, the compiler
-# of their closures
-_OPAQUE = {
-    Lit: Compiler.fresh, ArrayLit: Compiler.array, TupleLit: Compiler.tuple_lit,
-    NameRef: Compiler.name, GenericRef: lambda c, e: c.prototype(e.resolved),
-    SelfRef: lambda c, e: _field(e.field_name),
-    UnarySend: Compiler.send, PrefixOp: Compiler.send, BinarySend: Compiler.send,
-    KeywordSend: Compiler.send,
-    BlockLit: lambda c, e: c.block(e)[0],
-    MethodAccess: Compiler.method_access, LetExpr: Compiler.let,
-    AssignExpr: lambda c, e: c.assign(e.target, e.value),
-}
 
 
 # -- what a tree holds ------------------------------------------------------------------
@@ -380,13 +224,19 @@ _LOOPS = ("while_true", "while_false", "repeat_until")
 
 _BASIC = frozenset(BASIC_TYPES)
 
-_SENDS = (UnarySend, BinarySend, PrefixOp, KeywordSend)
+# the selectors of a context object's sends that bind its `&` and `*`
+# parameters to what the arguments refer to
+_BINDERS = ("new:", "bind:")
+
+
+def _percent_vars(e):
+    """The %-variables of the block literal `e`, in order."""
+    return list(e.info.percent_vars) if e.info is not None else []
 
 
 def _plain_block(e):
     """Whether `e` is a block literal with no parameter and no %-variable."""
-    return type(e) is BlockLit and not e.param_sections \
-        and (e.info is None or not e.info.percent_vars)
+    return type(e) is BlockLit and not e.param_sections and not _percent_vars(e)
 
 
 def _bound(send):
@@ -416,41 +266,17 @@ def _message(e):
 
 
 def _send_form(e):
-    """How the send `e` compiles: "proven", "loop" (a literal loop), "site",
-    or None for an interval, a `super` send or a `new:` or `bind:` send,
-    which no tree holds."""
+    """How the send `e` compiles: "interval", "loop" (a literal loop),
+    "proven", or "site"; a `super` send is a site."""
     t = type(e)
-    if t is BinarySend:
-        if e.op == "..":
-            return None
-    elif t is not PrefixOp:
-        if t is KeywordSend and e.builtin is not None and e.builtin[0].builtin in _LOOPS \
-                and _plain_block(e.receiver) and _plain_block(e.parts[0][1][0]):
-            return "loop"
-        if type(e.receiver) is SuperRef:
-            return None
-    if _bound(e):
-        return "proven"
-    if t is KeywordSend and len(e.parts) == 1 and e.parts[0][0] in ("new:", "bind:"):
-        return None
-    return "site"
-
-
-def _generated(e):
-    """Whether a tree generates the node `e`; it calls the closure of any
-    other node, an *opaque* one (`Compiler.expr`)."""
-    t = type(e)
-    if t is NameRef:
-        return e.binding is LOCAL or e.binding is SEND
-    if t is Lit:
-        return e.runtime_value is not None
-    if t is SelfRef:
-        return e.field_name is None
-    if t is AssignExpr:
-        return _local(e.target)
-    if t in _SENDS:
-        return _send_form(e) is not None
-    return t is PercentRef or t is IfExpr
+    if t is BinarySend and e.op == "..":
+        return "interval"
+    if t is KeywordSend and e.builtin is not None and e.builtin[0].builtin in _LOOPS \
+            and _plain_block(e.receiver) and _plain_block(e.parts[0][1][0]):
+        return "loop"
+    if (t is UnarySend or t is KeywordSend) and type(e.receiver) is SuperRef:
+        return "site"
+    return "proven" if _bound(e) else "site"
 
 
 def _caret_free(stats):
@@ -534,9 +360,13 @@ class _Tree:
         return f"{env}[{slot}]"
 
     def call(self, code):
-        """Call the closure `code`: the variable of its value."""
+        """Call the tree or block body `code`: the variable of its value."""
+        return self.into(f"{self.const(code)}(interp, {self.envs[-1]}, {self.frame})")
+
+    def into(self, text):
+        """Evaluate `text` once, into a variable of its own: the variable."""
         v = self.fresh()
-        self.emit(f"{v} = {self.const(code)}(interp, {self.envs[-1]}, {self.frame})")
+        self.emit(f"{v} = {text}")
         return v
 
     # -- statements ----------------------------------------------------------------------
@@ -616,17 +446,26 @@ class _Tree:
 
     def body(self, stats, scoped):
         """The statements of an `if` or `while` body: one that declares a
-        variable runs in an env of its own, whose cells die as it ends."""
-        if not scoped:
-            return self.stats(stats)
+        variable runs in an env of its own."""
+        if scoped:
+            self.scoped(lambda: self.stats(stats))
+        else:
+            self.stats(stats)
+
+    def scoped(self, generate, name=None, init=None):
+        """What `generate()` answers, generated to run in an env of its own,
+        whose cells die as it ends; `name`, if any, is its first local, whose
+        cell holds the value `init`."""
         c = self.c
         scope = c.scope = _Scope(c.scope)
+        if name is not None:
+            scope.declare(name)
         env, at = self.fresh("e"), len(self.lines)
         self.emit("")           # the env, once its size is known
         mark = self.open("try:")
         self.blocks += 1
         self.envs.append(env)
-        self.stats(stats)
+        v = generate()
         self.envs.pop()
         self.blocks -= 1
         self.close(mark)
@@ -634,24 +473,54 @@ class _Tree:
         for slot in scope.dying:
             self.emit(f"if {env}[{slot}] is not None: {env}[{slot}].alive = False")
         self.close(mark)
-        self.lines[at] = f"{self.pad}{env} = [{self.envs[-1]}{', None' * scope.size}]"
+        cells = ", None" * scope.size if name is None \
+            else f", Cell({init})" + ", None" * (scope.size - 1)
+        self.lines[at] = f"{self.pad}{env} = [{self.envs[-1]}{cells}]"
         c.scope = scope.parent
+        return v
 
     # -- expressions ---------------------------------------------------------------------
 
     def value(self, e):
         """Generate the node `e`, None for self: the text of its value, a
-        variable or a constant.  An opaque node, or one that would nest too
-        deep and starts a tree of its own, is a closure's call."""
+        variable or a constant.  A node that would nest too deep starts a
+        tree of its own, whose call it is."""
         if e is None:
             return self.frame + ".receiver"
-        v = _TREE_EXPRS[type(e)](self, e) if _generated(e) else None
-        return self.call(self.c.expr(e)) if v is None else v
+        try:
+            gen = _TREE_EXPRS[type(e)]
+        except KeyError:
+            raise RuntimeError(f"cannot evaluate a {type(e).__name__} node") from None
+        v = gen(self, e)
+        return self.call(self.c.tree(e)) if v is None else v
+
+    def lit(self, e):
+        """A shared literal, or a new value per evaluation (`FRESH_LITERALS`)."""
+        if e.runtime_value is not None:
+            return self.const(e.runtime_value)
+        return self.into(f"PrimV({self.const(FRESH_LITERALS[e.kind])}, {self.const(e.value)})")
 
     def name(self, e):
-        if e.binding is LOCAL:
-            return self.read(e.name)
-        return self.site(e, None, [(e.name, [])], True)    # a unary send to self
+        """A local, a unary send to self, a field, a prototype, or a shared
+        variable or constant, which raises until its initial value is set."""
+        binding, name = e.binding, e.name
+        if binding is LOCAL:
+            return self.read(name)
+        if binding is SEND:
+            return self.site(e, None, [(name, [])], True)
+        if binding is FIELD:
+            return self.field(name)
+        if binding is PROTO:
+            return self.prototype(name)
+        if binding is None:
+            raise RuntimeError(f"the name '{name}' was not resolved")
+        return self.into(f"interp.static_read({self.const(binding[1])}, {self.const(name)})")
+
+    def field(self, name):
+        return self.into(f"interp.field_read({self.frame}.fields_owner, {self.const(name)})")
+
+    def prototype(self, name):
+        return self.into(f"interp.prototype_object({self.const(self.c.table.get(name))})")
 
     def read(self, name):
         v = self.fresh()
@@ -664,6 +533,63 @@ class _Tree:
         v = self.value(value)
         self.emit(f"{cell}.value = {v}")
         return v
+
+    def assign(self, target, value):
+        """Assign what the node `value` answers to `target` and answer it; a
+        setter send answers what the setter answers.  The value runs before
+        the receiver of a method access."""
+        t = type(target)
+        if _local(target):
+            return self.store(target, value)
+        if t is NameRef and target.binding is SEND:
+            return self.site(target, None, [(target.name + ":", [value])], True)
+        v = self.value(value)
+        if t is SelfRef or t is NameRef and target.binding is FIELD:
+            name = target.field_name if t is SelfRef else target.name
+            return self.into(f"interp.field_write({self.frame}.fields_owner, "
+                             f"{self.const(name)}, {v})")
+        if t is NameRef:
+            return self.into(f"interp.set_static({self.const(target.binding[1])}, "
+                             f"{self.const(target.name)}, {v})")
+        # the checker allows no other target than a method access
+        recv = self.value(target.receiver)
+        return self.into(f"interp.replace_method({v}, {recv}, {self.const(target.sig)})")
+
+    def array(self, e):
+        elems, tname = [self.value(x) for x in e.elems], e.resolved_type
+        return self.into(f"ArrayV({self.const(tname)}, "
+                         f"{self.const(split_generic(tname)[1][0][0])}, [{', '.join(elems)}])")
+
+    def tuple_lit(self, e):
+        values, tname = [self.value(x) for _n, x in e.items], e.resolved_type
+        names = [n for n, _t in self.c.table.get(tname).tuple_fields]
+        return self.into(f"TupleV({self.const(tname)}, {self.const(names)}, "
+                         f"[{', '.join(values)}])")
+
+    def block(self, e):
+        """A block literal's value, with the snapshot of its %-variables: nil
+        for one whose declaration has not run."""
+        snapshot = []
+        for name in _percent_vars(e):
+            cell = None if self.c.address(name) is None else self.cell(name)
+            snapshot.append("NIL" if cell is None
+                            else f"NIL if {cell} is None else interp.cell_read({cell})")
+        self.c.block(e)
+        values = f"[{', '.join(snapshot)}]" if snapshot else "()"
+        return self.into(f"BlockV({self.const(e)}, {self.envs[-1]}, {self.frame}, "
+                         f"{self.const(e.runtime_type)}, {values})")
+
+    def method_access(self, e):
+        r = self.value(e.receiver)
+        return self.into(f"MethodV({r}, interp.resolve_sig({r}, {self.const(e.sig)}), "
+                         f"{self.const(e.resolved_type)})")
+
+    def let(self, e):
+        """A `let`: its body runs in an env of its own."""
+        if self.deep():
+            return None
+        init = self.value(e.init)
+        return self.scoped(lambda: self.value(e.body), e.name, init)
 
     def if_expr(self, e):
         if self.deep():
@@ -684,27 +610,46 @@ class _Tree:
         recv, parts, args_first = _message(e)
         if form == "proven":
             return self.proven(e, recv, parts, args_first)
+        if form == "interval":
+            left = self.value(recv)
+            return self.into(f"interp.make_interval({left}, {self.value(parts[0][1][0])})")
         return self.site(e, recv, parts, args_first)
 
     def site(self, e, recv, parts, args_first):
-        """A send with an inline cache: its operands, then `_probe`."""
+        """A send with an inline cache: its operands, then `_probe`, or
+        `_super` for a `super` send.  A context object's `new:` or `bind:`
+        passes what its arguments refer to (`refs`)."""
         r = None if args_first else self.value(recv)
         args = [[self.value(a) for a in part] for _s, part in parts]
-        if args_first:
+        if args_first and type(recv) is not SuperRef:
             r = self.value(recv)
         site, v = self.const(self.c.new_site(e)), self.fresh()
+        call = f"_super(interp, {site}, {self.const(self.c.owner)}, {self.frame}, " \
+            if type(recv) is SuperRef else f"_probe(interp, {site}, {r}, "
+        refs = f", {self.refs(parts[0][1])}" if type(e) is KeywordSend and len(parts) == 1 \
+            and parts[0][0] in _BINDERS else ""
         flat = [a for part in args for a in part]
         if len(parts) == 1 and not flat:
-            self.emit(f"{v} = _probe(interp, {site}, {r}, (), "
-                      f"{self.const(((parts[0][0], ()),))})")
+            self.emit(f"{v} = {call}(), {self.const(((parts[0][0], ()),))}{refs})")
         elif len(parts) == 1 and len(flat) == 1:
-            self.emit(f"w{v} = [{flat[0]}]; {v} = _probe(interp, {site}, {r}, w{v}, "
-                      f"[({self.const(parts[0][0])}, w{v})])")
+            self.emit(f"w{v} = [{flat[0]}]; {v} = {call}w{v}, "
+                      f"[({self.const(parts[0][0])}, w{v})]{refs})")
         else:
             shape = ", ".join(f"({self.const(sel)}, [{', '.join(part)}])"
                               for (sel, _), part in zip(parts, args))
-            self.emit(f"{v} = _probe(interp, {site}, {r}, [{', '.join(flat)}], [{shape}])")
+            self.emit(f"{v} = {call}[{', '.join(flat)}], [{shape}]{refs})")
         return v
+
+    def refs(self, nodes):
+        """The text of what each argument node refers to: (the cell of the
+        local it names or None, the variable it names or None)."""
+        refs = []
+        for node in nodes:
+            t = type(node)
+            cell = self.cell(node.name) if t is NameRef and node.binding is LOCAL else None
+            name = node.name if t is NameRef else node.field_name if t is SelfRef else None
+            refs.append(f"({cell}, {None if name is None else self.const(name)})")
+        return f"[{', '.join(refs)}]"
 
     def proven(self, e, recv, parts, args_first):
         """A proven send: the kind tests of its operands (none for a shared
@@ -750,22 +695,22 @@ class _Tree:
         declares a local, it pushes one frame for its evaluations, which it
         pops before the budget check between two evaluations ends the run
         and while it judges a test's value, as the block path has no frame
-        then, and when anything leaves the loop."""
+        then, and when anything leaves the loop.  Else, and while its method
+        is replaced or an `addMethod:` body might take the message, it sends
+        the two block values through its site."""
         c = self.c
-        (selector, (arg,)), = e.parts
+        (_selector, (arg,)), = e.parts
         m = e.builtin[0]
         until = m.builtin == "repeat_until"
-        make_arg, arg_body, arg_slots = c.loop_block(arg, until)
-        make_recv, recv_body, recv_slots = c.loop_block(e.receiver, not until)
-        site = self.const(_site(c.new_site(e), selector, [make_arg], make_recv))
-        env, frame, v = self.envs[-1], self.frame, self.fresh()
+        arg_body, arg_slots = c.block(arg)
+        recv_body, recv_slots = c.block(e.receiver)
         if arg_slots or recv_slots:
-            self.emit(f"{v} = {site}(interp, {env}, {frame})")
-            return v
+            return self.site(e, e.receiver, e.parts, True)
         test, body = ((arg, arg_body), (e.receiver, recv_body)) if until \
             else ((e.receiver, recv_body), (arg, arg_body))
+        env, frame = self.envs[-1], self.frame
         mark = self.open(f"if {self.const(m)} in interp.bound_values or interp.dyn_methods:")
-        self.emit(f"{v} = {site}(interp, {env}, {frame})")
+        v = self.site(e, e.receiver, e.parts, True)
         self.close(mark)
         outer = self.open("else:")
         self.emit("interp.steps += 1")
@@ -791,8 +736,12 @@ class _Tree:
             c.scope = _Scope(c.scope)
             if block is test[0]:
                 last = block.body[-1] if len(block.body) == 1 else None
-                t = self.value(last.value) if type(last) is ReturnStat and last.is_caret \
-                    and last.value is not None else self.call(code)
+                if type(last) is ReturnStat and last.is_caret and last.value is not None:
+                    t = self.value(last.value)
+                else:
+                    self.emit(f"{f}.result = NOOBJECT")
+                    self.call(code)
+                    t = self.into(f"{f}.result")
                 self.emit(f"if {stop.format(t=t, f=f)}: break")
             elif _caret_free(block.body):
                 self.stats(block.body)
@@ -819,20 +768,20 @@ class _Tree:
 # would nest too deep and starts a tree of its own
 _TREE_STATS = {
     ExprStat: lambda g, st: g.value(st.expr),
-    AssignStat: lambda g, st: g.store(st.targets[0], st.value) if _local(st.targets[0])
-    else g.call(g.c.assign(st.targets[0], st.value)),
+    AssignStat: lambda g, st: g.assign(st.targets[0], st.value),
     VarDeclStat: _Tree.var_decl, ReturnStat: _Tree.return_stat,
     IfStat: _Tree.if_stat, WhileStat: _Tree.while_stat,
 }
 
-# per node type that a tree generates (`_generated`), its generator, which
-# answers None where the node would nest too deep and starts a tree of its own
+# per expression type, its generator, which answers None where the node
+# would nest too deep and starts a tree of its own
 _TREE_EXPRS = {
-    Lit: lambda g, e: g.const(e.runtime_value),
-    NameRef: _Tree.name, PercentRef: lambda g, e: g.read(e.name),
-    SelfRef: lambda g, e: g.value(None),
-    IfExpr: _Tree.if_expr,
-    AssignExpr: lambda g, e: g.store(e.target, e.value),
+    Lit: _Tree.lit, NameRef: _Tree.name, PercentRef: lambda g, e: g.read(e.name),
+    GenericRef: lambda g, e: g.prototype(e.resolved),
+    SelfRef: lambda g, e: g.value(None) if e.field_name is None else g.field(e.field_name),
+    ArrayLit: _Tree.array, TupleLit: _Tree.tuple_lit, BlockLit: _Tree.block,
+    MethodAccess: _Tree.method_access, LetExpr: _Tree.let, IfExpr: _Tree.if_expr,
+    AssignExpr: lambda g, e: g.assign(e.target, e.value),
     UnarySend: _Tree.send, BinarySend: _Tree.send, PrefixOp: _Tree.send,
     KeywordSend: _Tree.send,
 }
@@ -847,9 +796,11 @@ def _params(n):
 def _factory(source):
     """The factory of the trees whose source is `source`, their shape, made
     once per shape for the whole process."""
-    namespace = {"PrimV": PrimV, "TRUE": TRUE, "FALSE": FALSE, "NOOBJECT": NOOBJECT,
-                 "Cell": Cell, "Frame": Frame, "ReturnSignal": ReturnSignal,
-                 "new": new, "_probe": _probe, "_truthy_out": _truthy_out}
+    namespace = {"PrimV": PrimV, "ArrayV": ArrayV, "TupleV": TupleV, "BlockV": BlockV,
+                 "MethodV": MethodV, "TRUE": TRUE, "FALSE": FALSE, "NIL": NIL,
+                 "NOOBJECT": NOOBJECT, "Cell": Cell, "Frame": Frame,
+                 "ReturnSignal": ReturnSignal, "new": new, "_probe": _probe,
+                 "_super": _super, "_truthy_out": _truthy_out}
     exec(compile(source, "<tree>", "exec"), namespace)
     return namespace["make"]
 
@@ -865,29 +816,7 @@ def _truthy_out(interp, frame, v):
         frames.append(frame)
 
 
-# -- closures -----------------------------------------------------------------------------
-
-def _receiver(interp, env, frame):
-    return frame.receiver
-
-
-def _field(name):
-    return lambda interp, env, frame: interp.field_read(frame.fields_owner, name)
-
-
-def _answer(body):
-    def answer(interp, env, frame):
-        frame.result = NOOBJECT
-        body(interp, env, frame)
-        return frame.result
-    return answer
-
-
-def _env_at(env, depth):
-    for _ in range(depth):
-        env = env[0]
-    return env
-
+# -- runners -------------------------------------------------------------------------------
 
 def _kill(env, dying):
     for slot in dying:
@@ -1025,8 +954,9 @@ def _probe(interp, site, recv, args, shape, refs=None):
     `args`, to `recv` through the inline cache of `site`, keyed by
     `send_key`.  A miss, or a send the cache does not keep, goes to
     `Interp.send`.  A hit counts the step and calls the entry's handler, or
-    `invoke` for a `new:` or `bind:` send, which has `refs` (what
-    `Compiler.refs` answers), and for a method with a bound value."""
+    `invoke` for a `new:` or `bind:` send, which has `refs`, (the cell of a
+    local or None, a variable's name or None) per argument, and for a method
+    with a bound value."""
     if len(args) == 1 and type(recv) is ObjectV and type(args[0]) is PrimV \
             and not recv.mixins and not recv.own_methods:
         key = recv.proto, args[0].kind
@@ -1046,38 +976,20 @@ def _probe(interp, site, recv, args, shape, refs=None):
     return handler(interp, m, recv, args, shape)
 
 
-def _site(site, selector, codes, recv_code, refs=None):
-    """The closure of a send of one keyword part, `selector` with the
-    argument closures `codes`, to what `recv_code` answers, which runs after
-    them.  It sends through `_probe`."""
-    arg_code = codes[0] if len(codes) == 1 else None
-
-    def send(interp, env, frame):
-        args = [arg_code(interp, env, frame)] if arg_code is not None \
-            else [code(interp, env, frame) for code in codes]
-        return _probe(interp, site, recv_code(interp, env, frame), args, [(selector, args)],
-                      refs and refs(env))
-    return send
-
-
-def _super_site(site, parts, above, refs):
-    """The closure of a `super` send of `parts` in a body of the entry
-    `above`: a `_site` to self whose miss hands `above` and the frame's mixin
+def _super(interp, site, above, frame, args, shape, refs=None):
+    """A `super` send in a body of the entry `above`: `_probe` to the
+    receiver of `frame`, whose miss hands `above` and the frame's mixin
     index to `Interp.send`.  One mixin can be attached twice, so a site in a
     mixin's body keys by that index too."""
-    def send(interp, env, frame):
-        shape = [(sel, [code(interp, env, frame) for code in codes]) for sel, codes in parts]
-        recv, index = frame.receiver, frame.mixin_index
-        key = send_key(interp, recv, [a for _s, part in shape for a in part])
-        if above.is_mixin and key is not None:
-            key = key, index
-        found = None if key is None else interp.inline_caches[site].get(key)
-        if found is None:
-            return interp.send(recv, shape, above, index, refs and refs(env), site, key)
-        interp.steps += 1
-        if interp.steps + interp.evals > interp.max_steps:
-            interp.out_of_steps()
-        _handler, m, owner, found_index, plan = found
-        return interp.invoke(m, recv, shape, owner, mixin_at(recv, found_index), plan,
-                             refs and refs(env))
-    return send
+    recv, index = frame.receiver, frame.mixin_index
+    key = send_key(interp, recv, args)
+    if above.is_mixin and key is not None:
+        key = key, index
+    found = None if key is None else interp.inline_caches[site].get(key)
+    if found is None:
+        return interp.send(recv, shape, above, index, refs, site, key)
+    interp.steps += 1
+    if interp.steps + interp.evals > interp.max_steps:
+        interp.out_of_steps()
+    _handler, m, owner, found_index, plan = found
+    return interp.invoke(m, recv, shape, owner, mixin_at(recv, found_index), plan, refs)

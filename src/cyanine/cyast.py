@@ -37,7 +37,7 @@ The notes, by the pass that writes them:
                      resolved to a builtin method: (that method, the static
                      type of the receiver, the tuple of the arguments' types)
     compiler         MethodDecl.code, VarDecl.code, GSel.code, BlockLit.code (the
-                     closures of the bodies, see `compiler`); .site of a send
+                     code of the bodies, see `compiler`); .site of a send
                      node (those above, and a NameRef that is a self-send or
                      the target of a setter send) that the compile step does
                      not bind: the number of its inline cache

@@ -1,7 +1,7 @@
 """The interpreter: object model, dispatch, inline caches, closures with
 %-snapshots, dynamic mixins, method objects, and the object-oriented
-exception machinery.  It runs the closures the compile step (`compiler`)
-left on the nodes.  Which method of a chain takes a message, in textual
+exception machinery.  It runs the code the compile step (`compiler`) left
+on the nodes.  Which method of a chain takes a message, in textual
 order, is the table's `find_method`, the search the checker makes too;
 `lookup` adds what only the run has: methods of an object's own, attached
 mixins and `addMethod:` bodies, and it starts a `super` search where the
@@ -344,6 +344,13 @@ class Interp:
             obj.fields[name] = value
         return value
 
+    def static_read(self, owner, name):
+        """The shared variable or constant `name` of the entry `owner`."""
+        try:
+            return self.statics[owner][name]
+        except KeyError:
+            self.uninitialized(name)
+
     def set_static(self, owner, name, value):
         self.statics[owner][name] = value
         return value
@@ -356,8 +363,8 @@ class Interp:
 
     def send(self, recv, shape, above=None, mixin_index=None, refs=None, site=None, key=None):
         """Send `shape`, [(selector, [argument values])], to `recv`: the path
-        of a send without a site (one a builtin makes) and of a site closure
-        whose cache missed, which passes its number and the key it probed.
+        of a send without a site (one a builtin makes) and of a site whose
+        cache missed, which passes its number and the key it probed.
         `lookup` finds the method, which the site's inline cache keeps when
         it can.  `refs` says what each argument of a `new:` or `bind:` send
         refers to (`ctx_bind`)."""
@@ -717,11 +724,7 @@ class Interp:
         if isinstance(blk, MethodV):
             m = blk.entry
             if m.kind == "keyword":
-                shape = []
-                i = 0
-                for sel, n in m.sel_arity:
-                    shape.append((sel, args[i:i + n]))
-                    i += n
+                shape = m.keyword_parts(args)
             elif m.kind in ("unary",) or not m.param_types:
                 shape = [(m.name, [])]
             else:

@@ -56,6 +56,15 @@ class MethodEntry:
         self.is_stub = False
         self.indexing = False                 # declared as `[] at: ...`
 
+    def keyword_parts(self, flat):
+        """`flat`, one item per parameter of this keyword method, split by
+        `sel_arity`: [(selector, its items)], one pair per keyword part."""
+        parts, i = [], 0
+        for sel, n in self.sel_arity:
+            parts.append((sel, flat[i:i + n]))
+            i += n
+        return parts
+
     def arity_matches(self, shape):
         if self.kind == "grammar":
             return True
@@ -833,12 +842,8 @@ class PrototypeTable:
                 ev = m
         if ev is None:
             return
-        groups = []
-        if ev.kind == "keyword":
-            i = 0
-            for _sel, n in ev.sel_arity:
-                groups.append(ev.param_types[i:i + n])
-                i += n
+        groups = [group for _sel, group in ev.keyword_parts(ev.param_types)] \
+            if ev.kind == "keyword" else []
         ub = self.block_type(None, ev.return_type, restricted=False, groups=groups)
         t = entry.ctx_self_type_name
         co_groups = [[t]] + [list(g) for g in groups] + [[ev.return_type]]

@@ -287,7 +287,7 @@ end
     one, text = lits["Int", 1], lits["String", "a"]
     interp = Interp(program)
     compiler = Compiler(program.table, program.sites)
-    one_code, text_code = compiler.expr(one), compiler.expr(text)
+    one_code, text_code = compiler.tree(one), compiler.tree(text)
     assert one_code(interp, None, None) is one.runtime_value
     assert text_code(interp, None, None) is not text_code(interp, None, None)
 

@@ -1,6 +1,6 @@
 """`scripts/differential.py`: this checkout does not differ from itself, and
 a copy whose run counts one step more differs at the first program that
-runs."""
+runs.  Each side says how many programs ran past the compile."""
 
 import os
 import shutil
@@ -19,7 +19,11 @@ def differential(old, new, *options):
 
 def test_the_checkout_does_not_differ_from_itself():
     done = differential(SRC, SRC, "--seeds", "5", "--mutants", "20")
-    assert (done.returncode, done.stdout) == (0, "100 programs, no difference\n"), done.stderr
+    # the corpus's 17 rejected programs and 18 of the 20 mutants end at a
+    # diagnostic
+    ran = "65 ran past the compile, 35 ended at a diagnostic, 0 raised\n"
+    assert (done.returncode, done.stdout) == \
+        (0, f"old: {ran}new: {ran}100 programs, no difference\n"), done.stderr
 
 
 def test_a_copy_that_counts_one_more_step_differs(tmp_path):
@@ -34,5 +38,6 @@ def test_a_copy_that_counts_one_more_step_differs(tmp_path):
                  "Interp.run = _run_one_more\n")
     done = differential(SRC, str(copy), "--seeds", "", "--mutants", "0")
     assert done.returncode == 1, done.stderr
-    assert done.stdout.startswith("01_hello.cyan differs:\n")
+    ran = "63 ran past the compile, 17 ended at a diagnostic, 0 raised\n"
+    assert done.stdout.startswith(f"old: {ran}new: {ran}01_hello.cyan differs:\n")
     assert "!= steps:" in done.stdout and "   status:" in done.stdout

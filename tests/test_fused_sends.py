@@ -61,7 +61,7 @@ end
     compiler.scope.declare("a", dies=False)
     for _ in range(leaf_depth):
         compiler.scope = _Scope(compiler.scope)
-    code = compiler.expr(node)
+    code = compiler.tree(node)
     interp = Interp(program)
     return code, interp, Frame("Program", "inc:", None, None)
 

@@ -3,6 +3,8 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from cyanine import cyast as A
+from cyanine.driver import compile_program
+from cyanine.interp import Interp
 from cyanine.lexer import TOKENS, TokenKind
 from cyanine.parser import OP_LEVEL as PARSER_LEVELS, parse_expression, parse_source
 
@@ -113,6 +115,59 @@ def test_grammar_signature_plus_types():
     assert sel.argspec[0] == "plus"
     assert m.sig.param_name == "t"
     assert m.sig.param_type is None
+
+
+INTERFACE = """package main
+private interface Store
+    fun at: Int put: String
+    fun [] at: Int -> String
+    fun named: (:i Int) with: (:s String, :t String) -> Int
+end
+private object Shelf implements Store
+    public fun at: (:i Int) put: (:s String) [ items at: i put: s ]
+    public fun [] at: (:i Int) -> String [ ^ items at: i ]
+    public fun named: (:i Int) with: (:s String, :t String) -> Int [ Out println: s, t; ^ i ]
+    private :items Array<String> = Array<String> new: 2
+end
+public object Program
+    public fun run [
+        :store Store = Shelf new;
+        store at: 1 put: "b";
+        Out println: store[1], " ", (store at: 1), " ", (store named: 3 with: "x", "y");
+    ]
+end
+"""
+
+
+def keyword_sig(sig):
+    """A keyword signature as [(selector, [(parameter name, type)])]."""
+    return [(part.selector, [(p.name, p.type.canonical()) for p in part.params])
+            for part in sig.parts]
+
+
+def test_interface_keyword_signatures():
+    """An interface's keyword method: bare types, whose parameters are named
+    p1, p2, ... per part; `[]` for an indexing method; named parameters in
+    parentheses."""
+    cu, rep = parse_source(INTERFACE)
+    assert not rep.has_errors(), rep.format_all()
+    put, get, named = cu.units[0].sigs
+    assert isinstance(put.sig, A.KeywordSig) and not put.sig.indexing
+    assert keyword_sig(put.sig) == [("at:", [("p1", "Int")]), ("put:", [("p1", "String")])]
+    assert put.return_type is None
+    assert get.sig.indexing and keyword_sig(get.sig) == [("at:", [("p1", "Int")])]
+    assert get.return_type.canonical() == "String"
+    assert not named.sig.indexing and keyword_sig(named.sig) == \
+        [("named:", [("i", "Int")]), ("with:", [("s", "String"), ("t", "String")])]
+    assert named.return_type.canonical() == "Int"
+
+
+def test_interface_keyword_methods_run_through_an_interface_typed_variable():
+    program = compile_program([("<test>", INTERFACE)])
+    assert program.ok(), program.reporter.format_all()
+    interp = Interp(program)
+    assert interp.run() == 0
+    assert interp.stdout() == "xy\nb b 3\n"
 
 
 def test_block_forms():

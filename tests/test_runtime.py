@@ -660,7 +660,7 @@ def test_a_node_without_a_handler_cannot_run():
     program = compile_src(HIER)
     compiler = Compiler(program.table, program.sites)
     with pytest.raises(RuntimeError, match="cannot evaluate a Creation node"):
-        compiler.expr(A.Creation())
+        compiler.tree(A.Creation())
     with pytest.raises(RuntimeError, match="cannot execute a MetaStat node"):
         compiler.tree([A.MetaStat()])
 

@@ -1,7 +1,9 @@
 """Trees: every body runs as one function generated from source
-(`compiler._Tree`), whose factory is made once per shape and process.  A tree keeps the outcomes, steps, evaluations
-and traces of the send path: a method replaced or added in its middle, the
-budget spent at any of its steps and an exception out of an inline loop
+(`compiler._Tree`), whose factory is made once per shape and process, and
+a tree generates every node.  A tree keeps the outcomes, steps,
+evaluations and traces of the send path: a method replaced or added in its
+middle, the budget spent at any of its steps, an exception out of an inline
+loop, and each kind of node in a method, a block and an inline loop body
 (a dead cell read at any depth is in `test_fused_sends`).  `++` and `--`
 step every integer width."""
 
@@ -15,7 +17,7 @@ from conftest import compile_src
 from cyanine import compiler
 from cyanine import cyast as A
 from cyanine.interp import CyThrow, Interp
-from cyanine.values import NOOBJECT
+from cyanine.values import NIL, NOOBJECT, Cell
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -86,7 +88,7 @@ end
     assert "'Long' has no method matching '+ _'" in program.reporter.format_all()
 
 
-# -- what an opaque node does in the middle of a tree -----------------------------------
+# -- a method replaced or added in the middle of a tree ----------------------------------
 
 def test_a_method_replaced_in_the_middle_of_a_tree_takes_the_next_proven_send():
     src = '''package main
@@ -208,7 +210,7 @@ def shapes():
 
 # the shapes of the world and a hello world: the bodies of the world's
 # methods and initial values, the empty body among them, and `run`
-WORLD_SHAPES = 8
+WORLD_SHAPES = 7
 
 
 def test_the_world_and_a_hello_world_make_a_fixed_number_of_shapes():
@@ -346,3 +348,277 @@ end
     assert bare.value is None and any(st is bare for st in returns)
     assert interp.send(interp.proto_objects["Program"], [("stop", [])]) is NOOBJECT
     assert interp.stdout() == "stop\nafter\nstop\n"
+
+
+# -- every kind of node, in a method, a block and an inline loop body ------------------
+
+# where a row's statements run: `@BODY` in the place of the row's `@CONTEXT`
+CONTEXTS = {
+    "method": "@BODY",
+    "block": "[ @BODY ] eval;",
+    "loop": ":turn = 0; [^ turn < 1 ] whileTrue: [ ++turn; @BODY ];",
+}
+
+# (name, program, statements, (exit status, stdout), (steps, evaluations,
+# misses, skips) per context), the counts as the closures of these nodes
+# gave them before every node was generated
+NODE_ROWS = [
+    ("field read and write", """package main
+public object Program
+    public fun work [
+        @CONTEXT
+        Out println: count, " ", self.count;
+    ]
+    public fun run [ self work; ]
+    private :count Int = 1
+end
+""", 'count = count + 1; Out println: count; self.count = count * 10; Out println: self.count;',
+     (0, "2\n20\n20 20\n"), [(7, 0, 4, 1), (8, 1, 5, 1), (11, 3, 4, 1)]),
+    ("static read before its initial value", """package main
+private object Early
+    public shared :first Int = Early peek
+    public shared :second Int = 2
+    public fun peek -> Int [
+        :r = 0;
+        @CONTEXT
+        ^ r
+    ]
+end
+public object Program
+    public fun run [ Out println: "run"; ]
+end
+""", 'Out println: "peek"; [ r = second; ] catch: [ |:e StrException| Out println: (e message) ];',
+     (0, "peek\nvariable 'second' is read before it is initialized\nrun\n"),
+     [(8, 2, 7, 1), (9, 3, 8, 1), (12, 5, 7, 1)]),
+    ("static write", """package main
+private object Counter
+    public fun bump [
+        @CONTEXT
+    ]
+    public fun show [ Out println: "count ", count ]
+    private shared :count Int = 0
+end
+public object Program
+    public fun run [ Counter bump; Counter bump; Counter show; ]
+end
+""", 'count = count + 1; Out println: count;',
+     (0, "1\n2\ncount 2\n"), [(9, 0, 5, 1), (11, 2, 6, 1), (17, 6, 5, 1)]),
+    ("lazy prototype init", """package main
+private object First
+    public shared :x Int = First compute
+    public fun compute -> Int [
+        :r = 0;
+        @CONTEXT
+        ^ r
+    ]
+end
+private object Second
+    public shared :v Int = Second announce
+    public fun announce -> Int [ Out println: "init Second"; ^ 7 ]
+    public fun value -> Int [ ^ v ]
+end
+public object Program
+    public fun run [ Out println: "run"; ]
+end
+""", 'Out println: "before Second"; r = Second value; Out println: "after Second ", r;',
+     (0, "before Second\ninit Second\nafter Second 7\nrun\n"),
+     [(8, 0, 7, 1), (9, 1, 8, 1), (12, 3, 7, 1)]),
+    ("generic prototype name", """package main
+private object Box<:T>
+    public fun init [ Out println: "new box"; ]
+    public fun put: (:x T) [ item = x ]
+    public fun get -> T [ ^ item ]
+    private :item T
+end
+public object Program
+    public fun run [
+        :b Box<Int>;
+        @CONTEXT
+        Out println: (b get);
+    ]
+end
+""", 'b = Box<Int> new; b put: 5; Out println: (Box<Int> prototypeName);',
+     (0, "new box\nBox<Int>\n5\n"), [(10, 0, 9, 1), (11, 1, 10, 1), (14, 3, 9, 1)]),
+    ("a new String per evaluation", """package main
+public object Program
+    public fun run [
+        :i = 0;
+        :prev String;
+        :cur String;
+        @CONTEXT
+        Out println: (prev eq: cur), " ", (prev == cur), " ", cur;
+    ]
+end
+""", 'while ( i < 2 ) [ prev = cur; cur = "s"; i = i + 1; ];',
+     (0, "false false s\n"), [(9, 2, 3, 1), (10, 3, 4, 1), (13, 5, 3, 1)]),
+    ("array and tuple elements in order", """package main
+public object Program
+    public fun say: (:n Int) -> Int [ Out print: "(", n, ")"; ^ n ]
+    public fun run [
+        :xs Array<Int>;
+        :t UTuple<Int, Int>;
+        @CONTEXT
+        Out println: xs, " ", (t f1), " ", (t f2);
+    ]
+end
+""", 'xs = {# (self say: 1), (self say: 2), (self say: 3) #}; '
+     't = [. (self say: 4), (self say: 5) .]; Out println: "";',
+     (0, "(1)(2)(3)(4)(5)\n1 2 3 4 5\n"), [(16, 0, 10, 2), (17, 1, 11, 2), (20, 3, 10, 2)]),
+    ("an interval with a nil end", """package main
+public object Program
+    public fun run [
+        :hi Int;
+        hi = nil;
+        :lo = 1;
+        @CONTEXT
+        Out println: "after";
+    ]
+end
+""", 'Out println: (lo..2); '
+     '[ Out println: (lo..hi); ] catch: [ |:e StrException| Out println: (e message) ];',
+     (0, "1..2\nan end of an interval is nil\nafter\n"),
+     [(8, 2, 6, 2), (9, 3, 7, 2), (12, 5, 6, 2)]),
+    ("a method assigned, its value before its receiver", """package main
+private object Box
+    public fun get -> Int [ ^ 0 ]
+end
+public object Program
+    public fun noisy: (:b Box) -> Box [ Out println: "receiver"; ^ b ]
+    public fun value -> UBlock<Int> [ Out println: "value"; ^ [ ^ 1 ] ]
+    public fun run [
+        :box = Box new;
+        :other = Box new;
+        @CONTEXT
+        Out println: (box get), " ", (other get);
+    ]
+end
+""", '(self noisy: box).{get -> Int}. = (self value);',
+     (0, "value\nreceiver\n1 0\n"), [(15, 1, 10, 3), (16, 2, 11, 3), (19, 4, 10, 3)]),
+    ("a nil-safe index, whose let keeps a block", """package main
+public object Program
+    public fun keep: (:b UBlock<Int>) -> Int [ kept = b; ^ 1 ]
+    public fun run [
+        :v Array<Int>;
+        :a Int;
+        @CONTEXT
+        Out println: a;
+    ]
+    private :kept UBlock<Int>
+end
+""", 'a = v?[0]?; Out println: a; v = Array<Int> new: 2; v at: 1 put: 9; '
+     'a = v?[self keep: [ ^ 0 ]]?;',
+     (0, "nil\n9\n"), [(11, 0, 7, 4), (12, 1, 8, 4), (15, 3, 7, 4)]),
+    ("super, and super in a block of an attached mixin", """package main
+private object Base
+    public fun greet [ Out println: "base greet" ]
+end
+private object Window
+    public fun draw [ Out println: "draw window" ]
+end
+private mixin(Window) object Shade
+    public override fun draw [
+        Out println: "with shade";
+        [ super draw; ] eval;
+    ]
+end
+public object Program extends Base
+    public override fun greet [ Out println: "program greet" ]
+    public fun run [
+        :w = Window new;
+        w attachMixin: Shade;
+        @CONTEXT
+        Out println: (w popMixin);
+    ]
+end
+""", 'super greet; self greet; w draw; w draw;',
+     (0, "base greet\nprogram greet\nwith shade\ndraw window\nwith shade\ndraw window\ntrue\n"),
+     [(21, 2, 16, 1), (22, 3, 17, 1), (25, 5, 16, 1)]),
+    ("context new: with & and * parameters", """package main
+private object Sum(:sum &Int) implements Block<Int><Void>
+    public fun eval: (:x Int) [ sum = sum + x; ]
+end
+private object Each(:array *Array<Int>) implements Iterable<Int>
+    public fun foreach: (:b Block<Int><Void>) [
+        :i = 0;
+        while ( i < (array size) ) [ b eval: array[i]; ++i; ];
+    ]
+end
+public object Program
+    public fun run [
+        :s Int = 0;
+        nums = {# 1, 2, 3 #};
+        @CONTEXT
+        Out println: s;
+    ]
+    private :nums Array<Int>
+end
+""", 'nums foreach: Sum(s); Out println: s; Each(nums) foreach: Sum(s); '
+     'nums = {# 10 #}; Each(nums) foreach: Sum(s);',
+     (0, "6\n22\n"), [(45, 4, 13, 4), (46, 5, 14, 4), (49, 7, 13, 4)]),
+    ("a literal loop after addMethod:", """package main
+public object Program
+    public fun run [
+        :k = 0;
+        @CONTEXT
+        Out println: k, " ", (k ?twice);
+    ]
+end
+""", 'Int addMethod: selector: #twice returnType: Int '
+     'body: (:self Int)[ | -> Int | ^ self * 2 ]; [^ k < 3 ] whileTrue: [ ++k; ];',
+     (0, "3 6\n"), [(15, 7, 3, 12), (16, 8, 4, 12), (19, 10, 3, 13)]),
+]
+
+
+def live_cells(block):
+    """The live cells of the envs the block value `block` was made in."""
+    cells, env = [], block.env
+    while env is not None:
+        cells += [cell for cell in env[1:] if type(cell) is Cell and cell.alive]
+        env = env[0]
+    return cells
+
+
+@pytest.mark.parametrize("context", list(CONTEXTS))
+@pytest.mark.parametrize("row", NODE_ROWS, ids=[row[0] for row in NODE_ROWS])
+def test_each_kind_of_node_keeps_its_outcome_and_counts(row, context):
+    _name, program, body, outcome, counts = row
+    src = program.replace("@CONTEXT", CONTEXTS[context].replace("@BODY", body))
+    status, out, interp = run_program(src)
+    assert (status, out) == outcome
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == \
+        counts[list(CONTEXTS).index(context)]
+    if context == "loop":
+        # the loop of the context runs inline: its tree makes the loop's frame
+        holders = [m.decl for entry in interp.table.entries.values() if not entry.builtin
+                   for m in entry.methods if m.decl is not None and m.decl.body
+                   and any(isinstance(st, A.VarDeclStat) and st.decls[0][0] == "turn"
+                           for st in m.decl.body)]
+        run = holders[0].code
+        cells = dict(zip(run.__code__.co_freevars, run.__closure__))
+        assert len(holders) == 1 and "Frame" in cells["body"].cell_contents.__code__.co_names
+    # a block made in a `let`'s body keeps the let's env, whose cell has died
+    kept = interp.proto_objects["Program"].fields.get("kept")
+    if kept is not None:
+        assert kept is not NIL and live_cells(kept) == []
+
+
+def test_a_percent_snapshot_reads_nil_for_a_variable_whose_declaration_has_not_run():
+    """No checked program makes a block before the declaration of one of
+    its %-variables runs; the compile step still reads nil there, whether
+    the variable has no slot yet or its slot no cell."""
+    program = compile_src("""package main
+public object Program
+    public fun run [ :y = 2; :c = [ ^ %y ]; Out println: (c eval); ]
+end
+""")
+    decl = program.table.get("Program").groups["run"].entries[0].decl
+    block, = [node for node in A.walk(decl.body) if isinstance(node, A.BlockLit)]
+    interp = Interp(program)
+    frame = compiler.Frame("Program", "run", None, None)
+    for declared, env, answer in ((False, [None], NIL), (True, [None, None], NIL),
+                                  (True, [None, Cell(NOOBJECT)], NOOBJECT)):
+        compile_step = compiler.Compiler(program.table, program.sites)
+        if declared:
+            compile_step.scope.declare("y")
+        value = compile_step.tree(block)(interp, env, frame)
+        assert interp.eval_block_value(value, []) is answer
