@@ -457,18 +457,14 @@ def b_in_iterable(interp, m, recv, args, shape):
     return _bool(found[0])
 
 
-def b_in_interval(interp, m, recv, args, shape):
-    iv = args[0]
-    raw = ord(recv.v) if recv.kind == "Char" else int(recv.v)
-    return _bool(iv.first <= raw <= iv.last)
-
-
 def b_char_upper(interp, m, recv, args, shape):
-    return PrimV("Char", recv.v.upper())
+    upper = recv.v.upper()      # 'ß' stays: its upper case "SS" is no Char
+    return PrimV("Char", upper if len(upper) == 1 else recv.v)
 
 
 def b_char_lower(interp, m, recv, args, shape):
-    return PrimV("Char", recv.v.lower())
+    lower = recv.v.lower()      # 'İ' stays: its lower case "i̇" is no Char
+    return PrimV("Char", lower if len(lower) == 1 else recv.v)
 
 
 # ---------------------------------------------------------------------------
@@ -967,8 +963,7 @@ _TABLE = {
     "attach_mixin": b_attach_mixin, "pop_mixin": b_pop_mixin,
     "negate": b_negate, "unary_plus": b_unary_plus, "bitnot": b_bitnot,
     "to_do": b_to_do, "repeat": b_repeat, "to_inject_into": b_to_inject_into,
-    "in_iterable": b_in_iterable, "in_interval": b_in_interval,
-    "char_upper": b_char_upper, "char_lower": b_char_lower,
+    "in_iterable": b_in_iterable, "char_upper": b_char_upper, "char_lower": b_char_lower,
     "bool_and": b_bool_and, "bool_or": b_bool_or,
     "bool_and_block": b_bool_and_block, "bool_or_block": b_bool_or_block,
     "bool_not": b_bool_not, "if_true": b_if_true, "if_false": b_if_false,

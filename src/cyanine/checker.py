@@ -968,9 +968,13 @@ class Checker:
         hit = self.table.find_method(chain, shape, lambda t: t, self._param_test)
         if hit is not None:
             m = hit[0]
-            if m.builtin is not None and type(node) is not NameRef:
-                types = shape[0][1] if len(shape) == 1 else [t for _s, ts in shape for t in ts]
-                node.builtin = (m, recv_type, tuple(types))
+            if type(node) in _SENDS:
+                if m.builtin is not None:
+                    types = shape[0][1] if len(shape) == 1 \
+                        else [t for _s, ts in shape for t in ts]
+                    node.builtin = (m, recv_type, tuple(types))
+                node.fixed = None if m.builtin is not None \
+                    else self._fixed(recv_type, shape, node, chain, m)
             return m.return_type, m
         if not quiet:
             rule_f = self._rule_f(chain, shape)
@@ -982,6 +986,19 @@ class Checker:
                                   for sel, args in shape)
                 self.error(node, f"'{recv_type}' has no method matching '{pretty.strip()}'")
         return "Any", None
+
+    def _fixed(self, recv_type, shape, node, chain, m):
+        """What the send `node` of `shape` to `recv_type` is noted with when
+        the table's `fixed_method` proves that it reaches `m`, the method
+        found: (m, the prototypes allowed); else None.  Not for a `super`
+        send or a self-send in a mixin's body, which search other chains, nor
+        with an argument of type Any, which `_fits` lets through where the
+        run's parameter test may refuse its value."""
+        if chain is self.self_chain or _sent_to_super(node) \
+                or any("Any" in ts for _s, ts in shape):
+            return None
+        found = self.table.fixed_method(recv_type, shape)
+        return found if found is not None and found[0] is m else None
 
     def _param_test(self, m, owner_entry):
         """The static parameter test of `m`, or None if it is not visible here.
@@ -1025,6 +1042,10 @@ class Checker:
         return True
 
 
+# the send nodes, which the checker notes with what it resolved them to
+_SENDS = (UnarySend, KeywordSend, BinarySend, PrefixOp)
+
+
 def _note_scopes(st):
     """Which bodies of an `if` or `while` need a scope of their own: only a
     variable declaration adds to a scope."""
@@ -1051,3 +1072,7 @@ def _sent_to_self(node):
             return isinstance(r, SelfRef) and r.field_name is None
     return False
 
+
+def _sent_to_super(node):
+    t = type(node)
+    return (t is UnarySend or t is KeywordSend) and type(node.receiver) is SuperRef

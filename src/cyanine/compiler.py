@@ -27,8 +27,8 @@ one process, the 80 corpus programs compile to 678 trees in 152 shapes,
 and `compile_entries` makes 2.3 GC objects per node of
 `perfbench/programs/sends.cyan`; a closure per field, block, `let`,
 literal or `super` send instead made 808 closures and 110 trees more, 2.7
-objects per node, and one shape less.  Two kinds of send are generated in
-full:
+objects per node, and one shape less.  Three kinds of send are generated
+in full:
 
 - A proven send, one the checker resolved to a builtin for a receiver and
   at most one argument of basic types (`Int`, `Boolean`, `Char`, ..., all
@@ -44,13 +44,23 @@ full:
   block runner does.  While its method is replaced, or an `addMethod:`
   body might take the message, it sends the two block values through its
   site.
+- A fixed send, a user send that the checker's class-hierarchy analysis
+  binds to one method with a plain body (`PrototypeTable.fixed_method`, as
+  in Dean, Grove & Chambers, ECOOP 1995), guards what the run can still
+  change: while its receiver is an object of a prototype the analysis
+  allowed, with no mixin attached and no method of its own, and the method
+  has no bound value and no `addMethod:` body may take the message, it
+  counts its step and calls the method's runner, with no cache key, no
+  cache and no `Interp.invoke`; else it probes its site's cache as below.
+  The allowed prototypes are a guard and not an assumption, as the world's
+  bodies serve programs that add sub-prototypes to its prototypes.
 
 Every other send but an interval gets a site number, the index of its
-inline cache: the tree evaluates its receiver and arguments, then probes
-the cache (`_probe`); on a hit it counts the step and calls the cached
-handler, and everything else goes to `Interp.send`.  A `super` send is such
-a site too (`_super`), whose search starts above the entry whose body holds
-it, wherever in that body it runs.
+inline cache, and so does a fixed send: the tree evaluates its receiver and
+arguments, then probes the cache (`_probe`); on a hit it counts the step
+and calls the cached handler, and everything else goes to `Interp.send`.
+A `super` send is such a site too (`_super`), whose search starts above the
+entry whose body holds it, wherever in that body it runs.
 """
 
 import functools
@@ -567,13 +577,9 @@ class _Tree:
                          f"[{', '.join(values)}])")
 
     def block(self, e):
-        """A block literal's value, with the snapshot of its %-variables: nil
-        for one whose declaration has not run."""
-        snapshot = []
-        for name in _percent_vars(e):
-            cell = None if self.c.address(name) is None else self.cell(name)
-            snapshot.append("NIL" if cell is None
-                            else f"NIL if {cell} is None else interp.cell_read({cell})")
+        """A block literal's value, with the snapshot of its %-variables,
+        each declared before the block (`block_analysis`), so it has a cell."""
+        snapshot = [f"interp.cell_read({self.cell(name)})" for name in _percent_vars(e)]
         self.c.block(e)
         values = f"[{', '.join(snapshot)}]" if snapshot else "()"
         return self.into(f"BlockV({self.const(e)}, {self.envs[-1]}, {self.frame}, "
@@ -618,27 +624,54 @@ class _Tree:
     def site(self, e, recv, parts, args_first):
         """A send with an inline cache: its operands, then `_probe`, or
         `_super` for a `super` send.  A context object's `new:` or `bind:`
-        passes what its arguments refer to (`refs`)."""
+        passes what its arguments refer to (`refs`).  A send the checker
+        fixed (`fixed`) calls its method's runner while its guard holds."""
         r = None if args_first else self.value(recv)
         args = [[self.value(a) for a in part] for _s, part in parts]
         if args_first and type(recv) is not SuperRef:
             r = self.value(recv)
+        binds = type(e) is KeywordSend and len(parts) == 1 and parts[0][0] in _BINDERS
+        fixed = None if binds or type(e) is NameRef else e.fixed
+        if fixed is not None and "." in r:
+            r = self.into(r)        # self, read once
         site, v = self.const(self.c.new_site(e)), self.fresh()
         call = f"_super(interp, {site}, {self.const(self.c.owner)}, {self.frame}, " \
             if type(recv) is SuperRef else f"_probe(interp, {site}, {r}, "
-        refs = f", {self.refs(parts[0][1])}" if type(e) is KeywordSend and len(parts) == 1 \
-            and parts[0][0] in _BINDERS else ""
+        refs = f", {self.refs(parts[0][1])}" if binds else ""
         flat = [a for part in args for a in part]
         if len(parts) == 1 and not flat:
-            self.emit(f"{v} = {call}(), {self.const(((parts[0][0], ()),))}{refs})")
+            probe = f"{v} = {call}(), {self.const(((parts[0][0], ()),))}{refs})"
         elif len(parts) == 1 and len(flat) == 1:
-            self.emit(f"w{v} = [{flat[0]}]; {v} = {call}w{v}, "
-                      f"[({self.const(parts[0][0])}, w{v})]{refs})")
+            probe = f"w{v} = [{flat[0]}]; {v} = {call}w{v}, " \
+                f"[({self.const(parts[0][0])}, w{v})]{refs})"
         else:
             shape = ", ".join(f"({self.const(sel)}, [{', '.join(part)}])"
                               for (sel, _), part in zip(parts, args))
-            self.emit(f"{v} = {call}[{', '.join(flat)}], [{shape}]{refs})")
+            probe = f"{v} = {call}[{', '.join(flat)}], [{shape}]{refs})"
+        if fixed is None:
+            self.emit(probe)
+        else:
+            self.fixed(fixed, r, flat, v, probe)
         return v
+
+    def fixed(self, fixed, r, flat, v, probe):
+        """A fixed send of the arguments `flat` to `r`: while the receiver is
+        an object of a prototype the analysis allowed, with no mixin and no
+        method of its own, and the method has no bound value and no
+        `addMethod:` body may take the message, it counts its step and
+        calls the method's runner, read through its decl, as the callee
+        may compile after its site; else it runs `probe`."""
+        m, allowed = fixed
+        method, decl = self.const(m), self.const(m.decl)
+        p = self.pad
+        self.lines.append(
+            f"{p}if type({r}) is ObjectV and {r}.proto in {self.const(allowed)} "
+            f"and not {r}.mixins and not {r}.own_methods "
+            f"and {method} not in interp.bound_values and not interp.dyn_methods:\n"
+            f"{p}    interp.steps += 1\n"
+            f"{p}    if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()\n"
+            f"{p}    {v} = {decl}.code(interp, {method}, {r}, [{', '.join(flat)}], None)\n"
+            f"{p}else: {probe}")
 
     def refs(self, nodes):
         """The text of what each argument node refers to: (the cell of the
@@ -797,8 +830,8 @@ def _factory(source):
     """The factory of the trees whose source is `source`, their shape, made
     once per shape for the whole process."""
     namespace = {"PrimV": PrimV, "ArrayV": ArrayV, "TupleV": TupleV, "BlockV": BlockV,
-                 "MethodV": MethodV, "TRUE": TRUE, "FALSE": FALSE, "NIL": NIL,
-                 "NOOBJECT": NOOBJECT, "Cell": Cell, "Frame": Frame,
+                 "MethodV": MethodV, "ObjectV": ObjectV, "TRUE": TRUE, "FALSE": FALSE,
+                 "NIL": NIL, "NOOBJECT": NOOBJECT, "Cell": Cell, "Frame": Frame,
                  "ReturnSignal": ReturnSignal, "new": new, "_probe": _probe,
                  "_super": _super, "_truthy_out": _truthy_out}
     exec(compile(source, "<tree>", "exec"), namespace)

@@ -35,12 +35,17 @@ The notes, by the pass that writes them:
                      public or protected variable); .builtin of a send
                      node (UnarySend, KeywordSend, BinarySend, PrefixOp) that
                      resolved to a builtin method: (that method, the static
-                     type of the receiver, the tuple of the arguments' types)
+                     type of the receiver, the tuple of the arguments' types);
+                     .fixed of a send node of those four kinds that
+                     class-hierarchy analysis binds to one user method
+                     (`Checker._fixed`): (that method, the frozenset of the
+                     names of the prototypes the analysis allowed)
     compiler         MethodDecl.code, VarDecl.code, GSel.code, BlockLit.code (the
                      code of the bodies, see `compiler`); .site of a send
                      node (those above, and a NameRef that is a self-send or
                      the target of a setter send) that the compile step does
-                     not bind: the number of its inline cache
+                     not bind to a builtin: the number of its inline cache,
+                     which a fixed send probes only where its guard fails
 """
 
 from dataclasses import dataclass, field, fields
@@ -405,6 +410,7 @@ class UnarySend(Node):
     selector: str = ""
     mode: str = ""            # '' checked | '?' dynamic | '?.' nil-safe
     builtin: tuple = note()
+    fixed: tuple = note()
     site: int = note()
 
 
@@ -415,6 +421,7 @@ class KeywordSend(Node):
     mode: str = ""
     part_modes: list = note()
     builtin: tuple = note()
+    fixed: tuple = note()
     site: int = note()
 
     @property
@@ -428,6 +435,7 @@ class BinarySend(Node):
     op: str = ""
     right: object = None
     builtin: tuple = note()
+    fixed: tuple = note()
     site: int = note()
 
 
@@ -436,6 +444,7 @@ class PrefixOp(Node):
     op: str = ""
     operand: object = None
     builtin: tuple = note()
+    fixed: tuple = note()
     site: int = note()
 
 

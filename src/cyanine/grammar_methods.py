@@ -156,6 +156,7 @@ class SelectorAutomaton:
     transitions: list = field(default_factory=list)   # (state, GSel, state)
     epsilons: list = field(default_factory=list)      # (state, state)
     n_states: int = 0
+    first: frozenset = frozenset()     # the selectors that can begin a message
 
     def eps_closure(self, states):
         out = set(states)
@@ -232,6 +233,7 @@ def build_automaton(regex):
 
     auto.start, auto.accept = build(regex)
     auto.n_states = counter[0]
+    auto.first = frozenset(first_selectors(regex))
     return auto
 
 

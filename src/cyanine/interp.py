@@ -107,11 +107,11 @@ class Interp:
         # CATCH_SITE: {`compiler.send_key`: (handler, method, owner entry,
         # index of the receiver's mixin that has it or None, packing plan of
         # a grammar method or None)}.  A send counts as a hit (served by a
-        # cache, or by the binding the compile step gave it: a proven send
-        # or a literal loop of a `compiler` tree), a miss (looked up, then
-        # cached) or a skip (looked up but not cacheable, or not looked up:
-        # a send to nil, a proven send whose guard failed), so hits =
-        # steps - misses - skips.
+        # cache, or by the binding the compile step gave it: a proven send,
+        # a literal loop or a fixed send of a `compiler` tree), a miss
+        # (looked up, then cached) or a skip (looked up but not cacheable,
+        # or not looked up: a send to nil, a proven send whose guard
+        # failed), so hits = steps - misses - skips.
         self.inline_caches = [_NO_ENTRIES] * (program.sites + 1)
         self.misses = 0
         self.skips = 0

@@ -15,8 +15,8 @@ from .cyast import (GAlt, GOpt, GPlus, GSel, GSeq, GStar, GrammarSig, InterfaceD
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT, Desugarer
 from .diagnostics import Reporter
 from .grammar_methods import (ArrayOf, Scalar, UTupleOf, UUnionOf, AnyMarker, NoMatch,
-                              build_automaton, derive_parameter_type, first_selectors,
-                              match_message, method_name_of, validate_signature)
+                              build_automaton, derive_parameter_type, match_message,
+                              method_name_of, validate_signature)
 
 BASIC_TYPES = ("Byte", "Short", "Int", "Long", "Float", "Double", "Char", "Boolean")
 INTEGRAL_TYPES = ("Byte", "Short", "Int", "Long")
@@ -91,9 +91,9 @@ class MethodGroup:
 class ProtoEntry:
     __slots__ = ("name", "kind", "supertype", "interfaces", "decl", "is_abstract", "is_final",
                  "is_mixin", "mixin_base", "hidden", "builtin", "restricted",
-                 "contains_restricted", "methods", "groups", "ivars", "shared_vars", "consts",
-                 "ctx_params", "visible_vars", "ctx_self_type_name", "init_once", "package",
-                 "filename", "tuple_fields", "union_fields", "linked")
+                 "contains_restricted", "methods", "groups", "grammars", "ivars", "shared_vars",
+                 "consts", "ctx_params", "visible_vars", "ctx_self_type_name", "init_once",
+                 "package", "filename", "tuple_fields", "union_fields", "linked")
 
     def __init__(self, name, kind, supertype=None, interfaces=(), decl=None):
         self.name = name
@@ -111,6 +111,7 @@ class ProtoEntry:
         self.contains_restricted = False
         self.methods = []           # MethodEntry, textual order
         self.groups = {}            # name -> MethodGroup
+        self.grammars = []          # the grammar methods, textual order
         self.ivars = []             # VarDecl, textual order
         self.shared_vars = []
         self.consts = []
@@ -127,6 +128,8 @@ class ProtoEntry:
     def add_method(self, m):
         self.methods.append(m)
         self.groups.setdefault(m.name, MethodGroup(m.name)).entries.append(m)
+        if m.kind == "grammar":
+            self.grammars.append(m)
 
     @property
     def is_interface(self):
@@ -182,12 +185,15 @@ class PrototypeTable:
         self.reporter = reporter if reporter is not None else Reporter()
         self._reach_memo = {}
         self._chain_memo = {}
+        self._fixed_memo = {}   # see `fixed_method`
         self.check_queue = []   # entries whose bodies still need checking
         if shared is not None:
             self.entries = dict(shared.entries)
             self.templates = {key: list(recs) for key, recs in shared.templates.items()}
+            self.children = {name: list(subs) for name, subs in shared.children.items()}
             return
         self.entries = {}
+        self.children = {}      # name -> the linked prototypes that extend it
         self.templates = {}     # (base, arity-tuple) -> list of template records
         self.register_prelude_builtins()
 
@@ -317,9 +323,8 @@ class PrototypeTable:
                         if fits is not None and all(fits(a, p)
                                                     for a, p in zip(types, m.param_types)):
                             return m, entry, None
-            for m in entry.methods:
-                if m.kind == "grammar" and m.automaton is not None \
-                        and first in first_selectors(m.regex):
+            for m in entry.grammars:
+                if m.automaton is not None and first in m.automaton.first:
                     fits = test(m, entry)
                     if fits is not None:
                         try:
@@ -327,6 +332,63 @@ class PrototypeTable:
                         except NoMatch:
                             pass
         return None
+
+    def sub_prototypes(self, name):
+        """The linked prototypes whose supertype chain holds `name` below it:
+        those declared in source, the world's, the program's and generic
+        instances."""
+        found, work, seen = [], [name], {name}
+        while work:
+            for sub in self.children.get(work.pop(), ()):
+                if sub.name not in seen:
+                    seen.add(sub.name)
+                    found.append(sub)
+                    work.append(sub.name)
+        return found
+
+    def fixed_method(self, name, shape):
+        """Class-hierarchy analysis of a send of `shape` to a value of the
+        prototype `name`: (method, frozenset of the names of the prototypes
+        the analysis allowed, `name` and its `sub_prototypes`) where the
+        candidates of the message, every method `find_method` tries, on the
+        dispatch chain of `name` come to one method with a plain body and no
+        entry of a sub-prototype's chain down to `name` adds one, so that any
+        receiver of those prototypes with no mixin, no method of its own and
+        no `addMethod:` body reaches that method, whatever arguments of its
+        parameter types it is sent; else None.  A private overload or a
+        mixin's stub counts as a candidate, as neither `find_method` nor
+        `Interp.lookup` tests visibility.  Memoised per (prototype, selector
+        and arity) until a prototype is linked."""
+        key = name, tuple([(sel, len(args)) for sel, args in shape])
+        memo = self._fixed_memo
+        if key not in memo:
+            memo[key] = self._fixed_method(name, shape)
+        return memo[key]
+
+    def _fixed_method(self, name, shape):
+        entry = self.entries.get(name)
+        if entry is None or entry.is_interface:
+            return None
+        subs, chains = self.sub_prototypes(name), [self.dispatch_chain(name)]
+        for sub in subs:
+            # a sub-prototype's chain: its entries down to `name`, then `name`'s
+            below = self.chain(sub.name)
+            chains.append(below[:below.index(entry)] if entry in below else below)
+        found = set()
+
+        def candidate(m, _entry):
+            found.add(m)        # and takes nothing, so the search sees every one
+        for chain in chains:
+            self.find_method(chain, shape, lambda t: t, candidate)     # `shape` holds types
+        if len(found) != 1:
+            return None
+        m, = found
+        decl = m.decl
+        if m.builtin is not None or m.kind == "grammar" or m.is_abstract or m.is_stub \
+                or m.ctx_marker is not None or m.ctx_self_field is not None \
+                or decl is None or decl.body is None or decl.body_expr is not None:
+            return None
+        return m, frozenset([name, *(sub.name for sub in subs)])
 
     def find_signature(self, type_name, name, param_types, return_type=None):
         """The method `.{sig}` denotes on a receiver of type `type_name`: the
@@ -809,6 +871,9 @@ class PrototypeTable:
             entry.supertype = "Any"
         entry.interfaces = [self.resolve_type(t, pos) for t in decl.implements]
         self._edges_changed()
+        if entry.supertype is not None:
+            self.children.setdefault(entry.supertype, []).append(entry)
+            self._fixed_memo.clear()
         if entry.ctx_params:
             entry.restricted = any(cp.mode == "&" for cp in entry.ctx_params)
         for slot in decl.slots:
@@ -1116,9 +1181,8 @@ class PrototypeTable:
             ms.append(B("in:", "keyword", [it], "Boolean", sel_arity=[("in:", 1)],
                         builtin="in_iterable"))
             if t in INTERVAL_TYPES:
-                iv = self.instantiate_generic("Interval", [[t]], (0, 0))
-                ms.append(B("in:", "keyword", [iv], "Boolean", sel_arity=[("in:", 1)],
-                            builtin="in_interval"))
+                # made once in the world, not per program that writes `..`
+                self.instantiate_generic("Interval", [[t]], (0, 0))
         if t == "Char":
             ms.append(B("asUppercase", "unary", [], "Char", builtin="char_upper"))
             ms.append(B("asLowercase", "unary", [], "Char", builtin="char_lower"))

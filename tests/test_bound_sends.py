@@ -1,7 +1,9 @@
 """Sends the compile step binds from what the checker proved: sends of a
-builtin to basic types call the handler, and whileTrue:, whileFalse: and
-repeatUntil: sends of two block literals run the literals' bodies inline.
-Both keep the steps, evaluations, traces and outcomes of the send path."""
+builtin to basic types call the handler, whileTrue:, whileFalse: and
+repeatUntil: sends of two block literals run the literals' bodies inline,
+and a user send that class-hierarchy analysis fixes calls its method's
+runner.  All keep the steps, evaluations, traces and outcomes of the send
+path."""
 
 import os
 
@@ -287,3 +289,107 @@ def test_the_loops_corpus_program_runs_inline(monkeypatch):
     status, out, interp, evals = run_counted(monkeypatch, src)
     assert (status, out, evals) == (0, "0 1 2 3 4 .\n0 1 2 3 4 .\n1 2 3 .\n", 0)
     assert interp.evals == 2 * 5 + 1 + 2 * 5 + 1 + 2 * 3
+
+
+# -- user sends that class-hierarchy analysis fixes ----------------------------------
+
+FIB = '''package main
+private object Base
+    public fun twice: (:n Int) -> Int [ ^n + n ]
+end
+private object Derived extends Base
+    public override fun twice: (:n Int) -> Int [ ^super twice: n ]
+end
+public object Program
+    public fun fib: (:n Int) -> Int [
+        if ( n < 2 ) [ return n ];
+        return (self fib: n - 1) + (self fib: n - 2);
+    ]
+    public fun run [
+        :b Base = Derived new;
+        Out println: (self fib: 10), " ", (b twice: 2);
+    ]
+end
+'''
+
+
+def fixed_of(program, proto, method, message):
+    """The `fixed` notes of the sends of `message` in `proto`'s `method`."""
+    return [node.fixed for node in sends_of(program, proto, method)
+            if isinstance(node, A.KeywordSend) and node.message_name == message]
+
+
+def test_a_fixed_send_calls_its_runner_and_never_misses(monkeypatch):
+    """`self fib:` reaches one method on every prototype a Program can be,
+    so its three sends are fixed and look nothing up: the run misses 6
+    times, where their caches made it 9.  `b twice:` is not fixed, as
+    Derived overrides `twice:`, nor is the `super` send."""
+    program = compile_src(FIB)
+    fib = program.table.get("Program").groups["fib:"].entries[0]
+    assert fixed_of(program, "Program", "fib:", "fib:") == [(fib, frozenset({"Program"}))] * 2
+    assert fixed_of(program, "Program", "run", "fib:") == [(fib, frozenset({"Program"}))]
+    assert fixed_of(program, "Program", "run", "twice:") == [None]
+    assert fixed_of(program, "Derived", "twice:", "twice:") == [None]     # super
+    status, out, interp, _evals = run_counted(monkeypatch, FIB)
+    assert (status, out) == (0, "55 4\n")
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (626, 0, 6, 1)
+
+
+def test_a_send_with_an_any_argument_is_not_fixed(monkeypatch):
+    """The checker lets an argument of type Any through to any parameter;
+    the run's lookup refuses a String for an Int."""
+    src = '''package main
+public object Program
+    public fun f: (:n Int) -> Int [ ^n ]
+    public fun run [
+        :a Any = "s";
+        Out println: (self f: a);
+    ]
+end
+'''
+    assert fixed_of(compile_src(src), "Program", "run", "f:") == [None]
+    status, out, _interp, _evals = run_counted(monkeypatch, src)
+    assert (status, out) == (2, "uncaught exception: DoesNotUnderstandException\n"
+                                "  at Program::run\n")
+
+
+def test_a_send_with_a_private_overload_is_not_fixed(monkeypatch):
+    """The checker finds the public overload; the run's lookup, which has no
+    visibility rule, the private one first, so two candidates leave the send
+    to the lookup."""
+    src = '''package main
+private object A
+    private fun f: (:x Int) -> String [ ^"private" ]
+    public fun f: (:x Any) -> String [ ^"public" ]
+end
+public object Program
+    public fun run [ Out println: (A f: 1); ]
+end
+'''
+    assert fixed_of(compile_src(src), "Program", "run", "f:") == [None]
+    assert run_counted(monkeypatch, src)[:2] == (0, "private\n")
+
+
+def test_a_sub_prototype_of_a_world_prototype_fails_the_guard(monkeypatch):
+    """The world's bodies are checked and compiled once, for every program:
+    `e message` in StrException's `eval:` is fixed for the prototypes of
+    the world alone, so a program's sub-prototype that overrides `message`
+    takes the send's cache."""
+    src = '''package main
+private object Loud extends StrException
+    public override fun message -> String [ ^"loud" ]
+end
+public object Program
+    public fun run [
+        :e StrException = Loud new;
+        Out println: (e message);
+        [ throw: Loud new; ] catch: StrException;
+    ]
+end
+'''
+    program = compile_src(src)
+    eval_decl = program.table.get("StrException").groups["eval:"].entries[0].decl
+    message, = [node.fixed for node in A.walk(eval_decl.body)
+                if isinstance(node, A.UnarySend) and node.selector == "message"]
+    assert message[1] == frozenset({"StrException"})
+    assert run_counted(monkeypatch, src)[:2] == (2, "loud\nloud\n")

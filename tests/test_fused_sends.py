@@ -43,7 +43,7 @@ end
     assert (status, out) == (2, "Byte overflow\nShort overflow\nInt overflow\nLong overflow\n"
                                 "127 -32768 2147483647 9223372036854775807\n"
                                 "uncaught exception: StrException\n  at Program::run\n")
-    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (24, 8, 14, 1)
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (24, 8, 10, 1)
 
 
 def fused_read(leaf_depth):

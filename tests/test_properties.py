@@ -525,6 +525,111 @@ def test_bound_sends_agree_with_fresh_lookup(sends, data):
                 assert got == want, (node, leaf, recv, args, mutations, src)
 
 
+# --- fixed sends: a bound user send runs as the cached send does -----------------
+
+FIXED_TYPES = ("Int", "String", "Any")
+
+# the argument expressions of a send of `f:` and the parameter type, besides
+# Any, that a public overload needs to take each; None where any does
+FIXED_ARGS = {"1": "Int", '"s"': "String", "nil": None, "any": None}
+
+# what the run does to the receiver `r` between two sends
+FIXED_MUTATIONS = {
+    "replace": "r.{{f: {t} -> String}}. = [ |:x {t} -> String| ^\"replaced\" ];",
+    "replace in A": "A.{{f: {t} -> String}}. = [ |:x {t} -> String| ^\"replaced in A\" ];",
+    "attach": "r attachMixin: M;",
+    "add to r": "r addMethod: selector: #f: param: Int returnType: String "
+                "body: (:self A)[ |:p Int -> String| ^\"added to r\" ];",
+    "add to A": "A addMethod: selector: #f: param: Int returnType: String "
+                "body: (:self A)[ |:p Int -> String| ^\"added to A\" ];",
+}
+
+
+@st.composite
+def fixed_send_programs(draw):
+    """A prototype A with overloads of `f:` in a random textual order,
+    private ones among them, sub-prototypes B and C that override some of
+    the public ones or none, a mixin M with its own `f:`, and a `run` that
+    sends `f:` to a receiver `r` of a static type A or B, with arguments of
+    each type, nil and an `Any` local among them, and between the sends
+    replaces `f:` in r or in A, attaches M to r or adds a body for `f:` to
+    r or to A.  Each send reaches r through `id:`, which answers it as its
+    static type.  Answers (the source, the source of its oracle, in which
+    `id:` answers an Any, so that no send of `f:` can be fixed, and whether
+    the sends of `f:` with an argument other than the Any local must be
+    fixed: one candidate and no override)."""
+    types = draw(st.lists(st.sampled_from(FIXED_TYPES), min_size=1, max_size=3, unique=True))
+    private = [draw(st.booleans()) for _ in types]
+    private[draw(st.integers(0, len(types) - 1))] = False
+    public = [t for t, p in zip(types, private) if not p]
+    lines = ["package main", "private object A"]
+    lines += [f"    {'private' if p else 'public'} fun f: (:x {t}) -> String "
+              f"[ ^\"A {t}{' private' if p else ''}\" ]" for t, p in zip(types, private)]
+    overrides, overriding = {}, draw(st.booleans())
+    for proto, sup in (("B", "A"), ("C", "B")):
+        overrides[proto] = draw(st.lists(st.sampled_from(public), unique=True, max_size=2)) \
+            if overriding else []
+        lines += ["end", f"private object {proto} extends {sup}"]
+        lines += [f"    public override fun f: (:x {t}) -> String [ ^\"{proto} {t}\" ]"
+                  for t in overrides[proto]]
+    lines += ["end", "private mixin(A) object M",
+              "    public fun f: (:x Any) -> String [ ^\"M Any\" ]", "end"]
+    static = draw(st.sampled_from(("A", "B")))
+    made = draw(st.sampled_from(("A", "B", "C") if static == "A" else ("B", "C")))
+    args = [a for a, t in FIXED_ARGS.items() if t is None or t in public or "Any" in public]
+    any_value = draw(st.sampled_from(("1", '"s"')))
+    body = [f"        :r {static} = {made} new;", f"        :any Any = {any_value};"]
+    send = "        Out println: ((self id: r) f: {});"
+    for mutation in [None] + draw(st.lists(st.sampled_from(list(FIXED_MUTATIONS)),
+                                           unique=True, max_size=3)):
+        if mutation is not None:
+            body.append("        " + FIXED_MUTATIONS[mutation].format(
+                t=draw(st.sampled_from(types))))
+        body += [send.format(draw(st.sampled_from(args)))
+                 for _ in range(draw(st.integers(1, 2)))]
+    source = [
+        "\n".join(lines) + "\npublic object Program\n"
+        f"    public fun id: (:r {static}) -> {answer} [ ^r ]\n"
+        "    public fun run [\n" + "\n".join(body) + "\n    ]\nend\n"
+        for answer in (static, "Any")]
+    fixed = len(types) == 1 and not overrides["B"] and not overrides["C"]
+    return (*source, fixed)
+
+
+def run_counts(program, max_steps=100_000):
+    """(exit status, stdout, steps, evals) of a run of `program`."""
+    interp = Interp(program)
+    interp.max_steps = max_steps
+    status = interp.run()
+    return status, interp.stdout(), interp.steps, interp.evals
+
+
+@given(fixed_send_programs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fixed_sends_agree_with_their_opaque_oracle(programs, data):
+    """A send of `f:` is fixed exactly where `f:` has one candidate on the
+    dispatch chains of r's static type and its sub-prototypes and no
+    argument is of type Any.  Whatever the run does to r and to A, the
+    program gives the stdout, exit status, steps and evaluations of its
+    oracle, in which every send of `f:` probes its cache; so it does with
+    the step budget spent at any step."""
+    src, oracle_src, fixed = programs
+    program, oracle = compile_src(src), compile_src(oracle_src)
+    assert program.ok(), program.reporter.format_all() + src
+    assert oracle.ok(), oracle.reporter.format_all() + oracle_src
+    run = program.table.get("Program").groups["run"].entries[0].decl
+    sends = [node for node in walk(run.body)
+             if isinstance(node, KeywordSend) and node.message_name == "f:"]
+    for node in sends:
+        arg = node.parts[0][1][0]
+        assert (node.fixed is not None) == (fixed and not (
+            isinstance(arg, NameRef) and arg.name == "any")), (node, src)
+    status, out, steps, evals = run_counts(program)
+    assert (status, out, steps, evals) == run_counts(oracle), (src, oracle_src)
+    for budget in data.draw(st.lists(st.integers(1, steps + evals), max_size=4)):
+        assert run_counts(program, budget) == run_counts(oracle, budget), (budget, src)
+
+
 # --- trees: a body runs as it does with nothing in it proven --------------------
 
 TREE_PROGRAM = '''package main

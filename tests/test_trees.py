@@ -210,7 +210,7 @@ def shapes():
 
 # the shapes of the world and a hello world: the bodies of the world's
 # methods and initial values, the empty body among them, and `run`
-WORLD_SHAPES = 7
+WORLD_SHAPES = 8
 
 
 def test_the_world_and_a_hello_world_make_a_fixed_number_of_shapes():
@@ -361,7 +361,8 @@ CONTEXTS = {
 
 # (name, program, statements, (exit status, stdout), (steps, evaluations,
 # misses, skips) per context), the counts as the closures of these nodes
-# gave them before every node was generated
+# gave them before every node was generated, but for the misses that fell
+# where the checker fixed a send
 NODE_ROWS = [
     ("field read and write", """package main
 public object Program
@@ -373,7 +374,7 @@ public object Program
     private :count Int = 1
 end
 """, 'count = count + 1; Out println: count; self.count = count * 10; Out println: self.count;',
-     (0, "2\n20\n20 20\n"), [(7, 0, 4, 1), (8, 1, 5, 1), (11, 3, 4, 1)]),
+     (0, "2\n20\n20 20\n"), [(7, 0, 3, 1), (8, 1, 4, 1), (11, 3, 3, 1)]),
     ("static read before its initial value", """package main
 private object Early
     public shared :first Int = Early peek
@@ -389,7 +390,7 @@ public object Program
 end
 """, 'Out println: "peek"; [ r = second; ] catch: [ |:e StrException| Out println: (e message) ];',
      (0, "peek\nvariable 'second' is read before it is initialized\nrun\n"),
-     [(8, 2, 7, 1), (9, 3, 8, 1), (12, 5, 7, 1)]),
+     [(8, 2, 5, 1), (9, 3, 6, 1), (12, 5, 5, 1)]),
     ("static write", """package main
 private object Counter
     public fun bump [
@@ -402,7 +403,7 @@ public object Program
     public fun run [ Counter bump; Counter bump; Counter show; ]
 end
 """, 'count = count + 1; Out println: count;',
-     (0, "1\n2\ncount 2\n"), [(9, 0, 5, 1), (11, 2, 6, 1), (17, 6, 5, 1)]),
+     (0, "1\n2\ncount 2\n"), [(9, 0, 2, 1), (11, 2, 3, 1), (17, 6, 2, 1)]),
     ("lazy prototype init", """package main
 private object First
     public shared :x Int = First compute
@@ -422,7 +423,7 @@ public object Program
 end
 """, 'Out println: "before Second"; r = Second value; Out println: "after Second ", r;',
      (0, "before Second\ninit Second\nafter Second 7\nrun\n"),
-     [(8, 0, 7, 1), (9, 1, 8, 1), (12, 3, 7, 1)]),
+     [(8, 0, 4, 1), (9, 1, 5, 1), (12, 3, 4, 1)]),
     ("generic prototype name", """package main
 private object Box<:T>
     public fun init [ Out println: "new box"; ]
@@ -438,7 +439,7 @@ public object Program
     ]
 end
 """, 'b = Box<Int> new; b put: 5; Out println: (Box<Int> prototypeName);',
-     (0, "new box\nBox<Int>\n5\n"), [(10, 0, 9, 1), (11, 1, 10, 1), (14, 3, 9, 1)]),
+     (0, "new box\nBox<Int>\n5\n"), [(10, 0, 5, 1), (11, 1, 6, 1), (14, 3, 5, 1)]),
     ("a new String per evaluation", """package main
 public object Program
     public fun run [
@@ -463,7 +464,7 @@ public object Program
 end
 """, 'xs = {# (self say: 1), (self say: 2), (self say: 3) #}; '
      't = [. (self say: 4), (self say: 5) .]; Out println: "";',
-     (0, "(1)(2)(3)(4)(5)\n1 2 3 4 5\n"), [(16, 0, 10, 2), (17, 1, 11, 2), (20, 3, 10, 2)]),
+     (0, "(1)(2)(3)(4)(5)\n1 2 3 4 5\n"), [(16, 0, 5, 2), (17, 1, 6, 2), (20, 3, 5, 2)]),
     ("an interval with a nil end", """package main
 public object Program
     public fun run [
@@ -477,7 +478,7 @@ end
 """, 'Out println: (lo..2); '
      '[ Out println: (lo..hi); ] catch: [ |:e StrException| Out println: (e message) ];',
      (0, "1..2\nan end of an interval is nil\nafter\n"),
-     [(8, 2, 6, 2), (9, 3, 7, 2), (12, 5, 6, 2)]),
+     [(8, 2, 5, 2), (9, 3, 6, 2), (12, 5, 5, 2)]),
     ("a method assigned, its value before its receiver", """package main
 private object Box
     public fun get -> Int [ ^ 0 ]
@@ -493,7 +494,7 @@ public object Program
     ]
 end
 """, '(self noisy: box).{get -> Int}. = (self value);',
-     (0, "value\nreceiver\n1 0\n"), [(15, 1, 10, 3), (16, 2, 11, 3), (19, 4, 10, 3)]),
+     (0, "value\nreceiver\n1 0\n"), [(15, 1, 4, 3), (16, 2, 5, 3), (19, 4, 4, 3)]),
     ("a nil-safe index, whose let keeps a block", """package main
 public object Program
     public fun keep: (:b UBlock<Int>) -> Int [ kept = b; ^ 1 ]
@@ -507,7 +508,7 @@ public object Program
 end
 """, 'a = v?[0]?; Out println: a; v = Array<Int> new: 2; v at: 1 put: 9; '
      'a = v?[self keep: [ ^ 0 ]]?;',
-     (0, "nil\n9\n"), [(11, 0, 7, 4), (12, 1, 8, 4), (15, 3, 7, 4)]),
+     (0, "nil\n9\n"), [(11, 0, 6, 4), (12, 1, 7, 4), (15, 3, 6, 4)]),
     ("super, and super in a block of an attached mixin", """package main
 private object Base
     public fun greet [ Out println: "base greet" ]
@@ -532,7 +533,7 @@ public object Program extends Base
 end
 """, 'super greet; self greet; w draw; w draw;',
      (0, "base greet\nprogram greet\nwith shade\ndraw window\nwith shade\ndraw window\ntrue\n"),
-     [(21, 2, 16, 1), (22, 3, 17, 1), (25, 5, 16, 1)]),
+     [(21, 2, 14, 1), (22, 3, 15, 1), (25, 5, 14, 1)]),
     ("context new: with & and * parameters", """package main
 private object Sum(:sum &Int) implements Block<Int><Void>
     public fun eval: (:x Int) [ sum = sum + x; ]
@@ -554,7 +555,7 @@ public object Program
 end
 """, 'nums foreach: Sum(s); Out println: s; Each(nums) foreach: Sum(s); '
      'nums = {# 10 #}; Each(nums) foreach: Sum(s);',
-     (0, "6\n22\n"), [(45, 4, 13, 4), (46, 5, 14, 4), (49, 7, 13, 4)]),
+     (0, "6\n22\n"), [(45, 4, 11, 4), (46, 5, 12, 4), (49, 7, 11, 4)]),
     ("a literal loop after addMethod:", """package main
 public object Program
     public fun run [
@@ -600,25 +601,3 @@ def test_each_kind_of_node_keeps_its_outcome_and_counts(row, context):
     kept = interp.proto_objects["Program"].fields.get("kept")
     if kept is not None:
         assert kept is not NIL and live_cells(kept) == []
-
-
-def test_a_percent_snapshot_reads_nil_for_a_variable_whose_declaration_has_not_run():
-    """No checked program makes a block before the declaration of one of
-    its %-variables runs; the compile step still reads nil there, whether
-    the variable has no slot yet or its slot no cell."""
-    program = compile_src("""package main
-public object Program
-    public fun run [ :y = 2; :c = [ ^ %y ]; Out println: (c eval); ]
-end
-""")
-    decl = program.table.get("Program").groups["run"].entries[0].decl
-    block, = [node for node in A.walk(decl.body) if isinstance(node, A.BlockLit)]
-    interp = Interp(program)
-    frame = compiler.Frame("Program", "run", None, None)
-    for declared, env, answer in ((False, [None], NIL), (True, [None, None], NIL),
-                                  (True, [None, Cell(NOOBJECT)], NOOBJECT)):
-        compile_step = compiler.Compiler(program.table, program.sites)
-        if declared:
-            compile_step.scope.declare("y")
-        value = compile_step.tree(block)(interp, env, frame)
-        assert interp.eval_block_value(value, []) is answer
