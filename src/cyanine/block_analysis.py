@@ -10,13 +10,23 @@ variable.  For a literal block B:
 
 Access counts anywhere between the block's delimiters, including nested
 blocks; instance variables and parameters never matter.
+
+The same walk notes, for the compile step, which locals the code of a body
+keeps in cells (`cells` of the method decl and of each BlockInfo): those a
+block literal in the body names, parameters too, its %-variables, and those
+passed to a context object's `new:` or `bind:` (`BINDERS`), which binds
+their cells.  No other code can see any other local.
 """
 
 from dataclasses import dataclass, field
 
 from .cyast import (AssignExpr, AssignStat, BlockLit, ExprStat, GrammarSig, IfExpr, IfStat,
-                    KeywordSig, LetExpr, NameRef, Node, OperatorSig, PercentRef, ReturnStat,
-                    TypeExpr, VarDeclStat, WhileStat, children)
+                    KeywordSend, KeywordSig, LetExpr, NameRef, Node, OperatorSig, PercentRef,
+                    ReturnStat, TypeExpr, VarDeclStat, WhileStat, children)
+
+# the selectors of a context object's sends that bind its `&` and `*`
+# parameters to what the arguments refer to
+BINDERS = ("new:", "bind:")
 
 
 @dataclass
@@ -30,6 +40,8 @@ class BlockInfo:
     interface_type: str = None                      # filled by the checker
     line: int = 0
     col: int = 0
+    names: set = field(default_factory=set)         # locals and parameters named inside
+    cells: set = field(default_factory=set)         # see the module doc
 
     def classify(self):
         if self.accessed:
@@ -43,10 +55,14 @@ class BlockInfo:
 
 
 class _Scope:
-    def __init__(self, parent, level):
+    """`owner` is the BlockInfo, or the method's, whose body holds the
+    scope."""
+
+    def __init__(self, parent, level, owner=None):
         self.parent = parent
         self.level = level
         self.names = {}
+        self.owner = owner or parent.owner
 
     def declare(self, name):
         self.names[name] = self.level
@@ -67,8 +83,9 @@ def analyze_method(decl, reporter):
     infos = []
     if decl.body is None:
         return infos
-    top = _Scope(None, 1)
-    params = _Scope(None, -1)
+    owner = BlockInfo()
+    top = _Scope(None, 1, owner)
+    params = _Scope(None, -1, owner)
     sig = decl.sig
     if isinstance(sig, KeywordSig):
         for part in sig.parts:
@@ -80,6 +97,7 @@ def analyze_method(decl, reporter):
         params.declare(sig.param_name)
     top.parent = params
     _walk_stats(decl.body, top, [], infos, reporter)
+    decl.cells = owner.cells
     return infos
 
 
@@ -161,6 +179,9 @@ def _walk_expr(e, scope, enclosing, infos, reporter):
         return
     if isinstance(e, NameRef):
         level = _record_access(e.name, scope, enclosing, percent=False)
+        if level is not None:
+            for info in enclosing:
+                info.names.add(e.name)
         if enclosing and e.name in enclosing[-1].percent_vars \
                 and level == enclosing[-1].declared_at_level + 1:
             reporter.error(e.line, e.col,
@@ -183,15 +204,19 @@ def _walk_expr(e, scope, enclosing, infos, reporter):
                 reporter.error(pref.line, pref.col, "it is illegal to use '%' with a parameter")
             else:
                 info.percent_vars[pref.name] = level
-        pscope = _Scope(scope, -1)
+        pscope = _Scope(scope, -1, info)
         for sec in e.param_sections:
             for p in sec:
                 pscope.declare(p.name)
-        body_scope = _Scope(pscope, scope.level + 1)
+        body_scope = _Scope(pscope, scope.level + 1, info)
         for name in info.percent_vars:
             body_scope.declare(name)      # the block-local %-copies shadow the real ones
         _walk_stats(e.body, body_scope, enclosing + [info], infos, reporter)
         info.classify()
+        # the enclosing body's code sees what the block names
+        owner = scope.owner
+        owner.cells |= info.names
+        owner.cells.update(info.percent_vars)
         return
     if isinstance(e, LetExpr):
         _walk_expr(e.init, scope, enclosing, infos, reporter)
@@ -204,6 +229,9 @@ def _walk_expr(e, scope, enclosing, infos, reporter):
         _walk_expr(e.then, scope, enclosing, infos, reporter)
         _walk_expr(e.otherwise, scope, enclosing, infos, reporter)
         return
+    if type(e) is KeywordSend and len(e.parts) == 1 and e.parts[0][0] in BINDERS:
+        scope.owner.cells.update(a.name for a in e.parts[0][1]
+                                 if isinstance(a, NameRef) and scope.lookup(a.name) is not None)
     if isinstance(e, AssignExpr):
         _walk_expr(e.target, scope, enclosing, infos, reporter)
         _walk_expr(e.value, scope, enclosing, infos, reporter)

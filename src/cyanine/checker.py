@@ -242,14 +242,7 @@ class Checker:
 
     def _interface_closure(self, entry):
         out = []
-        work = list(entry.interfaces)
-        cur = entry.supertype
-        while cur:
-            e = self.table.get(cur)
-            if e is None:
-                break
-            work.extend(e.interfaces)
-            cur = e.supertype
+        work = [i for e in self.table.chain(entry.name) for i in e.interfaces]
         seen = set()
         while work:
             i = work.pop()

@@ -1,16 +1,35 @@
 """The compile step: after the checker, every body the interpreter runs
 becomes Python code, once, left in the `code` note of the node that owns
-the body.  A method's runner takes (interp, m, recv, args, shape,
-mixin=None), a block's (interp, block value, args); all other code takes
-(interp, env, frame) and holds no run-time state, so the world's code
-serves every program and interpreter.  A body's code answers True when a
-return ended it (the value is in `frame.result`).
+the body.  A method's code is its adapter, (interp, m, recv, args, shape,
+mixin=None), a block's its runner, (interp, block value, args); all other
+code takes (interp, env, frame).  No code holds run-time state, so the
+world's code serves every program and interpreter.  A tree's code answers
+True when a return ended it (the value is in `frame.result`).
 
-Locals live in envs, lists [parent env, cell, ...]: one per activation of a
-method or block, per `if`/`while` body that declares a variable, per `let`,
-and per <init>, <fields> or <default> frame; a local's address is (depth,
-slot).  Each local keeps its own Cell, which dies when its env is left, for
-the dead-cell check.
+A method with a plain body but a context block's body compiles to one
+function, `fn(interp, recv, a0, ..., owner=None, index=None)`, in the
+`fn` note of its decl: it pushes the method's frame, with the depth
+check, runs the body and pops the frame, and a `return` is a Python
+`return`; it catches a ReturnSignal only where a block of its body holds
+a `return` (as in Chambers & Ungar's customization, PLDI 1989).  Its
+adapter calls it with the arguments in place for its arity, and refits
+other arguments or a mixin object and its index (`_refit`), which
+`Interp.lookup` pairs with a method of a mixin entry found on an object
+the mixin is attached to; `owner`'s fields are those the body reads.  A
+context block's body, whose self is the object its context object is
+bound to, has only a runner that makes an env (`_method_runner`); no
+fixed send reaches one.
+
+A local that no block, %-snapshot or context object's `new:` or `bind:`
+can see (`block_analysis`, the `cells` notes) is a Python variable of its
+tree; so is such a parameter of a method's function (Stadler, Wurthinger &
+Mossenbock's scalar replacement, CGO 2014).  Every other local lives in an
+env, a list [parent env, cell, ...]: one per activation of a method or
+block that has such a local, per `if`/`while` body that declares one, per
+`let`, and per <init>, <fields> or <default> frame; its address is
+(depth, slot).  Its cell dies when its env is left, and a block that
+outlives the env reads it as a dead cell; a cell of an env the running
+tree holds cannot die while it runs, so the tree reads it with no test.
 
 Every body is a *tree*: one Python function, generated from source
 (`_Tree`) by a factory made once per process for each source text, the
@@ -21,14 +40,14 @@ a line or a few of Python in the order in which the nodes run: a field read
 is `interp.field_read(frame.fields_owner, K3)`, an array literal
 `ArrayV(K1, K2, [v1, v2])`, a block literal a `BlockV` with the snapshot of
 its %-variables, a `let` an env of its own whose cell dies in a `finally`.
-Only method and block runners, the factories, and a subtree for a node
-nested deeper than Python allows (`_Tree.deep`) are closures.  Measured in
-one process, the 80 corpus programs compile to 678 trees in 152 shapes,
-and `compile_entries` makes 2.3 GC objects per node of
-`perfbench/programs/sends.cyan`; a closure per field, block, `let`,
-literal or `super` send instead made 808 closures and 110 trees more, 2.7
-objects per node, and one shape less.  Three kinds of send are generated
-in full:
+Only the adapters and runners, the factories, and a subtree for a node
+nested deeper than Python allows (`_Tree.deep`) are closures; a subtree
+sees only cells, so a body whose tree would split where it sees a Python
+variable compiles again with every local in a cell.  Measured in one
+process, the 80 corpus programs compile to 598 method functions and 101
+other trees in 166 shapes; when every body was a tree of (interp, env,
+frame), they were 699 trees in 160 shapes.  Three kinds of send are
+generated in full:
 
 - A proven send, one the checker resolved to a builtin for a receiver and
   at most one argument of basic types (`Int`, `Boolean`, `Char`, ..., all
@@ -43,17 +62,26 @@ in full:
   frame for the whole loop, and counts and checks each evaluation as the
   block runner does.  While its method is replaced, or an `addMethod:`
   body might take the message, it sends the two block values through its
-  site.
+  site.  Where the test is a comparison and the two bodies hold only
+  proven sends that run inline, local reads and stores and shared
+  literals, each turn first tries a fast turn (`_Turn`): one test of its
+  methods, one of the budget for all its steps and evaluations, and one
+  kind test per local it reads; then it computes in Python variables,
+  with a range test per sum, difference and product, and only then counts
+  and writes the cells.  A failed test runs the turn the per-send way from
+  its start, which a short budget, an overflow, a changed kind and a
+  replaced method need, as only that way ends where the send path does.
 - A fixed send, a user send that the checker's class-hierarchy analysis
   binds to one method with a plain body (`PrototypeTable.fixed_method`, as
   in Dean, Grove & Chambers, ECOOP 1995), guards what the run can still
   change: while its receiver is an object of a prototype the analysis
   allowed, with no mixin attached and no method of its own, and the method
   has no bound value and no `addMethod:` body may take the message, it
-  counts its step and calls the method's runner, with no cache key, no
-  cache and no `Interp.invoke`; else it probes its site's cache as below.
-  The allowed prototypes are a guard and not an assumption, as the world's
-  bodies serve programs that add sub-prototypes to its prototypes.
+  counts its step and calls the method's function with the arguments in
+  place, with no cache key, no cache and no `Interp.invoke`; else it
+  probes its site's cache as below.  The allowed prototypes are a guard
+  and not an assumption, as the world's bodies serve programs that add
+  sub-prototypes to its prototypes.
 
 Every other send but an interval gets a site number, the index of its
 inline cache, and so does a fixed send: the tree evaluates its receiver and
@@ -66,6 +94,7 @@ entry whose body holds it, wherever in that body it runs.
 import functools
 
 from . import builtins as bi
+from .block_analysis import BINDERS
 from .cyast import *
 from .grammar_methods import all_nodes
 from .prototypes import BASIC_TYPES, split_generic
@@ -112,20 +141,31 @@ def compile_entries(table, entries, first_site):
 
 
 class _Scope:
-    """The compile-time view of one env: the slot of each name."""
-    __slots__ = ("parent", "slots", "size", "dying")
+    """The compile-time view of one env: the slot of each name, or the
+    Python variable of a name that no block can see.  A scope without an env
+    (`env` False) holds only such variables."""
+    __slots__ = ("parent", "slots", "size", "dying", "env")
 
-    def __init__(self, parent):
+    def __init__(self, parent, env=True):
         self.parent = parent
         self.slots = {}
         self.size = 0
         self.dying = []     # the slots whose cells die when the env is left
+        self.env = env
 
-    def declare(self, name, dies=True):
+    def declare(self, name, dies=True, var=None):
+        if var is not None:
+            self.slots[name] = var
+            return
         self.size += 1
         self.slots[name] = self.size
         if dies:
             self.dying.append(self.size)
+
+
+class _TooDeep(Exception):
+    """A tree would split where it sees a local in a Python variable
+    (`_Tree.split`)."""
 
 
 class Compiler:
@@ -138,6 +178,7 @@ class Compiler:
         self.in_block = False       # whether a `return` runs in a block frame
         self.owner = None           # the entry whose bodies compile
         self.block_bodies = {}      # id of a block literal -> what `block` answers
+        self.split_bodies = set()   # ids of the statements of bodies that split
 
     def entry(self, entry):
         self.owner = entry
@@ -150,8 +191,13 @@ class Compiler:
                 continue        # ctx markers run natively; stubs never run
             if decl.body is not None:
                 self.in_block = False
-                body, scope = self.activation(None, m.param_names, (), self.tree, decl.body)
-                decl.code = _method_runner(entry, m, body, scope)
+                if m.ctx_self_field is not None:
+                    body, scope = self.activation(None, m.param_names, (), decl.body,
+                                                  decl.cells)
+                    decl.code = _method_runner(entry, m, body, scope)
+                else:
+                    (decl.fn, decl.code), _scope = self.activation(
+                        None, m.param_names, (), decl.body, decl.cells, (entry.name, m.name))
             elif decl.body_expr is not None:
                 decl.code = self.value(decl.body_expr)
             if m.kind == "grammar":
@@ -165,12 +211,16 @@ class Compiler:
         return self.tree(e)
 
     def address(self, name):
+        """(depth, slot) of a local, the depth counting envs; a local in a
+        Python variable has that variable's name for its slot."""
         depth, scope = 0, self.scope
         while scope is not None:
             slot = scope.slots.get(name)
             if slot is not None:
                 return depth, slot
-            scope, depth = scope.parent, depth + 1
+            if scope.env:
+                depth += 1
+            scope = scope.parent
         return None
 
     def local(self, name):
@@ -188,22 +238,46 @@ class Compiler:
             self.sites += 1
         return node.site
 
-    def activation(self, parent, params, names, compile_body, body):
-        """Compile `body` to run in an env of its own below `parent`'s, which
-        holds `params`, whose cells never die, and `names`: (code, scope)."""
+    def activation(self, parent, params, names, body, cells, method=None):
+        """Compile the statements `body` to run in an env of its own below
+        `parent`'s, which holds `params`, whose cells never die, and `names`:
+        (code, scope).  `method`, (entry name, method name), makes the code a
+        method's function and its adapter (`_Tree.function`).  The body's
+        locals but `cells` (see `block_analysis`) are Python variables, and
+        so are the other parameters of a method's function; with `cells`
+        None, every local is in a cell, and so it is where the tree would
+        split where it sees a Python variable (`_TooDeep`): the body compiles
+        again, and the block literals in it, whose envs may now lie below
+        other envs; it compiles so from then on (`split_bodies`)."""
+        if cells is None or id(body) in self.split_bodies:
+            return self.compile_body(parent, params, names, body, None, method)
+        in_block = self.in_block
+        try:
+            return self.compile_body(parent, params, names, body, cells, method)
+        except _TooDeep:
+            self.split_bodies.add(id(body))
+            for node in walk(body):
+                if type(node) is BlockLit:
+                    self.block_bodies.pop(id(node), None)
+            self.in_block = in_block
+            return self.compile_body(parent, params, names, body, None, method)
+
+    def compile_body(self, parent, params, names, body, cells, method):
         scope = self.scope = _Scope(parent)
-        for name in params:
-            scope.declare(name, dies=False)
+        for i, name in enumerate(params):
+            scope.declare(name, dies=False, var=f"a{i}" if method is not None
+                          and cells is not None and name not in cells else None)
         for name in names:
             scope.declare(name)
-        code = compile_body(body)
+        code = self.tree(body, cells, method and (*method, params))
         self.scope = parent
         return code, scope
 
-    def tree(self, root):
+    def tree(self, root, cells=None, method=None):
         """The function of the tree rooted at `root`, a node or the
-        statements of a body."""
-        gen = _Tree(self)
+        statements of a body; with `cells`, the names of the locals that
+        must be cells, the others are Python variables."""
+        gen = _Tree(self, cells, method)
         if type(root) is list:
             gen.stats(root)
         else:
@@ -212,18 +286,19 @@ class Compiler:
 
     def block(self, e):
         """Compile the block literal `e` once, leaving its runner in `e.code`:
-        (the code of its body, the number of slots of its env).  A tree may
-        hold a literal twice, inline and in the body of an enclosing literal
-        loop, whose site runs that body as a block."""
+        (the code of its body, the number of names its env declares).  A
+        tree may hold a literal twice, inline and in the body of an
+        enclosing literal loop, whose site runs that body as a block."""
         made = self.block_bodies.get(id(e))
         if made is None:
             params = [p.name for sec in e.param_sections for p in sec]
             percent = _percent_vars(e)
             outer_in_block, self.in_block = self.in_block, True
-            body, scope = self.activation(self.scope, params, percent, self.tree, e.body)
+            body, scope = self.activation(self.scope, params, percent, e.body,
+                                          e.info and e.info.cells)
             self.in_block = outer_in_block
             e.code = _block_runner(body, scope, len(params), len(percent))
-            made = self.block_bodies[id(e)] = body, scope.size
+            made = self.block_bodies[id(e)] = body, len(scope.slots)
         return made
 
 
@@ -233,11 +308,6 @@ class Compiler:
 _LOOPS = ("while_true", "while_false", "repeat_until")
 
 _BASIC = frozenset(BASIC_TYPES)
-
-# the selectors of a context object's sends that bind its `&` and `*`
-# parameters to what the arguments refer to
-_BINDERS = ("new:", "bind:")
-
 
 def _percent_vars(e):
     """The %-variables of the block literal `e`, in order."""
@@ -314,24 +384,45 @@ class _Tree:
     reads the values `consts` as K0, K1, ...; `envs` are the variables of
     the envs the code runs in, the tree's own first, `frame` that of its
     frame; `returns` says whether a `return` there ends the tree's own
-    statements."""
+    statements.  The locals not in `cells` are Python variables, and with
+    `cells` None every local is in a cell.  `method`, (entry name, method
+    name, parameter names), makes the tree a method's function; `env_used`
+    says whether its code takes its env, `raises` whether a block of its
+    body may raise a ReturnSignal."""
 
-    def __init__(self, compiler):
+    def __init__(self, compiler, cells=None, method=None):
         self.c = compiler
+        self.cells = cells
+        self.method = method
+        self.env_used = self.raises = False
+        self.top = compiler.scope
         self.lines = []
         self.consts = []
         self.names = 0
-        self.pad = " " * 8
+        self.pad = " " * (8 if method is None else 12)
         self.blocks = 0         # the Python loops and `try` blocks open
         self.envs = ["env"]
         self.frame = "frame"
         self.returns = True
+        if method is not None:
+            self.const(method[0])
+            self.const(method[1])
 
     def function(self):
+        """The tree's function: (interp, env, frame), answering True when a
+        `return` ended its statements; or a method's function and its
+        adapter (`_method_frame`, `_adapter`)."""
         body = "\n".join(self.lines) or self.pad + "pass"
-        make = _factory(f"def make({_params(len(self.consts))}):\n"
-                        f"    def tree(interp, env, frame):\n{body}\n    return tree\n")
-        return make(*self.consts)
+        if self.method is None:
+            return _factory(f"def make({_params(len(self.consts))}):\n"
+                            f"    def tree(interp, env, frame):\n{body}\n    return tree\n"
+                            )(*self.consts)
+        scope = self.top
+        head, tail = _method_frame(
+            len(self.consts), tuple(scope.slots[name] for name in self.method[2]),
+            scope.size, bool(scope.size or self.env_used), self.raises, tuple(scope.dying))
+        fn = _factory(head, body, tail)(*self.consts)
+        return fn, _adapter(fn, len(self.method[2]))
 
     # -- the text ----------------------------------------------------------------------
 
@@ -363,14 +454,28 @@ class _Tree:
         return self.blocks > 12 or len(self.pad) > 4 * 40
 
     def cell(self, name):
+        """The text of the cell of the local `name`."""
+        self.env_used = True
         depth, slot = self.c.local(name)
+        if type(slot) is str:
+            raise RuntimeError(f"the local '{name}' has no cell")
         envs = self.envs
         env = envs[-1 - depth] if depth < len(envs) \
             else envs[0] + "[0]" * (depth - len(envs) + 1)
         return f"{env}[{slot}]"
 
+    def own(self, name):
+        """Whether the local `name` is in a Python variable or a cell of an
+        env the tree holds, which cannot die while the tree runs."""
+        return self.c.local(name)[0] < len(self.envs)
+
+    def python_var(self, name):
+        """Whether the local `name` the tree declares is a Python variable."""
+        return self.cells is not None and name not in self.cells
+
     def call(self, code):
         """Call the tree or block body `code`: the variable of its value."""
+        self.env_used = True
         return self.into(f"{self.const(code)}(interp, {self.envs[-1]}, {self.frame})")
 
     def into(self, text):
@@ -393,22 +498,42 @@ class _Tree:
             raise RuntimeError(f"cannot execute a {type(st).__name__} node") from None
         if gen(self, st) is False:
             # an `if` or `while` that would nest too deep starts a tree of its own
-            v = self.call(self.c.tree([st]))
+            v = self.call(self.split([st]))
             if self.returns:
-                self.emit(f"if {v} is True: return True")
+                self.emit(f"if {v} is True: return "
+                          f"{'True' if self.method is None else 'frame.result'}")
+
+    def split(self, root):
+        """A tree of its own for `root`, which would nest too deep: it sees
+        only locals in cells, so a tree cannot split where it sees a local
+        in a Python variable."""
+        scope = self.c.scope
+        while scope is not self.top.parent:
+            if any(type(slot) is str for slot in scope.slots.values()):
+                raise _TooDeep
+            scope = scope.parent
+        self.raises = True      # a block of the subtree may hold a `return`
+        return self.c.tree(root)
 
     def var_decl(self, st):
         scope = self.c.scope
         for (name, _t, init), ty in zip(st.decls, st.resolved_types):
             v = self.value(init) if init is not None \
                 else f"interp.default_value({self.const(ty)})"
-            scope.declare(name)
-            self.emit(f"{self.envs[-1]}[{scope.size}] = Cell({v})")
+            if self.python_var(name):
+                var = self.fresh("l")
+                scope.declare(name, var=var)
+                self.emit(f"{var} = {v}")
+            else:
+                scope.declare(name)
+                self.emit(f"{self.envs[-1]}[{scope.size}] = Cell({v})")
 
     def return_stat(self, st):
         v = "NOOBJECT" if st.value is None else self.value(st.value)
         if self.c.in_block and not st.is_caret:
             self.emit(f"raise ReturnSignal({self.frame}.ctx, {v})")
+        elif self.method is not None and self.returns:
+            self.emit(f"return {v}")
         else:
             self.emit(f"{self.frame}.result = {v}")
             self.emit("return True")
@@ -456,9 +581,15 @@ class _Tree:
 
     def body(self, stats, scoped):
         """The statements of an `if` or `while` body: one that declares a
-        variable runs in an env of its own."""
-        if scoped:
+        variable in a cell runs in an env of its own."""
+        if scoped and any(not self.python_var(name) for st in stats
+                          if type(st) is VarDeclStat for name, _t, _i in st.decls):
             self.scoped(lambda: self.stats(stats))
+        elif scoped:
+            c = self.c
+            c.scope = _Scope(c.scope, env=False)
+            self.stats(stats)
+            c.scope = c.scope.parent
         else:
             self.stats(stats)
 
@@ -470,6 +601,7 @@ class _Tree:
         scope = c.scope = _Scope(c.scope)
         if name is not None:
             scope.declare(name)
+        self.env_used = True
         env, at = self.fresh("e"), len(self.lines)
         self.emit("")           # the env, once its size is known
         mark = self.open("try:")
@@ -496,13 +628,13 @@ class _Tree:
         variable or a constant.  A node that would nest too deep starts a
         tree of its own, whose call it is."""
         if e is None:
-            return self.frame + ".receiver"
+            return "recv" if self.method is not None else self.frame + ".receiver"
         try:
             gen = _TREE_EXPRS[type(e)]
         except KeyError:
             raise RuntimeError(f"cannot evaluate a {type(e).__name__} node") from None
         v = gen(self, e)
-        return self.call(self.c.tree(e)) if v is None else v
+        return self.call(self.split(e)) if v is None else v
 
     def lit(self, e):
         """A shared literal, or a new value per evaluation (`FRESH_LITERALS`)."""
@@ -533,15 +665,23 @@ class _Tree:
         return self.into(f"interp.prototype_object({self.const(self.c.table.get(name))})")
 
     def read(self, name):
+        """A local's value; only a cell an enclosing block's env holds can
+        be dead."""
+        depth, slot = self.c.local(name)
+        if type(slot) is str:
+            return self.into(slot)
+        if depth < len(self.envs):
+            return self.into(f"{self.cell(name)}.value")
         v = self.fresh()
         self.emit(f"{v} = {self.cell(name)}; "
                   f"{v} = {v}.value if {v}.alive else interp.cell_read({v})")
         return v
 
     def store(self, target, value):
-        cell = self.cell(target.name)
+        slot = self.c.local(target.name)[1]
         v = self.value(value)
-        self.emit(f"{cell}.value = {v}")
+        self.emit(f"{slot} = {v}" if type(slot) is str
+                  else f"{self.cell(target.name)}.value = {v}")
         return v
 
     def assign(self, target, value):
@@ -581,9 +721,17 @@ class _Tree:
         each declared before the block (`block_analysis`), so it has a cell."""
         snapshot = [f"interp.cell_read({self.cell(name)})" for name in _percent_vars(e)]
         self.c.block(e)
+        self.returns_from(e)
         values = f"[{', '.join(snapshot)}]" if snapshot else "()"
         return self.into(f"BlockV({self.const(e)}, {self.envs[-1]}, {self.frame}, "
                          f"{self.const(e.runtime_type)}, {values})")
+
+    def returns_from(self, e):
+        """Note that the tree makes the block literal `e`, or runs its body
+        inline: a `return` in it raises a ReturnSignal."""
+        self.env_used = True
+        if e.info is None or e.info.has_return:
+            self.raises = True
 
     def method_access(self, e):
         r = self.value(e.receiver)
@@ -630,7 +778,7 @@ class _Tree:
         args = [[self.value(a) for a in part] for _s, part in parts]
         if args_first and type(recv) is not SuperRef:
             r = self.value(recv)
-        binds = type(e) is KeywordSend and len(parts) == 1 and parts[0][0] in _BINDERS
+        binds = type(e) is KeywordSend and len(parts) == 1 and parts[0][0] in BINDERS
         fixed = None if binds or type(e) is NameRef else e.fixed
         if fixed is not None and "." in r:
             r = self.into(r)        # self, read once
@@ -659,8 +807,9 @@ class _Tree:
         an object of a prototype the analysis allowed, with no mixin and no
         method of its own, and the method has no bound value and no
         `addMethod:` body may take the message, it counts its step and
-        calls the method's runner, read through its decl, as the callee
-        may compile after its site; else it runs `probe`."""
+        calls the method's function with the arguments in place, read
+        through its decl, as the callee may compile after its site; else it
+        runs `probe`."""
         m, allowed = fixed
         method, decl = self.const(m), self.const(m.decl)
         p = self.pad
@@ -670,7 +819,7 @@ class _Tree:
             f"and {method} not in interp.bound_values and not interp.dyn_methods:\n"
             f"{p}    interp.steps += 1\n"
             f"{p}    if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()\n"
-            f"{p}    {v} = {decl}.code(interp, {method}, {r}, [{', '.join(flat)}], None)\n"
+            f"{p}    {v} = {decl}.fn(interp, {r}{''.join(f', {a}' for a in flat)})\n"
             f"{p}else: {probe}")
 
     def refs(self, nodes):
@@ -728,15 +877,18 @@ class _Tree:
         declares a local, it pushes one frame for its evaluations, which it
         pops before the budget check between two evaluations ends the run
         and while it judges a test's value, as the block path has no frame
-        then, and when anything leaves the loop.  Else, and while its method
-        is replaced or an `addMethod:` body might take the message, it sends
-        the two block values through its site."""
+        then, and when anything leaves the loop; each turn first tries the
+        loop's fast turn, if it has one (`_Turn`).  Else, and while its
+        method is replaced or an `addMethod:` body might take the message,
+        it sends the two block values through its site."""
         c = self.c
         (_selector, (arg,)), = e.parts
         m = e.builtin[0]
         until = m.builtin == "repeat_until"
         arg_body, arg_slots = c.block(arg)
         recv_body, recv_slots = c.block(e.receiver)
+        self.returns_from(arg)
+        self.returns_from(e.receiver)
         if arg_slots or recv_slots:
             return self.site(e, e.receiver, e.parts, True)
         test, body = ((arg, arg_body), (e.receiver, recv_body)) if until \
@@ -756,8 +908,15 @@ class _Tree:
         self.emit("if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()")
         self.emit(f"{frames} = interp.frames")
         self.emit(f"{frames}.append({f})")
+        self.envs.append(inner)
+        fast = _Turn(self).make(test[0], body[0], until, m.builtin == "while_true")
+        self.envs.pop()
+        if fast is not None:
+            self.lines += [self.pad + line for line in fast[0]]
         guard = self.open("try:")
         turn = self.open("while True:")
+        if fast is not None:
+            self.lines += [self.pad + line for line in fast[1]]
         self.blocks += 2
         saved = self.frame, self.returns, c.in_block
         self.envs.append(inner)
@@ -797,6 +956,185 @@ class _Tree:
         return v
 
 
+class _NotFast(Exception):
+    """A turn of a literal loop holds a node that a fast turn does not run."""
+
+
+class _Turn:
+    """The fast turn of a literal loop (`_Tree.loop`) whose test is one
+    comparison and whose test and body hold only proven sends that run
+    inline (comparisons, and `+ - *` on the integer kinds), local reads and
+    stores, and shared literals.  Its guard tests the methods of its sends
+    once, the budget of the whole turn once, and the kind of each local it
+    reads from its cell; then it computes in Python variables, with a range
+    test on each sum, difference and product, and only then counts its
+    steps and evaluations and writes the cells of the locals it stored.  A
+    failed test runs the turn on the per-send path, from its start: a fast
+    turn has no effect before it commits.  A value in a turn is (the text of
+    a value object or None, the text of its Python value or None, its kind
+    or None where it is a read whose kind is not yet tested)."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.lines = []         # the computation, at the current depth
+        self.depth = 0
+        self.cells = {}         # the text of a cell -> its variable
+        self.far = []           # the variables of cells of an enclosing block's env
+        self.reads = {}         # a cell's variable -> the variable of its value
+        self.tests = {}         # (read variable, kind) -> the kind test
+        self.values = {}        # a cell's variable -> its value in the turn
+        self.methods = {}       # method -> its const
+        self.ranges = []        # the range tests not yet made
+        self.steps = 0
+
+    def make(self, test, body, until, while_true):
+        """The fast turn of the loop of the block literals `test` and `body`:
+        (the lines before the Python loop, those at the start of each of its
+        turns), or None where the turn holds another node."""
+        last = test.body[-1] if len(test.body) == 1 else None
+        if not (type(last) is ReturnStat and last.is_caret and last.value is not None):
+            return None
+        c = self.gen.c
+        c.scope = _Scope(c.scope)
+        try:
+            return self.generate(last.value, body.body, until, while_true)
+        except _NotFast:
+            return None
+        finally:
+            c.scope = c.scope.parent
+
+    def generate(self, test, body, until, while_true):
+        stop = "if not {}:" if while_true else "if {}:"
+        for part in ("body", "test") if until else ("test", "body"):
+            if part == "body":
+                self.stats(body)
+                continue
+            obj, x, kind = self.expr(test)
+            if obj is not None or kind != "Boolean":
+                raise _NotFast          # the test is no comparison
+            self.check_ranges()
+            self.emit(stop.format(x))
+            self.depth += 1
+            self.commit(1 if until else 0)
+            self.emit("break")
+            self.depth -= 1
+        self.check_ranges()
+        self.commit(2)
+        self.emit("continue")
+        methods = " and ".join(f"{k} not in interp.bound_values" for k in self.methods.values())
+        guard = [f"not interp.dyn_methods and (not interp.bound_values or {methods})",
+                 f"interp.steps + interp.evals + {self.steps + 2} <= interp.max_steps"]
+        lines = [f"if {' and '.join(guard)}:"]
+        lines += [f"    {r} = {cell}.value" for cell, r in self.reads.items()]
+        tests = [f"{cell}.alive" for cell in self.far] + list(self.tests.values())
+        pad = "    "
+        if tests:
+            lines.append(f"    if {' and '.join(tests)}:")
+            pad = "        "
+        lines += [pad + line for line in self.lines]
+        return [f"{var} = {text}" for text, var in self.cells.items()], lines
+
+    def emit(self, line):
+        self.lines.append("    " * self.depth + line)
+
+    def check_ranges(self):
+        """Go on only while every result so far is in the range of its kind."""
+        if self.ranges:
+            self.emit(f"if {' and '.join(self.ranges)}:")
+            self.depth += 1
+            self.ranges = []
+
+    def commit(self, evals):
+        """Count the turn's steps so far and `evals`, and write the cells."""
+        self.emit(f"interp.steps += {self.steps}")
+        if evals:
+            self.emit(f"interp.evals += {evals}")
+        for cell, (obj, x, kind) in self.values.items():
+            if obj is None and kind == "Boolean":
+                obj = f"(TRUE if {x} else FALSE)"
+            elif obj is None:
+                obj = self.gen.fresh("w")
+                self.emit(f"{obj} = new(PrimV); {obj}.kind = {kind!r}; {obj}.v = {x}")
+            self.emit(f"{cell}.value = {obj}")
+
+    def cell(self, name):
+        gen = self.gen
+        if type(gen.c.local(name)[1]) is str:
+            raise _NotFast
+        text = gen.cell(name)
+        var = self.cells.get(text)
+        if var is None:
+            var = self.cells[text] = gen.fresh("c")
+            if not gen.own(name):
+                self.far.append(var)
+        return var
+
+    def stats(self, stats):
+        for st in stats:
+            t = type(st)
+            if t is ExprStat:
+                self.expr(st.expr)
+            elif t is AssignStat and len(st.targets) == 1:
+                self.store(st.targets[0], self.expr(st.value))
+            elif t is not EmptyStat:
+                raise _NotFast
+
+    def store(self, target, value):
+        if type(target) is not NameRef or target.binding is not LOCAL:
+            raise _NotFast
+        self.values[self.cell(target.name)] = value
+
+    def expr(self, e):
+        t = type(e)
+        if t is Lit and type(e.runtime_value) is PrimV:
+            lit = e.runtime_value
+            return self.gen.const(lit), self.gen.const(lit.v), lit.kind
+        if t is NameRef and e.binding is LOCAL:
+            cell = self.cell(e.name)
+            value = self.values.get(cell)
+            if value is not None:
+                return value
+            r = self.reads.get(cell)
+            if r is None:
+                r = self.reads[cell] = self.gen.fresh("r")
+            return r, None, None
+        if t is AssignExpr:
+            value = self.expr(e.value)
+            self.store(e.target, value)
+            return value
+        if t is BinarySend and _send_form(e) == "proven":
+            return self.send(e)
+        raise _NotFast
+
+    def operand(self, e, kind):
+        """The Python value of the operand `e` of a proven send, tested for
+        the kind `kind` in the guard where it is a read."""
+        obj, x, k = self.expr(e)
+        if k is None:
+            self.tests[obj, kind] = f"type({obj}) is PrimV and {obj}.kind == {kind!r}"
+        elif k != kind:
+            raise _NotFast
+        return f"{obj}.v" if x is None else x
+
+    def send(self, e):
+        m, kind, (arg_kind,) = e.builtin
+        b = m.builtin if type(m.builtin) is tuple else ("",)
+        arith = b[0] == "arith" and b[1] in ("+", "-", "*") and kind in bi.INT_RANGE
+        if not arith and b[0] != "cmp":
+            raise _NotFast
+        left, right = self.operand(e.left, kind), self.operand(e.right, arg_kind)
+        self.steps += 1
+        if m not in self.methods:
+            self.methods[m] = self.gen.const(m)
+        x = self.gen.fresh("x")
+        self.emit(f"{x} = {left} {b[1]} {right}")
+        if not arith:
+            return None, x, "Boolean"
+        lo, hi = bi.INT_RANGE[kind]
+        self.ranges.append(f"{lo} <= {x} <= {hi}")
+        return None, x, kind
+
+
 # per statement type, its generator, which answers False where the statement
 # would nest too deep and starts a tree of its own
 _TREE_STATS = {
@@ -821,20 +1159,63 @@ _TREE_EXPRS = {
 
 
 @functools.cache
+def _method_frame(nconsts, params, size, env, raises, dying):
+    """The source of the factory of a method's function, `fn(interp, recv,
+    a0, ..., owner=None, index=None)`, around its body: (the text before
+    the body, the text after it).  The function pushes the frame, with the
+    mixin object `owner` and its index, if any, and makes an env of `size`
+    slots where `env` says so, with a cell for each parameter whose slot in
+    `params` is a number (the others are Python variables); it catches a
+    ReturnSignal only where `raises`, and kills the cells of the slots
+    `dying` as it ends.  Made once per process for each such frame."""
+    args = "".join(f"a{i}, " for i in range(len(params)))
+    head = [f"def make({_params(nconsts)}):",
+            f"    def fn(interp, recv, {args}owner=None, index=None):",
+            "        frame = new(Frame)",
+            "        frame.entry_name = K0",
+            "        frame.method_name = K1",
+            "        frame.receiver = recv",
+            "        frame.fields_owner = recv if owner is None else owner",
+            "        frame.mixin_index = index",
+            "        frame.ctx = frame",
+            "        frames = interp.frames",
+            "        if len(frames) > 2000: interp.str_exception('method call stack overflow')",
+            "        frames.append(frame)"]
+    if env:
+        cells = [None] * size
+        for i, slot in enumerate(params):
+            if type(slot) is int:
+                cells[slot - 1] = f"Cell(a{i})"
+        head.append(f"        env = [None{''.join(f', {c}' for c in cells)}]")
+    head.append("        try:\n")
+    tail = ["", "            return NOOBJECT"]
+    if raises:
+        tail += ["        except ReturnSignal as r:",
+                 "            if r.ctx is frame: return r.value",
+                 "            raise"]
+    tail.append("        finally:")
+    tail += [f"            if env[{slot}] is not None: env[{slot}].alive = False"
+             for slot in dying]
+    tail += ["            frames.pop()", "    return fn", ""]
+    return "\n".join(head), "\n".join(tail)
+
+
+@functools.cache
 def _params(n):
     return ", ".join(f"K{i}" for i in range(n))
 
 
 @functools.cache
-def _factory(source):
-    """The factory of the trees whose source is `source`, their shape, made
-    once per shape for the whole process."""
+def _factory(*parts):
+    """The factory of the trees whose source is the text of `parts`, their
+    shape, made once per shape for the whole process; a method's function
+    passes its frame's text apart, which is made once (`_method_frame`)."""
     namespace = {"PrimV": PrimV, "ArrayV": ArrayV, "TupleV": TupleV, "BlockV": BlockV,
                  "MethodV": MethodV, "ObjectV": ObjectV, "TRUE": TRUE, "FALSE": FALSE,
                  "NIL": NIL, "NOOBJECT": NOOBJECT, "Cell": Cell, "Frame": Frame,
                  "ReturnSignal": ReturnSignal, "new": new, "_probe": _probe,
                  "_super": _super, "_truthy_out": _truthy_out}
-    exec(compile(source, "<tree>", "exec"), namespace)
+    exec(compile("".join(parts), "<tree>", "exec"), namespace)
     return namespace["make"]
 
 
@@ -858,52 +1239,55 @@ def _kill(env, dying):
             cell.alive = False
 
 
-def _activation(parent, args, nparams, tail):
-    """[parent, a cell per parameter, *tail]; a parameter without an
-    argument has no cell."""
+def _cells(args, nparams):
+    """A cell per parameter; a parameter without an argument has none."""
     if len(args) == nparams:
-        return [parent, *map(Cell, args), *tail]
-    cells = [Cell(a) for a in args[:nparams]]
-    return [parent, *cells, *[None] * (nparams - len(cells)), *tail]
+        return [*map(Cell, args)]
+    return [*map(Cell, args[:nparams]), *[None] * (nparams - len(args))]
+
+
+def _adapter(fn, nparams):
+    """The code of a method whose function is `fn`, for the send path:
+    (interp, m, recv, args, shape, mixin_obj=None).  It calls `fn` with the
+    arguments in place, or `_refit` with a mixin object or other
+    arguments."""
+    def run(interp, m, recv, args, shape, mixin_obj=None):
+        if mixin_obj is None and len(args) == nparams:
+            return fn(interp, recv, *args)
+        return _refit(interp, fn, nparams, recv, args, mixin_obj)
+    return run
+
+
+def _refit(interp, fn, nparams, recv, args, mixin_obj):
+    """The call of a method's function `fn` that its adapter does not make
+    in place: with the mixin object and index `mixin_obj`, whose fields the
+    body reads, or with other than `nparams` arguments, where a parameter
+    without an argument holds None and an argument without a parameter is
+    dropped.  `Interp.lookup` pairs a mixin object with a method of a mixin
+    entry found on an object the mixin is attached to, and an argument
+    with each parameter."""
+    args = [*args[:nparams], *[None] * (nparams - len(args))]
+    return fn(interp, recv, *args, *(mixin_obj or (None, None)))
 
 
 def _method_runner(entry, method, body, scope):
+    """The runner of a context block's body, whose self is the object its
+    context object is bound to: its env holds a cell per parameter.  A
+    context object is no mixin, so `Interp.lookup` pairs no mixin object
+    with its methods."""
     entry_name, name = entry.name, method.name
     ctx_self, nparams = method.ctx_self_field, len(method.param_names)
     blank, dying = [None] * (scope.size - nparams), scope.dying
 
     def run(interp, m, recv, args, shape, mixin_obj=None):
-        if mixin_obj is None:
-            fields_owner, mixin_index = recv, None
-        else:
-            fields_owner, mixin_index = mixin_obj
-        self_obj = recv
-        if ctx_self is not None:
-            # a context block's body: self is the object it is bound to
-            self_obj = interp.field_read(recv, ctx_self)
-            fields_owner = self_obj if isinstance(self_obj, ObjectV) else recv
-        # the frame, and the cell of a sole argument, made without a call of
-        # their __init__, which costs more
-        frame = new(Frame)
-        frame.entry_name = entry_name
-        frame.method_name = name
-        frame.receiver = self_obj
-        frame.fields_owner = fields_owner
-        frame.mixin_index = mixin_index
-        frame.ctx = frame
-        frame.result = NOOBJECT
+        self_obj = interp.field_read(recv, ctx_self)
+        fields_owner = self_obj if isinstance(self_obj, ObjectV) else recv
+        frame = Frame(entry_name, name, self_obj, fields_owner)
         frames = interp.frames
         if len(frames) > 2000:
             interp.str_exception("method call stack overflow")
         frames.append(frame)
-        if nparams == 1 == len(args):
-            cell = new(Cell)
-            cell.value = args[0]
-            cell.alive = True
-            env = [None, cell, *blank]
-        else:
-            env = [None, *map(Cell, args), *blank] if len(args) == nparams \
-                else _activation(None, args, nparams, blank)
+        env = [None, *_cells(args, nparams), *blank]
         try:
             body(interp, env, frame)
             return frame.result
@@ -923,7 +1307,8 @@ def _block_runner(body, scope, nparams, npercent):
 
     def run(interp, blk, args):
         home = blk.home
-        frame = new(Frame)      # as in `_method_runner`
+        # the frame made without a call of its __init__, which costs more
+        frame = new(Frame)
         frame.entry_name = home.entry_name
         frame.method_name = "eval"
         frame.receiver = home.receiver
@@ -933,8 +1318,8 @@ def _block_runner(body, scope, nparams, npercent):
         frame.result = NOOBJECT
         frames = interp.frames
         frames.append(frame)
-        env = _activation(blk.env, args, nparams,
-                          [*map(Cell, blk.snapshot), *blank] if npercent else blank)
+        env = [blk.env, *_cells(args, nparams), *map(Cell, blk.snapshot), *blank] \
+            if npercent else [blk.env, *_cells(args, nparams), *blank]
         try:
             body(interp, env, frame)
             return frame.result

@@ -20,7 +20,9 @@ The notes, by the pass that writes them:
                      integer it steps)
     prototype table  TypeExpr.resolved (grammar-method signatures; `canonical()`
                      returns it); VarDecl.resolved_type (declared types)
-    block analysis   BlockLit.info (level bl(B), r/u class)
+    block analysis   BlockLit.info (level bl(B), r/u class, the locals its body
+                     keeps in cells); MethodDecl.cells (the locals its body
+                     keeps in cells)
     checker          VarDecl.resolved_type (inferred types); ArrayLit.resolved_type,
                      TupleLit.resolved_type, VarDeclStat.resolved_types (one per
                      name), BlockLit.runtime_type, GenericRef.resolved,
@@ -40,12 +42,13 @@ The notes, by the pass that writes them:
                      class-hierarchy analysis binds to one user method
                      (`Checker._fixed`): (that method, the frozenset of the
                      names of the prototypes the analysis allowed)
-    compiler         MethodDecl.code, VarDecl.code, GSel.code, BlockLit.code (the
-                     code of the bodies, see `compiler`); .site of a send
-                     node (those above, and a NameRef that is a self-send or
-                     the target of a setter send) that the compile step does
-                     not bind to a builtin: the number of its inline cache,
-                     which a fixed send probes only where its guard fails
+    compiler         MethodDecl.code, MethodDecl.fn, VarDecl.code, GSel.code,
+                     BlockLit.code (the code of the bodies, see `compiler`);
+                     .site of a send node (those above, and a NameRef that
+                     is a self-send or the target of a setter send) that the
+                     compile step does not bind to a builtin: the number of
+                     its inline cache, which a fixed send probes only where
+                     its guard fails
 """
 
 from dataclasses import dataclass, field, fields
@@ -278,7 +281,9 @@ class MethodDecl(Node):
     synthetic: bool = note(False)
     is_stub: bool = note(False)
     ctx_self_field: str = note()
+    cells: set = note()
     code: object = note()
+    fn: object = note()
 
     @property
     def name(self):

@@ -866,6 +866,14 @@ class PrototypeTable:
                 self.reporter.error(decl.line, decl.col,
                                     f"error in the inheritance of the final prototype"
                                     f" '{s}' by '{decl.name}'")
+            if entry in self.chain(s):
+                # the declaration that closes the cycle; Any takes its place,
+                # so that every walk of the supertypes ends
+                self.reporter.error(decl.line, decl.col,
+                                    f"cyclic inheritance: '{decl.name}' extends " + (
+                                        "itself" if s == decl.name else
+                                        f"'{s}', which inherits from '{decl.name}'"))
+                s = "Any"
             entry.supertype = s
         elif not entry.is_mixin:
             entry.supertype = "Any"

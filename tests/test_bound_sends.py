@@ -250,13 +250,18 @@ end
 def test_a_loop_whose_block_declares_a_local_takes_the_block_path(monkeypatch):
     """Each evaluation of a body with a local gets an env of its own, whose
     cell dies when the evaluation ends; reading it then is a dead-cell read."""
-    killed = []
-    kill = compiler._kill
+    killed, made = [], []
+    kill, eval_block_value = compiler._kill, Interp.eval_block_value
 
     def spy(env, dying):
         killed.extend(env[slot] for slot in dying)
         kill(env, dying)
+
+    def spy_eval(self, blk, args):
+        made.append(blk)
+        return eval_block_value(self, blk, args)
     monkeypatch.setattr(compiler, "_kill", spy)
+    monkeypatch.setattr(Interp, "eval_block_value", spy_eval)
     status, out, interp, evals = run_counted(monkeypatch, '''package main
 public object Program
     public fun run [
@@ -271,7 +276,10 @@ end
 ''')
     assert (status, out) == (0, "1\n11\n21\n")
     assert evals == 4 + 3 + 3      # conditions, bodies, inner blocks
-    # the body's `k` per evaluation, then `i` when `run` ends
+    # the body's `k` per evaluation, in the block runner; `i`, which the
+    # loop's blocks see, is a cell of `run`'s env that its function kills
+    # when `run` ends
+    killed.append(made[0].env[1])
     assert [cell.value.v for cell in killed] == [0, 10, 20, 3]
     assert not any(cell.alive for cell in killed)
     with pytest.raises(DeadCellRead):

@@ -322,3 +322,35 @@ end
     code, out, _ = run_cli(["run", src, "--prelude", prelude])
     assert code == 0
     assert out == "from prelude override\n"
+
+
+# programs whose supertypes form a cycle, and the diagnostic at the
+# declaration that closes it; the compile hung on both before it was refused
+SUPERTYPE_CYCLES = {
+    "two prototypes": ('''package main
+private object A extends B
+end
+private object B extends A
+end
+public object Program
+    public fun run [ Out println: "unreached"; ]
+end
+''', "4:9: error: cyclic inheritance: 'B' extends 'A', which inherits from 'B'"),
+    "one prototype": ('''package main
+private object A extends A
+end
+public object Program
+    public fun run [ Out println: "unreached"; ]
+end
+''', "2:9: error: cyclic inheritance: 'A' extends itself"),
+}
+
+
+@pytest.mark.parametrize("name", list(SUPERTYPE_CYCLES))
+def test_a_supertype_cycle_is_a_positioned_error(tmp_path, name):
+    text, diagnostic = SUPERTYPE_CYCLES[name]
+    src = write(tmp_path, "cycle.cyan", text)
+    code, out, err = run_cli([src], timeout=5)
+    assert code == 1
+    assert f"{src}:{diagnostic}" in (out + err).splitlines()
+    assert "unreached" not in out

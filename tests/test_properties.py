@@ -638,6 +638,7 @@ public object Program
     public fun truth: (:x Any) -> Boolean [ if ( x ) [ return true ]; return false; ]
     public fun tick: (:x {i}) at: (:n Int) -> {i} [ Out println: "t", n, " ", x; ^x ]
     public fun swap [ :t Int = 0; t.{{* Int -> Int}}. = [ |:x Int| ^x + 1 ]; ]
+    public fun swapMinus [ :t Int = 0; t.{{- Int -> Int}}. = [ |:x Int| ^x * 2 ]; ]
     public fun f: (:a {i}, :b {i}, :p {b}) -> {i} [
         {decls}
         {body}
@@ -657,9 +658,11 @@ def tree_programs(draw):
     """A program whose method `f:` is a body over the Int parameters `a`
     and `b`, the Boolean `p` and locals of both kinds: proven sends, sends
     of `tick:at:` (a user method that prints where it is sent), one-arm and multi-arm `if`s,
-    `return`s, nested literal loops and `while`s over counters, and maybe a
-    send of `swap`, which replaces `*` on Int, as `run` does between its two
-    sends of `f:`, the first of which may throw.  Answers (its source, the
+    `return`s, nested literal loops and `while`s over counters, literal
+    loops of arithmetic alone, whose turns run fast, and maybe a send of
+    `swap`, which replaces `*` on Int, as `run` does between its two sends
+    of `f:`, the first of which may throw, or of `swapMinus`, which
+    replaces `-` (a replaced `+` would stop the counters).  Answers (its source, the
     source of its oracle): the same program with every operand of a send
     routed through `id:` and every local an `Any`, so that nothing in it
     is proven, each loop test through `truth:` and each loop body
@@ -669,8 +672,12 @@ def tree_programs(draw):
     def pick(choices):
         return draw(st.sampled_from(choices))
 
-    def int_expr(depth):
+    def int_expr(depth, pure=False):
+        """An Int expression and its oracle's; one that is `pure` sends
+        nothing but `+ - *`."""
         how = draw(st.integers(0, 5 if depth > 0 else 2 if depth == 0 else 1))
+        if pure and how in (2, 3):
+            how = 0 if depth <= 0 else 4
         if how < 2:
             x = pick(ints) if how == 0 else pick(["0", "1", "3", "1", "2", "2147483647"])
             return x, x
@@ -678,7 +685,7 @@ def tree_programs(draw):
             (x, xo), n = int_expr(depth - 1), next(names)
             return f"(self tick: {x} at: {n})", f"(self tick: {xo} at: {n})"
         op = pick(["+", "-", "*", "*"])
-        (x, xo), (y, yo) = int_expr(depth - 1), int_expr(depth - 1)
+        (x, xo), (y, yo) = int_expr(depth - 1, pure), int_expr(depth - 1, pure)
         return f"({x} {op} {y})", f"((self id: {xo}) {op} (self id: {yo}))"
 
     def bool_expr(depth):
@@ -707,7 +714,8 @@ def tree_programs(draw):
 
     def stat(depth):
         how = pick(["print", "assign", "tick", "if"] +
-                   (["if", "loop", "loop", "return", "swap"] if depth else []))
+                   (["if", "loop", "loop", "fast", "fast", "return", "swap", "swapMinus"]
+                    if depth else []))
         if how == "print":
             x, xo = pick([int_expr, bool_expr])(2)
             return f"Out println: {x};", f"Out println: {xo};"
@@ -719,8 +727,8 @@ def tree_programs(draw):
             x, xo = int_expr(1)
             form = f"self tick: {{}} at: {next(names)};" if how == "tick" else "return {};"
             return form.format(x), form.format(xo)
-        if how == "swap":
-            return "self swap;", "self swap;"
+        if how in ("swap", "swapMinus"):
+            return f"self {how};", f"self {how};"
         if how == "if":
             arms, oracle = [], []
             for _ in range(draw(st.integers(1, 3))):
@@ -733,10 +741,18 @@ def tree_programs(draw):
                 oracle.append(f"[ {so} ]")
             return " else ".join(arms) + ";", " else ".join(oracle) + ";"
         k, limit, form = f"k{next(names)}", pick(["0", "1", "3"]), \
-            pick(["whileTrue:", "whileFalse:", "repeatUntil:", "while"])
+            pick(["whileTrue:", "whileFalse:", "repeatUntil:"] + ([] if how == "fast"
+                                                                  else ["while"]))
         counters.append(k)
         ints.append(k)
-        s, so = body(depth - 1, False, [(f"++{k};", f"++{k};")])
+        if how == "fast":
+            stats = [(f"{name} = {x};", f"{name} = {xo};")
+                     for (x, xo), name in [(int_expr(2, True), pick(["x0", "x1"]))
+                                           for _ in range(draw(st.integers(1, 2)))]]
+            stats.append((f"++{k};", f"++{k};"))
+            s, so = " ".join(s for s, _o in stats), " ".join(o for _s, o in stats)
+        else:
+            s, so = body(depth - 1, False, [(f"++{k};", f"++{k};")])
         ints.remove(k)
         op = "<" if form in ("whileTrue:", "while") else ">="
         test, oracle_test = f"{k} {op} {limit}", f"(self id: {k}) {op} (self id: {limit})"

@@ -17,7 +17,8 @@ from conftest import compile_src
 from cyanine import compiler
 from cyanine import cyast as A
 from cyanine.interp import CyThrow, Interp
-from cyanine.values import NIL, NOOBJECT, Cell
+from cyanine.prototypes import PrototypeTable
+from cyanine.values import NIL, NOOBJECT, Cell, ObjectV, PrimV
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -36,11 +37,9 @@ def run_program(src, max_steps=None, proven=True):
     return interp.run(), interp.stdout(), interp
 
 
-def body_code(program, method):
-    """The code of the body of `method` of Program, which its runner calls."""
-    run = program.table.get("Program").groups[method].entries[0].decl.code
-    cells = dict(zip(run.__code__.co_freevars, run.__closure__))
-    return cells["body"].cell_contents
+def method_function(program, method):
+    """The function of `method` of Program, which its adapter calls."""
+    return program.table.get("Program").groups[method].entries[0].decl.fn
 
 
 # -- `++` and `--` on every integer kind ------------------------------------------------
@@ -102,7 +101,7 @@ public object Program
 end
 '''
     status, out, interp = run_program(src)
-    assert body_code(interp.program, "run").__name__ == "tree"
+    assert method_function(interp.program, "run").__name__ == "fn"
     assert (status, out) == (0, "4\n42 2\n")
     # the two sends after the replacement are skips: they go to `Interp.send`
     assert (interp.steps, interp.misses, interp.skips) == (7, 2, 3)
@@ -121,7 +120,7 @@ public object Program
 end
 '''
     status, out, interp = run_program(src)
-    assert body_code(interp.program, "run").__name__ == "tree"
+    assert method_function(interp.program, "run").__name__ == "fn"
     assert (status, out) == (0, "7 8\nadded 8\n")
     # after the `addMethod:`, both proven sends go to `Interp.send`
     assert (interp.steps, interp.misses, interp.skips) == (10, 3, 5)
@@ -208,9 +207,11 @@ def shapes():
     return compiler._factory.cache_info().currsize
 
 
-# the shapes of the world and a hello world: the bodies of the world's
-# methods and initial values, the empty body among them, and `run`
-WORLD_SHAPES = 8
+# the shapes of the world and a hello world: the functions of the world's
+# methods, and `run`'s.  A method's function takes its parameters, so an
+# empty body makes a shape per number of parameters: one more than when
+# every body was a tree of (interp, env, frame)
+WORLD_SHAPES = 9
 
 
 def test_the_world_and_a_hello_world_make_a_fixed_number_of_shapes():
@@ -285,6 +286,60 @@ def test_a_tree_nested_deeper_than_python_allows_splits_into_trees():
                                       body + " Out println: i; ]\nend\n")
     assert (status, out) == (0, "85\n")
     assert (interp.steps, interp.evals) == (loops * 5 + ifs * 2 + 2, loops * 3)
+
+
+def test_a_body_that_splits_compiles_again_with_every_local_in_a_cell():
+    """A body whose tree would split compiles again with every local in a
+    cell, and so do the block literals compiled before the split was
+    found: the block reads `a` through the env that now holds `y`."""
+    ifs = 45
+    body = "".join(f"if ( j < {n + 100} ) [ " for n in range(ifs)) + "j = j + 1; " + " ];" * ifs
+    status, out, interp = run_program(
+        "package main\npublic object Program\n    public fun f: (:i Int) -> Int [\n"
+        "        :a = i * 10;\n"
+        "        :j = i;\n"
+        "        if ( i < 100 ) [ :y = i + 1; Out println: ([ ^ a + 1 ] eval), \" \", y; "
+        f"{body} ];\n"
+        "        ^ a + j\n    ]\n"
+        "    public fun run [ Out println: (self f: 3); ]\nend\n")
+    assert (status, out) == (0, "31 4\n34\n")
+    assert (interp.steps, interp.evals) == (56, 1)
+
+
+def test_a_body_that_splits_tries_its_python_variables_once(monkeypatch):
+    """Each level holds a Python variable, a block literal of the next
+    level and then `while`s nested too deep: each body tries its Python
+    variables once, though the body around it compiles again, so the
+    compile is not exponential in the levels."""
+    tries, compile_body = [], compiler.Compiler.compile_body
+
+    def spy(self, parent, params, names, body, cells, method):
+        if cells is not None:
+            tries.append(id(body))
+        return compile_body(self, parent, params, names, body, cells, method)
+    monkeypatch.setattr(compiler.Compiler, "compile_body", spy)
+
+    def level(k):
+        inner = "Out println: 1;" if k == 4 else f"[ {level(k + 1)} ] eval; "
+        return f":x{k} = 1; {inner}" + "".join(f"while ( x{k} < {n} ) [ " for n in range(16)) \
+            + f"x{k} = 100; " + " ];" * 16
+    status, out, _interp = run_program("package main\npublic object Program\n"
+                                       f"    public fun run [ {level(0)} ]\nend\n")
+    assert (status, out) == (0, "1\n")
+    assert len(tries) == len(set(tries)) >= 5
+
+
+def test_a_return_from_a_block_in_a_split_tree_leaves_its_method():
+    """A method's function whose body splits into trees keeps every local
+    in a cell, and catches the ReturnSignal of a block in a subtree."""
+    ifs = 45
+    body = "".join(f"if ( i < {n + 100} ) [ " for n in range(ifs)) + \
+        "[ return i * 2; ] eval; " + " ];" * ifs
+    status, out, interp = run_program("package main\npublic object Program\n"
+                                      f"    public fun f: (:i Int) -> Int [ {body} ^ 0 ]\n"
+                                      "    public fun run [ Out println: (self f: 3); ]\nend\n")
+    assert (status, out) == (0, "6\n")
+    assert (interp.steps, interp.evals) == (50, 1)
 
 
 # -- nodes that only a tree runs ---------------------------------------------------------
@@ -589,15 +644,267 @@ def test_each_kind_of_node_keeps_its_outcome_and_counts(row, context):
     assert (interp.steps, interp.evals, interp.misses, interp.skips) == \
         counts[list(CONTEXTS).index(context)]
     if context == "loop":
-        # the loop of the context runs inline: its tree makes the loop's frame
+        # the loop of the context runs inline: the method's function makes
+        # the loop's frame, an 'eval' frame
         holders = [m.decl for entry in interp.table.entries.values() if not entry.builtin
                    for m in entry.methods if m.decl is not None and m.decl.body
                    and any(isinstance(st, A.VarDeclStat) and st.decls[0][0] == "turn"
                            for st in m.decl.body)]
-        run = holders[0].code
-        cells = dict(zip(run.__code__.co_freevars, run.__closure__))
-        assert len(holders) == 1 and "Frame" in cells["body"].cell_contents.__code__.co_names
+        assert len(holders) == 1 and "eval" in holders[0].fn.__code__.co_consts
     # a block made in a `let`'s body keeps the let's env, whose cell has died
     kept = interp.proto_objects["Program"].fields.get("kept")
     if kept is not None:
         assert kept is not NIL and live_cells(kept) == []
+
+
+# -- the shapes of a method: its function, its adapter and the general runner -----------
+
+SHAPE_PROGRAM = '''package main
+@PROTOS
+public object Program
+    @METHOD
+    public fun run [
+        @SETUP
+        Out println: (@CALL);
+        big = 2147483647;
+        Out println: (@CALL);
+    ]
+    private :big Int = 1
+end
+'''
+
+SUM = '''private object Sum(:sum &Int) implements Block<Int><Void>
+    public fun eval: (:x Int) [ sum = sum + x; ]
+end'''
+
+BOX = '''private object Box
+    public fun twice: (:n Int) -> Int [ ^ n + n ]
+end'''
+
+# (name, prototypes, Program's method `m`, set-up statements, the send, the
+# stdout before the trace, the trace, steps, evaluations): each send runs
+# twice, the second time with `big` the largest Int, where an overflow in
+# the method's body ends the run with the trace of its frames
+SHAPE_ROWS = [
+    ("no parameters", "", "public fun m -> Int [ ^ big * 2 ]", "", "self m",
+     "2\n", ["Program::m"], 6, 0),
+    ("several parameters", "",
+     "public fun m: (:a Int, :b Int) with: (:c Int) -> Int [ :t = a + b; ^ t * c * big ]",
+     "", "self m: 1, 2 with: 3", "9\n", ["Program::m:with:"], 10, 0),
+    ("a parameter captured by a block", "",
+     "public fun m: (:n Int) -> Int [ ^ [ ^ n * big ] eval ]", "", "self m: 3",
+     "3\n", ["Program::eval", "Program::m:"], 8, 2),
+    ("a local in a %-snapshot", "",
+     "public fun m: (:n Int) -> Int [ :v = n; :b = [ ^ %v * big ]; v = 0; ^ b eval ]",
+     "", "self m: 3", "3\n", ["Program::eval", "Program::m:"], 8, 2),
+    ("a local passed to a context object's new:", SUM,
+     "public fun m: (:n Int) -> Int [ :s Int = n; {# 1, 2 #} foreach: Sum(s); ^ s * big ]",
+     "", "self m: 3", "6\n", ["Program::m:"], 18, 0),
+    ("a return from a block", "",
+     "public fun m: (:n Int) -> Int [ [ return n * big; ] eval; ^ 0 ]", "", "self m: 3",
+     "3\n", ["Program::eval", "Program::m:"], 8, 2),
+    ("a method of an attached mixin", BOX + '''
+private mixin(Box) object Twice
+    public override fun twice: (:n Int) -> Int [ ^ n * 2 ]
+end''', "", ":h = Box new; h attachMixin: Twice;", "h twice: big",
+     "2\n", ["Twice::twice:"], 10, 0),
+    ("a method a mixin clause copies", '''private mixin(Any) object Thrice
+    public fun thrice: (:n Int) -> Int [ ^ n * 3 ]
+end
+private object Loud mixin Thrice
+end''', "", "", "Loud thrice: big", "3\n", ["Loud::thrice:"], 6, 0),
+    ("a method of a mixin sent to the mixin itself", '''private mixin(Any) object Thrice
+    public fun thrice: (:n Int) -> Int [ ^ n * 3 ]
+end''', "", "", "Thrice thrice: big", "3\n", ["Thrice::thrice:"], 6, 0),
+    ("a context block's body", "", "",
+     "Int addMethod: selector: #twice returnType: Int body: (:self Int)[ | -> Int | ^ self * 2 ];",
+     "big ?twice", "2\n", ["ContextObject$1::eval"], 11, 0),
+    ("recursion to the frame limit", "",
+     "public fun m: (:n Int) -> Int [ if ( n > big ) [ ^ n ]; ^ self m: n + 1 ]", "",
+     "self m: 0", "2\n", ["Program::m:"] * 2000, 6011, 0),
+]
+
+
+# the sends of `run` the checker fixes, where not its two sends of `m`: a
+# send to an object of a prototype that a mixin overrides is fixed, and its
+# guard fails while the mixin is attached
+FIXED_IN_RUN = {"a method of an attached mixin": 3, "a method a mixin clause copies": 0,
+                "a context block's body": 0}
+
+
+@pytest.mark.parametrize("route", ["fixed", "probe"])
+@pytest.mark.parametrize("row", SHAPE_ROWS, ids=[row[0] for row in SHAPE_ROWS])
+def test_each_shape_of_method_keeps_its_outcome_counts_and_trace(row, route, monkeypatch):
+    """A method whose function is generated (Program's `m`, `Sum`'s `eval:`,
+    a method of a mixin entry, `Loud`'s copy of `thrice:`) and one that the
+    general runner runs (a context block's body), sent where the checker
+    fixes the send, which calls the function in place, and where it does not
+    and the send probes its site's cache, which calls the adapter: the same
+    stdout, trace, steps and evaluations on both routes.  A mixin's method
+    runs on the mixin prototype itself, where the send may be fixed, and on
+    an object it is attached to, whose mixin object the adapter passes.  A
+    method's function pushes its frame, so the stack overflows at 2,000
+    frames."""
+    _name, protos, method, setup, call, before, trace, steps, evals = row
+    if route == "probe":
+        monkeypatch.setattr(PrototypeTable, "fixed_method", lambda self, name, shape: None)
+    src = SHAPE_PROGRAM.replace("@PROTOS", protos).replace("@METHOD", method) \
+        .replace("@SETUP", setup).replace("@CALL", call)
+    status, out, interp = run_program(src)
+    assert (status, out) == (2, before + "uncaught exception: StrException\n" +
+                             "".join(f"  at {frame}\n" for frame in trace + ["Program::run"]))
+    assert (interp.steps, interp.evals) == (steps, evals)
+    decl = interp.table.get("Program").groups["run"].entries[0].decl
+    fixed = [node for node in A.walk(decl.body)
+             if isinstance(node, (A.UnarySend, A.KeywordSend)) and node.fixed is not None]
+    assert len(fixed) == (0 if route == "probe" else FIXED_IN_RUN.get(row[0], 2))
+    if method:
+        m, = [m for m in interp.table.get("Program").methods if m.name.split(":")[0] == "m"]
+        assert m.decl.fn.__name__ == "fn"
+
+
+def test_an_adapter_refits_other_arguments_and_a_mixin_object():
+    """The adapter calls the function in place for a method's own arity;
+    else it drops an argument without a parameter, and with a mixin object
+    the frame reads that object's fields and keeps its index."""
+    status, out, interp = run_program('''package main
+public object Program
+    public fun m: (:a Int, :b Int) -> Int [ ^ a * big + b ]
+    public fun run [ Out println: (self m: 1, 2); ]
+    private :big Int = 10
+end
+''')
+    assert (status, out) == (0, "12\n")
+    m = interp.table.get("Program").groups["m:"].entries[0]
+    main, owner = interp.proto_objects["Program"], ObjectV("Program")
+    owner.fields["big"] = PrimV("Int", 100)
+    args = [PrimV("Int", 3), PrimV("Int", 4), PrimV("Int", 5)]
+    run = m.decl.code
+    assert run(interp, m, main, args[:2], None).v == 34
+    assert run(interp, m, main, args, None).v == 34
+    assert run(interp, m, main, args[:2], None, (owner, 0)).v == 304
+    assert interp.frames == []
+
+
+# -- the fast turns of literal loops -------------------------------------------------------
+
+FAST_LOOPS = '''package main
+public object Program
+    public fun run [
+        :i = 0;
+        :s = 0;
+        [^ i < 3 ] whileTrue: [ s = s + i * 3; i = i + 1; ];
+        [^ s < 4 ] whileFalse: [ s = s - 3; ];
+        [ i = i - 1; s = s * 2; ] repeatUntil: [^ i <= 0 ];
+        Out println: i, " ", s;
+    ]
+end
+'''
+
+
+def fast_turns(monkeypatch):
+    """Spy on the fast turns made: [(the lines before the loop, the lines
+    of its turn) or None], one per inline literal loop."""
+    made, make = [], compiler._Turn.make
+
+    def spy(self, *args):
+        made.append(make(self, *args))
+        return made[-1]
+    monkeypatch.setattr(compiler._Turn, "make", spy)
+    return made
+
+
+def test_fast_turns_end_at_each_budget_as_the_send_path_does(monkeypatch):
+    """Each of the three loops runs fast turns; at every budget, one that a
+    turn straddles among them, the run ends where the send path ends it,
+    with its stdout, trace, steps and evaluations."""
+    made = fast_turns(monkeypatch)
+    status, out, interp = run_program(FAST_LOOPS)
+    assert (status, out) == (0, "0 24\n") and len(made) == 3 and None not in made
+    assert (interp.steps, interp.evals) == (32, 18)
+    for budget in range(1, interp.steps + interp.evals + 1):
+        got, want = run_program(FAST_LOOPS, budget), run_program(FAST_LOOPS, budget, proven=False)
+        assert got[:2] == want[:2], budget
+        assert (got[2].steps, got[2].evals) == (want[2].steps, want[2].evals), budget
+
+
+def test_an_overflow_in_a_fast_turn_runs_the_handler_and_leaves_the_local(monkeypatch):
+    """A sum out of range fails the fast turn, which the send path runs
+    again from its start: `s` is stored before `k + 100` overflows, as on
+    the send path, and `k` keeps its value."""
+    made = fast_turns(monkeypatch)
+    src = '''package main
+public object Program
+    public fun run [
+        :i = 0;
+        :s = 0;
+        :k = 2147483447;
+        [ [^ i < 5 ] whileTrue: [ s = s + 1; k = k + 100; i = i + 1; ]; ]
+            catch: [ |:e StrException| Out println: (e message), " ", i, " ", s, " ", k ];
+        [^ i < 5 ] whileTrue: [ s = s + 1; k = k + 100; i = i + 1; ];
+    ]
+end
+'''
+    status, out, interp = run_program(src)
+    assert made and None not in made
+    assert (status, out) == (2, "Int overflow 2 3 2147483647\n"
+                                "uncaught exception: StrException\n"
+                                "  at Program::eval\n  at Program::run\n")
+    _status, _out, slow = run_program(src, proven=False)
+    assert (interp.steps, interp.evals) == (slow.steps, slow.evals) == (21, 10)
+
+
+def test_a_method_replaced_between_runs_of_a_loop_takes_its_fast_turns(monkeypatch):
+    """`+` replaced while an outer loop runs: the inner loop's fast turns
+    test the method, and its sends go to the replacement."""
+    made = fast_turns(monkeypatch)
+    src = '''package main
+public object Program
+    public fun swapPlus [ :t Int = 0; t.{+ Int -> Int}. = [ |:x Int| ^x - 2 ]; ]
+    public fun run [
+        :j = 3;
+        :i = 0;
+        :s = 0;
+        [^ j > 0 ] whileTrue: [
+            i = 3;
+            [^ i > 0 ] whileTrue: [ s = s + 10; i = i - 1; ];
+            Out println: s;
+            if ( j == 2 ) [ self swapPlus; ];
+            j = j - 1;
+        ];
+    ]
+end
+'''
+    status, out, interp = run_program(src)
+    # the inner loop has a fast turn in the tree of the outer loop's body,
+    # which runs on the outer loop's block path, and inline; the outer loop
+    # has none
+    assert [turn is None for turn in made] == [False, True, False]
+    assert (status, out) == (0, "30\n60\n8\n")
+    _status, _out, slow = run_program(src, proven=False)
+    assert (interp.steps, interp.evals) == (slow.steps, slow.evals)
+
+
+def test_a_nil_local_fails_the_kind_test_of_a_fast_turn(monkeypatch):
+    """A local of a fast turn's sends that holds nil fails the turn's kind
+    test: the send path runs the turn, where `+` refuses nil."""
+    made = fast_turns(monkeypatch)
+    src = '''package main
+public object Program
+    public fun run [
+        :i = 0;
+        :s = 0;
+        :n Int = nil;
+        [ [^ i < 3 ] whileTrue: [ i = i + 1; s = s + n; ]; ]
+            catch: [ |:e DoesNotUnderstandException| Out println: "nil at ", i, " ", s ];
+        n = 5;
+        [^ i < 6 ] whileTrue: [ i = i + 1; s = s + n; ];
+        Out println: i, " ", s;
+    ]
+end
+'''
+    status, out, interp = run_program(src)
+    assert made and None not in made
+    assert (status, out) == (0, "nil at 1 0\n6 25\n")
+    _status, _out, slow = run_program(src, proven=False)
+    assert (interp.steps, interp.evals) == (slow.steps, slow.evals)
