@@ -2,8 +2,10 @@
 
 Every handler receives (interp, entry_method, receiver, flat_args, shape) and
 returns a runtime value; `handler` finds the one of a method, and a send site
-whose inline cache holds it calls it directly.  Integer arithmetic is
-width-checked: a result out of range throws StrException.
+whose inline cache holds it, a proven send and a fixed send (`compiler`)
+call it directly.  Integer arithmetic is width-checked: a result out of
+range throws StrException.  The exceptions that handlers raise for the
+interpreter to catch, CyThrow and ExitSignal, are declared here.
 """
 
 import math
@@ -14,6 +16,23 @@ import zlib
 from .prototypes import BASIC_TYPES, split_generic
 from .values import (FALSE, NIL, NOOBJECT, TRUE, UNIT, ArrayV, BlockV, IntervalV, MethodV,
                      NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
+
+
+class CyThrow(Exception):
+    """A Cyan exception, thrown with the value `value`, on its way to a
+    handler; `stack` is the method stack where it was thrown."""
+
+    def __init__(self, value, stack):
+        self.value = value
+        self.stack = stack
+
+
+class ExitSignal(Exception):
+    """`System exit` ends the run with the status `code`."""
+
+    def __init__(self, code):
+        self.code = code
+
 
 INT_RANGE = {"Byte": (-2 ** 7, 2 ** 7 - 1), "Short": (-2 ** 15, 2 ** 15 - 1),
               "Int": (-2 ** 31, 2 ** 31 - 1), "Long": (-2 ** 63, 2 ** 63 - 1)}
@@ -255,7 +274,6 @@ def b_cast(interp, m, recv, args, shape):
 
 
 def b_throw(interp, m, recv, args, shape):
-    from .interp import CyThrow
     raise CyThrow(args[0], interp.stack_snapshot())
 
 
@@ -727,7 +745,6 @@ def b_repeat_until(interp, m, recv, args, shape):
 
 
 def b_hide_exception(interp, m, recv, args, shape):
-    from .interp import CyThrow
     try:
         send_eval(interp, recv, [])
     except CyThrow:
@@ -736,7 +753,6 @@ def b_hide_exception(interp, m, recv, args, shape):
 
 
 def b_retry(interp, m, recv, args, shape):
-    from .interp import CyThrow
     while True:
         try:
             send_eval(interp, recv, [])
@@ -759,7 +775,6 @@ def _find_handler(interp, catchers, exc):
 
 
 def b_catch_family(interp, m, recv, args, shape):
-    from .interp import CyThrow
     catchers = []
     finally_b = retry_b = twt = twf = None
     for sel, sargs in shape:
@@ -873,32 +888,48 @@ def b_add_method(interp, m, recv, args, shape):
 # ---------------------------------------------------------------------------
 # In / Out / System
 
-def _reader(_ret, name):
-    def read(interp, m, recv, args, shape):
-        if name == "readLine":
-            line = interp.read_line()
-            if line is None:
-                interp.str_exception("end of input")
-            return PrimV("String", line)
-        if name == "readChar":
-            ch = interp.read_char()
-            if ch is None:
-                interp.str_exception("end of input")
-            return PrimV("Char", ch)
-        tok = interp.read_token()
-        if tok is None:
-            interp.str_exception("end of input")
-        try:
-            if name == "readInt":
-                return _int(interp, "Int", int(tok))
-            if name == "readFloat":
-                return PrimV("Float", float(tok))
-            if name == "readDouble":
-                return PrimV("Double", float(tok))
-        except ValueError:
-            interp.str_exception(f"'{tok}' is not a number")
-        return PrimV("String", tok)
-    return read
+def _read(interp, read):
+    """What `read` answers, a text read from standard input; at its end, a
+    StrException."""
+    text = read()
+    if text is None:
+        interp.str_exception("end of input")
+    return text
+
+
+def _number(interp, parse):
+    """A token of standard input, parsed by `parse`."""
+    tok = interp.read_token()
+    if tok is None:
+        interp.str_exception("end of input")
+    try:
+        return parse(tok)
+    except ValueError:
+        interp.str_exception(f"'{tok}' is not a number")
+
+
+def b_read_int(interp, m, recv, args, shape):
+    return _int(interp, "Int", _number(interp, int))
+
+
+def b_read_float(interp, m, recv, args, shape):
+    return PrimV("Float", _number(interp, float))
+
+
+def b_read_double(interp, m, recv, args, shape):
+    return PrimV("Double", _number(interp, float))
+
+
+def b_read_string(interp, m, recv, args, shape):
+    return PrimV("String", _read(interp, interp.read_token))
+
+
+def b_read_line(interp, m, recv, args, shape):
+    return PrimV("String", _read(interp, interp.read_line))
+
+
+def b_read_char(interp, m, recv, args, shape):
+    return PrimV("Char", _read(interp, interp.read_char))
 
 
 def _print_args(interp, shape):
@@ -917,12 +948,10 @@ def b_print_out(interp, m, recv, args, shape):
 
 
 def b_sys_exit(interp, m, recv, args, shape):
-    from .interp import ExitSignal
     raise ExitSignal(0)
 
 
 def b_sys_exit_code(interp, m, recv, args, shape):
-    from .interp import ExitSignal
     raise ExitSignal(args[0].v)
 
 
@@ -989,6 +1018,8 @@ _TABLE = {
     "sys_exit": b_sys_exit, "sys_exit_code": b_sys_exit_code,
     "sys_gc": b_sys_gc, "sys_time": b_sys_time, "sys_stack": b_sys_stack,
     "ctx_newobject": b_ctx_newobject,
+    "read_int": b_read_int, "read_float": b_read_float, "read_double": b_read_double,
+    "read_string": b_read_string, "read_line": b_read_line, "read_char": b_read_char,
 }
 
 # a builtin with parameters, (name, *parameters), has the handler that the
@@ -997,7 +1028,6 @@ _FACTORIES = {
     "arith": _arith, "cmp": _compare, "bitop": _bitop, "shift": _shift,
     "convert": _converter, "tuple_get": _tuple_get, "tuple_set": _tuple_set,
     "union_get": _union_get, "union_set": _union_set,
-    "read": _reader,        # In methods: ("read", return type, name)
 }
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -966,8 +966,7 @@ class Checker:
                     types = shape[0][1] if len(shape) == 1 \
                         else [t for _s, ts in shape for t in ts]
                     node.builtin = (m, recv_type, tuple(types))
-                node.fixed = None if m.builtin is not None \
-                    else self._fixed(recv_type, shape, node, chain, m)
+                node.fixed = self._fixed(recv_type, shape, node, chain, m)
             return m.return_type, m
         if not quiet:
             rule_f = self._rule_f(chain, shape)
@@ -983,15 +982,17 @@ class Checker:
     def _fixed(self, recv_type, shape, node, chain, m):
         """What the send `node` of `shape` to `recv_type` is noted with when
         the table's `fixed_method` proves that it reaches `m`, the method
-        found: (m, the prototypes allowed); else None.  Not for a `super`
-        send or a self-send in a mixin's body, which search other chains, nor
-        with an argument of type Any, which `_fits` lets through where the
-        run's parameter test may refuse its value."""
-        if chain is self.self_chain or _sent_to_super(node) \
-                or any("Any" in ts for _s, ts in shape):
+        found, a user method or a builtin: (m, the prototypes allowed); else
+        None.  Not for a grammar method, which `fixed_method` never answers,
+        a `super` send or a self-send in a mixin's body, which search other
+        chains, nor with an argument of type Any, which `_fits` lets through
+        where the run's parameter test may refuse its value."""
+        if m.kind == "grammar" or chain is self.self_chain or _sent_to_super(node):
             return None
         found = self.table.fixed_method(recv_type, shape)
-        return found if found is not None and found[0] is m else None
+        if found is None or found[0] is not m or any("Any" in ts for _s, ts in shape):
+            return None
+        return found
 
     def _param_test(self, m, owner_entry):
         """The static parameter test of `m`, or None if it is not visible here.

@@ -71,17 +71,24 @@ generated in full:
   and writes the cells.  A failed test runs the turn the per-send way from
   its start, which a short budget, an overflow, a changed kind and a
   replaced method need, as only that way ends where the send path does.
-- A fixed send, a user send that the checker's class-hierarchy analysis
-  binds to one method with a plain body (`PrototypeTable.fixed_method`, as
-  in Dean, Grove & Chambers, ECOOP 1995), guards what the run can still
-  change: while its receiver is an object of a prototype the analysis
-  allowed, with no mixin attached and no method of its own, and the method
-  has no bound value and no `addMethod:` body may take the message, it
-  counts its step and calls the method's function with the arguments in
-  place, with no cache key, no cache and no `Interp.invoke`; else it
-  probes its site's cache as below.  The allowed prototypes are a guard
-  and not an assumption, as the world's bodies serve programs that add
-  sub-prototypes to its prototypes.
+- A fixed send, a send that the checker's class-hierarchy analysis binds
+  to one method with a plain body or to one builtin but a grammar builtin
+  (`PrototypeTable.fixed_method`, as in Dean, Grove & Chambers, ECOOP
+  1995), guards what the run can still change: while its receiver is a
+  value of a prototype the analysis allowed, and the method has no bound
+  value and no `addMethod:` body may take the message, it counts its step
+  and calls the method's function with the arguments in place, or the
+  builtin's handler, `bi.handler(m)(interp, m, recv, args, shape)`, with
+  no cache key, no cache and no `Interp.invoke`; else it probes its site's
+  cache as below.  For an object receiver (of a program's prototype, or
+  `In`, `Out` or `System`) the guard tests its prototype and that it has
+  no mixin attached and no method of its own; for an array, tuple or union
+  (`prototypes.value_class`), its Python type and its `type_name`.  A
+  builtin's guard also tests that no argument is nil, which the run's
+  lookup lets into no final builtin parameter.  A block receiver, or a
+  receiver of a basic type, String or an interval, is never fixed.  The
+  allowed prototypes are a guard and not an assumption, as the world's
+  bodies serve programs that add sub-prototypes to its prototypes.
 
 Every other send but an interval gets a site number, the index of its
 inline cache, and so does a fixed send: the tree evaluates its receiver and
@@ -97,9 +104,9 @@ from . import builtins as bi
 from .block_analysis import BINDERS
 from .cyast import *
 from .grammar_methods import all_nodes
-from .prototypes import BASIC_TYPES, split_generic
+from .prototypes import BASIC_TYPES, split_generic, value_class
 from .values import (FALSE, FRESH_LITERALS, NIL, NOOBJECT, TRUE, ArrayV, BlockV, Cell,
-                     MethodV, ObjectV, PrimV, TupleV)
+                     MethodV, ObjectV, PrimV, TupleV, UnionV)
 
 
 new = object.__new__
@@ -788,38 +795,49 @@ class _Tree:
         refs = f", {self.refs(parts[0][1])}" if binds else ""
         flat = [a for part in args for a in part]
         if len(parts) == 1 and not flat:
-            probe = f"{v} = {call}(), {self.const(((parts[0][0], ()),))}{refs})"
+            message = f"(), {self.const(((parts[0][0], ()),))}"
         elif len(parts) == 1 and len(flat) == 1:
-            probe = f"w{v} = [{flat[0]}]; {v} = {call}w{v}, " \
-                f"[({self.const(parts[0][0])}, w{v})]{refs})"
+            message = f"(w{v} := [{flat[0]}]), [({self.const(parts[0][0])}, w{v})]"
         else:
             shape = ", ".join(f"({self.const(sel)}, [{', '.join(part)}])"
                               for (sel, _), part in zip(parts, args))
-            probe = f"{v} = {call}[{', '.join(flat)}], [{shape}]{refs})"
+            message = f"[{', '.join(flat)}], [{shape}]"
+        probe = f"{v} = {call}{message}{refs})"
         if fixed is None:
             self.emit(probe)
         else:
-            self.fixed(fixed, r, flat, v, probe)
+            self.fixed(e, r, flat, message, v, probe)
         return v
 
-    def fixed(self, fixed, r, flat, v, probe):
-        """A fixed send of the arguments `flat` to `r`: while the receiver is
-        an object of a prototype the analysis allowed, with no mixin and no
-        method of its own, and the method has no bound value and no
-        `addMethod:` body may take the message, it counts its step and
-        calls the method's function with the arguments in place, read
-        through its decl, as the callee may compile after its site; else it
-        runs `probe`."""
-        m, allowed = fixed
-        method, decl = self.const(m), self.const(m.decl)
+    def fixed(self, e, r, flat, message, v, probe):
+        """The fixed send `e` of the arguments `flat`, (args, shape) in
+        `message`, to `r`.  While the receiver is a value of a prototype the
+        analysis allowed (an object with no mixin and no method of its own,
+        or an array, tuple or union by its type), no argument of a builtin is
+        nil, and the method has no bound value and no `addMethod:` body may
+        take the message, it counts its step and calls the method's function
+        with the arguments in place, read through its decl, as the callee may
+        compile after its site, or the builtin's handler with `message`; else
+        it runs `probe`."""
+        m, allowed = e.fixed
+        method, allowed = self.const(m), self.const(allowed)
         p = self.pad
+        if m.builtin is None:
+            cls, call = "ObjectV", f"{self.const(m.decl)}.fn(interp, {r}" \
+                f"{''.join(f', {a}' for a in flat)})"
+        else:
+            # the receiver's static type, as the checker noted it
+            cls = value_class(self.c.table.get(e.builtin[1]))
+            call = f"{self.const(bi.handler(m))}(interp, {method}, {r}, {message})"
+        test = f"{r}.proto in {allowed} and not {r}.mixins and not {r}.own_methods" \
+            if cls == "ObjectV" else f"{r}.type_name in {allowed}"
+        nils = "".join(f"{a} is not NIL and " for a in flat) if m.builtin is not None else ""
         self.lines.append(
-            f"{p}if type({r}) is ObjectV and {r}.proto in {self.const(allowed)} "
-            f"and not {r}.mixins and not {r}.own_methods "
-            f"and {method} not in interp.bound_values and not interp.dyn_methods:\n"
+            f"{p}if type({r}) is {cls} and {test} and {nils}"
+            f"{method} not in interp.bound_values and not interp.dyn_methods:\n"
             f"{p}    interp.steps += 1\n"
             f"{p}    if interp.steps + interp.evals > interp.max_steps: interp.out_of_steps()\n"
-            f"{p}    {v} = {decl}.fn(interp, {r}{''.join(f', {a}' for a in flat)})\n"
+            f"{p}    {v} = {call}\n"
             f"{p}else: {probe}")
 
     def refs(self, nodes):
@@ -1210,9 +1228,9 @@ def _factory(*parts):
     """The factory of the trees whose source is the text of `parts`, their
     shape, made once per shape for the whole process; a method's function
     passes its frame's text apart, which is made once (`_method_frame`)."""
-    namespace = {"PrimV": PrimV, "ArrayV": ArrayV, "TupleV": TupleV, "BlockV": BlockV,
-                 "MethodV": MethodV, "ObjectV": ObjectV, "TRUE": TRUE, "FALSE": FALSE,
-                 "NIL": NIL, "NOOBJECT": NOOBJECT, "Cell": Cell, "Frame": Frame,
+    namespace = {"PrimV": PrimV, "ArrayV": ArrayV, "TupleV": TupleV, "UnionV": UnionV,
+                 "BlockV": BlockV, "MethodV": MethodV, "ObjectV": ObjectV, "TRUE": TRUE,
+                 "FALSE": FALSE, "NIL": NIL, "NOOBJECT": NOOBJECT, "Cell": Cell, "Frame": Frame,
                  "ReturnSignal": ReturnSignal, "new": new, "_probe": _probe,
                  "_super": _super, "_truthy_out": _truthy_out}
     exec(compile("".join(parts), "<tree>", "exec"), namespace)
@@ -1375,11 +1393,7 @@ def _probe(interp, site, recv, args, shape, refs=None):
     `invoke` for a `new:` or `bind:` send, which has `refs`, (the cell of a
     local or None, a variable's name or None) per argument, and for a method
     with a bound value."""
-    if len(args) == 1 and type(recv) is ObjectV and type(args[0]) is PrimV \
-            and not recv.mixins and not recv.own_methods:
-        key = recv.proto, args[0].kind
-    else:
-        key = send_key(interp, recv, args)
+    key = send_key(interp, recv, args)
     if key is None:
         return interp.send(recv, shape, refs=refs)
     found = interp.inline_caches[site].get(key)

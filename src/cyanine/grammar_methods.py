@@ -412,6 +412,7 @@ class PackPlan:
     index: int = 0           # 'arg': the argument's index in the flat argument list
     tag: int = 0             # union field index (0-based)
     sel: object = None       # 'default': the GSel whose default value it is
+    elem: str = ""           # 'array': the type of its elements
 
 
 def plan_packing(regex, match):
@@ -438,7 +439,7 @@ def plan_packing(regex, match):
             if spec[0] in ("star", "plus"):
                 elem_dt = dt.elem
                 plans = [_arg_plan(index, alt_i, spec[1], elem_dt) for index, alt_i in m.args]
-                return PackPlan("array", dt.canonical(), plans)
+                return PackPlan("array", dt.canonical(), plans, elem=elem_dt.canonical())
             if spec[0] == "default":
                 return PackPlan("arg", dt.canonical(), index=m.args[0][0])
         if isinstance(node, GSeq):
@@ -452,7 +453,7 @@ def plan_packing(regex, match):
             return PackPlan("union", dt.canonical(), [inner], tag=m.index)
         if isinstance(node, (GStar, GPlus)):
             plans = [plan(node.item, part, dt.elem) for part in m.parts]
-            return PackPlan("array", dt.canonical(), plans)
+            return PackPlan("array", dt.canonical(), plans, elem=dt.elem.canonical())
         if isinstance(node, GOpt):
             inner_node = node.item
             if isinstance(inner_node, GSel) and inner_node.argspec[0] == "default":

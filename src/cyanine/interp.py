@@ -14,19 +14,13 @@ import re
 from types import MappingProxyType
 
 from . import builtins as bi
+from .builtins import CyThrow, ExitSignal
 from .compiler import Frame, mixin_at, send_key
 from .desugar import CTX_BIND, CTX_NEW, CTX_NEWOBJECT
 from .driver import raise_recursion_limit
 from .grammar_methods import plan_packing
-from .prototypes import split_generic
 from .values import (NIL, NOOBJECT, UNIT, ArrayV, BlockV, Cell, IntervalV, MethodV,
                      NativeBlockV, ObjectV, PrimV, TupleV, UnionV)
-
-
-class CyThrow(Exception):
-    def __init__(self, value, stack):
-        self.value = value
-        self.stack = stack
 
 
 class OutOfSteps(Exception):
@@ -34,11 +28,6 @@ class OutOfSteps(Exception):
 
     def __init__(self, stack):
         self.stack = stack
-
-
-class ExitSignal(Exception):
-    def __init__(self, code):
-        self.code = code
 
 
 class DeadCellRead(Exception):
@@ -642,9 +631,7 @@ class Interp:
         if op == "unit":
             return UNIT
         if op == "array":
-            base, groups = split_generic(plan.type_name)
-            elem = groups[0][0]
-            return ArrayV(plan.type_name, elem,
+            return ArrayV(plan.type_name, plan.elem,
                           [self.execute_plan(c, recv, owner_entry, args) for c in plan.children])
         if op == "tuple":
             entry = self.table.get(plan.type_name)

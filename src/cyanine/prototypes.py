@@ -23,6 +23,26 @@ INTEGRAL_TYPES = ("Byte", "Short", "Int", "Long")
 INTERVAL_TYPES = ("Byte", "Short", "Int", "Long", "Char", "Boolean")
 
 
+# the builtin prototypes whose values are objects
+_OBJECT_BUILTINS = frozenset(("In", "Out", "System"))
+
+
+def value_class(entry):
+    """The name of the class of the run-time values of the prototype `entry`
+    for which a send can be fixed (`PrototypeTable.fixed_method`), as the
+    guard of a fixed send tests it: "ObjectV" for a prototype declared in
+    source and for In, Out and System, "ArrayV", "TupleV" or "UnionV" for
+    an array, tuple or union; None for any other (Any, Nil, the basic types,
+    String, intervals, blocks and interfaces)."""
+    if not entry.builtin or entry.name in _OBJECT_BUILTINS:
+        return None if entry.is_interface else "ObjectV"
+    if entry.tuple_fields is not None:
+        return "TupleV"
+    if entry.union_fields is not None:
+        return "UnionV"
+    return "ArrayV" if entry.name.startswith("Array<") else None
+
+
 class MethodEntry:
     __slots__ = ("name", "kind", "param_types", "param_names", "return_type", "owner", "decl",
                  "sel_arity", "qualifier", "is_final", "is_abstract", "is_override",
@@ -137,6 +157,22 @@ class ProtoEntry:
 
     def __repr__(self):
         return f"<proto {self.name}>"
+
+
+# how deep type arguments may nest in an instance of a generic type
+MAX_TYPE_NESTING = 32
+
+
+def _nesting(canonical):
+    """How deep the type arguments of the canonical name nest."""
+    depth = deepest = 0
+    for ch in canonical:
+        if ch == "<":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ">":
+            depth -= 1
+    return deepest
 
 
 def render_generic(base, groups):
@@ -348,27 +384,30 @@ class PrototypeTable:
 
     def fixed_method(self, name, shape):
         """Class-hierarchy analysis of a send of `shape` to a value of the
-        prototype `name`: (method, frozenset of the names of the prototypes
-        the analysis allowed, `name` and its `sub_prototypes`) where the
-        candidates of the message, every method `find_method` tries, on the
-        dispatch chain of `name` come to one method with a plain body and no
-        entry of a sub-prototype's chain down to `name` adds one, so that any
-        receiver of those prototypes with no mixin, no method of its own and
-        no `addMethod:` body reaches that method, whatever arguments of its
-        parameter types it is sent; else None.  A private overload or a
-        mixin's stub counts as a candidate, as neither `find_method` nor
-        `Interp.lookup` tests visibility.  Memoised per (prototype, selector
-        and arity) until a prototype is linked."""
+        prototype `name`, one whose values a guard can test (`value_class`):
+        (method, frozenset of the names of the prototypes the analysis
+        allowed, `name` and its `sub_prototypes`) where the candidates of
+        the message, every method `find_method` tries, on the dispatch chain
+        of `name` come to one method and no entry of a sub-prototype's chain
+        down to `name` adds one, so that any receiver of those prototypes
+        with no mixin, no method of its own and no `addMethod:` body reaches
+        that method, whatever arguments of its parameter types, but nil for
+        a builtin, it is sent; else None.  The method is one with a plain
+        body, or a builtin but a grammar method (`println:`, `catch:`).  A
+        private overload or a mixin's stub counts as a candidate, as neither
+        `find_method` nor `Interp.lookup` tests visibility.  Memoised per
+        (prototype, selector and arity) until a prototype is linked."""
+        entry = self.entries.get(name)
+        if entry is None or value_class(entry) is None:
+            return None
         key = name, tuple([(sel, len(args)) for sel, args in shape])
         memo = self._fixed_memo
         if key not in memo:
-            memo[key] = self._fixed_method(name, shape)
+            memo[key] = self._fixed_method(entry, shape)
         return memo[key]
 
-    def _fixed_method(self, name, shape):
-        entry = self.entries.get(name)
-        if entry is None or entry.is_interface:
-            return None
+    def _fixed_method(self, entry, shape):
+        name = entry.name
         subs, chains = self.sub_prototypes(name), [self.dispatch_chain(name)]
         for sub in subs:
             # a sub-prototype's chain: its entries down to `name`, then `name`'s
@@ -384,9 +423,10 @@ class PrototypeTable:
             return None
         m, = found
         decl = m.decl
-        if m.builtin is not None or m.kind == "grammar" or m.is_abstract or m.is_stub \
+        if m.kind == "grammar" or m.is_abstract or m.is_stub \
                 or m.ctx_marker is not None or m.ctx_self_field is not None \
-                or decl is None or decl.body is None or decl.body_expr is not None:
+                or m.builtin is None and (decl is None or decl.body is None
+                                          or decl.body_expr is not None):
             return None
         return m, frozenset([name, *(sub.name for sub in subs)])
 
@@ -442,9 +482,19 @@ class PrototypeTable:
     # -- generic instantiation -----------------------------------------------------------
 
     def instantiate_generic(self, base, groups, pos):
+        """The entry of the instance `base<groups>`, made on its first use.
+        Type arguments nest at most MAX_TYPE_NESTING deep, which ends the
+        instantiation of a generic prototype whose body names a bigger
+        instance of itself, as `G<G<T>>` in `G<:T>` (Kennedy & Pierce's
+        expansive recursion)."""
         canonical = render_generic(base, groups)
         if canonical in self.entries:
             return canonical
+        if _nesting(canonical) > MAX_TYPE_NESTING:
+            self.reporter.error(pos[0], pos[1],
+                                f"the type arguments of '{base}' nest deeper than"
+                                f" {MAX_TYPE_NESTING} levels")
+            return "Any"
         if base in ("Block", "UBlock", "AnyBlock", "AnyUBlock"):
             return self._block_family(base, groups)
         if base == "ContextObject":
@@ -1215,10 +1265,13 @@ class PrototypeTable:
     def _fill_io(self):
         B = MethodEntry
         in_e = ProtoEntry("In", "prototype", supertype="Any")
-        for name, ret in [("readInt", "Int"), ("readFloat", "Float"),
-                          ("readDouble", "Double"), ("readChar", "Char"),
-                          ("readString", "String"), ("readLine", "String")]:
-            m = B(name, "unary", [], ret, builtin=("read", ret, name))
+        for name, ret, b in [("readInt", "Int", "read_int"),
+                             ("readFloat", "Float", "read_float"),
+                             ("readDouble", "Double", "read_double"),
+                             ("readChar", "Char", "read_char"),
+                             ("readString", "String", "read_string"),
+                             ("readLine", "String", "read_line")]:
+            m = B(name, "unary", [], ret, builtin=b)
             m.owner = "In"
             in_e.add_method(m)
         self.add_entry(in_e)

@@ -13,6 +13,7 @@ from conftest import compile_src
 from cyanine import compiler
 from cyanine import cyast as A
 from cyanine.interp import DeadCellRead, Interp
+from cyanine.prototypes import PrototypeTable
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -329,9 +330,10 @@ def fixed_of(program, proto, method, message):
 
 def test_a_fixed_send_calls_its_runner_and_never_misses(monkeypatch):
     """`self fib:` reaches one method on every prototype a Program can be,
-    so its three sends are fixed and look nothing up: the run misses 6
-    times, where their caches made it 9.  `b twice:` is not fixed, as
-    Derived overrides `twice:`, nor is the `super` send."""
+    so its three sends are fixed and look nothing up, as does the
+    `primitiveNew` send of `Derived new`, a fixed builtin send: the run
+    misses 5 times, where their caches made it 9.  `b twice:` is not fixed,
+    as Derived overrides `twice:`, nor is the `super` send."""
     program = compile_src(FIB)
     fib = program.table.get("Program").groups["fib:"].entries[0]
     assert fixed_of(program, "Program", "fib:", "fib:") == [(fib, frozenset({"Program"}))] * 2
@@ -340,7 +342,7 @@ def test_a_fixed_send_calls_its_runner_and_never_misses(monkeypatch):
     assert fixed_of(program, "Derived", "twice:", "twice:") == [None]     # super
     status, out, interp, _evals = run_counted(monkeypatch, FIB)
     assert (status, out) == (0, "55 4\n")
-    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (626, 0, 6, 1)
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (626, 0, 5, 1)
 
 
 def test_a_send_with_an_any_argument_is_not_fixed(monkeypatch):
@@ -401,3 +403,109 @@ end
                 if isinstance(node, A.UnarySend) and node.selector == "message"]
     assert message[1] == frozenset({"StrException"})
     assert run_counted(monkeypatch, src)[:2] == (2, "loud\nloud\n")
+
+
+# -- builtin sends that class-hierarchy analysis fixes ------------------------------
+
+BUILTIN_PROGRAM = '''package main
+private object MyIn extends In
+end
+private mixin(In) object FakeIn
+    public override fun readInt -> Int [ ^ 50 ]
+end
+public object Program
+    public fun run [
+        :i In = MyIn new;
+        :t UTuple<Int, String> = UTuple<Int, String> new;
+        :u UUnion<Int, String> = UUnion<Int, String> new;
+        :v Array<Int> = {# 1, 2, 3 #};
+        t f1: 4;
+        u f2: "s";
+        @SETUP
+        Out println: @SEND;
+        Out println: @SEND;
+    ]
+end
+'''
+
+DNU = "uncaught exception: DoesNotUnderstandException\n  at Program::run\n"
+
+# (name, statements before the two sends, the send, (exit status, stdout),
+# whether the send's guard fails, the prototypes the analysis allows or None
+# for what the checker notes); the sends of the families of
+# `value_class`: an object (In), a tuple, a union and an array
+BUILTIN_ROWS = [
+    ("In", "", "(In readInt)", (0, "1\n2\n"), False, None),
+    ("In with an addMethod: body",
+     "In addMethod: selector: #readInt returnType: Int body: (:self In)[ | -> Int | ^ 60 ];",
+     "(In readInt)", (0, "60\n60\n"), True, None),
+    ("In's readInt replaced", "In.{readInt -> Int}. = [ ^ 70 ];", "(In readInt)",
+     (0, "70\n70\n"), True, None),
+    ("In with a mixin attached", "In attachMixin: FakeIn;", "(In readInt)",
+     (0, "50\n50\n"), True, None),
+    # a world body is checked before a program declares its sub-prototypes
+    ("a program's sub-prototype of In", "", "(i readInt)", (0, "1\n2\n"), True, {"In"}),
+    ("a MyIn", "", "(i readInt)", (0, "1\n2\n"), False, None),
+    ("a tuple", "", "(t f1)", (0, "4\n4\n"), False, None),
+    ("a tuple's getter replaced", "t.{f1 -> Int}. = [ ^ 8 ];", "(t f1)", (0, "8\n8\n"),
+     True, None),
+    ("a tuple's setter sent nil", "t f1: nil;", "(t f1)", (2, DNU), True, None),
+    ("a tuple of a type not allowed", "", "(t f1)", (0, "4\n4\n"), True, set()),
+    ("a union", "", "(u contains: #f2)", (0, "true\ntrue\n"), False, None),
+    ("a union's contains: replaced",
+     "u.{contains: CySymbol -> Boolean}. = [ |:s CySymbol -> Boolean| ^ false ];",
+     "(u contains: #f2)", (0, "false\nfalse\n"), True, None),
+    ("a union sent contains: nil", "", "(u contains: nil)", (2, DNU), True, None),
+    ("a union of a type not allowed", "", "(u contains: #f2)", (0, "true\ntrue\n"), True,
+     set()),
+    ("an array", "", "(v size)", (0, "3\n3\n"), False, None),
+    ("an array's size replaced", "v.{size -> Int}. = [ ^ 9 ];", "(v size)", (0, "9\n9\n"),
+     True, None),
+    ("an array sent foreach: nil", "", "(v foreach: nil)", (2, DNU), True, None),
+    ("an array of a type not allowed", "", "(v size)", (0, "3\n3\n"), True, set()),
+]
+
+
+@pytest.mark.parametrize("row", BUILTIN_ROWS, ids=[row[0] for row in BUILTIN_ROWS])
+def test_a_fixed_builtin_send_calls_its_handler_while_its_guard_holds(row, monkeypatch):
+    """A send to a builtin that class-hierarchy analysis fixes calls the
+    builtin's handler while the receiver is a value of a prototype the
+    analysis allowed, no argument is nil, and no bound value, `addMethod:`
+    body or mixin may take the message; else it probes its site.  Either
+    way, the run gives the stdout, exit status, steps and evaluations of
+    the run in which the send is not fixed, and where the guard fails, its
+    misses and skips too."""
+    name, setup, send, outcome, falls_back, allowed = row
+    src = BUILTIN_PROGRAM.replace("@SETUP", setup).replace("@SEND", send)
+    selector = send[1:-1].split()[1]
+    fixed_method = PrototypeTable.fixed_method
+
+    def noted(table, proto, shape):
+        found = fixed_method(table, proto, shape)
+        if found is None or allowed is None or shape[0][0] != selector:
+            return found
+        return found[0], frozenset(allowed)
+
+    def unfixed(table, proto, shape):
+        return None if shape[0][0] == selector else noted(table, proto, shape)
+    runs = []
+    for analysis in (noted, unfixed):
+        with monkeypatch.context() as patch:
+            patch.setattr(PrototypeTable, "fixed_method", analysis)
+            program = compile_src(src)
+            nodes = [node for node in sends_of(program)
+                     if getattr(node, "message_name", getattr(node, "selector", None))
+                     == selector]
+            assert len(nodes) == 2, name
+            assert all((node.fixed is not None) == (analysis is noted) for node in nodes)
+            assert all(node.fixed is None or node.fixed[0].builtin is not None
+                       for node in nodes)
+            status, out, interp, _evals = run_counted(patch, src, stdin="1 2 3")
+        assert (status, out) == outcome, name
+        runs.append((interp.steps, interp.evals, interp.misses, interp.skips))
+    (steps, evals, misses, skips), probed = runs
+    assert (steps, evals) == probed[:2]
+    if falls_back:
+        assert (misses, skips) == probed[2:]
+    else:
+        assert misses + skips < probed[2] + probed[3]

@@ -354,3 +354,22 @@ def test_a_supertype_cycle_is_a_positioned_error(tmp_path, name):
     assert code == 1
     assert f"{src}:{diagnostic}" in (out + err).splitlines()
     assert "unreached" not in out
+
+
+def test_type_arguments_that_nest_without_end_are_a_positioned_error(tmp_path):
+    """Each instance of `G<:T>` names a bigger one, `G<G<T>>`, so making
+    `G<Int>` made instances without end; the table caps how deep type
+    arguments nest."""
+    src = write(tmp_path, "nest.cyan", '''package main
+private object G<:T>
+    public fun f: (:g G<G<T>>) [ ]
+end
+public object Program
+    public fun run [ :g = G<Int> new; Out println: "unreached"; ]
+end
+''')
+    code, out, err = run_cli([src], timeout=5)
+    assert code == 1
+    assert f"{src}:3:12: error: the type arguments of 'G' nest deeper than 32 levels" \
+        in (out + err).splitlines()
+    assert "unreached" not in out

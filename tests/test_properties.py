@@ -596,32 +596,97 @@ def fixed_send_programs(draw):
     return (*source, fixed)
 
 
+# a family of receivers whose builtin sends the checker fixes: (the
+# declarations before `run`, the static type of the receiver `r`, the values
+# `r` may start as, the sends to `r`, each with `{a}` for its argument or
+# none, the arguments, and what the run may do to `r`); `{x}` is `r` as
+# `id:` answers it, whose static type is that of `r`, or Any in the oracle,
+# where `{u}` makes a unary send a `?` send, which the checker lets through
+BUILTIN_FAMILIES = {
+    "In": ("private object MyIn extends In\n@OVERRIDE\nend\n"
+           "private mixin(In) object MIn\n"
+           "    public override fun readInt -> Int [ ^ 9 ]\nend\n",
+           "In", ("In", "MyIn new"), ["Out println: ({x} {u}readInt);"], (), {
+               "replace": "r.{readInt -> Int}. = [ ^ 7 ];",
+               "add": "In addMethod: selector: #readInt returnType: Int "
+                      "body: (:self In)[ | -> Int | ^ 8 ];",
+               "attach": "r attachMixin: MIn;"}),
+    "tuple": ("", "UTuple<Int, String>", ("UTuple<Int, String> new",),
+              ["Out println: ({x} {u}f1);", "{x} f1: {a};"], ("3", "nil", "any"), {
+                  "replace": "r.{f1 -> Int}. = [ ^ 8 ];"}),
+    "union": ("", "UUnion<Int, String>", ("UUnion<Int, String> new",),
+              ["Out println: ({x} contains: {a});", "{x} f2: \"s\";"], ("#f1", "#f2", "nil", "any"),
+              {"replace": "r.{contains: CySymbol -> Boolean}. = "
+                          "[ |:s CySymbol -> Boolean| ^ true ];"}),
+    "array": ("", "Array<Int>", ("{# 1, 2 #}",),
+              ["Out println: ({x} {u}size);", "{x} foreach: {a};"],
+              ("[ |:e Int| Out print: e, \" \" ]", "nil", "any"), {
+                  "replace": "r.{size -> Int}. = [ ^ 5 ];"}),
+}
+
+
+@st.composite
+def builtin_send_programs(draw):
+    """A receiver `r` of a family of BUILTIN_FAMILIES, sent its builtins,
+    with arguments of their types, nil and an `Any` local, while the run
+    replaces a builtin, adds a body for it, or attaches a mixin to `r` that
+    overrides it; for In, `r` may be a MyIn that overrides `readInt`.  Answers
+    what `fixed_send_programs` answers for its sends to `id:`'s answer."""
+    family = draw(st.sampled_from(list(BUILTIN_FAMILIES)))
+    decls, static, values, sends, args, mutations = BUILTIN_FAMILIES[family]
+    overriding = family == "In" and draw(st.booleans())
+    decls = decls.replace("@OVERRIDE", "    public override fun readInt -> Int [ ^ 40 ]"
+                          if overriding else "")
+    any_value = draw(st.sampled_from(("1", '"s"')))
+    body = [f"        :r {static} = {draw(st.sampled_from(values))};",
+            f"        :any Any = {any_value};"]
+    for mutation in [None] + draw(st.lists(st.sampled_from(list(mutations)),
+                                           unique=True, max_size=2)):
+        if mutation is not None:
+            body.append("        " + mutations[mutation])
+        for _ in range(draw(st.integers(1, 3))):
+            send = draw(st.sampled_from(sends))
+            body.append("        " + send.replace(
+                "{a}", draw(st.sampled_from(args)) if args else ""))
+    source = [
+        f"package main\n{decls}public object Program\n"
+        f"    public fun id: (:r {static}) -> {answer} [ ^r ]\n"
+        "    public fun run [\n" + "\n".join(body).replace("{x}", "(self id: r)")
+        .replace("{u}", unary) + "\n    ]\nend\n"
+        for answer, unary in ((static, ""), ("Any", "?"))]
+    return (*source, not overriding)
+
+
 def run_counts(program, max_steps=100_000):
-    """(exit status, stdout, steps, evals) of a run of `program`."""
-    interp = Interp(program)
+    """(exit status, stdout, steps, evals) of a run of `program`, whose
+    standard input holds a few numbers."""
+    interp = Interp(program, stdin_text="1 2 3 4 5 6 7 8 9 10 11 12")
     interp.max_steps = max_steps
     status = interp.run()
     return status, interp.stdout(), interp.steps, interp.evals
 
 
-@given(fixed_send_programs(), st.data())
-@settings(max_examples=100, deadline=None)
+@given(st.one_of(fixed_send_programs(), builtin_send_programs()), st.data())
+@settings(max_examples=150, deadline=None)
 def test_fixed_sends_agree_with_their_opaque_oracle(programs, data):
-    """A send of `f:` is fixed exactly where `f:` has one candidate on the
-    dispatch chains of r's static type and its sub-prototypes and no
-    argument is of type Any.  Whatever the run does to r and to A, the
-    program gives the stdout, exit status, steps and evaluations of its
-    oracle, in which every send of `f:` probes its cache; so it does with
-    the step budget spent at any step."""
+    """A send to `id:`'s answer is fixed exactly where its message has one
+    candidate, a user method or a builtin, on the dispatch chains of r's
+    static type and its sub-prototypes and no argument is of type Any.
+    Whatever the run does to r and to its prototype, and with nil
+    arguments, the program gives the stdout, exit status, steps and
+    evaluations of its oracle, in which every such send probes its cache;
+    so it does with the step budget spent at any step."""
     src, oracle_src, fixed = programs
     program, oracle = compile_src(src), compile_src(oracle_src)
     assert program.ok(), program.reporter.format_all() + src
     assert oracle.ok(), oracle.reporter.format_all() + oracle_src
     run = program.table.get("Program").groups["run"].entries[0].decl
     sends = [node for node in walk(run.body)
-             if isinstance(node, KeywordSend) and node.message_name == "f:"]
+             if isinstance(node, (UnarySend, KeywordSend))
+             and isinstance(node.receiver, KeywordSend) and node.receiver.message_name == "id:"]
+    assert sends, src
     for node in sends:
-        arg = node.parts[0][1][0]
+        arg = node.parts[0][1][0] if isinstance(node, KeywordSend) else None
         assert (node.fixed is not None) == (fixed and not (
             isinstance(arg, NameRef) and arg.name == "any")), (node, src)
     status, out, steps, evals = run_counts(program)

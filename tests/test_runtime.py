@@ -856,3 +856,33 @@ def test_in_blanks_are_what_str_isspace_accepts():
     blank = re.compile(r"\s")
     assert [c for c in range(sys.maxunicode + 1)
             if bool(blank.match(chr(c))) != chr(c).isspace()] == []
+
+
+@pytest.mark.parametrize("reader, stdin, out", [
+    ("readInt", " 42 ", "42"),
+    ("readInt", "x1", "'x1' is not a number"),
+    ("readInt", "2147483648", "Int overflow"),
+    ("readInt", "", "end of input"),
+    ("readFloat", "2.5", "2.5"),
+    ("readFloat", "y", "'y' is not a number"),
+    ("readFloat", "", "end of input"),
+    ("readDouble", "1e3", "1000.0"),
+    ("readDouble", "-", "'-' is not a number"),
+    ("readString", " ab c", "ab"),
+    ("readString", " ", "end of input"),
+    ("readLine", "ab c\nd", "ab c"),
+    ("readLine", "", "end of input"),
+    ("readChar", "  zq", "z"),
+    ("readChar", "\n", "end of input"),
+])
+def test_each_reader_of_in_answers_or_throws(run, reader, stdin, out):
+    """Each `In` method reads with its own handler; a token that is no
+    number, an Int out of range and the end of input throw StrException."""
+    code, got, _ = run(f'''package main
+public object Program
+    public fun run [
+        [ Out println: (In {reader}); ] catch: [ |:e StrException| Out println: (e message) ];
+    ]
+end
+''', stdin=stdin)
+    assert (code, got) == (0, out + "\n")
