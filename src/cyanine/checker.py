@@ -983,16 +983,14 @@ class Checker:
         """What the send `node` of `shape` to `recv_type` is noted with when
         the table's `fixed_method` proves that it reaches `m`, the method
         found, a user method or a builtin: (m, the prototypes allowed); else
-        None.  Not for a grammar method, which `fixed_method` never answers,
-        a `super` send or a self-send in a mixin's body, which search other
-        chains, nor with an argument of type Any, which `_fits` lets through
-        where the run's parameter test may refuse its value."""
-        if m.kind == "grammar" or chain is self.self_chain or _sent_to_super(node):
+        None.  Not for a `super` send or a self-send in a mixin's body, which
+        search other chains, nor with an argument of type Any, which `_fits`
+        lets through where the run's parameter test may refuse its value."""
+        if chain is self.self_chain or _sent_to_super(node) \
+                or any("Any" in ts for _s, ts in shape):
             return None
         found = self.table.fixed_method(recv_type, shape)
-        if found is None or found[0] is not m or any("Any" in ts for _s, ts in shape):
-            return None
-        return found
+        return found if found is not None and found[0] is m else None
 
     def _param_test(self, m, owner_entry):
         """The static parameter test of `m`, or None if it is not visible here.

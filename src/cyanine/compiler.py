@@ -72,23 +72,25 @@ generated in full:
   its start, which a short budget, an overflow, a changed kind and a
   replaced method need, as only that way ends where the send path does.
 - A fixed send, a send that the checker's class-hierarchy analysis binds
-  to one method with a plain body or to one builtin but a grammar builtin
+  to one method with a plain body or to one builtin, a grammar builtin
+  such as `Out println:` too, whose handler reads the message itself
   (`PrototypeTable.fixed_method`, as in Dean, Grove & Chambers, ECOOP
   1995), guards what the run can still change: while its receiver is a
   value of a prototype the analysis allowed, and the method has no bound
   value and no `addMethod:` body may take the message, it counts its step
   and calls the method's function with the arguments in place, or the
   builtin's handler, `bi.handler(m)(interp, m, recv, args, shape)`, with
-  no cache key, no cache and no `Interp.invoke`; else it probes its site's
-  cache as below.  For an object receiver (of a program's prototype, or
-  `In`, `Out` or `System`) the guard tests its prototype and that it has
-  no mixin attached and no method of its own; for an array, tuple or union
-  (`prototypes.value_class`), its Python type and its `type_name`.  A
-  builtin's guard also tests that no argument is nil, which the run's
-  lookup lets into no final builtin parameter.  A block receiver, or a
-  receiver of a basic type, String or an interval, is never fixed.  The
-  allowed prototypes are a guard and not an assumption, as the world's
-  bodies serve programs that add sub-prototypes to its prototypes.
+  no cache key, no cache, no packing plan and no `Interp.invoke`; else it
+  probes its site's cache as below.  For an object receiver (of a
+  program's prototype, or `In`, `Out` or `System`) the guard tests its
+  prototype and that it has no mixin attached and no method of its own;
+  for an array, tuple or union (`prototypes.value_class`), its Python type
+  and its `type_name`.  A builtin's guard also tests that no argument is
+  nil, which the run's lookup lets into no final builtin parameter.  A
+  block receiver, a receiver of a basic type, String or an interval, and a
+  grammar method with a body are never fixed.  The allowed prototypes are
+  a guard and not an assumption, as the world's bodies serve programs
+  that add sub-prototypes to its prototypes.
 
 Every other send but an interval gets a site number, the index of its
 inline cache, and so does a fixed send: the tree evaluates its receiver and
@@ -669,7 +671,9 @@ class _Tree:
         return self.into(f"interp.field_read({self.frame}.fields_owner, {self.const(name)})")
 
     def prototype(self, name):
-        return self.into(f"interp.prototype_object({self.const(self.c.table.get(name))})")
+        """A prototype's object: a dict read once its initialisation started."""
+        return self.into(f"interp.proto_objects.get({self.const(name)}) "
+                         f"or interp.prototype_object({self.const(self.c.table.get(name))})")
 
     def read(self, name):
         """A local's value; only a cell an enclosing block's env holds can

@@ -66,6 +66,7 @@ class World:
         checker = Checker(self.table, self.reporter)
         self.units, self.sites = _elaborate([cu], self.table, self.desugarer, checker, 0)
         self.block_infos = checker.block_infos
+        self.table.code_at_init()   # memoised here, so that no run writes the world
 
 
 def parse_file(text, filename, reporter):

@@ -82,10 +82,10 @@ class Interp:
         self.max_steps = 10_000_000
         self.steps = 0
         self.evals = 0              # block evaluations and `while` iterations
-        self._init_done = set()
         # run-time state of the program's prototypes; the table is compile-time
         # state and, through the world it overlays, shared by other programs
-        self.proto_objects = {}     # entry name -> the prototype's object
+        self.proto_objects = {}     # entry name -> the prototype's object, made
+                                    # when its initialisation starts
         self.statics = {}           # entry name -> {const or shared var: value}
         self.bound_values = {}      # MethodEntry -> object bound by `fun sig = e`
                                     # or by assigning a method
@@ -115,7 +115,7 @@ class Interp:
         try:
             self.setup()
             main = self.table.get(self.program.main_name)
-            recv = self.proto_objects[main.name]
+            recv = self.prototype_object(main)
             if "run:" in main.groups:
                 args = ArrayV("Array<String>", "String",
                               [PrimV("String", a) for a in self.argv])
@@ -181,28 +181,34 @@ class Interp:
     # -- startup: prototype objects and initialization order -----------------------
 
     def setup(self):
-        table = self.table
-        for name in table.entries:
-            self.proto_objects[name] = ObjectV(name, is_prototype=True)
-        for entry in list(table.entries.values()):
-            self.init_prototype(entry)
+        """Make and initialise, in table order, the objects of the prototypes
+        the program adds to the world and of those world prototypes whose
+        initialisation runs code; any other world prototype's object is made
+        on first use, as its initialisation has nothing a program can see."""
+        world = self.table.shared
+        if world is None:
+            entries = list(self.table.entries.values())
+        else:       # the world's entries come first in the table
+            entries = world.code_at_init() + [e for name, e in self.table.entries.items()
+                                              if name not in world.entries]
+        for entry in entries:
+            self.prototype_object(entry)
 
     def prototype_object(self, entry):
-        """The object a prototype name evaluates to, initialized on first use."""
-        if entry.name not in self._init_done:
-            self.init_prototype(entry)
-        return self.proto_objects[entry.name]
+        """The object a prototype name evaluates to, made and initialised on
+        first use."""
+        obj = self.proto_objects.get(entry.name)
+        if obj is None:
+            obj = self.proto_objects[entry.name] = ObjectV(entry.name, is_prototype=True)
+            if not entry.builtin:
+                self.init_prototype(entry, obj)
+        return obj
 
-    def init_prototype(self, entry):
-        if entry.name in self._init_done or entry.builtin:
-            self._init_done.add(entry.name)
-            return
-        self._init_done.add(entry.name)
-        if entry.supertype:
-            sup = self.table.get(entry.supertype)
-            if sup is not None:
-                self.init_prototype(sup)
-        obj = self.proto_objects[entry.name]
+    def init_prototype(self, entry, obj):
+        """Initialise `obj`, the object of `entry`, after its supertype's."""
+        sup = self.table.get(entry.supertype)
+        if sup is not None:
+            self.prototype_object(sup)
         frame = Frame(entry.name, "<init>", obj, obj)
         self.frames.append(frame)
         try:
@@ -648,7 +654,7 @@ class Interp:
             names = [n for n, _t in entry.union_fields]
             return UnionV(plan.type_name, names, None, None)
         if op == "default":
-            owner = self.proto_objects.get(owner_entry.name) or recv
+            owner = self.prototype_object(owner_entry)
             frame = Frame(owner_entry.name, "<default>", owner, owner)
             self.frames.append(frame)
             try:

@@ -219,9 +219,11 @@ class PrototypeTable:
         an overlay that starts with its entries and templates and adds to its
         own maps only, so that `shared` and its entries are never written."""
         self.reporter = reporter if reporter is not None else Reporter()
+        self.shared = shared
         self._reach_memo = {}
         self._chain_memo = {}
         self._fixed_memo = {}   # see `fixed_method`
+        self._code_at_init = None   # see `code_at_init`
         self.check_queue = []   # entries whose bodies still need checking
         if shared is not None:
             self.entries = dict(shared.entries)
@@ -247,6 +249,21 @@ class PrototypeTable:
         """Forget the memoised walks: an entry or one of its edges changed."""
         self._reach_memo.clear()
         self._chain_memo.clear()
+        self._code_at_init = None
+
+    def code_at_init(self):
+        """The entries, in table order, whose object's initialisation runs
+        code of their source: a constant or shared variable, a field's
+        initial value anywhere in the chain, a method bound by `fun sig = e`,
+        or an `initOnce`.  Memoised until an entry or an edge changes."""
+        if self._code_at_init is None:
+            self._code_at_init = [
+                e for e in self.entries.values() if not e.builtin and (
+                    e.consts or e.shared_vars or e.init_once is not None
+                    or any(m.decl is not None and m.decl.body_expr is not None
+                           for m in e.methods)
+                    or any(v.init is not None for a in self.chain(e.name) for v in a.ivars))]
+        return self._code_at_init
 
     def chain(self, name):
         """The prototype plus its supertypes, most-derived first."""
@@ -393,8 +410,9 @@ class PrototypeTable:
         with no mixin, no method of its own and no `addMethod:` body reaches
         that method, whatever arguments of its parameter types, but nil for
         a builtin, it is sent; else None.  The method is one with a plain
-        body, or a builtin but a grammar method (`println:`, `catch:`).  A
-        private overload or a mixin's stub counts as a candidate, as neither
+        body, or a builtin, a grammar builtin (`println:`) too, as a builtin
+        reads the message itself, where a grammar body needs a packing plan.
+        A private overload or a mixin's stub counts as a candidate, as neither
         `find_method` nor `Interp.lookup` tests visibility.  Memoised per
         (prototype, selector and arity) until a prototype is linked."""
         entry = self.entries.get(name)
@@ -408,25 +426,22 @@ class PrototypeTable:
 
     def _fixed_method(self, entry, shape):
         name = entry.name
-        subs, chains = self.sub_prototypes(name), [self.dispatch_chain(name)]
-        for sub in subs:
-            # a sub-prototype's chain: its entries down to `name`, then `name`'s
-            below = self.chain(sub.name)
-            chains.append(below[:below.index(entry)] if entry in below else below)
-        found = set()
+        # the entries of a sub-prototype's chain down to `name` are
+        # sub-prototypes too, so one search sees every candidate
+        subs, found = self.sub_prototypes(name), set()
 
         def candidate(m, _entry):
             found.add(m)        # and takes nothing, so the search sees every one
-        for chain in chains:
-            self.find_method(chain, shape, lambda t: t, candidate)     # `shape` holds types
+        self.find_method(self.dispatch_chain(name) + subs, shape, lambda t: t,
+                         candidate)     # `shape` holds types
         if len(found) != 1:
             return None
         m, = found
         decl = m.decl
-        if m.kind == "grammar" or m.is_abstract or m.is_stub \
-                or m.ctx_marker is not None or m.ctx_self_field is not None \
-                or m.builtin is None and (decl is None or decl.body is None
-                                          or decl.body_expr is not None):
+        if m.is_abstract or m.is_stub or m.ctx_marker is not None \
+                or m.ctx_self_field is not None \
+                or m.builtin is None and (m.kind == "grammar" or decl is None
+                                          or decl.body is None or decl.body_expr is not None):
             return None
         return m, frozenset([name, *(sub.name for sub in subs)])
 
@@ -447,11 +462,13 @@ class PrototypeTable:
     # -- type resolution ---------------------------------------------------------------
 
     def resolve_type(self, texpr, pos=None, proto=None):
-        """TypeExpr -> canonical name, instantiating generics on demand."""
+        """TypeExpr -> canonical name, instantiating generics on demand;
+        errors at `pos`, or else at `texpr`, but too deep a nesting at `texpr`."""
         if texpr is None:
             return "Void"
         name = texpr.name
-        line, col = (pos or (texpr.line, texpr.col))
+        at = texpr.line, texpr.col
+        line, col = pos or at
         if not texpr.groups:
             if name in self.entries:
                 return name
@@ -465,9 +482,9 @@ class PrototypeTable:
             group = []
             for i, a in enumerate(texpr.groups[0]):
                 group.append(a.name if i % 2 == 0 else self.resolve_type(a, pos, proto))
-            return self.instantiate_generic(name, [group], (line, col))
+            return self.instantiate_generic(name, [group], (line, col), at)
         groups = [[self.resolve_type(a, pos, proto) for a in g] for g in texpr.groups]
-        return self.instantiate_generic(name, groups, (line, col))
+        return self.instantiate_generic(name, groups, (line, col), at)
 
     def resolve_canonical(self, canonical, pos=(0, 0)):
         if canonical in self.entries:
@@ -481,17 +498,18 @@ class PrototypeTable:
 
     # -- generic instantiation -----------------------------------------------------------
 
-    def instantiate_generic(self, base, groups, pos):
+    def instantiate_generic(self, base, groups, pos, nesting_pos=None):
         """The entry of the instance `base<groups>`, made on its first use.
         Type arguments nest at most MAX_TYPE_NESTING deep, which ends the
         instantiation of a generic prototype whose body names a bigger
         instance of itself, as `G<G<T>>` in `G<:T>` (Kennedy & Pierce's
-        expansive recursion)."""
+        expansive recursion); that error is at `nesting_pos`, if given."""
         canonical = render_generic(base, groups)
         if canonical in self.entries:
             return canonical
         if _nesting(canonical) > MAX_TYPE_NESTING:
-            self.reporter.error(pos[0], pos[1],
+            line, col = nesting_pos or pos
+            self.reporter.error(line, col,
                                 f"the type arguments of '{base}' nest deeper than"
                                 f" {MAX_TYPE_NESTING} levels")
             return "Any"

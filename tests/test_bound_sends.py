@@ -330,10 +330,11 @@ def fixed_of(program, proto, method, message):
 
 def test_a_fixed_send_calls_its_runner_and_never_misses(monkeypatch):
     """`self fib:` reaches one method on every prototype a Program can be,
-    so its three sends are fixed and look nothing up, as does the
-    `primitiveNew` send of `Derived new`, a fixed builtin send: the run
-    misses 5 times, where their caches made it 9.  `b twice:` is not fixed,
-    as Derived overrides `twice:`, nor is the `super` send."""
+    so its three sends are fixed and look nothing up, as do the
+    `primitiveNew` send of `Derived new`, a fixed builtin send, and the
+    `Out println:` send, a fixed grammar builtin: the run misses 4 times,
+    where their caches made it 9.  `b twice:` is not fixed, as Derived
+    overrides `twice:`, nor is the `super` send."""
     program = compile_src(FIB)
     fib = program.table.get("Program").groups["fib:"].entries[0]
     assert fixed_of(program, "Program", "fib:", "fib:") == [(fib, frozenset({"Program"}))] * 2
@@ -342,7 +343,7 @@ def test_a_fixed_send_calls_its_runner_and_never_misses(monkeypatch):
     assert fixed_of(program, "Derived", "twice:", "twice:") == [None]     # super
     status, out, interp, _evals = run_counted(monkeypatch, FIB)
     assert (status, out) == (0, "55 4\n")
-    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (626, 0, 5, 1)
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (626, 0, 4, 1)
 
 
 def test_a_send_with_an_any_argument_is_not_fixed(monkeypatch):
@@ -509,3 +510,161 @@ def test_a_fixed_builtin_send_calls_its_handler_while_its_guard_holds(row, monke
         assert (misses, skips) == probed[2:]
     else:
         assert misses + skips < probed[2] + probed[3]
+
+
+# -- grammar builtins that class-hierarchy analysis fixes ----------------------------
+
+GRAMMAR_PROGRAM = '''package main
+private object MyOut extends Out
+end
+private mixin(Out) object Quiet
+    public fun println: (:x Int) [ Out print: "quiet "; ]
+end
+private object Box
+    public fun twice: (:n Int) [ Out print: "twice ", n * 2, " "; ]
+    public fun (sum: (Int)+) :t [ Out print: "sum "; ]
+end
+public object Program
+    public fun run [
+        :o Out = MyOut new;
+        :m MyOut = MyOut new;
+        :b Box = Box new;
+        :xs Array<Int> = {# 1, 2 #};
+        :t = [. 1, "a" .];
+        @SETUP
+        @SEND;
+        @SEND;
+    ]
+end
+'''
+
+OWN_PRINTLN = 'm addMethod: selector: #println: param: Int ' \
+    'body: (:self MyOut)[ |:x Int| Out print: "own ", x, " " ];'
+
+# (name, statements before the two sends, the send, its message, (exit
+# status, stdout), whether the send's guard fails, the prototypes the
+# analysis allows or None for what the checker notes): the builtins with a
+# grammar, which read the message themselves; Out's `println:` and `print:`,
+# and Any's `switch:`, `selector:param:` and `addMethod:`, to an object, an
+# array or a tuple
+GRAMMAR_ROWS = [
+    ("Out println:", "", 'Out println: 1, " ", "a"', "println:", (0, "1 a\n1 a\n"),
+     False, None),
+    ("Out print:", "", "Out print: 1, \"-\", 'c'", "print:", (0, "1-c1-c"), False, None),
+    ("Out println: nil", "", "Out println: nil", "println:", (0, "nil\nnil\n"), True, None),
+    ("Out println: with nil after another argument", "", "Out println: 1, nil", "println:",
+     (0, "1nil\n1nil\n"), True, None),
+    ("Out with a mixin attached", "Out attachMixin: Quiet;", "Out println: 5", "println:",
+     (0, "quiet quiet "), True, None),
+    ("Out with an addMethod: body for another message",
+     "Out addMethod: selector: #hello returnType: Int body: (:self Out)[ | -> Int | ^ 1 ];",
+     "Out println: 5", "println:", (0, "5\n5\n"), True, None),
+    ("Out with an addMethod: body for println:",
+     'Out addMethod: selector: #println: param: Int '
+     'body: (:self Out)[ |:x Int| Out print: "added ", x, " " ];',
+     "Out println: 5", "println:", (0, "added 5 added 5 "), True, None),
+    ("a program's sub-prototype of Out", "", "o println: 3", "println:", (0, "3\n3\n"),
+     False, None),
+    # a world body is checked before a program declares its sub-prototypes
+    ("a program's sub-prototype of Out, not allowed", "", "o println: 3", "println:",
+     (0, "3\n3\n"), True, {"Out"}),
+    ("a MyOut with a println: of its own", OWN_PRINTLN, "m println: 4", "println:",
+     (0, "own 4 own 4 "), True, None),
+    ("another MyOut than the one with a println: of its own", OWN_PRINTLN, "o println: 4",
+     "println:", (0, "4\n4\n"), False, None),
+    ("switch:", "", 'b switch: case: b do: [ Out print: "same " ] else: [ Out print: "other " ]',
+     "switch:case:do:else:", (0, "same same "), False, None),
+    ("selector:param:", "", "b selector: #twice: param: 3", "selector:param:",
+     (0, "twice 6 twice 6 "), False, None),
+    ("switch: on a tuple", "", 't switch: case: t do: [ Out print: "same " ]',
+     "switch:case:do:", (0, "same same "), False, None),
+    ("selector:param: on an array", "",
+     'xs selector: #foreach: param: [ |:e Int| Out print: e, " " ]', "selector:param:",
+     (0, "1 2 1 2 "), False, None),
+    # the first send gives `b` a method of its own, which the second one's guard sees
+    ("addMethod:", "", "b addMethod: selector: #hello returnType: Int "
+     "body: (:self Box)[ | -> Int | ^ 1 ]", "addMethod:selector:returnType:body:", (0, ""),
+     False, None),
+]
+
+
+def message_of(node):
+    return getattr(node, "message_name", getattr(node, "selector", None))
+
+
+@pytest.mark.parametrize("row", GRAMMAR_ROWS, ids=[row[0] for row in GRAMMAR_ROWS])
+def test_a_fixed_grammar_builtin_calls_its_handler_while_its_guard_holds(row, monkeypatch):
+    """A builtin with a grammar reads the message itself, so a send that
+    class-hierarchy analysis fixes to one calls its handler with the
+    message, with no packing plan, under the guard of any fixed builtin
+    send: the receiver a value of a prototype the analysis allowed, with
+    no mixin and no method of its own, no argument nil, and no
+    `addMethod:` body anywhere; else it probes its site.  Either way, the
+    run gives the stdout, exit status, steps and evaluations of the run in
+    which the send is not fixed, and where the guard fails, its misses and
+    skips too."""
+    name, setup, send, message, outcome, falls_back, allowed = row
+    src = GRAMMAR_PROGRAM.replace("@SETUP", setup).replace("@SEND", send)
+    fixed_method = PrototypeTable.fixed_method
+
+    def sent(shape):
+        return "".join(sel for sel, _ in shape) == message
+
+    def noted(table, proto, shape):
+        found = fixed_method(table, proto, shape)
+        if found is None or allowed is None or not sent(shape):
+            return found
+        return found[0], frozenset(allowed)
+
+    def unfixed(table, proto, shape):
+        return None if sent(shape) else noted(table, proto, shape)
+    runs = []
+    for analysis in (noted, unfixed):
+        with monkeypatch.context() as patch:
+            patch.setattr(PrototypeTable, "fixed_method", analysis)
+            program = compile_src(src)
+            run = program.table.get("Program").groups["run"].entries[0].decl
+            nodes = [st.expr for st in run.body[-2:]]
+            assert [message_of(node) for node in nodes] == [message] * 2, name
+            for node in nodes:
+                assert (node.fixed is not None) == (analysis is noted), name
+                assert node.fixed is None or node.fixed[0].kind == "grammar" \
+                    and node.fixed[0].builtin is not None
+            status, out, interp, _evals = run_counted(patch, src)
+        assert (status, out) == outcome, name
+        runs.append((interp.steps, interp.evals, interp.misses, interp.skips))
+    (steps, evals, misses, skips), probed = runs
+    assert (steps, evals) == probed[:2]
+    if falls_back:
+        assert (misses, skips) == probed[2:]
+    else:
+        assert misses + skips < probed[2] + probed[3]
+
+
+def test_a_grammar_send_is_fixed_only_to_a_builtin_and_without_an_any_argument():
+    """`println:` and `print:` are fixed with any number of arguments of
+    types other than Any; an argument of type Any, which the run's match may
+    refuse, leaves the send to the lookup, as does a grammar method with a
+    body, whose argument a packing plan makes.  A sub-prototype of Out
+    cannot add a candidate: no method may override a grammar method."""
+    src = GRAMMAR_PROGRAM.replace("@SETUP", ":any Any = 1;").replace(
+        "        @SEND;\n        @SEND;\n", """        b sum: 1, 2;
+        Out println: 1, "a", 'c', 2.5;
+        m print: "s", 2;
+        Out print: 1, any;
+        Out println: any;
+""")
+    program = compile_src(src)
+    assert program.ok(), program.reporter.format_all()
+    out = program.table.get("Out")
+    println, print_out = out.groups["println:"].entries[0], out.groups["print:"].entries[0]
+    run = program.table.get("Program").groups["run"].entries[0].decl
+    assert [st.expr.fixed for st in run.body[-5:]] == [
+        None, (println, frozenset({"Out", "MyOut"})), (print_out, frozenset({"MyOut"})),
+        None, None]
+    interp = Interp(program)
+    assert (interp.run(), interp.stdout()) == (0, "sum 1ac2.5\ns2111\n")
+    loud = src.replace("end\nprivate mixin", "    public fun println: (:s String) [ ]\n"
+                                              "end\nprivate mixin", 1)
+    assert "it is not possible to override grammar methods" in \
+        compile_src(loud).reporter.format_all()

@@ -359,7 +359,7 @@ def test_a_supertype_cycle_is_a_positioned_error(tmp_path, name):
 def test_type_arguments_that_nest_without_end_are_a_positioned_error(tmp_path):
     """Each instance of `G<:T>` names a bigger one, `G<G<T>>`, so making
     `G<Int>` made instances without end; the table caps how deep type
-    arguments nest."""
+    arguments nest, and reports it at the type expression that nests them."""
     src = write(tmp_path, "nest.cyan", '''package main
 private object G<:T>
     public fun f: (:g G<G<T>>) [ ]
@@ -370,6 +370,6 @@ end
 ''')
     code, out, err = run_cli([src], timeout=5)
     assert code == 1
-    assert f"{src}:3:12: error: the type arguments of 'G' nest deeper than 32 levels" \
+    assert f"{src}:3:23: error: the type arguments of 'G' nest deeper than 32 levels" \
         in (out + err).splitlines()
     assert "unreached" not in out

@@ -39,7 +39,7 @@ def counting_copy(tmp_path, counter, delta):
 def test_the_checkout_does_not_differ_from_itself():
     done = differential(SRC, SRC, "--seeds", "5", "--mutants", "20")
     # 18 of the 20 mutants end at a diagnostic too
-    ran = "65 ran past the compile, 35 ended at a diagnostic, 0 raised, 389 misses\n"
+    ran = "65 ran past the compile, 35 ended at a diagnostic, 0 raised, 218 misses\n"
     assert (done.returncode, done.stdout) == \
         (0, f"old: {ran}new: {ran}100 programs, no difference\n"), done.stderr
 
@@ -48,7 +48,7 @@ def test_a_copy_that_counts_one_more_step_differs(tmp_path):
     done = differential(SRC, counting_copy(tmp_path, "steps", 1), "--seeds", "",
                         "--mutants", "0")
     assert done.returncode == 1, done.stderr
-    ran = f"{CORPUS_RAN}, 379 misses\n"
+    ran = f"{CORPUS_RAN}, 212 misses\n"
     assert done.stdout.startswith(f"old: {ran}new: {ran}01_hello.cyan differs:\n")
     assert "!= steps:" in done.stdout and "   status:" in done.stdout
 
@@ -57,8 +57,8 @@ def test_a_copy_that_counts_one_more_miss_differs(tmp_path):
     done = differential(SRC, counting_copy(tmp_path, "misses", 1), "--seeds", "",
                         "--mutants", "0")
     assert done.returncode == 1, done.stderr
-    assert done.stdout.startswith(f"old: {CORPUS_RAN}, 379 misses\n"
-                                  f"new: {CORPUS_RAN}, 442 misses\n01_hello.cyan differs:\n")
+    assert done.stdout.startswith(f"old: {CORPUS_RAN}, 212 misses\n"
+                                  f"new: {CORPUS_RAN}, 275 misses\n01_hello.cyan differs:\n")
     assert "!= misses:" in done.stdout and "   steps:" in done.stdout
 
 
@@ -66,5 +66,5 @@ def test_a_copy_that_counts_one_miss_less_does_not_differ(tmp_path):
     done = differential(SRC, counting_copy(tmp_path, "misses", -1), "--seeds", "",
                         "--mutants", "0")
     assert (done.returncode, done.stdout) == \
-        (0, f"old: {CORPUS_RAN}, 379 misses\nnew: {CORPUS_RAN}, 316 misses\n"
+        (0, f"old: {CORPUS_RAN}, 212 misses\nnew: {CORPUS_RAN}, 149 misses\n"
             "80 programs, no difference\n"), done.stderr

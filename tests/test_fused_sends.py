@@ -43,7 +43,7 @@ end
     assert (status, out) == (2, "Byte overflow\nShort overflow\nInt overflow\nLong overflow\n"
                                 "127 -32768 2147483647 9223372036854775807\n"
                                 "uncaught exception: StrException\n  at Program::run\n")
-    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (24, 8, 10, 1)
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (24, 8, 5, 1)
 
 
 def fused_read(leaf_depth):
@@ -124,7 +124,7 @@ public object Program
 end
 ''')
     assert (status, out) == (0, "100\n101\n7 7\n")
-    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (17, 7, 2, 5)
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (17, 7, 0, 5)
 
 
 def test_an_added_method_takes_over_in_the_middle_of_a_loop():
@@ -144,7 +144,7 @@ public object Program
 end
 ''')
     assert (status, out) == (0, "0 1\n1 2\nadded 3\n")
-    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (24, 7, 3, 10)
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (24, 7, 2, 10)
 
 
 COUNTDOWN = '''package main
@@ -185,4 +185,4 @@ def test_the_budget_runs_out_at_a_fused_send_with_the_trace_of_the_send_path(
 def test_the_countdown_runs_to_its_end():
     status, out, interp = run_program(COUNTDOWN)
     assert (status, out) == (0, "-1\n")
-    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (15, 7, 1, 1)
+    assert (interp.steps, interp.evals, interp.misses, interp.skips) == (15, 7, 0, 1)

@@ -622,6 +622,18 @@ BUILTIN_FAMILIES = {
               ["Out println: ({x} {u}size);", "{x} foreach: {a};"],
               ("[ |:e Int| Out print: e, \" \" ]", "nil", "any"), {
                   "replace": "r.{size -> Int}. = [ ^ 5 ];"}),
+    # grammar builtins, which no method may override
+    "Out": ("private object MyOut extends Out\nend\n"
+            "private mixin(Out) object MOut\n"
+            "    public fun println: (:x Int) [ Out print: \"mixin \", x, \" \" ]\nend\n",
+            "Out", ("Out", "MyOut new"),
+            ["{x} println: {a};", "{x} print: {a}, 1;", "{x} selector: #println: param: {a};"],
+            ("3", "nil", "any", '"s"'), {
+                "add": "Out addMethod: selector: #println: param: Int "
+                       "body: (:self Out)[ |:x Int| Out print: \"added \", x, \" \" ];",
+                "own": "r addMethod: selector: #print: param: Int, Int "
+                       "body: (:self Out)[ |:x Int, :y Int| Out println: \"own\" ];",
+                "attach": "r attachMixin: MOut;"}),
 }
 
 
@@ -629,8 +641,10 @@ BUILTIN_FAMILIES = {
 def builtin_send_programs(draw):
     """A receiver `r` of a family of BUILTIN_FAMILIES, sent its builtins,
     with arguments of their types, nil and an `Any` local, while the run
-    replaces a builtin, adds a body for it, or attaches a mixin to `r` that
-    overrides it; for In, `r` may be a MyIn that overrides `readInt`.  Answers
+    replaces a builtin, adds a body for it, to `r` or its prototype, or
+    attaches a mixin to `r` that overrides it; for In, `r` may be a MyIn
+    that overrides `readInt`, and for Out, a MyOut, sent the grammar
+    builtins `println:`, `print:` and `selector:param:`.  Answers
     what `fixed_send_programs` answers for its sends to `id:`'s answer."""
     family = draw(st.sampled_from(list(BUILTIN_FAMILIES)))
     decls, static, values, sends, args, mutations = BUILTIN_FAMILIES[family]
@@ -670,8 +684,9 @@ def run_counts(program, max_steps=100_000):
 @settings(max_examples=150, deadline=None)
 def test_fixed_sends_agree_with_their_opaque_oracle(programs, data):
     """A send to `id:`'s answer is fixed exactly where its message has one
-    candidate, a user method or a builtin, on the dispatch chains of r's
-    static type and its sub-prototypes and no argument is of type Any.
+    candidate, a user method or a builtin, a grammar builtin too, on the
+    dispatch chains of r's static type and its sub-prototypes and no
+    argument is of type Any.
     Whatever the run does to r and to its prototype, and with nil
     arguments, the program gives the stdout, exit status, steps and
     evaluations of its oracle, in which every such send probes its cache;
@@ -686,9 +701,10 @@ def test_fixed_sends_agree_with_their_opaque_oracle(programs, data):
              and isinstance(node.receiver, KeywordSend) and node.receiver.message_name == "id:"]
     assert sends, src
     for node in sends:
-        arg = node.parts[0][1][0] if isinstance(node, KeywordSend) else None
-        assert (node.fixed is not None) == (fixed and not (
-            isinstance(arg, NameRef) and arg.name == "any")), (node, src)
+        args = [a for _s, part in node.parts for a in part] \
+            if isinstance(node, KeywordSend) else []
+        assert (node.fixed is not None) == (fixed and not any(
+            isinstance(a, NameRef) and a.name == "any" for a in args)), (node, src)
     status, out, steps, evals = run_counts(program)
     assert (status, out, steps, evals) == run_counts(oracle), (src, oracle_src)
     for budget in data.draw(st.lists(st.integers(1, steps + evals), max_size=4)):

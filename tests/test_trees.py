@@ -104,7 +104,7 @@ end
     assert method_function(interp.program, "run").__name__ == "fn"
     assert (status, out) == (0, "4\n42 2\n")
     # the two sends after the replacement are skips: they go to `Interp.send`
-    assert (interp.steps, interp.misses, interp.skips) == (7, 2, 3)
+    assert (interp.steps, interp.misses, interp.skips) == (7, 0, 3)
 
 
 def test_a_method_added_in_the_middle_of_a_tree_takes_the_next_proven_send():
@@ -123,7 +123,7 @@ end
     assert method_function(interp.program, "run").__name__ == "fn"
     assert (status, out) == (0, "7 8\nadded 8\n")
     # after the `addMethod:`, both proven sends go to `Interp.send`
-    assert (interp.steps, interp.misses, interp.skips) == (10, 3, 5)
+    assert (interp.steps, interp.misses, interp.skips) == (10, 2, 5)
 
 
 # -- the budget, at every step of a tree ---------------------------------------------------
@@ -429,7 +429,7 @@ public object Program
     private :count Int = 1
 end
 """, 'count = count + 1; Out println: count; self.count = count * 10; Out println: self.count;',
-     (0, "2\n20\n20 20\n"), [(7, 0, 3, 1), (8, 1, 4, 1), (11, 3, 3, 1)]),
+     (0, "2\n20\n20 20\n"), [(7, 0, 0, 1), (8, 1, 1, 1), (11, 3, 0, 1)]),
     ("static read before its initial value", """package main
 private object Early
     public shared :first Int = Early peek
@@ -445,7 +445,7 @@ public object Program
 end
 """, 'Out println: "peek"; [ r = second; ] catch: [ |:e StrException| Out println: (e message) ];',
      (0, "peek\nvariable 'second' is read before it is initialized\nrun\n"),
-     [(8, 2, 5, 1), (9, 3, 6, 1), (12, 5, 5, 1)]),
+     [(8, 2, 2, 1), (9, 3, 3, 1), (12, 5, 2, 1)]),
     ("static write", """package main
 private object Counter
     public fun bump [
@@ -458,7 +458,7 @@ public object Program
     public fun run [ Counter bump; Counter bump; Counter show; ]
 end
 """, 'count = count + 1; Out println: count;',
-     (0, "1\n2\ncount 2\n"), [(9, 0, 2, 1), (11, 2, 3, 1), (17, 6, 2, 1)]),
+     (0, "1\n2\ncount 2\n"), [(9, 0, 0, 1), (11, 2, 1, 1), (17, 6, 0, 1)]),
     ("lazy prototype init", """package main
 private object First
     public shared :x Int = First compute
@@ -478,7 +478,7 @@ public object Program
 end
 """, 'Out println: "before Second"; r = Second value; Out println: "after Second ", r;',
      (0, "before Second\ninit Second\nafter Second 7\nrun\n"),
-     [(8, 0, 4, 1), (9, 1, 5, 1), (12, 3, 4, 1)]),
+     [(8, 0, 0, 1), (9, 1, 1, 1), (12, 3, 0, 1)]),
     ("generic prototype name", """package main
 private object Box<:T>
     public fun init [ Out println: "new box"; ]
@@ -494,7 +494,7 @@ public object Program
     ]
 end
 """, 'b = Box<Int> new; b put: 5; Out println: (Box<Int> prototypeName);',
-     (0, "new box\nBox<Int>\n5\n"), [(10, 0, 3, 1), (11, 1, 4, 1), (14, 3, 3, 1)]),
+     (0, "new box\nBox<Int>\n5\n"), [(10, 0, 0, 1), (11, 1, 1, 1), (14, 3, 0, 1)]),
     ("a new String per evaluation", """package main
 public object Program
     public fun run [
@@ -506,7 +506,7 @@ public object Program
     ]
 end
 """, 'while ( i < 2 ) [ prev = cur; cur = "s"; i = i + 1; ];',
-     (0, "false false s\n"), [(9, 2, 3, 1), (10, 3, 4, 1), (13, 5, 3, 1)]),
+     (0, "false false s\n"), [(9, 2, 2, 1), (10, 3, 3, 1), (13, 5, 2, 1)]),
     ("array and tuple elements in order", """package main
 public object Program
     public fun say: (:n Int) -> Int [ Out print: "(", n, ")"; ^ n ]
@@ -519,7 +519,7 @@ public object Program
 end
 """, 'xs = {# (self say: 1), (self say: 2), (self say: 3) #}; '
      't = [. (self say: 4), (self say: 5) .]; Out println: "";',
-     (0, "(1)(2)(3)(4)(5)\n1 2 3 4 5\n"), [(16, 0, 3, 2), (17, 1, 4, 2), (20, 3, 3, 2)]),
+     (0, "(1)(2)(3)(4)(5)\n1 2 3 4 5\n"), [(16, 0, 0, 2), (17, 1, 1, 2), (20, 3, 0, 2)]),
     ("an interval with a nil end", """package main
 public object Program
     public fun run [
@@ -533,7 +533,7 @@ end
 """, 'Out println: (lo..2); '
      '[ Out println: (lo..hi); ] catch: [ |:e StrException| Out println: (e message) ];',
      (0, "1..2\nan end of an interval is nil\nafter\n"),
-     [(8, 2, 5, 2), (9, 3, 6, 2), (12, 5, 5, 2)]),
+     [(8, 2, 2, 2), (9, 3, 3, 2), (12, 5, 2, 2)]),
     ("a method assigned, its value before its receiver", """package main
 private object Box
     public fun get -> Int [ ^ 0 ]
@@ -549,7 +549,7 @@ public object Program
     ]
 end
 """, '(self noisy: box).{get -> Int}. = (self value);',
-     (0, "value\nreceiver\n1 0\n"), [(15, 1, 3, 3), (16, 2, 4, 3), (19, 4, 3, 3)]),
+     (0, "value\nreceiver\n1 0\n"), [(15, 1, 0, 3), (16, 2, 1, 3), (19, 4, 0, 3)]),
     ("a nil-safe index, whose let keeps a block", """package main
 public object Program
     public fun keep: (:b UBlock<Int>) -> Int [ kept = b; ^ 1 ]
@@ -563,7 +563,7 @@ public object Program
 end
 """, 'a = v?[0]?; Out println: a; v = Array<Int> new: 2; v at: 1 put: 9; '
      'a = v?[self keep: [ ^ 0 ]]?;',
-     (0, "nil\n9\n"), [(11, 0, 6, 4), (12, 1, 7, 4), (15, 3, 6, 4)]),
+     (0, "nil\n9\n"), [(11, 0, 5, 4), (12, 1, 6, 4), (15, 3, 5, 4)]),
     ("super, and super in a block of an attached mixin", """package main
 private object Base
     public fun greet [ Out println: "base greet" ]
@@ -588,7 +588,7 @@ public object Program extends Base
 end
 """, 'super greet; self greet; w draw; w draw;',
      (0, "base greet\nprogram greet\nwith shade\ndraw window\nwith shade\ndraw window\ntrue\n"),
-     [(21, 2, 12, 1), (22, 3, 13, 1), (25, 5, 12, 1)]),
+     [(21, 2, 7, 1), (22, 3, 8, 1), (25, 5, 7, 1)]),
     ("context new: with & and * parameters", """package main
 private object Sum(:sum &Int) implements Block<Int><Void>
     public fun eval: (:x Int) [ sum = sum + x; ]
@@ -610,7 +610,7 @@ public object Program
 end
 """, 'nums foreach: Sum(s); Out println: s; Each(nums) foreach: Sum(s); '
      'nums = {# 10 #}; Each(nums) foreach: Sum(s);',
-     (0, "6\n22\n"), [(45, 4, 9, 4), (46, 5, 10, 4), (49, 7, 9, 4)]),
+     (0, "6\n22\n"), [(45, 4, 7, 4), (46, 5, 8, 4), (49, 7, 7, 4)]),
     ("a literal loop after addMethod:", """package main
 public object Program
     public fun run [
@@ -725,10 +725,12 @@ end''', "", "", "Thrice thrice: big", "3\n", ["Thrice::thrice:"], 6, 0),
 ]
 
 
-# the sends of `run` the checker fixes, where not its two sends of `m`: a
-# send to an object of a prototype that a mixin overrides is fixed, and its
-# guard fails while the mixin is attached; so is `attachMixin:`, a builtin
-FIXED_IN_RUN = {"a method of an attached mixin": 4, "a method a mixin clause copies": 0,
+# the sends of `run` the checker fixes, where not its two sends of `m` and
+# its two `Out println:` sends, a grammar builtin: a send to an object of a
+# prototype that a mixin overrides is fixed, and its guard fails while the
+# mixin is attached; so is `attachMixin:`, a builtin; `println:` with an
+# argument of type Any, a `?` send's, is not
+FIXED_IN_RUN = {"a method of an attached mixin": 6, "a method a mixin clause copies": 2,
                 "a context block's body": 0}
 
 
@@ -757,7 +759,7 @@ def test_each_shape_of_method_keeps_its_outcome_counts_and_trace(row, route, mon
     decl = interp.table.get("Program").groups["run"].entries[0].decl
     fixed = [node for node in A.walk(decl.body)
              if isinstance(node, (A.UnarySend, A.KeywordSend)) and node.fixed is not None]
-    assert len(fixed) == (0 if route == "probe" else FIXED_IN_RUN.get(row[0], 2))
+    assert len(fixed) == (0 if route == "probe" else FIXED_IN_RUN.get(row[0], 4))
     if method:
         m, = [m for m in interp.table.get("Program").methods if m.name.split(":")[0] == "m"]
         assert m.decl.fn.__name__ == "fn"

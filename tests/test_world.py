@@ -143,3 +143,121 @@ end
     assert program.ok(), program.reporter.format_all()
     interp = Interp(program)
     assert (interp.run(), interp.stdout()) == (0, "quiet\nSHOUT hi\n")
+
+
+LAZY_WORLD = '''package main
+private object Oops extends CyException
+    public :code Int = 7
+    public shared :made Int = Oops announce
+    public fun announce -> Int [ Out println: "Oops init"; ^ 1 ]
+end
+public object Program
+    public fun deep: (:n Int) -> String [
+        if ( n > 0 ) [ return self deep: n - 1 ];
+        :r = "";
+        [ self ?vanish ] catch: [ |:e DoesNotUnderstandException| r = e messageName ];
+        return r + "/" + (DoesNotUnderstandException messageName) + "/";
+    ]
+    public fun fail: (:n Int) [
+        if ( n > 0 ) [ self fail: n - 1; return ];
+        Out println: (CastException hashCode), " ", (Oops hashCode);
+        throw: Oops new;
+    ]
+    public fun run [
+        Out println: (self deep: 50);
+        Out println: (Program hashCode), " ", (DoesNotUnderstandException hashCode), " ",
+            (Oops code);
+        [ self fail: 1; ] catch: CatchAll;
+        self fail: 2;
+    ]
+end
+'''
+
+
+def test_world_prototype_objects_are_made_on_first_use(monkeypatch):
+    """Setup makes and initialises the objects of the prototypes the
+    program adds, in table order, each after its supertype's, even one of
+    the world (Oops's CyException); any other world prototype's object is
+    made when the run first names it, here 51 frames deep
+    (DoesNotUnderstandException, whose field the run reads) or inside a
+    `catch:` (CastException).  The output, the order in which hash codes
+    are drawn and the stack trace are those of a setup that made every
+    object first."""
+    program = driver.compile_program([("lazy.cyan", LAZY_WORLD)])
+    assert program.ok(), program.reporter.format_all()
+    world = driver._parsed_prelude(PRELUDE_SOURCE).table
+    added = [name for name in program.table.entries if name not in world.entries]
+    done = []
+    init_prototype = Interp.init_prototype
+
+    def traced(self, entry, obj):
+        init_prototype(self, entry, obj)
+        done.append(entry.name)
+    monkeypatch.setattr(Interp, "init_prototype", traced)
+    interp = Interp(program)
+    interp.setup()
+    assert done == ["CyException", "Oops", "Program"]
+    assert set(interp.proto_objects) == {*added, "CyException", "Any", "Out"}
+    assert interp.stdout() == "Oops init\n"
+    interp = Interp(program)
+    assert interp.run() == 2
+    assert interp.stdout() == (
+        "Oops init\n'Program' does not understand 'vanish'//\n1 2 7\n3 4\n3 4\n"
+        "uncaught exception: Oops\n" + "  at Program::fail:\n" * 3 + "  at Program::run\n")
+    assert {"DoesNotUnderstandException", "CastException", "CatchAll"} <= set(done)
+    assert "StrException" not in interp.proto_objects
+
+
+NOISY_PRELUDE = PRELUDE_SOURCE + '''
+public object Noisy
+    public shared :count Int = Noisy hello: "shared"
+    public :tag String = Noisy label
+    public fun total -> Int [ ^ count ]
+    public fun label -> String [ Out println: "Noisy field"; ^ "n" ]
+    public fun doubler -> UBlock<Int><Int> [ Out println: "Noisy bound"; ^ [ |:k Int -> Int| ^k * 2 ] ]
+    public fun hello: (:s String) -> Int [ Out println: "Noisy " + s; ^ 1 ]
+end
+
+public object Quiet extends Noisy
+end
+
+public object Bound
+    public fun twice: (:k Int) -> Int = Noisy doubler
+end
+
+public object Once
+    private fun initOnce [ Out println: "Once"; ]
+end
+
+public object Thrower
+    public shared :x Int = Thrower fail
+    public fun fail -> Int [ throw: CyException new; ^ 0 ]
+end
+'''
+WORLD_INIT = "Noisy shared\nNoisy field\nNoisy field\nNoisy bound\nOnce\n"
+THROWN_AT_INIT = "uncaught exception: CyException\n  at Thrower::fail\n  at Thrower::<init>\n"
+
+
+@pytest.mark.parametrize("throws", [True, False], ids=["throws", "returns"])
+@pytest.mark.parametrize("body, out, steps, evals", [
+    ('Out println: "run"', "run\n", 12, 0),
+    ('Out println: "run ", (Noisy total), " ", (Quiet tag), " ", (Bound twice: 3)',
+     "run 1 n 6\n", 17, 1),
+], ids=["unnamed", "named"])
+def test_a_world_prototype_whose_initialisation_runs_code_is_initialised_at_setup(
+        throws, body, out, steps, evals):
+    """A prelude given to the compile may declare prototypes whose shared
+    variable, field, bound method or `initOnce` prints or throws: setup
+    runs each of these in table order before the program, whether or not
+    the program names the prototype, with the steps they count, as when
+    setup made every world object.  A throw there is uncaught."""
+    prelude = NOISY_PRELUDE if throws else NOISY_PRELUDE.replace("Thrower fail", "0")
+    src = f"package main\npublic object Program\n    public fun run [ {body} ]\nend\n"
+    program = driver.compile_program([("noisy.cyan", src)], prelude_text=prelude)
+    assert program.ok(), program.reporter.format_all()
+    interp = Interp(program)
+    if throws:
+        assert (interp.run(), interp.stdout(), interp.steps) == (2, WORLD_INIT + THROWN_AT_INIT, 15)
+    else:
+        assert (interp.run(), interp.stdout(), interp.steps, interp.evals) \
+            == (0, WORLD_INIT + out, steps, evals)
